@@ -14,10 +14,9 @@ from .nets import (AdamState, MlpModel, adam_init, adam_step, bind, init_mlp,
 from .objective import (AnchorSet, GeneratorLossParts, LossWeights, anchor_loss,
                         gan_losses, inv_loss, sparsity_loss, total_generator_loss)
 from .sparsity import (JacobianMatrix, ProbeSample, ProbeSpec, SupportPattern,
-                       analytic_mlp_jacobian_graph, check_sandwich_bound,
-                       check_structural_sparsity, draw_probe, exact_jacobian,
-                       fd_sparsity_surrogate, probe_bias_variance_study,
-                       q_estimate, q_exact_enumeration)
+                       check_sandwich_bound, check_structural_sparsity,
+                       draw_probe, exact_jacobian, probe_bias_variance_study,
+                       q_estimate)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,
                         save_dataset, select_anchors, shuffle_unpaired, warp)
 from .trainer import (RunReport, TrainConfig, TrainedModels, TrainingDiverged,

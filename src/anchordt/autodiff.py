@@ -104,6 +104,20 @@ def _leaky(x, slope):
     return np.where(x >= 0, x, slope * x)
 
 
+# Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
+# a is the pre-activation, value its activation and g the output adjoint.  The
+# graph ops below, the numpy forward pass of nets.MlpModel and the Jacobian
+# masks of sparsity.activation_masks (the vjp at g = 1) all read it.  Only
+# tanh and sigmoid read ``value``.  The leaky tie at exactly 0 resolves to
+# slope 1.
+ACTIVATIONS = {
+    "identity": (lambda a, s: a, lambda g, a, v, s: np.full_like(a, g)),
+    "leaky-relu": (_leaky, lambda g, a, v, s: np.where(a >= 0, g, g * s)),
+    "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
+    "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
+}
+
+
 def _compute_matmul(vals, meta):
     a, b = vals
     if a.shape[1] != b.shape[0]:
@@ -162,34 +176,6 @@ def _compute_elementwise_mul(vals, meta):
 def _grad_elementwise_mul(node):
     a, b = node.parents
     return (node.grad * b.value, node.grad * a.value)
-
-
-def _compute_leaky_relu(vals, meta):
-    return _leaky(vals[0], meta)
-
-
-def _grad_leaky_relu(node):
-    # Tie at exactly 0 resolved to slope 1.
-    x = node.parents[0].value
-    out = node.grad * node.meta
-    np.copyto(out, node.grad, where=x >= 0)
-    return (out,)
-
-
-def _compute_tanh(vals, meta):
-    return np.tanh(vals[0])
-
-
-def _grad_tanh(node):
-    return (node.grad * (1.0 - node.value ** 2),)
-
-
-def _compute_sigmoid(vals, meta):
-    return _sigmoid(vals[0])
-
-
-def _grad_sigmoid(node):
-    return (node.grad * node.value * (1.0 - node.value),)
 
 
 def _compute_log(vals, meta):
@@ -257,9 +243,6 @@ _OPS = {
     "subtract": (_compute_subtract, _grad_subtract),
     "scale": (_compute_scale, _grad_scale),
     "elementwise-mul": (_compute_elementwise_mul, _grad_elementwise_mul),
-    "leaky-relu": (_compute_leaky_relu, _grad_leaky_relu),
-    "tanh": (_compute_tanh, _grad_tanh),
-    "sigmoid": (_compute_sigmoid, _grad_sigmoid),
     "log": (_compute_log, _grad_log),
     "square": (_compute_square, _grad_square),
     "clip": (_compute_clip, _grad_clip),
@@ -267,6 +250,15 @@ _OPS = {
     "sum": (_compute_sum, _grad_sum),
     "mean": (_compute_mean, _grad_mean),
 }
+
+
+def _activation_op(name):
+    value, vjp = ACTIVATIONS[name]
+    return (lambda vals, meta: value(vals[0], meta),
+            lambda node: (vjp(node.grad, node.parents[0].value, node.value, node.meta),))
+
+
+_OPS.update((name, _activation_op(name)) for name in ("leaky-relu", "tanh", "sigmoid"))
 
 
 def _make(kind, parents, meta=None):

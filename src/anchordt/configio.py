@@ -10,13 +10,13 @@ Grammar, one construct per line:
 Keys must appear inside a section.  Parsing preserves order; serialize()
 emits the canonical form, and parse(serialize(parse(text))) == parse(text).
 
-The ANCHORDT_SEED environment variable, when set, overrides any ``seed``
-entry at the point where typed configs are built.
+The typed configs built here read only the sections they are given; the
+ANCHORDT_SEED environment variable is applied once, by the CLI, as an
+override of the running verb's seed entry (see anchordt.cli), so a replay
+from a manifest sees only the recorded config.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .objective import LossWeights
 from .sparsity import ProbeSpec
 from .synthdata import SynthConfig
 from .trainer import TrainConfig
-
-SEED_ENV_VAR = "ANCHORDT_SEED"
-
 
 class ConfigError(ValueError):
     """Malformed config text or unusable values."""
@@ -102,21 +99,11 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(","))
 
 
-def _seed_override(seed: int) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-
-
 def synth_config(sections) -> SynthConfig:
     """[data] section -> SynthConfig (defaults for anything absent)."""
     g = lambda key, cast, default: _get(sections, "data", key, cast, default)
     base = SynthConfig()
-    cfg = SynthConfig(
+    return SynthConfig(
         num_train=g("num_train", int, base.num_train),
         num_test=g("num_test", int, base.num_test),
         seed=g("seed", int, base.seed),
@@ -125,8 +112,6 @@ def synth_config(sections) -> SynthConfig:
         t_range=(g("t_min", float, base.t_range[0]),
                  g("t_max", float, base.t_range[1])),
     )
-    cfg.seed = _seed_override(cfg.seed)
-    return cfg
 
 
 def train_config(sections) -> TrainConfig:
@@ -147,7 +132,7 @@ def train_config(sections) -> TrainConfig:
                              base.probe.perturbation_scale),
         probes_per_sample=p("probes_per_sample", int, base.probe.probes_per_sample),
     )
-    cfg = TrainConfig(
+    return TrainConfig(
         weights=weights,
         probe=probe,
         anchor_count=t("anchor_count", int, base.anchor_count),
@@ -169,8 +154,6 @@ def train_config(sections) -> TrainConfig:
         diag_interval=t("diag_interval", int, base.diag_interval),
         diag_points=t("diag_points", int, base.diag_points),
     )
-    cfg.seed = _seed_override(cfg.seed)
-    return cfg
 
 
 def _fmt(v: float) -> str:

@@ -1,8 +1,13 @@
-"""Small fully-connected networks: init, forward graphs, Adam, checkpoints.
+"""Small fully-connected networks: init, forward passes, Adam, checkpoints.
 
 Weights are stored (n_out, n_in) and biases (n_out, 1), acting on column
 batches, so a layer is ``W @ x + b``.  Hidden activations are leaky-relu
-with slope 0.2; the output layer is identity, tanh, or sigmoid.
+with slope 0.2; the output layer is identity, tanh, or sigmoid.  Each
+model's per-layer activation list is derived once, when the model is built,
+from the activation table in ``autodiff``; the plain numpy forward pass
+(``MlpModel``) and the graph forward pass (``MlpBinding``) both walk it.
+Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
+(gradients, Adam moments), as ``param_order`` spells out.
 """
 
 from __future__ import annotations
@@ -20,13 +25,30 @@ HIDDEN_SLOPE = 0.2
 _CHECKPOINT_MAGIC = "anchordt-mlp-v1"
 
 
-@dataclass
+def param_order(weights, biases) -> list:
+    """[W0, b0, W1, b1, ...]: the order of gradients and Adam moments."""
+    return [p for pair in zip(weights, biases) for p in pair]
+
+
+@dataclass(frozen=True)
 class MlpModel:
+    """Frozen fields, so ``activations`` cannot go stale; the weight and bias
+    arrays are updated in place."""
+
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     output_activation: str = "identity"
     hidden_slope: float = HIDDEN_SLOPE
+    # (activation table name, slope) per layer, derived from the fields above
+    activations: list[tuple[str, float]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {self.output_activation!r}")
+        hidden = [("leaky-relu", self.hidden_slope)] * (len(self.layer_sizes) - 2)
+        object.__setattr__(self, "activations",
+                           hidden + [(self.output_activation, self.hidden_slope)])
 
     @property
     def input_dim(self) -> int:
@@ -49,54 +71,29 @@ class MlpModel:
             hidden_slope=self.hidden_slope,
         )
 
-    def preactivations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Pre-activation matrices of every layer for a (D, N) column batch."""
-        x = np.asarray(x, dtype=np.float64)
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output and per-layer pre-activations for a (D, N) column batch."""
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         if x.shape[0] != self.input_dim:
             raise ValueError(
                 f"input dim {x.shape[0]} != model input dim {self.input_dim}")
-        pres = []
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        h, pres = x, []
+        for w, b, (name, slope) in zip(self.weights, self.biases, self.activations):
             a = w @ h + b
             pres.append(a)
-            if i < last:
-                h = np.where(a >= 0, a, self.hidden_slope * a)
-            else:
-                h = _apply_output(a, self.output_activation)
-        return pres
+            h = ad.ACTIVATIONS[name][0](a, slope)
+        return h, pres
+
+    def preactivations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Pre-activation matrices of every layer for a (D, N) column batch."""
+        return self._forward(np.asarray(x, dtype=np.float64))[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass on a (D, N) column batch."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x.reshape(-1, 1)
-        if x.shape[0] != self.input_dim:
-            raise ValueError(
-                f"input dim {x.shape[0]} != model input dim {self.input_dim}")
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = w @ h + b
-            if i < last:
-                h = np.where(a >= 0, a, self.hidden_slope * a)
-            else:
-                h = _apply_output(a, self.output_activation)
-        return h[:, 0] if squeeze else h
-
-
-def _apply_output(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "identity":
-        return a
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "sigmoid":
-        return ad._sigmoid(a)
-    raise ValueError(f"unknown output activation {kind!r}")
+        h = self._forward(x)[0]
+        return h[:, 0] if x.ndim == 1 else h
 
 
 def init_mlp(layer_sizes, output_activation: str = "identity", seed=0) -> MlpModel:
@@ -109,8 +106,6 @@ def init_mlp(layer_sizes, output_activation: str = "identity", seed=0) -> MlpMod
         raise ValueError("need at least input and output layer sizes")
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be positive, got {sizes}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -148,26 +143,22 @@ class MlpBinding:
 
     @property
     def param_nodes(self) -> list[ad.Node]:
-        out = []
-        for w, b in zip(self.weight_nodes, self.bias_nodes):
-            out.extend((w, b))
-        return out
+        return param_order(self.weight_nodes, self.bias_nodes)
 
     def __call__(self, x: ad.Node) -> ad.Node:
         h = x
-        last = len(self.weight_nodes) - 1
         preacts = []
-        for i, (w, b) in enumerate(zip(self.weight_nodes, self.bias_nodes)):
+        for w, b, (name, slope) in zip(self.weight_nodes, self.bias_nodes,
+                                       self.model.activations):
             a = ad.add(ad.matmul(w, h), b)
             preacts.append(a)
-            if i < last:
-                h = ad.leaky_relu(a, self.model.hidden_slope)
-            elif self.model.output_activation == "identity":
+            # the graph constructors are looked up on the module at each call
+            if name == "leaky-relu":
+                h = ad.leaky_relu(a, slope)
+            elif name == "identity":
                 h = a
-            elif self.model.output_activation == "tanh":
-                h = ad.tanh(a)
             else:
-                h = ad.sigmoid(a)
+                h = getattr(ad, name)(a)
         self.last_preacts = preacts
         return h
 
@@ -198,9 +189,7 @@ class AdamState:
 
 def adam_init(model: MlpModel, learning_rate: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    shapes = []
-    for w, b in zip(model.weights, model.biases):
-        shapes.extend((w, b))
+    shapes = param_order(model.weights, model.biases)
     return AdamState(
         learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon,
         first_moment=[np.zeros_like(p) for p in shapes],
@@ -214,9 +203,7 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], state: AdamState):
     ``gradients`` must be in [W0, b0, W1, b1, ...] order, matching
     MlpBinding.gradients().
     """
-    params = []
-    for w, b in zip(model.weights, model.biases):
-        params.extend((w, b))
+    params = param_order(model.weights, model.biases)
     if len(gradients) != len(params):
         raise ValueError(f"expected {len(params)} gradients, got {len(gradients)}")
     for p, g in zip(params, gradients):

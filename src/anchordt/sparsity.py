@@ -1,29 +1,36 @@
-"""Jacobian support probing and sparsity surrogates.
+"""Jacobian support probing and the pieces of the sparsity penalties.
 
 Three layers of machinery live here:
 
-* exact Jacobians of a network by central differences, and the same Jacobian
-  built *inside* a computation graph (activation-derivative masks frozen as
-  constants) so its entrywise l1 norm can be penalized during training;
+* Jacobians of a network: ``exact_jacobian`` by central differences, for
+  evaluation, and ``batched_jvp_graph``, the in-graph Jacobian-vector
+  products J(x_n) v_n that the training penalties in ``objective`` build
+  on.  They use the per-layer activation derivatives of
+  ``activation_masks``, frozen as constants.  Along the identity directions
+  at one point, the JVP graph is that point's full Jacobian;
 * the randomized sparse-probe estimator of the Jacobian's nonzero count:
   draw a mask with exactly S active coordinates, fill it with Gaussian
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0
   from above, and from below within a factor 1 - (S-1)(T-1)/(2(D-1)) where
-  T is the largest row-support size; both sides are checkable here;
+  T is the largest row-support size; both sides are checkable here, and
+  ``q_hypergeometric`` gives the sketch's expectation in closed form;
 * the structural-sparsity test on a support pattern: every input coordinate
   k must own a set of output rows whose supports intersect exactly in {k}.
+
+Both sparsity penalties, the exact Jacobian l1 term and the masked finite
+differences along ``draw_probe`` probes, are assembled in
+``objective.sparsity_loss``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .nets import MlpBinding, MlpModel, bind
+from .nets import MlpBinding, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 
@@ -143,52 +150,18 @@ def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> JacobianMatrix:
 
 
 def activation_masks(model: MlpModel, preacts: list[np.ndarray]) -> list[np.ndarray]:
-    """Activation derivatives per layer from pre-activation arrays."""
+    """Activation derivatives per layer from pre-activation arrays.
+
+    Each is the layer activation's vjp at g = 1.  Only the output layer's
+    activation value is computed: the hidden layers are leaky-relu, whose
+    derivative needs the pre-activation alone.
+    """
     masks = []
     last = len(preacts) - 1
-    for i, a in enumerate(preacts):
-        if i < last:
-            masks.append(np.where(a >= 0, 1.0, model.hidden_slope))
-        elif model.output_activation == "identity":
-            masks.append(np.ones_like(a))
-        elif model.output_activation == "tanh":
-            masks.append(1.0 - np.tanh(a) ** 2)
-        elif model.output_activation == "sigmoid":
-            s = ad._sigmoid(a)
-            masks.append(s * (1.0 - s))
-        else:
-            raise ValueError(f"unsupported activation {model.output_activation!r}")
+    for i, (a, (name, slope)) in enumerate(zip(preacts, model.activations)):
+        value, vjp = ad.ACTIVATIONS[name]
+        masks.append(vjp(1.0, a, value(a, slope) if i == last else None, slope))
     return masks
-
-
-def _layer_masks(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """Activation derivatives per layer at x, as plain arrays (constants)."""
-    return activation_masks(model, model.preactivations(x))
-
-
-def analytic_mlp_jacobian_graph(model, x: np.ndarray) -> ad.Node:
-    """Jacobian of the network at x as a graph node (output dim x input dim).
-
-    Built as the ordered product of per-layer Jacobians
-    diag(act') @ W_L @ ... @ diag(act'_1) @ W_1 where the activation
-    derivative masks are evaluated numerically and frozen as constants.
-    Backward through this node therefore yields a valid a.e. subgradient of
-    any function of the Jacobian with respect to the weights, without
-    second-order differentiation.
-
-    ``model`` may be an MlpModel or an MlpBinding (to share parameter nodes
-    with other loss terms).
-    """
-    binding = model if isinstance(model, MlpBinding) else bind(model)
-    net = binding.model
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    masks = _layer_masks(net, x)
-    jac = None
-    for w_node, mask in zip(binding.weight_nodes, masks):
-        jac = w_node if jac is None else ad.matmul(w_node, jac)
-        diag = ad.input_node(np.diagflat(mask[:, 0]), "activation-derivative")
-        jac = ad.matmul(diag, jac)
-    return jac
 
 
 def batched_jvp_graph(binding: MlpBinding, x_batch: np.ndarray,
@@ -198,34 +171,18 @@ def batched_jvp_graph(binding: MlpBinding, x_batch: np.ndarray,
     x_batch and directions are (D, N).  Propagates the directions through
     the layer linearizations with the activation masks frozen at x_batch,
     so the result is linear in the weights of each layer and differentiable
-    w.r.t. them (same stop-gradient convention as the analytic Jacobian).
-    Pass precomputed ``masks`` (from activation_masks) to skip the extra
-    forward pass.
+    w.r.t. them: backward through it yields a valid a.e. subgradient of any
+    function of the JVPs without second-order differentiation.  Pass
+    precomputed ``masks`` (from activation_masks) to skip the extra forward
+    pass.
     """
     if masks is None:
-        masks = _layer_masks(binding.model, x_batch)
+        masks = activation_masks(binding.model, binding.model.preactivations(x_batch))
     v = ad.input_node(directions, "jvp-direction")
     for w_node, mask in zip(binding.weight_nodes, masks):
         v = ad.matmul(w_node, v)
         v = ad.elementwise_mul(v, ad.input_node(mask, "activation-derivative"))
     return v
-
-
-def fd_sparsity_surrogate(model, x: np.ndarray, probe: ProbeSample,
-                          delta: float) -> ad.Node:
-    """Trainable surrogate ||(g(x + delta*z) - g(x)) / delta||_1 as a scalar node.
-
-    Two forward passes; ordinary backward gives the weight gradient.  Exact
-    (for all delta) when the map is linear.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    binding = model if isinstance(model, MlpBinding) else bind(model)
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    z = probe.probe.reshape(-1, 1)
-    base = binding(ad.input_node(x, "surrogate-base"))
-    pert = binding(ad.input_node(x + delta * z, "surrogate-perturbed"))
-    return ad.scale(ad.abs_sum(ad.subtract(pert, base)), 1.0 / delta)
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +217,12 @@ def q_estimate(j, spec: ProbeSpec, num_probes: int,
                                  zero_threshold).mean())
 
 
-MAX_ENUMERATION_DIM = 20
-
-
-def q_exact_enumeration(j, mask_size: int,
-                        zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> float:
-    """Exact q(J) by enumerating all C(D, S) masks.
-
-    Uses the almost-sure equivalence: with Gaussian entries on the mask,
-    (J z)_d is nonzero exactly when the mask intersects row d's support.
-    """
-    entries = j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=np.float64)
-    d = entries.shape[0]
-    if d > MAX_ENUMERATION_DIM:
-        raise ValueError(
-            f"D={d} too large to enumerate (max {MAX_ENUMERATION_DIM}); use q_estimate")
-    if not 1 <= mask_size <= d:
-        raise ValueError(f"mask size {mask_size} not in [1, {d}]")
-    support = np.abs(entries) > zero_threshold
-    combos = list(itertools.combinations(range(d), mask_size))
-    masks = np.zeros((len(combos), d), dtype=np.float64)
-    for i, combo in enumerate(combos):
-        masks[i, list(combo)] = 1.0
-    hits = (masks @ support.T.astype(np.float64)) > 0          # (n_masks, D) rows hit
-    return float((d / mask_size) * hits.sum(axis=1).mean())
-
-
 def q_hypergeometric(j, mask_size: int,
                      zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> float:
-    """Closed form q(J) = (D/S) sum_d (1 - C(D-T_d, S)/C(D, S)).
+    """Closed form q(J) = (D/S) sum_d (1 - C(D-T_d, S)/C(D, S)), at any D.
 
-    Independent of the enumeration path; usable at any D.
+    With Gaussian entries on the mask, (J z)_d is nonzero almost surely
+    exactly when the mask hits row d's support, of size T_d.
     """
     entries = j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=np.float64)
     d = entries.shape[0]

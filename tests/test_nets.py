@@ -1,5 +1,7 @@
 """Network init, forward agreement, Adam arithmetic, checkpoint round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,15 @@ class TestInit:
             nets.init_mlp((5,), seed=0)
         with pytest.raises(ValueError):
             nets.init_mlp((), seed=0)
+
+    def test_output_activation_checked_once_and_frozen(self):
+        with pytest.raises(ValueError, match="output activation"):
+            nets.MlpModel(layer_sizes=(1, 1), weights=[np.ones((1, 1))],
+                          biases=[np.zeros((1, 1))], output_activation="relu")
+        model = nets.init_mlp((2, 4, 4, 1), output_activation="sigmoid", seed=0)
+        assert model.activations == [("leaky-relu", 0.2)] * 2 + [("sigmoid", 0.2)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.output_activation = "tanh"
 
 
 class TestForwardPaths:

@@ -5,7 +5,7 @@ import pytest
 
 from anchordt import autodiff as ad
 from anchordt import nets, objective
-from anchordt.sparsity import ProbeSpec, draw_probe
+from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe
 
 
 def constant_half_discriminator() -> nets.MlpModel:
@@ -21,10 +21,11 @@ def identity_model(d=2) -> nets.MlpModel:
                          biases=[np.zeros((d, 1))])
 
 
-def linear_model(a) -> nets.MlpModel:
+def linear_model(a, output_activation="identity") -> nets.MlpModel:
     a = np.asarray(a, dtype=np.float64)
     return nets.MlpModel(layer_sizes=(a.shape[1], a.shape[0]),
-                         weights=[a.copy()], biases=[np.zeros((a.shape[0], 1))])
+                         weights=[a.copy()], biases=[np.zeros((a.shape[0], 1))],
+                         output_activation=output_activation)
 
 
 def biased_identity(offset) -> nets.MlpModel:
@@ -46,9 +47,7 @@ class TestGanLosses:
     def test_perfect_discriminator_on_disjoint_supports(self):
         # 1D: d(v) = sigmoid(50 v) saturates to the clamp on +-1 inputs
         gen = nets.bind(identity_model(1))
-        disc_model = linear_model(np.array([[50.0]]))
-        disc_model.output_activation = "sigmoid"
-        disc = nets.bind(disc_model)
+        disc = nets.bind(linear_model(np.array([[50.0]]), "sigmoid"))
         x = np.full((1, 16), -1.0)
         y = np.full((1, 16), 1.0)
         dl, _ = objective.gan_losses(gen, disc, x, y)
@@ -179,13 +178,14 @@ class TestSparsityLoss:
         assert node.value[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_mode_equals_mean_jacobian_l1(self):
-        from anchordt.sparsity import analytic_mlp_jacobian_graph
         model = nets.init_mlp((2, 8, 2), seed=21)
         x = np.random.default_rng(4).standard_normal((2, 5))
         node = objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
                                        "exact-jacobian-l1")
-        expected = np.mean([np.abs(analytic_mlp_jacobian_graph(model, x[:, n]).value).sum()
-                            for n in range(5)])
+        # J(x_n): the JVPs along the identity directions at x_n
+        jacobians = [batched_jvp_graph(nets.bind(model), np.repeat(x[:, n:n + 1], 2, axis=1),
+                                       np.eye(2)).value for n in range(5)]
+        expected = np.mean([np.abs(j).sum() for j in jacobians])
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_generator_masked_fd_equals_l1_of_az(self):
@@ -215,6 +215,26 @@ class TestSparsityLoss:
                            for _ in range(4096)])
         se = oracle.std(ddof=1) * np.sqrt(1 / 4096 + 1 / (64 * 16))
         assert abs(node.value[0, 0] - oracle.mean()) < 3 * se
+
+    def test_masked_fd_first_order_convergence_on_smooth_map(self):
+        # tanh output layer (no hidden kinks): the error against ||J z||_1 is
+        # O(delta), so its log-log slope is ~1; one rng seed gives every
+        # delta the same probe
+        model = nets.init_mlp((2, 2), output_activation="tanh", seed=13)
+        x = np.array([[0.3], [-0.2]])
+        w, b = model.weights[0], model.biases[0]
+        jac = (1.0 - np.tanh(w @ x + b) ** 2) * w
+        probe = draw_probe(ProbeSpec(2, 2), np.random.default_rng(17)).probe
+        exact = np.abs(jac @ probe).sum()
+        deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+        errors = []
+        for delta in deltas:
+            spec = ProbeSpec(2, 2, perturbation_scale=delta, probes_per_sample=1)
+            node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
+                                           np.random.default_rng(17))
+            errors.append(abs(node.value[0, 0] - exact))
+        slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
+        assert 0.9 <= slope <= 1.1
 
     def test_masked_fd_requires_rng(self):
         gen = nets.bind(identity_model())

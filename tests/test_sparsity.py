@@ -18,6 +18,32 @@ def linear_model(matrix: np.ndarray) -> nets.MlpModel:
                          biases=[np.zeros((a.shape[0], 1))])
 
 
+def jacobian_graph(model, x) -> ad.Node:
+    """J(x) as a graph node: the batched JVP along the identity directions."""
+    binding = model if isinstance(model, nets.MlpBinding) else nets.bind(model)
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    d = x.shape[0]
+    return sparsity.batched_jvp_graph(binding, np.repeat(x, d, axis=1), np.eye(d))
+
+
+def q_exact_enumeration(j, mask_size: int,
+                        zero_threshold: float = sparsity.DEFAULT_ZERO_THRESHOLD) -> float:
+    """Exact q(J) by enumerating all C(D, S) masks: the reference for q_hypergeometric.
+
+    Uses the almost-sure equivalence: with Gaussian entries on the mask,
+    (J z)_d is nonzero exactly when the mask intersects row d's support.
+    """
+    entries = np.asarray(j, dtype=np.float64)
+    d = entries.shape[0]
+    support = np.abs(entries) > zero_threshold
+    combos = list(itertools.combinations(range(d), mask_size))
+    masks = np.zeros((len(combos), d), dtype=np.float64)
+    for i, combo in enumerate(combos):
+        masks[i, list(combo)] = 1.0
+    hits = (masks @ support.T.astype(np.float64)) > 0          # (n_masks, D) rows hit
+    return float((d / mask_size) * hits.sum(axis=1).mean())
+
+
 def structured_d4_matrix(rng=None) -> np.ndarray:
     """4x4 with every row support of size 2 and nonzero Gaussian entries."""
     rng = rng or np.random.default_rng(42)
@@ -59,7 +85,7 @@ class TestAnalyticJacobianGraph:
         a = np.array([[1.5, -2.0], [0.0, 3.0]])
         model = linear_model(a)
         binding = nets.bind(model)
-        node = sparsity.analytic_mlp_jacobian_graph(binding, np.array([0.1, 0.2]))
+        node = jacobian_graph(binding, np.array([0.1, 0.2]))
         np.testing.assert_allclose(node.value, a, atol=1e-15)
         grads = ad.backward(ad.abs_sum(node))
         np.testing.assert_array_equal(grads[binding.weight_nodes[0]], np.sign(a))
@@ -68,14 +94,14 @@ class TestAnalyticJacobianGraph:
         model = nets.init_mlp((2, 16, 16, 2), seed=3)
         x = np.array([0.8, -0.6])
         assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
-        node = sparsity.analytic_mlp_jacobian_graph(model, x)
+        node = jacobian_graph(model, x)
         jac = sparsity.exact_jacobian(model, x, step=1e-5)
         np.testing.assert_allclose(node.value, jac.entries, atol=1e-6)
 
     def test_output_activation_mask_included(self):
         model = nets.init_mlp((2, 8, 2), output_activation="tanh", seed=4)
         x = np.array([0.4, 0.9])
-        node = sparsity.analytic_mlp_jacobian_graph(model, x)
+        node = jacobian_graph(model, x)
         jac = sparsity.exact_jacobian(model, x, step=1e-5)
         np.testing.assert_allclose(node.value, jac.entries, atol=1e-6)
 
@@ -84,7 +110,7 @@ class TestAnalyticJacobianGraph:
         x = np.array([0.7, -0.9])
         assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
         binding = nets.bind(model)
-        root = ad.node_sum(sparsity.analytic_mlp_jacobian_graph(binding, x))
+        root = ad.node_sum(jacobian_graph(binding, x))
         report = ad.gradcheck(root, step=1e-5, tolerance=1e-4)
         assert report.passed
 
@@ -96,7 +122,7 @@ class TestAnalyticJacobianGraph:
         v = rng.standard_normal((3, 5))
         out = sparsity.batched_jvp_graph(binding, x, v).value
         for n in range(5):
-            jn = sparsity.analytic_mlp_jacobian_graph(model, x[:, n]).value
+            jn = jacobian_graph(model, x[:, n]).value
             np.testing.assert_allclose(out[:, n], jn @ v[:, n], atol=1e-12)
 
 
@@ -174,16 +200,16 @@ class TestQEstimate:
 
 class TestQExactEnumeration:
     def test_identity_d4(self):
-        assert sparsity.q_exact_enumeration(np.eye(4), 2) == pytest.approx(4.0)
+        assert q_exact_enumeration(np.eye(4), 2) == pytest.approx(4.0)
 
     def test_structured_d4_equals_20_over_3(self):
         j = structured_d4_matrix()
-        q = sparsity.q_exact_enumeration(j, 2)
+        q = q_exact_enumeration(j, 2)
         assert q == pytest.approx(20.0 / 3.0, abs=1e-12)
 
     def test_full_3x3_single_mask(self):
         j = np.ones((3, 3))
-        assert sparsity.q_exact_enumeration(j, 1) == pytest.approx(9.0)
+        assert q_exact_enumeration(j, 1) == pytest.approx(9.0)
 
     def test_matches_hypergeometric_closed_form(self):
         rng = np.random.default_rng(19)
@@ -191,13 +217,9 @@ class TestQExactEnumeration:
             d = int(rng.integers(2, 9))
             j = sparsity.random_sparse_jacobian(d, int(rng.integers(1, d + 1)), rng)
             for s in range(1, d + 1):
-                enum = sparsity.q_exact_enumeration(j, s)
+                enum = q_exact_enumeration(j, s)
                 closed = sparsity.q_hypergeometric(j, s)
                 assert enum == pytest.approx(closed, abs=1e-9)
-
-    def test_dimension_guard_points_to_estimator(self):
-        with pytest.raises(ValueError, match="q_estimate"):
-            sparsity.q_exact_enumeration(np.eye(25), 2)
 
 
 class TestSandwichBound:
@@ -209,7 +231,7 @@ class TestSandwichBound:
 
     def test_structured_d4_equality_at_lower(self):
         j = structured_d4_matrix()
-        q = sparsity.q_exact_enumeration(j, 2)
+        q = q_exact_enumeration(j, 2)
         verdict = sparsity.check_sandwich_bound(j, 2, q)
         assert verdict.holds
         assert verdict.upper == 8.0
@@ -231,7 +253,7 @@ class TestSandwichBound:
             t = int(rng.integers(1, d + 1))
             j = sparsity.random_sparse_jacobian(d, t, rng)
             for s in range(1, d + 1):
-                q = sparsity.q_exact_enumeration(j, s)
+                q = q_exact_enumeration(j, s)
                 assert sparsity.check_sandwich_bound(j, s, q).holds
 
     def test_mc_slack_widens_interval(self):
@@ -239,60 +261,6 @@ class TestSandwichBound:
         tight = sparsity.check_sandwich_bound(j, 2, 4.2)
         loose = sparsity.check_sandwich_bound(j, 2, 4.2, mc_slack=0.5)
         assert not tight.holds and loose.holds
-
-
-class TestFdSurrogate:
-    def test_linear_map_exact_for_all_deltas(self):
-        a = np.array([[2.0, -1.0], [0.5, 0.0]])
-        model = linear_model(a)
-        spec = sparsity.ProbeSpec(dimension=2, mask_size=2)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(2))
-        expected = np.abs(a @ probe.probe).sum()
-        for delta in (1e-1, 1e-3, 1e-6):
-            node = sparsity.fd_sparsity_surrogate(model, np.array([0.3, 0.4]),
-                                                  probe, delta)
-            assert node.value[0, 0] == pytest.approx(expected, rel=1e-9)
-
-    def test_zero_probe_gives_zero(self):
-        model = linear_model(np.eye(2))
-        probe = sparsity.ProbeSample(mask=np.array([True, False]),
-                                     epsilon=np.zeros(2), probe=np.zeros(2))
-        node = sparsity.fd_sparsity_surrogate(model, np.ones(2), probe, 0.01)
-        assert node.value[0, 0] == 0.0
-
-    def test_first_order_convergence_on_smooth_map(self):
-        # tanh output layer (no hidden kinks): error is O(delta), so the
-        # log-log slope against the analytic directional derivative is ~1
-        model = nets.init_mlp((2, 2), output_activation="tanh", seed=13)
-        x = np.array([0.3, -0.2])
-        spec = sparsity.ProbeSpec(dimension=2, mask_size=2)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(17))
-        jac = sparsity.analytic_mlp_jacobian_graph(model, x).value
-        exact = np.abs(jac @ probe.probe).sum()
-        deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-        errors = []
-        for delta in deltas:
-            node = sparsity.fd_sparsity_surrogate(model, x, probe, delta)
-            errors.append(abs(node.value[0, 0] - exact))
-        slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
-        assert 0.9 <= slope <= 1.1
-
-    def test_gradient_flows_to_weights(self):
-        model = nets.init_mlp((2, 4, 2), seed=21)
-        binding = nets.bind(model)
-        spec = sparsity.ProbeSpec(dimension=2, mask_size=1)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(3))
-        node = sparsity.fd_sparsity_surrogate(binding, np.array([0.5, 0.5]),
-                                              probe, 1e-4)
-        grads = ad.backward(node)
-        assert any(np.abs(g).max() > 0 for g in grads.values())
-
-    def test_rejects_nonpositive_delta(self):
-        model = linear_model(np.eye(2))
-        spec = sparsity.ProbeSpec(dimension=2, mask_size=1)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="delta"):
-            sparsity.fd_sparsity_surrogate(model, np.ones(2), probe, 0.0)
 
 
 def brute_force_structurally_sparse(pattern: sparsity.SupportPattern) -> bool:

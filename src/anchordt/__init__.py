@@ -19,8 +19,8 @@ from .sparsity import (JacobianMatrix, ProbeSample, ProbeSpec, SupportPattern,
                        q_estimate)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,
                         save_dataset, select_anchors, shuffle_unpaired, warp)
-from .trainer import (RunReport, TrainConfig, TrainedModels, TrainingDiverged,
-                      anchor_sensitivity, run_ablation, train, translation_error)
+from .trainer import (RunReport, TrainConfig, TrainedModels, TrainingDiverged, sweep,
+                      train, translation_error)
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,20 @@
 """Command-line entry point.
 
-Verbs: gen-data, train, eval, plot, probe-study, mpa-check, sparsity-check,
-ablate.  Every command reads a line-oriented config (file and/or --override
-flags), writes its artifacts into --out-dir, and leaves a manifest.txt with
-the effective config and sha256 checksums, from which the run can be
-replayed byte-for-byte (see anchordt.manifest.replay_manifest).
+Every command reads a line-oriented config (file and/or --override
+SECTION.KEY=VALUE flags), writes its artifacts into --out-dir, and leaves a
+manifest.txt with the effective config and sha256 checksums, from which the
+run can be replayed byte-for-byte (see anchordt.manifest.replay_manifest).
+Verbs and the sections they read; all but [io], [plot.checkpoints] and
+[sparsity_check] are dataclasses read and echoed by configio.read/echo:
+
+    gen-data ........ [data]
+    train ........... [train] [weights] [probe] [io]
+    eval ............ [io]
+    plot ............ [plot] [plot.checkpoints] [io]
+    probe-study ..... [probe_study]
+    mpa-check ....... [mpa_check]
+    sparsity-check .. [sparsity_check] [io]
+    ablate .......... [train] [weights] [probe] [ablate] [io]
 """
 
 from __future__ import annotations
@@ -13,23 +23,20 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from . import configio, manifest, mpa, sparsity, svgplot
+from .configio import format_float
 from .nets import load_checkpoint
-from .synthdata import generate, load_dataset, save_dataset, select_anchors
-from .trainer import (ABLATION_CASES, TrainingDiverged, run_ablation, train,
-                      translation_error)
+from .synthdata import SynthConfig, generate, load_dataset, save_dataset, select_anchors
+from .trainer import TrainConfig, TrainingDiverged, sweep, train, translation_error
 
 
 class CliError(RuntimeError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def _write_lines(out_dir, name, lines):
@@ -38,13 +45,11 @@ def _write_lines(out_dir, name, lines):
     return name
 
 
-def _io_value(config, key, required=True):
+def _io_value(config, key):
     try:
         return config["io"][key]
     except KeyError:
-        if required:
-            raise CliError(f"missing [io] {key} in config") from None
-        return None
+        raise CliError(f"missing [io] {key} in config") from None
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +57,14 @@ def _io_value(config, key, required=True):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(config, out_dir):
-    cfg = configio.synth_config(config)
+    cfg = configio.read(SynthConfig(), config, "data")
     train_split, test_split = generate(cfg)
     os.makedirs(out_dir, exist_ok=True)
     artifacts = save_dataset(train_split, out_dir, "train")
     artifacts += save_dataset(test_split, out_dir, "test")
     print(f"gen-data: {len(train_split)} train / {len(test_split)} test pairs, "
           f"t_mode={cfg.t_mode}, seed={cfg.seed}")
-    return artifacts, configio.synth_config_sections(cfg), cfg.seed
+    return artifacts, configio.echo(cfg, "data"), cfg.seed
 
 
 def _load_splits(data_dir):
@@ -72,7 +77,7 @@ def _load_splits(data_dir):
 
 
 def cmd_train(config, out_dir):
-    cfg = configio.train_config(config)
+    cfg = configio.read(TrainConfig(), config, "train")
     data_dir = _io_value(config, "data_dir")
     train_split, test_split = _load_splits(data_dir)
     anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
@@ -83,15 +88,15 @@ def cmd_train(config, out_dir):
     artifacts.append(_write_lines(out_dir, "diag.csv", report.diag_csv_lines()))
     summary = [
         "[summary]",
-        f"te_mean = {_fmt(report.te_mean)}",
-        f"te_std = {_fmt(report.te_std)}",
+        f"te_mean = {format_float(report.te_mean)}",
+        f"te_std = {format_float(report.te_std)}",
         f"iterations = {cfg.iterations}",
         f"anchor_count = {anchors.size}",
     ]
     artifacts.append(_write_lines(out_dir, "summary.txt", summary))
     print(f"train: TE = {report.te_mean:.4f} +- {report.te_std:.4f} "
           f"({cfg.iterations} iterations, {report.wall_time:.1f}s)")
-    sections = configio.train_config_sections(cfg)
+    sections = configio.echo(cfg, "train")
     sections["io"] = {"data_dir": os.path.abspath(data_dir)}
     return artifacts, sections, cfg.seed
 
@@ -106,7 +111,7 @@ def cmd_eval(config, out_dir):
     te_mean, te_std = translation_error(model, test_split)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["te_mean,te_std,num_samples",
-             f"{_fmt(te_mean)},{_fmt(te_std)},{len(test_split)}"]
+             f"{format_float(te_mean)},{format_float(te_std)},{len(test_split)}"]
     artifacts = [_write_lines(out_dir, "eval.csv", lines)]
     print(f"eval: TE = {te_mean:.4f} +- {te_std:.4f} on {len(test_split)} pairs")
     sections = {"io": {"checkpoint": os.path.abspath(ckpt),
@@ -114,14 +119,21 @@ def cmd_eval(config, out_dir):
     return artifacts, sections, 0
 
 
+@dataclass
+class PlotConfig:
+    max_points: int = 1000
+
+    def __post_init__(self):
+        if self.max_points < 1:
+            raise ValueError("max_points must be positive")
+
+
 def cmd_plot(config, out_dir):
+    cfg = configio.read(PlotConfig(), config, "plot")
     data_dir = _io_value(config, "data_dir")
     _, test_split = _load_splits(data_dir)
-    max_points = int(config.get("plot", {}).get("max_points", "1000"))
-    if max_points < 1:
-        raise CliError("max_points must be positive")
     n = len(test_split)
-    idx = np.unique(np.linspace(0, n - 1, min(max_points, n)).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, min(cfg.max_points, n)).astype(int))
     colors = [svgplot.color_for_index(int(i)) for i in idx]
     panels = [("source x", test_split.x[idx], colors),
               ("target y", test_split.y[idx], colors)]
@@ -137,24 +149,29 @@ def cmd_plot(config, out_dir):
     svgplot.scatter_panels(os.path.join(out_dir, "panels.svg"), panels)
     print(f"plot: {len(panels)} panels over {idx.size} points -> panels.svg")
     sections = {"io": {"data_dir": os.path.abspath(data_dir)},
-                "plot": {"max_points": str(max_points)},
+                **configio.echo(cfg, "plot"),
                 "plot.checkpoints": {k: os.path.abspath(v)
                                      for k, v in checkpoints.items()}}
     return ["panels.svg"], sections, 0
 
 
+@dataclass
+class ProbeStudyConfig:
+    dimension: int = 1000
+    row_support: int = 10
+    mask_sizes: tuple[int, ...] = (1, 2, 5, 10, 20, 50)
+    num_matrices: int = 20
+    mc_samples: int = 500
+    seed: int = 0
+    exact_overlay: bool = False
+
+
 def cmd_probe_study(config, out_dir):
-    sec = config.get("probe_study", {})
-    dimension = int(sec.get("dimension", "1000"))
-    row_support = int(sec.get("row_support", "10"))
-    mask_sizes = tuple(int(v) for v in sec.get("mask_sizes", "1,2,5,10,20,50").split(","))
-    num_matrices = int(sec.get("num_matrices", "20"))
-    mc_samples = int(sec.get("mc_samples", "500"))
-    seed = int(sec.get("seed", "0"))
-    exact_overlay = sec.get("exact_overlay", "false").lower() in ("true", "1", "yes")
-    rng = np.random.default_rng(seed)
+    cfg = configio.read(ProbeStudyConfig(), config, "probe_study")
+    rng = np.random.default_rng(cfg.seed)
     result = sparsity.probe_bias_variance_study(
-        dimension, row_support, mask_sizes, num_matrices, mc_samples, rng)
+        cfg.dimension, cfg.row_support, cfg.mask_sizes, cfg.num_matrices,
+        cfg.mc_samples, rng)
     os.makedirs(out_dir, exist_ok=True)
     artifacts = [_write_lines(out_dir, "study.csv", result.csv_lines())]
     xs = [r.mask_size for r in result.rows]
@@ -165,25 +182,19 @@ def cmd_probe_study(config, out_dir):
                        [abs(r.mean_rel_bias) for r in result.rows],
                        "probe estimator |relative bias|", "S", "|relative bias|")
     artifacts += ["variance.svg", "bias.svg"]
-    if exact_overlay:
-        overlay_rng = np.random.default_rng(seed + 1)
-        j = sparsity.random_sparse_jacobian(dimension, row_support, overlay_rng)
+    if cfg.exact_overlay:
+        overlay_rng = np.random.default_rng(cfg.seed + 1)
+        j = sparsity.random_sparse_jacobian(cfg.dimension, cfg.row_support, overlay_rng)
         lines = ["S,q_exact,rel_bias_exact"]
         l0 = np.count_nonzero(j)
-        for s in mask_sizes:
+        for s in cfg.mask_sizes:
             q = sparsity.q_hypergeometric(j, s)
-            lines.append(f"{s},{_fmt(q)},{_fmt((q - l0) / l0)}")
+            lines.append(f"{s},{format_float(q)},{format_float((q - l0) / l0)}")
         artifacts.append(_write_lines(out_dir, "study_exact.csv", lines))
     for r in result.rows:
         print(f"probe-study: S={r.mask_size:4d} rel_bias={r.mean_rel_bias:+.5f} "
               f"variance={r.variance:10.2f} bound_factor={r.lower_bound_factor:.5f}")
-    sections = {"probe_study": {
-        "dimension": str(dimension), "row_support": str(row_support),
-        "mask_sizes": ",".join(str(s) for s in mask_sizes),
-        "num_matrices": str(num_matrices), "mc_samples": str(mc_samples),
-        "seed": str(seed), "exact_overlay": str(exact_overlay).lower(),
-    }}
-    return artifacts, sections, seed
+    return artifacts, configio.echo(cfg, "probe_study"), cfg.seed
 
 
 def _ks_noise(n, variance_factor=2):
@@ -267,18 +278,28 @@ def _mpa_checks(n, seed, eps):
     return rows
 
 
+@dataclass
+class MpaCheckConfig:
+    samples: int = 100000
+    seed: int = 0
+    tolerance: float = 1e-3
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValueError(f"samples = {self.samples} must be at least 2")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance = {self.tolerance} must be positive")
+
+
 def cmd_mpa_check(config, out_dir):
-    sec = config.get("mpa_check", {})
-    n = int(sec.get("samples", "100000"))
-    seed = int(sec.get("seed", "0"))
-    eps = float(sec.get("tolerance", "1e-3"))
-    rows = _mpa_checks(n, seed, eps)
+    cfg = configio.read(MpaCheckConfig(), config, "mpa_check")
+    rows = _mpa_checks(cfg.samples, cfg.seed, cfg.tolerance)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["check,metric,value,threshold,pass"]
     width = max(len(r[0]) for r in rows)
     all_ok = True
     for name, metric, value, threshold, ok in rows:
-        lines.append(f"{name},{metric},{_fmt(float(value))},{threshold},{ok}")
+        lines.append(f"{name},{metric},{format_float(float(value))},{threshold},{ok}")
         status = "PASS" if ok else "FAIL"
         print(f"mpa-check: {name:<{width}}  {metric:<28} "
               f"{float(value):12.6g}  [{status}]")
@@ -286,9 +307,7 @@ def cmd_mpa_check(config, out_dir):
     artifacts = [_write_lines(out_dir, "mpa_report.csv", lines)]
     if not all_ok:
         raise CliError("mpa-check: one or more checks failed")
-    sections = {"mpa_check": {"samples": str(n), "seed": str(seed),
-                              "tolerance": _fmt(eps)}}
-    return artifacts, sections, seed
+    return artifacts, configio.echo(cfg, "mpa_check"), cfg.seed
 
 
 def cmd_sparsity_check(config, out_dir):
@@ -336,44 +355,60 @@ def cmd_sparsity_check(config, out_dir):
     return artifacts, sections, 0
 
 
+# ablation case -> the loss weights it sets to zero
+ABLATION_CASES = {"full": (), "no-anchor": ("anchor",), "no-sparsity": ("sparsity",),
+                  "neither": ("anchor", "sparsity")}
+
+
+@dataclass
+class AblateConfig:
+    """Either the case grid (cases x seeds) or, when anchor_sweep is set, the
+    anchor-count sweep (anchor_sweep x seeds) at the base loss weights."""
+    cases: tuple[str, ...] = tuple(ABLATION_CASES)
+    seeds: tuple[int, ...] = (0, 1, 2)
+    anchor_sweep: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        unknown = [c for c in self.cases if c not in ABLATION_CASES]
+        if unknown:
+            raise ValueError(f"unknown ablation case {unknown[0]!r}; "
+                             f"options: {', '.join(ABLATION_CASES)}")
+
+
 def cmd_ablate(config, out_dir):
-    cfg = configio.train_config(config)
+    cfg = configio.read(TrainConfig(), config, "train")
+    ablate = configio.read(AblateConfig(), config, "ablate")
     data_dir = _io_value(config, "data_dir")
     train_split, test_split = _load_splits(data_dir)
-    sec = config.get("ablate", {})
-    cases = tuple(sec.get("cases", ",".join(ABLATION_CASES)).split(","))
-    seeds = tuple(int(v) for v in sec.get("seeds", "0,1,2").split(","))
-    anchor_sweep = sec.get("anchor_sweep", "")
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = []
-    if anchor_sweep:
-        from dataclasses import replace
-        lines = ["anchor_count,seed,te_mean,te_std"]
-        for count in (int(v) for v in anchor_sweep.split(",")):
-            for seed in seeds:
-                run_cfg = replace(cfg, anchor_count=count, seed=seed)
-                anchors = select_anchors(train_split, count, seed)
-                _, report = train(run_cfg, train_split, anchors, test_split)
-                lines.append(f"{count},{seed},{_fmt(report.te_mean)},"
-                             f"{_fmt(report.te_std)}")
-                print(f"ablate: |E|={count} seed={seed} TE={report.te_mean:.4f}")
-        artifacts.append(_write_lines(out_dir, "anchor_sweep.csv", lines))
+    if ablate.anchor_sweep:
+        name, column = "anchor_sweep.csv", "anchor_count"
+        runs = [(count, replace(cfg, anchor_count=count, seed=seed))
+                for count in ablate.anchor_sweep for seed in ablate.seeds]
     else:
-        result = run_ablation(cfg, train_split, test_split, cases, seeds)
-        artifacts.append(_write_lines(out_dir, "ablation.csv", result.csv_lines()))
+        name, column = "ablation.csv", "case"
+        runs = [(case, replace(cfg, seed=seed, weights=replace(
+                    cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
+                for case in ablate.cases for seed in ablate.seeds]
+    os.makedirs(out_dir, exist_ok=True)
+    lines = [f"{column},seed,te_mean,te_std"]
+    te_by_label = {}
+    reports = sweep([run_cfg for _, run_cfg in runs], train_split, test_split)
+    for (label, _), (run_cfg, report) in zip(runs, reports):
+        lines.append(f"{label},{run_cfg.seed},{format_float(report.te_mean)},"
+                     f"{format_float(report.te_std)}")
+        te_by_label.setdefault(label, []).append(report.te_mean)
+        print(f"ablate: {column}={label} seed={run_cfg.seed} TE={report.te_mean:.4f}")
+    artifacts = [_write_lines(out_dir, name, lines)]
+    if not ablate.anchor_sweep:
+        medians = {case: float(np.median(tes)) for case, tes in te_by_label.items()}
+        summary = [f"{case},{format_float(med)}" for case, med in medians.items()]
         artifacts.append(_write_lines(out_dir, "ablation_summary.csv",
-                                      result.summary_csv_lines()))
-        for row in result.rows:
-            print(f"ablate: case={row.case:<12} seed={row.seed} "
-                  f"TE={row.te_mean:.4f}")
-        for case, med in result.medians.items():
+                                      ["case,median_te"] + summary))
+        for case, med in medians.items():
             print(f"ablate: median TE [{case}] = {med:.4f}")
-    sections = configio.train_config_sections(cfg)
+    sections = configio.echo(cfg, "train")
     sections["io"] = {"data_dir": os.path.abspath(data_dir)}
-    sections["ablate"] = {"cases": ",".join(cases),
-                          "seeds": ",".join(str(s) for s in seeds)}
-    if anchor_sweep:
-        sections["ablate"]["anchor_sweep"] = anchor_sweep
+    sections.update(configio.echo(ablate, "ablate"))
     return artifacts, sections, cfg.seed
 
 

@@ -1,4 +1,5 @@
-"""Line-oriented ``key = value`` config files with [section] headers.
+"""Line-oriented ``key = value`` config files with [section] headers, and the
+typed configs read from them.
 
 Grammar, one construct per line:
 
@@ -10,20 +11,26 @@ Grammar, one construct per line:
 Keys must appear inside a section.  Parsing preserves order; serialize()
 emits the canonical form, and parse(serialize(parse(text))) == parse(text).
 
-The typed configs built here read only the sections they are given; the
-ANCHORDT_SEED environment variable is applied once, by the CLI, as an
+Typed configs are dataclasses, one section each.  read(base, sections, name)
+returns ``base`` with section ``name`` applied, one key per field; echo(cfg,
+name) is its inverse, read(base, echo(cfg, name), name) == cfg, which lets a
+manifest replay its run.  A field that is itself a dataclass has its own
+section, named after the field: TrainConfig reads [train], [weights] and
+[probe].  A key that names no field is rejected, so a misspelt key cannot
+leave a default in place.  One table parses and formats values by field type.
+
+The ANCHORDT_SEED environment variable is applied once, by the CLI, as an
 override of the running verb's seed entry (see anchordt.cli), so a replay
 from a manifest sees only the recorded config.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import numpy as np
 
-from .objective import LossWeights
-from .sparsity import ProbeSpec
-from .synthdata import SynthConfig
-from .trainer import TrainConfig
 
 class ConfigError(ValueError):
     """Malformed config text or unusable values."""
@@ -71,16 +78,6 @@ def save(sections, path):
         fh.write(serialize(sections))
 
 
-def _get(sections, section, key, cast, default):
-    try:
-        raw = sections[section][key]
-    except KeyError:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
 
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
@@ -91,121 +88,65 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_matrix(raw: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split(",")] for row in raw.split(";")])
+def _split(raw: str, cast) -> tuple:
+    return tuple(cast(v) for v in raw.split(",")) if raw else ()
 
 
-def _parse_sizes(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(","))
-
-
-def synth_config(sections) -> SynthConfig:
-    """[data] section -> SynthConfig (defaults for anything absent)."""
-    g = lambda key, cast, default: _get(sections, "data", key, cast, default)
-    base = SynthConfig()
-    return SynthConfig(
-        num_train=g("num_train", int, base.num_train),
-        num_test=g("num_test", int, base.num_test),
-        seed=g("seed", int, base.seed),
-        permutation=g("permutation", _parse_matrix, base.permutation),
-        t_mode=g("t_mode", str, base.t_mode),
-        t_range=(g("t_min", float, base.t_range[0]),
-                 g("t_max", float, base.t_range[1])),
-    )
-
-
-def train_config(sections) -> TrainConfig:
-    """[train], [weights] and [probe] sections -> TrainConfig."""
-    t = lambda key, cast, default: _get(sections, "train", key, cast, default)
-    w = lambda key, cast, default: _get(sections, "weights", key, cast, default)
-    p = lambda key, cast, default: _get(sections, "probe", key, cast, default)
-    base = TrainConfig()
-    weights = LossWeights(
-        anchor=w("anchor", float, base.weights.anchor),
-        sparsity=w("sparsity", float, base.weights.sparsity),
-        inv=w("inv", float, base.weights.inv),
-    )
-    probe = ProbeSpec(
-        dimension=p("dimension", int, base.probe.dimension),
-        mask_size=p("mask_size", int, base.probe.mask_size),
-        perturbation_scale=p("perturbation_scale", float,
-                             base.probe.perturbation_scale),
-        probes_per_sample=p("probes_per_sample", int, base.probe.probes_per_sample),
-    )
-    return TrainConfig(
-        weights=weights,
-        probe=probe,
-        anchor_count=t("anchor_count", int, base.anchor_count),
-        sparsity_mode=t("sparsity_mode", str, base.sparsity_mode),
-        learning_rate=t("learning_rate", float, base.learning_rate),
-        batch_size=t("batch_size", int, base.batch_size),
-        iterations=t("iterations", int, base.iterations),
-        disc_steps_per_gen_step=t("disc_steps_per_gen_step", int,
-                                  base.disc_steps_per_gen_step),
-        seed=t("seed", int, base.seed),
-        beta1=t("beta1", float, base.beta1),
-        beta2=t("beta2", float, base.beta2),
-        epsilon=t("epsilon", float, base.epsilon),
-        gen_sizes=t("gen_sizes", _parse_sizes, base.gen_sizes),
-        disc_sizes=t("disc_sizes", _parse_sizes, base.disc_sizes),
-        rec_sizes=t("rec_sizes", _parse_sizes, base.rec_sizes),
-        clamp_eps=t("clamp_eps", float, base.clamp_eps),
-        r1_weight=t("r1_weight", float, base.r1_weight),
-        diag_interval=t("diag_interval", int, base.diag_interval),
-        diag_points=t("diag_points", int, base.diag_points),
-    )
-
-
-def _fmt(v: float) -> str:
+def format_float(v: float) -> str:
+    """17 significant digits, which every double parses back from unchanged."""
     return format(v, ".17g")
 
 
-def train_config_sections(cfg: TrainConfig) -> dict[str, dict[str, str]]:
-    """Echo a TrainConfig back into config-file sections (for manifests)."""
-    return {
-        "train": {
-            "anchor_count": str(cfg.anchor_count),
-            "sparsity_mode": cfg.sparsity_mode,
-            "learning_rate": _fmt(cfg.learning_rate),
-            "batch_size": str(cfg.batch_size),
-            "iterations": str(cfg.iterations),
-            "disc_steps_per_gen_step": str(cfg.disc_steps_per_gen_step),
-            "seed": str(cfg.seed),
-            "beta1": _fmt(cfg.beta1),
-            "beta2": _fmt(cfg.beta2),
-            "epsilon": _fmt(cfg.epsilon),
-            "gen_sizes": ",".join(str(s) for s in cfg.gen_sizes),
-            "disc_sizes": ",".join(str(s) for s in cfg.disc_sizes),
-            "rec_sizes": ",".join(str(s) for s in cfg.rec_sizes),
-            "clamp_eps": _fmt(cfg.clamp_eps),
-            "r1_weight": _fmt(cfg.r1_weight),
-            "diag_interval": str(cfg.diag_interval),
-            "diag_points": str(cfg.diag_points),
-        },
-        "weights": {
-            "anchor": _fmt(cfg.weights.anchor),
-            "sparsity": _fmt(cfg.weights.sparsity),
-            "inv": _fmt(cfg.weights.inv),
-        },
-        "probe": {
-            "dimension": str(cfg.probe.dimension),
-            "mask_size": str(cfg.probe.mask_size),
-            "perturbation_scale": _fmt(cfg.probe.perturbation_scale),
-            "probes_per_sample": str(cfg.probe.probes_per_sample),
-        },
-    }
+# field type -> (parse the text of a value, format a value as text)
+_CODECS = {
+    int: (int, str),
+    float: (float, format_float),
+    str: (str, str),
+    bool: (_parse_bool, lambda v: str(v).lower()),
+    tuple[int, ...]: (lambda raw: _split(raw, int), lambda v: ",".join(map(str, v))),
+    tuple[str, ...]: (lambda raw: _split(raw, str), ",".join),
+    np.ndarray: (lambda raw: np.array([_split(row, float) for row in raw.split(";")]),
+                 lambda a: ";".join(",".join(map(format_float, row)) for row in a)),
+}
 
 
-def synth_config_sections(cfg: SynthConfig) -> dict[str, dict[str, str]]:
-    return {
-        "data": {
-            "num_train": str(cfg.num_train),
-            "num_test": str(cfg.num_test),
-            "seed": str(cfg.seed),
-            "permutation": ";".join(",".join(_fmt(v) for v in row)
-                                    for row in cfg.permutation),
-            "t_mode": cfg.t_mode,
-            "t_min": _fmt(cfg.t_range[0]),
-            "t_max": _fmt(cfg.t_range[1]),
-        }
-    }
+def _fields(cls) -> list[tuple[str, type]]:
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+def read(base, sections, name: str):
+    """``base`` with the entries of section ``name`` applied, field by field.
+
+    Raises ConfigError for a key that names no field or a value its field's
+    type cannot parse; the dataclass's own checks raise ValueError.
+    """
+    entries = dict(sections.get(name, {}))
+    changes = {}
+    fields = _fields(type(base))
+    for key, kind in fields:
+        if dataclasses.is_dataclass(kind):
+            changes[key] = read(getattr(base, key), sections, key)
+        elif key in entries:
+            raw = entries.pop(key)
+            try:
+                changes[key] = _CODECS[kind][0](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from None
+    if entries:
+        known = [key for key, kind in fields if not dataclasses.is_dataclass(kind)]
+        raise ConfigError(f"[{name}] unknown key {next(iter(entries))!r}; "
+                          f"known keys: {', '.join(known)}")
+    return dataclasses.replace(base, **changes)
+
+
+def echo(cfg, name: str) -> dict[str, dict[str, str]]:
+    """The config-file sections that read() turns back into ``cfg``."""
+    sections = {name: {}}
+    for key, kind in _fields(type(cfg)):
+        value = getattr(cfg, key)
+        if dataclasses.is_dataclass(kind):
+            sections.update(echo(value, key))
+        else:
+            sections[name][key] = _CODECS[kind][1](value)
+    return sections

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .configio import format_float
 
 OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
 
@@ -227,21 +228,17 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], state: AdamState):
 # checkpoint I/O: versioned text layout, bit-exact round trip
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def save_checkpoint(model: MlpModel, path):
     """Text checkpoint: header lines, then one row-major line per array."""
     lines = [
         _CHECKPOINT_MAGIC,
         "layer_sizes = " + ",".join(str(s) for s in model.layer_sizes),
         f"output_activation = {model.output_activation}",
-        f"hidden_slope = {_fmt(model.hidden_slope)}",
+        f"hidden_slope = {format_float(model.hidden_slope)}",
     ]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"W{i} = " + " ".join(_fmt(v) for v in w.ravel()))
-        lines.append(f"b{i} = " + " ".join(_fmt(v) for v in b.ravel()))
+        lines.append(f"W{i} = " + " ".join(format_float(v) for v in w.ravel()))
+        lines.append(f"b{i} = " + " ".join(format_float(v) for v in b.ravel()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -102,11 +102,14 @@ def _grad_norm_penalty(discriminator: MlpBinding, y_batch: np.ndarray) -> ad.Nod
     """mean over the batch of ||grad_y d(y)||^2 for a scalar-output net."""
     d = y_batch.shape[0]
     n = y_batch.shape[1]
+    # the masks depend on y alone, so one set serves every direction
+    model = discriminator.model
+    masks = activation_masks(model, model.preactivations(y_batch))
     total = None
     for k in range(d):
         direction = np.zeros_like(y_batch)
         direction[k, :] = 1.0
-        jvp = batched_jvp_graph(discriminator, y_batch, direction)  # (1, N)
+        jvp = batched_jvp_graph(discriminator, y_batch, direction, masks=masks)  # (1, N)
         term = ad.node_sum(ad.square(jvp))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / n)

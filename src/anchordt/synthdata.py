@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import configio
+from .configio import format_float
 from .objective import AnchorSet
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -29,7 +31,8 @@ class SynthConfig:
     seed: int = 0
     permutation: np.ndarray = field(default_factory=lambda: SWAP.copy())
     t_mode: str = "per-dataset"
-    t_range: tuple[float, float] = (0.3, 0.5)
+    t_min: float = 0.3
+    t_max: float = 0.5
 
     def __post_init__(self):
         self.permutation = np.asarray(self.permutation, dtype=np.float64)
@@ -40,6 +43,8 @@ class SynthConfig:
             raise ValueError("sample counts must be positive")
         if self.t_mode not in T_MODES:
             raise ValueError(f"t_mode must be one of {T_MODES}")
+        if self.t_min > self.t_max:
+            raise ValueError(f"t_min = {self.t_min} exceeds t_max = {self.t_max}")
 
 
 def _is_permutation(a: np.ndarray) -> bool:
@@ -81,7 +86,7 @@ def _make_split(n: int, t, cfg: SynthConfig, rng: np.random.Generator) -> Paired
     y2 = rng.uniform(-1.0, 1.0, size=n) + 0.5 * y1
     y = np.column_stack([y1, y2])
     if cfg.t_mode == "per-sample":
-        t = rng.uniform(cfg.t_range[0], cfg.t_range[1], size=n)
+        t = rng.uniform(cfg.t_min, cfg.t_max, size=n)
     x = warp(y, t, cfg.permutation)
     return PairedDataset(x=x, y=y, t=t, permutation=cfg.permutation.copy(),
                          t_mode=cfg.t_mode, seed=cfg.seed)
@@ -97,7 +102,7 @@ def generate(config: SynthConfig) -> tuple[PairedDataset, PairedDataset]:
     rng = np.random.default_rng(config.seed)
     t = None
     if config.t_mode == "per-dataset":
-        t = float(rng.uniform(config.t_range[0], config.t_range[1]))
+        t = float(rng.uniform(config.t_min, config.t_max))
     train = _make_split(config.num_train, t, config, rng)
     test = _make_split(config.num_test, t, config, rng)
     return train, test
@@ -125,10 +130,6 @@ def shuffle_unpaired(dataset: PairedDataset, seed: int) -> tuple[np.ndarray, np.
 # file I/O: CSV rows of aligned pairs plus a key=value metadata sidecar
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
     """Write {prefix}.csv and {prefix}.meta into directory; returns filenames.
 
@@ -142,37 +143,23 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
     lines = [header]
     t_arr = np.asarray(dataset.t).reshape(-1) if per_sample else None
     for i in range(len(dataset)):
-        row = [_fmt(dataset.x[i, 0]), _fmt(dataset.x[i, 1]),
-               _fmt(dataset.y[i, 0]), _fmt(dataset.y[i, 1])]
+        row = [format_float(dataset.x[i, 0]), format_float(dataset.x[i, 1]),
+               format_float(dataset.y[i, 0]), format_float(dataset.y[i, 1])]
         if per_sample:
-            row.append(_fmt(t_arr[i]))
+            row.append(format_float(t_arr[i]))
         lines.append(",".join(row))
     with open(os.path.join(directory, csv_name), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    a = dataset.permutation
-    meta = [
-        "[dataset]",
-        f"seed = {dataset.seed}",
-        f"t_mode = {dataset.t_mode}",
-        f"t = {'per-sample' if per_sample else _fmt(dataset.t)}",
-        "permutation = " + ";".join(",".join(_fmt(v) for v in row) for row in a),
-        f"num_samples = {len(dataset)}",
-    ]
-    with open(os.path.join(directory, meta_name), "w", encoding="ascii") as fh:
-        fh.write("\n".join(meta) + "\n")
+    perm = ";".join(",".join(map(format_float, row)) for row in dataset.permutation)
+    meta = {"seed": str(dataset.seed), "t_mode": dataset.t_mode,
+            "t": "per-sample" if per_sample else format_float(dataset.t),
+            "permutation": perm, "num_samples": str(len(dataset))}
+    configio.save({"dataset": meta}, os.path.join(directory, meta_name))
     return [csv_name, meta_name]
 
 
 def load_dataset(directory, prefix: str) -> PairedDataset:
-    meta_path = os.path.join(directory, f"{prefix}.meta")
-    fields = {}
-    with open(meta_path, "r", encoding="ascii") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("["):
-                continue
-            key, _, val = ln.partition(" = ")
-            fields[key] = val
+    fields = configio.load(os.path.join(directory, f"{prefix}.meta"))["dataset"]
     t_mode = fields["t_mode"]
     perm = np.array([[float(v) for v in row.split(",")]
                      for row in fields["permutation"].split(";")])

@@ -1,4 +1,5 @@
-"""Alternating adversarial training of the transfer map, plus evaluation.
+"""Alternating adversarial training of the transfer map, plus evaluation and
+a sweep that trains a list of configs in turn.
 
 One iteration draws independent unpaired minibatches, takes the configured
 number of discriminator steps, then one combined generator+reconstructor
@@ -10,18 +11,19 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .nets import (MlpModel, adam_init, adam_step, bind, init_mlp,
                    save_checkpoint)
-from .objective import (AnchorSet, GeneratorLossParts, LossWeights, anchor_loss,
-                        gan_losses, inv_loss, sparsity_loss, total_generator_loss)
+from .objective import (SPARSITY_MODES, AnchorSet, GeneratorLossParts, LossWeights,
+                        anchor_loss, gan_losses, inv_loss, sparsity_loss,
+                        total_generator_loss)
 from .sparsity import ProbeSpec, activation_masks
 from .stats import energy_distance
-from .synthdata import PairedDataset
+from .synthdata import PairedDataset, select_anchors
 
 
 class TrainingDiverged(RuntimeError):
@@ -59,6 +61,24 @@ class TrainConfig:
             raise ValueError("batch size and disc steps must be positive")
         if self.iterations < 0 or self.anchor_count < 0:
             raise ValueError("iterations and anchor count must be >= 0")
+        if self.weights.anchor > 0 and self.anchor_count < 1:
+            raise ValueError("weights.anchor > 0 needs anchor_count >= 1")
+        if self.sparsity_mode not in SPARSITY_MODES:
+            raise ValueError(f"sparsity_mode {self.sparsity_mode!r} is not one of "
+                             f"{SPARSITY_MODES}")
+        gen, disc, rec = self.gen_sizes, self.disc_sizes, self.rec_sizes
+        if min(len(gen), len(disc), len(rec)) < 2:
+            raise ValueError("gen_sizes, disc_sizes and rec_sizes each need an input "
+                             "and an output size")
+        # g maps data to data, f inverts g, and d scores g's outputs
+        for name, value, other, expected in (
+                ("gen_sizes[-1]", gen[-1], "rec_sizes[0]", rec[0]),
+                ("rec_sizes[-1]", rec[-1], "gen_sizes[0]", gen[0]),
+                ("disc_sizes[0]", disc[0], "gen_sizes[-1]", gen[-1]),
+                ("disc_sizes[-1]", disc[-1], "the score size", 1),
+                ("probe.dimension", self.probe.dimension, "gen_sizes[0]", gen[0])):
+            if value != expected:
+                raise ValueError(f"{name} = {value} must equal {other} = {expected}")
 
 
 @dataclass
@@ -123,6 +143,9 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
     checkpoints in out_dir when one is given.  With zero iterations the
     freshly initialized models are evaluated as-is.
     """
+    if train_data.x.shape[1] != config.gen_sizes[0]:
+        raise ValueError(f"data dimension {train_data.x.shape[1]} != gen_sizes[0] = "
+                         f"{config.gen_sizes[0]}")
     if config.weights.anchor > 0 and anchors.size < config.anchor_count:
         raise ValueError(f"config expects {config.anchor_count} anchors, got {anchors.size}")
     gen, disc, rec, batch_rng, probe_rng = _init_models(config)
@@ -228,119 +251,13 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
     return TrainedModels(generator=gen, discriminator=disc, reconstructor=rec), report
 
 
-# ---------------------------------------------------------------------------
-# ablation and anchor-sensitivity harnesses
-# ---------------------------------------------------------------------------
+def sweep(configs, train_data: PairedDataset, test_data: PairedDataset):
+    """Train each config in turn; yields (config, RunReport) as runs finish.
 
-ABLATION_CASES = ("full", "no-anchor", "no-sparsity", "neither")
-
-
-def _case_weights(case: str, base: LossWeights) -> LossWeights:
-    if case == "full":
-        return base
-    if case == "no-anchor":
-        return replace(base, anchor=0.0)
-    if case == "no-sparsity":
-        return replace(base, sparsity=0.0)
-    if case == "neither":
-        return replace(base, anchor=0.0, sparsity=0.0)
-    raise ValueError(f"unknown ablation case {case!r}; options: {ABLATION_CASES}")
-
-
-@dataclass
-class AblationRow:
-    case: str
-    seed: int
-    te_mean: float
-    te_std: float
-
-
-@dataclass
-class AblationResult:
-    rows: list[AblationRow]
-    medians: dict
-
-    def csv_lines(self) -> list[str]:
-        lines = ["case,seed,te_mean,te_std"]
-        for r in self.rows:
-            lines.append(f"{r.case},{r.seed},{r.te_mean:.17g},{r.te_std:.17g}")
-        return lines
-
-    def summary_csv_lines(self) -> list[str]:
-        lines = ["case,median_te"]
-        for case, med in self.medians.items():
-            lines.append(f"{case},{med:.17g}")
-        return lines
-
-
-def run_ablation(base_config: TrainConfig, train_data: PairedDataset,
-                 test_data: PairedDataset, cases=ABLATION_CASES,
-                 seeds=(0, 1, 2), models_out: dict | None = None) -> AblationResult:
-    """Train every case x seed combination and tabulate test TE.
-
-    Each run re-selects its anchors with the run seed, so seeds vary both
-    the networks and the anchor draw.  Pass ``models_out`` (a dict) to keep
-    the trained generators, keyed by (case, seed).
+    Each run draws its own config.anchor_count anchors with its own
+    config.seed, so a seed varies both the networks and the anchor draw.
     """
-    from .synthdata import select_anchors
-    rows = []
-    for case in cases:
-        weights = _case_weights(case, base_config.weights)
-        for seed in seeds:
-            cfg = replace(base_config, weights=weights, seed=seed)
-            anchors = select_anchors(train_data, base_config.anchor_count, seed)
-            models, report = train(cfg, train_data, anchors, test_data)
-            rows.append(AblationRow(case=case, seed=seed, te_mean=report.te_mean,
-                                    te_std=report.te_std))
-            if models_out is not None:
-                models_out[(case, seed)] = models
-    medians = {}
-    for case in cases:
-        vals = [r.te_mean for r in rows if r.case == case]
-        medians[case] = float(np.median(vals))
-    return AblationResult(rows=rows, medians=medians)
-
-
-@dataclass
-class AnchorTrialRow:
-    trial: int
-    anchor_seed: int
-    te_mean: float
-
-
-@dataclass
-class AnchorSensitivityResult:
-    rows: list[AnchorTrialRow]
-    te_mean: float
-    te_std: float
-
-    def csv_lines(self) -> list[str]:
-        lines = ["trial,anchor_seed,te_mean"]
-        for r in self.rows:
-            lines.append(f"{r.trial},{r.anchor_seed},{r.te_mean:.17g}")
-        return lines
-
-
-def anchor_sensitivity(base_config: TrainConfig, train_data: PairedDataset,
-                       test_data: PairedDataset, trials: int,
-                       anchor_seeds=None) -> AnchorSensitivityResult:
-    """Re-train with freshly drawn anchors per trial; summarize TE spread.
-
-    Network/batch randomness stays at the base seed so only the anchor draw
-    varies.  Identical anchor seeds give identical TE.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    from .synthdata import select_anchors
-    if anchor_seeds is None:
-        anchor_seeds = [base_config.seed + 1000 * (t + 1) for t in range(trials)]
-    if len(anchor_seeds) != trials:
-        raise ValueError("anchor_seeds length must equal trials")
-    rows = []
-    for t, aseed in enumerate(anchor_seeds):
-        anchors = select_anchors(train_data, base_config.anchor_count, aseed)
-        _, report = train(base_config, train_data, anchors, test_data)
-        rows.append(AnchorTrialRow(trial=t, anchor_seed=aseed, te_mean=report.te_mean))
-    te = np.array([r.te_mean for r in rows])
-    return AnchorSensitivityResult(rows=rows, te_mean=float(te.mean()),
-                                   te_std=float(te.std()))
+    for config in configs:
+        anchors = select_anchors(train_data, config.anchor_count, config.seed)
+        _, report = train(config, train_data, anchors, test_data)
+        yield config, report

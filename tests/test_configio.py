@@ -1,0 +1,86 @@
+"""Typed configs read from and echoed to config-file sections."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchordt import configio
+from anchordt.objective import SPARSITY_MODES, LossWeights
+from anchordt.sparsity import ProbeSpec
+from anchordt.synthdata import T_MODES, SynthConfig
+from anchordt.trainer import TrainConfig
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
+counts = st.integers(0, 10**6)
+
+
+@st.composite
+def train_configs(draw):
+    # g: d -> e, f: e -> d, d: e -> 1, probes in the data dimension d
+    d, e = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    hidden = lambda: tuple(draw(st.lists(st.integers(1, 64), max_size=3)))
+    weights = LossWeights(draw(non_negative), draw(non_negative), draw(non_negative))
+    return TrainConfig(
+        weights=weights, anchor_count=draw(st.integers(int(weights.anchor > 0), 10**6)),
+        sparsity_mode=draw(st.sampled_from(SPARSITY_MODES)),
+        probe=ProbeSpec(d, draw(st.integers(1, d)), draw(positive),
+                        draw(st.integers(1, 64))),
+        learning_rate=draw(finite), batch_size=draw(st.integers(1, 10**6)),
+        iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
+        seed=draw(st.integers(-2**63, 2**63)), beta1=draw(finite), beta2=draw(finite),
+        epsilon=draw(finite), gen_sizes=(d, *hidden(), e),
+        disc_sizes=(e, *hidden(), 1), rec_sizes=(e, *hidden(), d),
+        clamp_eps=draw(finite), r1_weight=draw(finite),
+        diag_interval=draw(st.integers()), diag_points=draw(st.integers()))
+
+
+def through_text(sections):
+    return configio.parse(configio.serialize(sections))
+
+
+@settings(max_examples=200, deadline=None)
+@given(train_configs())
+def test_train_config_round_trips_through_its_echo(cfg):
+    sections = through_text(configio.echo(cfg, "train"))
+    assert list(sections) == ["train", "weights", "probe"]
+    assert configio.read(TrainConfig(), sections, "train") == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-2**63, 2**63),
+       st.sampled_from(T_MODES), finite, non_negative)
+def test_synth_config_round_trips_through_its_echo(n_train, n_test, seed, t_mode,
+                                                   t_min, spread):
+    t_max = t_min + spread
+    if not np.isfinite(t_max):
+        t_max = t_min
+    cfg = SynthConfig(num_train=n_train, num_test=n_test, seed=seed, t_mode=t_mode,
+                      t_min=t_min, t_max=t_max)
+    sections = through_text(configio.echo(cfg, "data"))
+    back = configio.read(SynthConfig(), sections, "data")
+    # the permutation matrix defeats ==, so compare the echoes
+    assert configio.echo(back, "data") == configio.echo(cfg, "data")
+    assert np.array_equal(back.permutation, cfg.permutation)
+
+
+def test_absent_keys_keep_the_base_values_and_nested_sections_apply():
+    base = TrainConfig(iterations=5)
+    cfg = configio.read(base, {"train": {"seed": "4"}, "weights": {"anchor": "0"}},
+                        "train")
+    assert cfg == TrainConfig(iterations=5, seed=4, weights=LossWeights(anchor=0.0))
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"train": {"iteration": "2"}}, "[train] unknown key 'iteration'"),
+    ({"probe": {"mask": "1"}}, "[probe] unknown key 'mask'"),
+    ({"train": {"weights": "1"}}, "[train] unknown key 'weights'"),
+    ({"train": {"iterations": "2.5"}}, "[train] iterations = '2.5'"),
+    ({"train": {"gen_sizes": "2,x,2"}}, "[train] gen_sizes = '2,x,2'"),
+])
+def test_unknown_key_or_unparsable_value_is_named(sections, message):
+    with pytest.raises(configio.ConfigError) as info:
+        configio.read(TrainConfig(), sections, "train")
+    assert message in str(info.value)

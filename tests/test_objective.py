@@ -96,6 +96,23 @@ class TestGanLosses:
         assert reg.value[0, 0] > plain.value[0, 0]
         assert ad.gradcheck(reg, step=1e-5, tolerance=1e-4).passed
 
+    def test_r1_penalty_runs_one_forward_pass_for_all_directions(self, monkeypatch):
+        calls = []
+        original = nets.MlpModel.preactivations
+
+        def counted(model, x):
+            calls.append(model)
+            return original(model, x)
+
+        monkeypatch.setattr(nets.MlpModel, "preactivations", counted)
+        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12))
+        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=13))
+        rng = np.random.default_rng(14)
+        objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
+                             rng.standard_normal((2, 5)), r1_weight=1.0,
+                             detach_generator=True)
+        assert len(calls) <= 1
+
 
 class TestAnchorLoss:
     def test_zero_when_generator_matches(self):

@@ -109,10 +109,12 @@ def _leaky(x, slope):
 # graph ops below, the numpy forward pass of nets.MlpModel and the Jacobian
 # masks of sparsity.activation_masks (the vjp at g = 1) all read it.  Only
 # tanh and sigmoid read ``value``.  The leaky tie at exactly 0 resolves to
-# slope 1.
+# slope 1.  The leaky vjp is arithmetic, not np.where, which mispredicts on
+# random signs; (1 - s) + s rounds to exactly 1 for s in [0, 1], so both
+# forms give the same bits.
 ACTIVATIONS = {
     "identity": (lambda a, s: a, lambda g, a, v, s: np.full_like(a, g)),
-    "leaky-relu": (_leaky, lambda g, a, v, s: np.where(a >= 0, g, g * s)),
+    "leaky-relu": (_leaky, lambda g, a, v, s: g * ((a >= 0) * (1.0 - s) + s)),
     "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
     "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
 }

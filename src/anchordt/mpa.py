@@ -109,15 +109,11 @@ def count_fixed_points(mpa_map, interval: tuple[float, float],
     scale = max(1.0, abs(lo), abs(hi))
     if np.abs(resid).max() < IDENTITY_TOLERANCE * scale:
         return FixedPointReport(count=0, locations=[], is_identity=True)
-    roots = []
-    for i in range(grid_resolution - 1):
-        a, b = resid[i], resid[i + 1]
-        if a == 0.0:
-            roots.append(grid[i])
-        elif a * b < 0:
-            roots.append(_bisect(mpa_map, grid[i], grid[i + 1], refine_tolerance))
-    if resid[-1] == 0.0:
-        roots.append(grid[-1])
+    # exact zeros on the grid, then strict sign changes (a zero end is no
+    # crossing: its product is 0), each bisected
+    roots = list(grid[resid == 0.0])
+    for i in np.flatnonzero(resid[:-1] * resid[1:] < 0):
+        roots.append(_bisect(mpa_map, grid[i], grid[i + 1], refine_tolerance))
     merged = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > 1000 * refine_tolerance:

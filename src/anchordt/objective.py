@@ -154,8 +154,10 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
 
     masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1 with a
     fresh sparse Gaussian probe per sample, averaged over
-    spec.probes_per_sample rounds.  Needs ``rng``; ``fake`` reuses an
-    existing g(x_batch) node as the unperturbed side.
+    spec.probes_per_sample rounds.  Every probe comes from one
+    ``draw_probe`` block of N * probes_per_sample columns; round r takes
+    columns r*N .. r*N + N - 1.  Needs ``rng``; ``fake`` reuses an existing
+    g(x_batch) node as the unperturbed side.
     """
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape
@@ -175,11 +177,10 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
         delta = spec.perturbation_scale
         base = fake if fake is not None else generator(
             ad.input_node(x_batch, "x-batch"))
+        probes = draw_probe(spec, rng, n * spec.probes_per_sample).probe
         total = None
-        for _ in range(spec.probes_per_sample):
-            z = np.empty_like(x_batch)
-            for col in range(n):
-                z[:, col] = draw_probe(spec, rng).probe
+        for r in range(spec.probes_per_sample):
+            z = probes[:, r * n:(r + 1) * n]
             pert = generator(ad.input_node(x_batch + delta * z, "x-perturbed"))
             term = ad.abs_sum(ad.subtract(pert, base))
             total = term if total is None else ad.add(total, term)

@@ -13,13 +13,16 @@ Three layers of machinery live here:
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0
   from above, and from below within a factor 1 - (S-1)(T-1)/(2(D-1)) where
   T is the largest row-support size; both sides are checkable here, and
-  ``q_hypergeometric`` gives the sketch's expectation in closed form;
+  ``q_hypergeometric`` gives the sketch's expectation in closed form.
+  Probes come in (D, count) blocks, one probe a column: ``draw_probe``
+  draws the whole mask block first, then the whole Gaussian block;
 * the structural-sparsity test on a support pattern: every input coordinate
   k must own a set of output rows whose supports intersect exactly in {k}.
 
 Both sparsity penalties, the exact Jacobian l1 term and the masked finite
 differences along ``draw_probe`` probes, are assembled in
-``objective.sparsity_loss``.
+``objective.sparsity_loss``; its masked-FD mode makes one ``draw_probe``
+call per loss, a block holding every sample's probe for every round.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class ProbeSpec:
 
 @dataclass
 class ProbeSample:
-    mask: np.ndarray      # bool, exactly S True entries
-    epsilon: np.ndarray   # standard normal, full length
+    mask: np.ndarray      # bool (D, count), exactly S True entries a column
+    epsilon: np.ndarray   # standard normal (D, count)
     probe: np.ndarray     # mask * epsilon
 
 
@@ -92,25 +95,32 @@ class SupportPattern:
         return rows
 
 
-def random_mask(dimension: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-S subset of [D] by partial Fisher-Yates shuffle."""
-    pool = np.arange(dimension)
-    for i in range(size):
-        j = i + int(rng.integers(dimension - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    mask = np.zeros(dimension, dtype=bool)
-    mask[pool[:size]] = True
+def random_mask(dimension: int, size: int, rng: np.random.Generator,
+                count: int = 1) -> np.ndarray:
+    """(D, count) bool block whose columns are uniform size-S subsets of [D].
+
+    Each column keeps the S smallest of D iid uniform keys.  argpartition
+    picks exactly S indices a column, so ties between keys cannot change
+    the subset size.
+    """
+    keys = rng.random((dimension, count))
+    mask = np.zeros((dimension, count), dtype=bool)
+    np.put_along_axis(mask, np.argpartition(keys, size - 1, axis=0)[:size],
+                      True, axis=0)
     return mask
 
 
-def draw_probe(spec: ProbeSpec, rng: np.random.Generator) -> ProbeSample:
-    """Sparse Gaussian probe: uniform mask of S coordinates times N(0, I).
+def draw_probe(spec: ProbeSpec, rng: np.random.Generator,
+               count: int = 1) -> ProbeSample:
+    """count sparse Gaussian probes as (D, count) blocks, one probe a column.
 
-    Draw order is mask first, then the full-length Gaussian, so mask and
-    entries are independent and the stream is reproducible.
+    Each column is a uniform mask of S coordinates times N(0, I).  The whole
+    mask block is drawn first, then the whole Gaussian block, so masks and
+    entries are independent and the stream is reproducible; the stream
+    depends on count, so one block of n probes is not n single draws.
     """
-    mask = random_mask(spec.dimension, spec.mask_size, rng)
-    eps = rng.standard_normal(spec.dimension)
+    mask = random_mask(spec.dimension, spec.mask_size, rng, count)
+    eps = rng.standard_normal((spec.dimension, count))
     return ProbeSample(mask=mask, epsilon=eps, probe=np.where(mask, eps, 0.0))
 
 
@@ -199,8 +209,8 @@ def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
     vals = np.empty(num_probes)
     for i in range(num_probes):
         p = draw_probe(spec, rng)
-        idx = np.nonzero(p.mask)[0]
-        col = j[:, idx] @ p.probe[idx]
+        idx = np.flatnonzero(p.mask)
+        col = j[:, idx] @ p.probe[idx, 0]
         vals[i] = (d / mask_size) * np.count_nonzero(np.abs(col) > zero_threshold)
     return vals
 
@@ -314,11 +324,14 @@ def check_structural_sparsity(pattern: SupportPattern) -> StructuralSparsityResu
 
 def random_sparse_jacobian(dimension: int, row_support: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-T support per row, standard-normal nonzero entries."""
+    """Uniform size-T support per row, standard-normal nonzero entries.
+
+    The D row supports are one mask block, transposed; its entries are
+    filled row by row from one Gaussian draw.
+    """
+    support = random_mask(dimension, row_support, rng, dimension).T
     j = np.zeros((dimension, dimension))
-    for r in range(dimension):
-        mask = random_mask(dimension, row_support, rng)
-        j[r, mask] = rng.standard_normal(row_support)
+    j[support] = rng.standard_normal(dimension * row_support)
     return j
 
 

@@ -95,9 +95,7 @@ class RunReport:
     te_mean: float | None
     te_std: float | None
     wall_time: float
-    config: TrainConfig
     checkpoint_path: str | None = None
-    aborted_at: int | None = None
 
     def trace_csv_lines(self) -> list[str]:
         names = list(self.losses)
@@ -246,8 +244,7 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
         save_checkpoint(disc, os.path.join(out_dir, "discriminator.ckpt"))
         save_checkpoint(rec, os.path.join(out_dir, "reconstructor.ckpt"))
     report = RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,
-                       te_std=te_std, wall_time=wall, config=config,
-                       checkpoint_path=checkpoint_path)
+                       te_std=te_std, wall_time=wall, checkpoint_path=checkpoint_path)
     return TrainedModels(generator=gen, discriminator=disc, reconstructor=rec), report
 
 

@@ -116,6 +116,17 @@ class TestBackward:
         grads = ad.backward(ad.node_sum(ad.leaky_relu(x, 0.2)))
         np.testing.assert_array_equal(grads[x], [[1.0, 0.2, 1.0]])
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.3, 0.5, 1.0])
+    def test_leaky_relu_vjp_equals_where_form_bit_for_bit(self, slope):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((16, 64))
+        a[:, ::7] = 0.0
+        g = rng.standard_normal((16, 64))
+        vjp = ad.ACTIVATIONS["leaky-relu"][1]
+        reference = np.where(a >= 0, g, g * slope)
+        assert vjp(g, a, None, slope).tobytes() == reference.tobytes()
+        assert vjp(1.0, a, None, slope).tobytes() == np.where(a >= 0, 1.0, slope).tobytes()
+
     def test_mean_gradient(self):
         x = ad.parameter(np.ones((2, 3)))
         grads = ad.backward(ad.mean(ad.square(x)))

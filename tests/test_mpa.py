@@ -112,6 +112,29 @@ class TestFixedPoints:
                                    [k * np.pi / 3 for k in range(-2, 3)],
                                    atol=1e-6)
 
+    def test_scan_matches_pointwise_loop(self):
+        # m(x) - x is exactly 0 on [-1, 1] and sin(3x) outside it: grid zeros,
+        # zero-to-nonzero steps that are no crossing, and four sign changes
+        def m(x):
+            return x + np.where(np.abs(x) > 1.0, np.sin(3 * x), 0.0)
+
+        interval, resolution, tol = (-3.0, 3.0), 2001, 1e-9
+        grid = np.linspace(*interval, resolution)
+        resid = m(grid) - grid
+        roots = []
+        for i in range(resolution - 1):
+            if resid[i] == 0.0:
+                roots.append(grid[i])
+            elif resid[i] * resid[i + 1] < 0:
+                roots.append(mpa._bisect(m, grid[i], grid[i + 1], tol))
+        merged = []
+        for r in sorted(roots):
+            if not merged or r - merged[-1] > 1000 * tol:
+                merged.append(r)
+        report = mpa.count_fixed_points(m, interval, resolution, tol)
+        assert report.locations == merged
+        assert report.count == len(merged) > 4
+
 
 class TestPermutedMpa:
     def test_swap_identity_fixed_fraction_vanishes(self):

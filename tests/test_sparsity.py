@@ -136,12 +136,9 @@ class TestProbes:
     def test_single_coordinate_uniform_chi2_at_1pct(self):
         d, draws = 5, 100000
         spec = sparsity.ProbeSpec(dimension=d, mask_size=1)
-        rng = np.random.default_rng(123)
-        counts = np.zeros(d)
-        for _ in range(draws):
-            probe = sparsity.draw_probe(spec, rng)
-            assert np.count_nonzero(probe.mask) == 1
-            counts[np.argmax(probe.mask)] += 1
+        mask = sparsity.draw_probe(spec, np.random.default_rng(123), draws).mask
+        assert (mask.sum(axis=0) == 1).all()
+        counts = mask.sum(axis=1)
         expected = draws / d
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < scipy_stats.chi2.ppf(0.99, d - 1)
@@ -149,10 +146,7 @@ class TestProbes:
     def test_inclusion_frequency_binomial(self):
         d, s, draws = 10, 3, 100000
         spec = sparsity.ProbeSpec(dimension=d, mask_size=s)
-        rng = np.random.default_rng(7)
-        hits = np.zeros(d)
-        for _ in range(draws):
-            hits += sparsity.draw_probe(spec, rng).mask
+        hits = sparsity.draw_probe(spec, np.random.default_rng(7), draws).mask.sum(axis=1)
         p = s / d
         sigma = np.sqrt(p * (1 - p) / draws)
         assert np.abs(hits / draws - p).max() < 3 * sigma
@@ -162,6 +156,12 @@ class TestProbes:
         probe = sparsity.draw_probe(spec, np.random.default_rng(5))
         assert (probe.probe[~probe.mask] == 0).all()
         assert np.count_nonzero(probe.mask) == 3
+
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_every_block_column_has_exactly_s_entries(self, size):
+        mask = sparsity.random_mask(6, size, np.random.default_rng(3), 500)
+        assert mask.shape == (6, 500)
+        assert (mask.sum(axis=0) == size).all()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -352,6 +352,10 @@ class TestBiasVarianceStudy:
         assert lines[0] == "S,mean_rel_bias,variance,lower_bound_factor"
         assert len(lines) == 3
 
+    def test_random_sparse_jacobian_rows_have_exactly_t_nonzeros(self):
+        j = sparsity.random_sparse_jacobian(40, 7, np.random.default_rng(5))
+        assert (np.count_nonzero(j, axis=1) == 7).all()
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sparsity.probe_bias_variance_study(0, 1, [1], 1, 1,
@@ -360,12 +364,9 @@ class TestBiasVarianceStudy:
 
 def test_random_mask_covers_all_subsets():
     # every C(4,2)=6 mask shows up with roughly uniform frequency
-    rng = np.random.default_rng(53)
-    counts = {}
-    for _ in range(12000):
-        mask = sparsity.random_mask(4, 2, rng)
-        counts[tuple(np.nonzero(mask)[0])] = counts.get(tuple(np.nonzero(mask)[0]), 0) + 1
+    mask = sparsity.random_mask(4, 2, np.random.default_rng(53), 12000)
+    _, counts = np.unique(mask.T, axis=0, return_counts=True)
     assert len(counts) == math.comb(4, 2)
     expected = 12000 / 6
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    chi2 = (((counts - expected) ** 2) / expected).sum()
     assert chi2 < scipy_stats.chi2.ppf(0.999, 5)

@@ -4,17 +4,10 @@ Every command reads a line-oriented config (file and/or --override
 SECTION.KEY=VALUE flags), writes its artifacts into --out-dir, and leaves a
 manifest.txt with the effective config and sha256 checksums, from which the
 run can be replayed byte-for-byte (see anchordt.manifest.replay_manifest).
-Verbs and the sections they read; all but [io], [plot.checkpoints] and
-[sparsity_check] are dataclasses read and echoed by configio.read/echo:
-
-    gen-data ........ [data]
-    train ........... [train] [weights] [probe] [io]
-    eval ............ [io]
-    plot ............ [plot] [plot.checkpoints] [io]
-    probe-study ..... [probe_study]
-    mpa-check ....... [mpa_check]
-    sparsity-check .. [sparsity_check] [io]
-    ablate .......... [train] [weights] [probe] [ablate] [io]
+The sections each verb reads are listed in VERB_SECTIONS, and a config
+holding any other section is rejected, so a misspelt section name cannot
+leave a default in place.  All but [io], [plot.checkpoints] and
+[sparsity_check] are dataclasses read and echoed by configio.read/echo.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import configio, manifest, mpa, sparsity, svgplot
 from .configio import format_float
@@ -209,7 +201,13 @@ def _ks_noise(n, variance_factor=2):
 
 
 def _mpa_checks(n, seed, eps):
-    """The default 1D suite; returns rows of (name, metric, value, threshold, ok)."""
+    """The default 1D suite; returns rows of (name, metric, value, threshold, ok).
+
+    scipy is imported here, not at module level, so that the other verbs
+    start without it.
+    """
+    from scipy import stats as scipy_stats
+
     mu, sigma = 0.7, 1.3
     ks_max, fitted_ks_max = _ks_noise(n), _ks_noise(n, 4)
     gauss = lambda rng, k: mu + sigma * rng.standard_normal(k)
@@ -482,6 +480,19 @@ SEED_KEYS = {"gen-data": ("data", "seed"), "train": ("train", "seed"),
              "mpa-check": ("mpa_check", "seed")}
 
 
+# the config sections each verb reads; any other section is an error
+VERB_SECTIONS = {
+    "gen-data": ("data",),
+    "train": ("train", "weights", "probe", "io"),
+    "eval": ("io",),
+    "plot": ("plot", "plot.checkpoints", "io"),
+    "probe-study": ("probe_study",),
+    "mpa-check": ("mpa_check",),
+    "sparsity-check": ("sparsity_check", "io"),
+    "ablate": ("train", "weights", "probe", "ablate", "io"),
+}
+
+
 def _assemble_config(args):
     config = configio.load(args.config) if args.config else {}
     if getattr(args, "data_dir", None):
@@ -502,6 +513,11 @@ def _assemble_config(args):
         if not key or not value:
             raise CliError(f"--override needs SECTION.KEY=VALUE, got {item!r}")
         config.setdefault(section, {})[key] = value
+    known = VERB_SECTIONS[args.command]
+    for section in config:
+        if section not in known:
+            raise CliError(f"{args.command} reads no [{section}] section; it reads "
+                           + " ".join(f"[{name}]" for name in known))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None and args.command in SEED_KEYS:
         try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 #: max |m(x) - x| on the scan grid below which a map is flagged as identity
 IDENTITY_TOLERANCE = 1e-12
@@ -24,6 +23,13 @@ IDENTITY_TOLERANCE = 1e-12
 
 class InverseConsistencyError(ValueError):
     """Quantile function fails to invert the CDF at the requested points."""
+
+
+def _ks_statistic(a, b) -> float:
+    """Two-sample KS statistic.  scipy is imported on first use, so that
+    importing this module (and with it anchordt.cli) does not load scipy."""
+    from scipy import stats
+    return float(stats.ks_2samp(a, b).statistic)
 
 
 def reflection_mpa(mu: float):
@@ -84,7 +90,7 @@ def pushforward_ks_check(sampler, mpa_map, n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     first = sampler(rng, n)
     second = mpa_map(sampler(rng, n))
-    return float(stats.ks_2samp(first, second).statistic)
+    return _ks_statistic(first, second)
 
 
 @dataclass
@@ -210,8 +216,8 @@ def finite_translations_check(p1_sampler, transport, seed: int,
     r_down = lambda x: f2.quantile(1.0 - f1.cdf(x))
     x_test = p1_sampler(rng, n_test)
     y_test = transport(p1_sampler(rng, n_test))
-    ks_up = float(stats.ks_2samp(r_up(x_test), y_test).statistic)
-    ks_down = float(stats.ks_2samp(r_down(x_test), y_test).statistic)
+    ks_up = _ks_statistic(r_up(x_test), y_test)
+    ks_down = _ks_statistic(r_down(x_test), y_test)
     # Crossings of the two transports, scanned across the central sample range.
     # r_up is nondecreasing and r_down nonincreasing, so their difference
     # changes sign exactly once; flat zeros from interpolation are ignored.

@@ -1,8 +1,13 @@
 """CLI verbs end to end: reproducible training, manifest replay, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from anchordt import cli, manifest, trainer
+import anchordt
+from anchordt import cli, configio, manifest, trainer
 
 
 @pytest.fixture(autouse=True)
@@ -17,6 +22,15 @@ def data_dir(tmp_path_factory):
                      "--override", "data.num_train=400",
                      "--override", "data.num_test=64"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def checkpoint(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert cli.main(["train", "--out-dir", str(out), "--data-dir", str(data_dir),
+                     "--override", "train.iterations=2",
+                     "--override", "train.batch_size=16"]) == 0
+    return out / "generator.ckpt"
 
 
 def train(data_dir, out_dir, mode):
@@ -131,3 +145,105 @@ def test_ablate_replays_with_every_checksum_equal(data_dir, tmp_path, sweep, art
     assert all(old == new for old, new in result.values())
     lines = (tmp_path / "run" / sorted(artifacts)[0]).read_text().splitlines()
     assert len(lines) == 1 + 2 * 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the mpa-check verb alone, when it runs
+    src = os.path.dirname(os.path.dirname(anchordt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import anchordt.cli, sys; assert 'scipy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("verb, override, section", [
+    ("gen-data", "dat.seed=3", "dat"),
+    ("train", "weight.anchor=2", "weight"),
+    ("probe-study", "train.seed=1", "train"),
+    ("mpa-check", "io.data_dir=x", "io"),
+])
+def test_section_the_verb_does_not_read_exits_2_naming_it(tmp_path, capsys, verb,
+                                                          override, section):
+    code = cli.main([verb, "--out-dir", str(tmp_path / "out"), "--override", override])
+    assert code == 2
+    assert f"{verb} reads no [{section}] section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_section_misspelt_in_a_config_file_exits_2(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("[data]\nseed = 3\n[dta]\nnum_train = 10\n")
+    code = cli.main(["gen-data", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(tmp_path / "run.cfg")])
+    assert code == 2
+    assert "gen-data reads no [dta] section; it reads [data]" in capsys.readouterr().err
+
+
+VERB_ARGS = {
+    "gen-data": ["--override", "data.num_train=50", "--override", "data.num_test=20"],
+    "train": ["--data-dir", "{data}", "--override", "train.iterations=2",
+              "--override", "train.batch_size=16", "--override", "train.diag_points=16"],
+    "eval": ["--data-dir", "{data}", "--checkpoint", "{ckpt}"],
+    "plot": ["--data-dir", "{data}", "--checkpoint", "g={ckpt}",
+             "--override", "plot.max_points=50"],
+    "probe-study": ["--override", "probe_study.dimension=20",
+                    "--override", "probe_study.row_support=2",
+                    "--override", "probe_study.mask_sizes=1,3",
+                    "--override", "probe_study.num_matrices=2",
+                    "--override", "probe_study.mc_samples=20"],
+    "mpa-check": ["--override", "mpa_check.samples=20000"],
+    "sparsity-check": ["--support-file", "{support}"],
+    "ablate": ["--data-dir", "{data}", "--override", "train.iterations=2",
+               "--override", "train.batch_size=16", "--override", "ablate.seeds=0",
+               "--override", "ablate.cases=full,neither"],
+}
+
+
+def fill(argv, **values):
+    return [item.format(**values) for item in argv]
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERB_SECTIONS))
+def test_every_verb_reruns_from_its_manifest_config_file(data_dir, checkpoint,
+                                                         tmp_path, verb):
+    # each section a verb's manifest records must be one the verb reads
+    (tmp_path / "support.csv").write_text("row,col\n0,0\n1,1\n")
+    argv = fill(VERB_ARGS[verb], data=data_dir, ckpt=checkpoint,
+                support=tmp_path / "support.csv")
+    assert cli.main([verb, "--out-dir", str(tmp_path / "first"), *argv]) == 0
+    _, _, config, checksums = manifest.read_manifest(tmp_path / "first" / "manifest.txt")
+    assert set(config) <= set(cli.VERB_SECTIONS[verb])
+    configio.save(config, tmp_path / "run.cfg")
+    assert cli.main([verb, "--out-dir", str(tmp_path / "second"),
+                     "--config", str(tmp_path / "run.cfg")]) == 0
+    assert manifest.read_manifest(tmp_path / "second" / "manifest.txt")[3] == checksums
+
+
+@pytest.mark.parametrize("argv, support, message", [
+    (["eval", "--data-dir", "{data}"], None, "missing [io] checkpoint in config"),
+    (["train", "--data-dir", "{tmp}"], None, "dataset files missing in"),
+    (["eval", "--data-dir", "{data}", "--checkpoint", "{tmp}/none.ckpt"], None,
+     "checkpoint not found"),
+    (["plot", "--data-dir", "{data}", "--checkpoint", "g={tmp}/none.ckpt"], None,
+     "checkpoint not found"),
+    (["plot", "--data-dir", "{data}", "--checkpoint", "g"], None,
+     "--checkpoint needs LABEL=PATH, got 'g'"),
+    (["gen-data", "--override", "data.seed"], None,
+     "--override needs SECTION.KEY=VALUE, got 'data.seed'"),
+    (["sparsity-check", "--support-file", "{tmp}/none.csv"], None,
+     "support file not found"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv"], "0,0\n1;1\n",
+     "support.csv:2: expected 'row,col'"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv"], "# no pairs\n",
+     "support.csv: no index pairs"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv"], "0,0\n0,1\n1,0\n1,1\n",
+     "pattern is not structurally sparse"),
+], ids=["missing-io-key", "missing-dataset-files", "eval-missing-checkpoint",
+        "plot-missing-checkpoint", "plot-checkpoint-without-equals",
+        "override-without-equals", "missing-support-file", "malformed-support-line",
+        "empty-support-file", "not-structurally-sparse"])
+def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
+                                            support, message):
+    if support is not None:
+        (tmp_path / "support.csv").write_text(support)
+    verb, *rest = fill(argv, data=data_dir, tmp=tmp_path)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *rest]) == 2
+    assert message in capsys.readouterr().err

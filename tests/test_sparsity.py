@@ -198,6 +198,77 @@ class TestQEstimate:
             sparsity.q_estimate(np.eye(3), spec, 0, 1e-9, np.random.default_rng(0))
 
 
+def per_probe_q_samples(j, mask_size, num_probes, rng,
+                        zero_threshold=sparsity.DEFAULT_ZERO_THRESHOLD):
+    """The reference for q_probe_samples: one count-1 draw_probe call a probe,
+    J z from a gather of the masked columns."""
+    j = np.asarray(j, dtype=np.float64)
+    d = j.shape[0]
+    spec = sparsity.ProbeSpec(dimension=d, mask_size=mask_size)
+    vals = np.empty(num_probes)
+    for i in range(num_probes):
+        p = sparsity.draw_probe(spec, rng)
+        idx = np.flatnonzero(p.mask)
+        col = j[:, idx] @ p.probe[idx, 0]
+        vals[i] = (d / mask_size) * np.count_nonzero(np.abs(col) > zero_threshold)
+    return vals
+
+
+def assert_same_samples_and_stream(j, mask_size, num_probes,
+                                   zero_threshold=sparsity.DEFAULT_ZERO_THRESHOLD):
+    ref_rng, rng = np.random.default_rng(29), np.random.default_rng(29)
+    expected = per_probe_q_samples(j, mask_size, num_probes, ref_rng, zero_threshold)
+    got = sparsity.q_probe_samples(j, mask_size, num_probes, rng, zero_threshold)
+    assert got.tobytes() == expected.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def small_sketch_matrix(kind, d=6):
+    rng = np.random.default_rng(31)
+    threshold = sparsity.DEFAULT_ZERO_THRESHOLD
+    if kind == "eye":
+        return np.eye(d)
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind == "dense":
+        return rng.standard_normal((d, d))
+    # entries at and below the zero threshold, beside ordinary ones
+    j = rng.choice([0.0, threshold, -threshold, threshold / 2, 1.0], size=(d, d))
+    j[0] = threshold
+    return j
+
+
+class TestBlockedProbeSketch:
+    """q_probe_samples scores probes in blocks; it must give the per-probe
+    loop's values bit for bit and leave the rng where that loop leaves it."""
+
+    @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
+    @pytest.mark.parametrize("mask_size", [1, 2, 6])
+    @pytest.mark.parametrize("num_probes", [0, 1, 3, 4, 10])
+    def test_matches_per_probe_loop_across_block_edges(self, monkeypatch, kind,
+                                                       mask_size, num_probes):
+        # blocks of 4 probes at D = 6, fewer where a probe gathers more than D products
+        monkeypatch.setattr(sparsity, "PROBE_BLOCK_ELEMENTS", 4 * 6)
+        assert_same_samples_and_stream(small_sketch_matrix(kind), mask_size,
+                                       num_probes)
+
+    @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
+    @pytest.mark.parametrize("mask_size", [1, 6])
+    @pytest.mark.parametrize("zero_threshold", [sparsity.DEFAULT_ZERO_THRESHOLD, 0.0])
+    def test_matches_per_probe_loop_at_default_block(self, kind, mask_size,
+                                                     zero_threshold):
+        assert_same_samples_and_stream(small_sketch_matrix(kind), mask_size, 300,
+                                       zero_threshold)
+
+    @pytest.mark.parametrize("row_support", [1, 10])
+    @pytest.mark.parametrize("mask_size", [1, 50, 1000])
+    def test_matches_per_probe_loop_at_d1000(self, row_support, mask_size):
+        d = 1000
+        j = sparsity.random_sparse_jacobian(d, row_support, np.random.default_rng(37))
+        block = sparsity.PROBE_BLOCK_ELEMENTS // d
+        assert_same_samples_and_stream(j, mask_size, 2 * block + 7)
+
+
 class TestQExactEnumeration:
     def test_identity_d4(self):
         assert q_exact_enumeration(np.eye(4), 2) == pytest.approx(4.0)

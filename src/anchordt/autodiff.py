@@ -1,9 +1,17 @@
 """Define-by-run reverse-mode differentiation over dense float64 matrices.
 
 Every value in a graph is a 2-D row-major float64 array.  Graphs are built
-eagerly (each op computes its value on construction) and can be re-evaluated
-in place with :func:`forward` after leaf values change, which is what the
-finite-difference gradient checker relies on.
+eagerly: each op computes its value on construction.  The ops are matmul,
+add, subtract, scale, elementwise-mul, log, square, clip, abs-sum, sum,
+mean, the activations of ``ACTIVATIONS`` (leaky-relu, tanh, sigmoid), and
+dense, one network layer ``act(W @ h + b)`` as a single node.  A dense node
+keeps the activation derivative of its last evaluation (the vjp at g = 1) in
+its meta, where backward and the Jacobian masks of ``anchordt.nets`` read it.
+
+:func:`forward` re-evaluates a graph in place after leaf values change.  It
+runs every op's compute from the op table again, so whatever an op keeps
+from its forward pass (a dense node's derivative) is refreshed with the
+value; the finite-difference gradient checker relies on this.
 
 Convention used throughout the package: samples are columns, so a batch of
 N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
@@ -38,7 +46,8 @@ class Node:
     ``kind`` is the op name, ``parents`` the input nodes, ``value`` the
     (rows, cols) float64 result, ``grad`` the accumulated adjoint of the
     same shape (populated by :func:`backward`), and ``meta`` carries the
-    op's constants (scale factor, slope, clip bounds).
+    op's constants (scale factor, slope, clip bounds; a dense node's
+    :class:`DenseMeta`).
     """
 
     __slots__ = ("kind", "parents", "value", "grad", "meta")
@@ -85,7 +94,10 @@ def parameter(value, what: str = "parameter") -> Node:
 
 # ---------------------------------------------------------------------------
 # op table: kind -> (compute(parent_values, meta) -> value,
-#                    backprop(node) -> tuple of parent-grad contributions)
+#                    backprop(node, wanted) -> one adjoint contribution per
+#                    parent, None where ``wanted`` is False)
+# backward calls backprop only for a node some parent of which is wanted, so
+# the one-parent ops ignore ``wanted``.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
@@ -108,10 +120,10 @@ def _leaky(x, slope):
 # a is the pre-activation, value its activation and g the output adjoint.  The
 # graph ops below, the numpy forward pass of nets.MlpModel and the Jacobian
 # masks of sparsity.activation_masks (the vjp at g = 1) all read it.  Only
-# tanh and sigmoid read ``value``.  The leaky tie at exactly 0 resolves to
-# slope 1.  The leaky vjp is arithmetic, not np.where, which mispredicts on
-# random signs; (1 - s) + s rounds to exactly 1 for s in [0, 1], so both
-# forms give the same bits.
+# tanh and sigmoid read ``value``, and only identity and leaky-relu read
+# ``a``.  The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
+# arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
+# rounds to exactly 1 for s in [0, 1], so both forms give the same bits.
 ACTIVATIONS = {
     "identity": (lambda a, s: a, lambda g, a, v, s: np.full_like(a, g)),
     "leaky-relu": (_leaky, lambda g, a, v, s: g * ((a >= 0) * (1.0 - s) + s)),
@@ -127,9 +139,10 @@ def _compute_matmul(vals, meta):
     return a @ b
 
 
-def _grad_matmul(node):
+def _grad_matmul(node, wanted):
     a, b = node.parents
-    return (node.grad @ b.value.T, a.value.T @ node.grad)
+    return (node.grad @ b.value.T if wanted[0] else None,
+            a.value.T @ node.grad if wanted[1] else None)
 
 
 def _compute_add(vals, meta):
@@ -141,12 +154,12 @@ def _compute_add(vals, meta):
     raise GraphError(f"add: shapes {a.shape} + {b.shape} (only equal or column broadcast)")
 
 
-def _grad_add(node):
+def _grad_add(node, wanted):
     a, b = node.parents
     gb = node.grad
-    if b.value.shape != node.grad.shape:
+    if wanted[1] and b.value.shape != node.grad.shape:
         gb = node.grad.sum(axis=1, keepdims=True)
-    return (node.grad, gb)
+    return (node.grad if wanted[0] else None, gb if wanted[1] else None)
 
 
 def _compute_subtract(vals, meta):
@@ -156,15 +169,15 @@ def _compute_subtract(vals, meta):
     return a - b
 
 
-def _grad_subtract(node):
-    return (node.grad, -node.grad)
+def _grad_subtract(node, wanted):
+    return (node.grad if wanted[0] else None, -node.grad if wanted[1] else None)
 
 
 def _compute_scale(vals, meta):
     return meta * vals[0]
 
 
-def _grad_scale(node):
+def _grad_scale(node, wanted):
     return (node.meta * node.grad,)
 
 
@@ -175,9 +188,10 @@ def _compute_elementwise_mul(vals, meta):
     return a * b
 
 
-def _grad_elementwise_mul(node):
+def _grad_elementwise_mul(node, wanted):
     a, b = node.parents
-    return (node.grad * b.value, node.grad * a.value)
+    return (node.grad * b.value if wanted[0] else None,
+            node.grad * a.value if wanted[1] else None)
 
 
 def _compute_log(vals, meta):
@@ -187,7 +201,7 @@ def _compute_log(vals, meta):
     return np.log(x)
 
 
-def _grad_log(node):
+def _grad_log(node, wanted):
     return (node.grad / node.parents[0].value,)
 
 
@@ -195,7 +209,7 @@ def _compute_square(vals, meta):
     return vals[0] ** 2
 
 
-def _grad_square(node):
+def _grad_square(node, wanted):
     return (node.grad * 2.0 * node.parents[0].value,)
 
 
@@ -204,7 +218,7 @@ def _compute_clip(vals, meta):
     return np.clip(vals[0], lo, hi)
 
 
-def _grad_clip(node):
+def _grad_clip(node, wanted):
     # Zero gradient where the value saturated; subgradient choice documented
     # in gan_losses (clamp is a numerical guard, not part of the objective).
     lo, hi = node.meta
@@ -217,7 +231,7 @@ def _compute_abs_sum(vals, meta):
     return np.abs(vals[0]).sum().reshape(1, 1)
 
 
-def _grad_abs_sum(node):
+def _grad_abs_sum(node, wanted):
     # Subgradient 0 at exact zeros (np.sign convention); valid a.e.
     return (node.grad[0, 0] * np.sign(node.parents[0].value),)
 
@@ -226,7 +240,7 @@ def _compute_sum(vals, meta):
     return vals[0].sum().reshape(1, 1)
 
 
-def _grad_sum(node):
+def _grad_sum(node, wanted):
     return (np.full_like(node.parents[0].value, node.grad[0, 0]),)
 
 
@@ -234,9 +248,54 @@ def _compute_mean(vals, meta):
     return vals[0].mean().reshape(1, 1)
 
 
-def _grad_mean(node):
+def _grad_mean(node, wanted):
     p = node.parents[0].value
     return (np.full_like(p, node.grad[0, 0] / p.size),)
+
+
+class DenseMeta:
+    """A dense node's activation and slope, and ``deriv``: the activation
+    derivative (its vjp at g = 1) from the node's last evaluation."""
+
+    __slots__ = ("activation", "slope", "deriv")
+
+    def __init__(self, activation: str, slope: float):
+        self.activation = activation
+        self.slope = slope
+        self.deriv = None
+
+
+def _compute_dense(vals, meta):
+    w, h, b = vals
+    if w.shape[1] != h.shape[0] or b.shape != (w.shape[0], 1):
+        raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
+    a = w @ h
+    a += b
+    value_of, vjp = ACTIVATIONS[meta.activation]
+    s = meta.slope
+    if meta.activation == "leaky-relu" and 0.0 <= s <= 1.0:
+        # the derivative is 1 or s exactly, so a * deriv has the bits of
+        # max(a, s * a), -0.0 included
+        meta.deriv = vjp(1.0, a, None, s)
+        return a * meta.deriv
+    value = value_of(a, s)
+    meta.deriv = vjp(1.0, a, value, s)
+    return value
+
+
+def _grad_dense(node, wanted):
+    w, h, b = node.parents
+    name = node.meta.activation
+    if name == "identity":
+        ga = node.grad
+    elif name == "leaky-relu":
+        ga = node.grad * node.meta.deriv
+    else:
+        # tanh and sigmoid: the table vjp, since g * deriv rounds differently
+        ga = ACTIVATIONS[name][1](node.grad, None, node.value, node.meta.slope)
+    return (ga @ h.value.T if wanted[0] else None,
+            w.value.T @ ga if wanted[1] else None,
+            ga.sum(axis=1, keepdims=True) if wanted[2] else None)
 
 
 _OPS = {
@@ -251,13 +310,15 @@ _OPS = {
     "abs-sum": (_compute_abs_sum, _grad_abs_sum),
     "sum": (_compute_sum, _grad_sum),
     "mean": (_compute_mean, _grad_mean),
+    "dense": (_compute_dense, _grad_dense),
 }
 
 
 def _activation_op(name):
     value, vjp = ACTIVATIONS[name]
     return (lambda vals, meta: value(vals[0], meta),
-            lambda node: (vjp(node.grad, node.parents[0].value, node.value, node.meta),))
+            lambda node, wanted: (vjp(node.grad, node.parents[0].value, node.value,
+                                      node.meta),))
 
 
 _OPS.update((name, _activation_op(name)) for name in ("leaky-relu", "tanh", "sigmoid"))
@@ -267,6 +328,18 @@ def _make(kind, parents, meta=None):
     compute, _ = _OPS[kind]
     value = compute(tuple(p.value for p in parents), meta)
     return Node(kind, tuple(parents), value, meta)
+
+
+def dense(w: Node, h: Node, b: Node, activation: str = "identity",
+          slope: float = 0.2) -> Node:
+    """One layer, ``activation(w @ h + b)``, as a single node.
+
+    Same bits, value and adjoints, as ``activation(add(matmul(w, h), b))``
+    built from the separate ops.
+    """
+    if activation not in ACTIVATIONS:
+        raise GraphError(f"dense: unknown activation {activation!r}")
+    return _make("dense", (w, h, b), DenseMeta(activation, float(slope)))
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -393,21 +466,11 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     for node in reversed(order):
         if node.grad is None or not node.parents:
             continue
-        if node.kind == "matmul":
-            a, b = node.parents
-            if needs[id(a)]:
-                accumulate(a, node.grad @ b.value.T, node.grad)
-            if needs[id(b)]:
-                accumulate(b, a.value.T @ node.grad, node.grad)
-            continue
         _, backprop = _OPS[node.kind]
-        contribs = None
-        for i, parent in enumerate(node.parents):
-            if not needs[id(parent)]:
-                continue
-            if contribs is None:
-                contribs = backprop(node)
-            accumulate(parent, contribs[i], node.grad)
+        wanted = tuple(needs[id(p)] for p in node.parents)
+        for parent, contrib in zip(node.parents, backprop(node, wanted)):
+            if contrib is not None:
+                accumulate(parent, contrib, node.grad)
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)

@@ -6,13 +6,16 @@ manifest.txt with the effective config and sha256 checksums, from which the
 run can be replayed byte-for-byte (see anchordt.manifest.replay_manifest).
 The sections each verb reads are listed in VERB_SECTIONS, and a config
 holding any other section is rejected, so a misspelt section name cannot
-leave a default in place.  All but [io], [plot.checkpoints] and
-[sparsity_check] are dataclasses read and echoed by configio.read/echo.
+leave a default in place.  Every section but [plot.checkpoints], whose keys
+are free labels, is a dataclass read by configio.read, which rejects a key
+that names no field.  [io] is read into the dataclass of the paths the
+running verb needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -37,11 +40,36 @@ def _write_lines(out_dir, name, lines):
     return name
 
 
-def _io_value(config, key):
-    try:
-        return config["io"][key]
-    except KeyError:
-        raise CliError(f"missing [io] {key} in config") from None
+# [io]: one dataclass per set of paths a verb needs, every field required
+@dataclass
+class DataIo:
+    data_dir: str = ""
+
+
+@dataclass
+class EvalIo:
+    checkpoint: str = ""
+    data_dir: str = ""
+
+
+@dataclass
+class SupportIo:
+    support_file: str = ""
+
+
+def _read_io(config, cls):
+    """[io] read into the dataclass ``cls``; a key it has no field for is an
+    error, and so is a field left empty."""
+    io = configio.read(cls(), config, "io")
+    for key, path in dataclasses.asdict(io).items():
+        if not path:
+            raise CliError(f"missing [io] {key} in config")
+    return io
+
+
+def _io_section(io):
+    """The [io] manifest section: every path of ``io`` made absolute."""
+    return {key: os.path.abspath(path) for key, path in dataclasses.asdict(io).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +98,8 @@ def _load_splits(data_dir):
 
 def cmd_train(config, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
-    data_dir = _io_value(config, "data_dir")
-    train_split, test_split = _load_splits(data_dir)
+    io = _read_io(config, DataIo)
+    train_split, test_split = _load_splits(io.data_dir)
     anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     models, report = train(cfg, train_split, anchors, test_split, out_dir)
@@ -89,26 +117,23 @@ def cmd_train(config, out_dir):
     print(f"train: TE = {report.te_mean:.4f} +- {report.te_std:.4f} "
           f"({cfg.iterations} iterations, {report.wall_time:.1f}s)")
     sections = configio.echo(cfg, "train")
-    sections["io"] = {"data_dir": os.path.abspath(data_dir)}
+    sections["io"] = _io_section(io)
     return artifacts, sections, cfg.seed
 
 
 def cmd_eval(config, out_dir):
-    ckpt = _io_value(config, "checkpoint")
-    data_dir = _io_value(config, "data_dir")
-    if not os.path.isfile(ckpt):
-        raise CliError(f"checkpoint not found: {ckpt!r}")
-    _, test_split = _load_splits(data_dir)
-    model = load_checkpoint(ckpt)
+    io = _read_io(config, EvalIo)
+    if not os.path.isfile(io.checkpoint):
+        raise CliError(f"checkpoint not found: {io.checkpoint!r}")
+    _, test_split = _load_splits(io.data_dir)
+    model = load_checkpoint(io.checkpoint)
     te_mean, te_std = translation_error(model, test_split)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["te_mean,te_std,num_samples",
              f"{format_float(te_mean)},{format_float(te_std)},{len(test_split)}"]
     artifacts = [_write_lines(out_dir, "eval.csv", lines)]
     print(f"eval: TE = {te_mean:.4f} +- {te_std:.4f} on {len(test_split)} pairs")
-    sections = {"io": {"checkpoint": os.path.abspath(ckpt),
-                       "data_dir": os.path.abspath(data_dir)}}
-    return artifacts, sections, 0
+    return artifacts, {"io": _io_section(io)}, 0
 
 
 @dataclass
@@ -122,8 +147,8 @@ class PlotConfig:
 
 def cmd_plot(config, out_dir):
     cfg = configio.read(PlotConfig(), config, "plot")
-    data_dir = _io_value(config, "data_dir")
-    _, test_split = _load_splits(data_dir)
+    io = _read_io(config, DataIo)
+    _, test_split = _load_splits(io.data_dir)
     n = len(test_split)
     idx = np.unique(np.linspace(0, n - 1, min(cfg.max_points, n)).astype(int))
     colors = [svgplot.color_for_index(int(i)) for i in idx]
@@ -140,7 +165,7 @@ def cmd_plot(config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     svgplot.scatter_panels(os.path.join(out_dir, "panels.svg"), panels)
     print(f"plot: {len(panels)} panels over {idx.size} points -> panels.svg")
-    sections = {"io": {"data_dir": os.path.abspath(data_dir)},
+    sections = {"io": _io_section(io),
                 **configio.echo(cfg, "plot"),
                 "plot.checkpoints": {k: os.path.abspath(v)
                                      for k, v in checkpoints.items()}}
@@ -308,9 +333,16 @@ def cmd_mpa_check(config, out_dir):
     return artifacts, configio.echo(cfg, "mpa_check"), cfg.seed
 
 
+@dataclass
+class SparsityCheckConfig:
+    """``dimension`` is D; by default one more than the largest index read."""
+    dimension: int | None = None
+
+
 def cmd_sparsity_check(config, out_dir):
-    sec = config.get("sparsity_check", {})
-    support_file = _io_value(config, "support_file")
+    cfg = configio.read(SparsityCheckConfig(), config, "sparsity_check")
+    io = _read_io(config, SupportIo)
+    support_file = io.support_file
     if not os.path.isfile(support_file):
         raise CliError(f"support file not found: {support_file!r}")
     pairs = []
@@ -327,7 +359,7 @@ def cmd_sparsity_check(config, out_dir):
     if not pairs:
         raise CliError(f"{support_file}: no index pairs")
     inferred = max(max(r, c) for r, c in pairs) + 1
-    dimension = int(sec.get("dimension", str(inferred)))
+    dimension = inferred if cfg.dimension is None else cfg.dimension
     pattern = sparsity.SupportPattern(dimension=dimension,
                                       index_pairs=frozenset(pairs))
     result = sparsity.check_structural_sparsity(pattern)
@@ -345,8 +377,8 @@ def cmd_sparsity_check(config, out_dir):
           f"(D={dimension}, {len(pairs)} support entries)")
     for k, reason in sorted(result.failures.items()):
         print(f"sparsity-check:   column {k}: {reason}")
-    sections = {"io": {"support_file": os.path.abspath(support_file)},
-                "sparsity_check": {"dimension": str(dimension)}}
+    sections = {"io": _io_section(io),
+                **configio.echo(SparsityCheckConfig(dimension), "sparsity_check")}
     if not result.satisfied:
         manifest.write_manifest(out_dir, "sparsity-check", sections, 0, artifacts)
         raise CliError("sparsity-check: pattern is not structurally sparse")
@@ -376,8 +408,8 @@ class AblateConfig:
 def cmd_ablate(config, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
     ablate = configio.read(AblateConfig(), config, "ablate")
-    data_dir = _io_value(config, "data_dir")
-    train_split, test_split = _load_splits(data_dir)
+    io = _read_io(config, DataIo)
+    train_split, test_split = _load_splits(io.data_dir)
     if ablate.anchor_sweep:
         name, column = "anchor_sweep.csv", "anchor_count"
         runs = [(count, replace(cfg, anchor_count=count, seed=seed))
@@ -405,7 +437,7 @@ def cmd_ablate(config, out_dir):
         for case, med in medians.items():
             print(f"ablate: median TE [{case}] = {med:.4f}")
     sections = configio.echo(cfg, "train")
-    sections["io"] = {"data_dir": os.path.abspath(data_dir)}
+    sections["io"] = _io_section(io)
     sections.update(configio.echo(ablate, "ablate"))
     return artifacts, sections, cfg.seed
 

@@ -100,6 +100,8 @@ def format_float(v: float) -> str:
 # field type -> (parse the text of a value, format a value as text)
 _CODECS = {
     int: (int, str),
+    int | None: (lambda raw: int(raw) if raw else None,
+                 lambda v: "" if v is None else str(v)),
     float: (float, format_float),
     str: (str, str),
     bool: (_parse_bool, lambda v: str(v).lower()),

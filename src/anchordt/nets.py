@@ -6,6 +6,8 @@ with slope 0.2; the output layer is identity, tanh, or sigmoid.  Each
 model's per-layer activation list is derived once, when the model is built,
 from the activation table in ``autodiff``; the plain numpy forward pass
 (``MlpModel``) and the graph forward pass (``MlpBinding``) both walk it.
+The graph pass builds one ``autodiff.dense`` node per layer, and keeps the
+activation derivatives those nodes computed.
 Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
 (gradients, Adam moments), as ``param_order`` spells out.
 """
@@ -129,9 +131,9 @@ class MlpBinding:
     values participate in the graph but backward skips past them (used for
     the discriminator while the generator trains, and vice versa).
 
-    After each __call__ the layer pre-activation nodes of that pass are kept
-    in ``last_preacts`` (activation-derivative masks can be read off them
-    without another forward pass).
+    After each __call__ the activation derivative of every layer of that
+    pass is kept in ``last_derivs``.  These are the Jacobian masks of
+    ``sparsity.activation_masks``, bit for bit, with no further pass.
     """
 
     def __init__(self, model: MlpModel, frozen: bool = False):
@@ -140,7 +142,7 @@ class MlpBinding:
         wrap = ad.input_node if frozen else ad.parameter
         self.weight_nodes = [wrap(w, f"W{i}") for i, w in enumerate(model.weights)]
         self.bias_nodes = [wrap(b, f"b{i}") for i, b in enumerate(model.biases)]
-        self.last_preacts: list[ad.Node] = []
+        self.last_derivs: list[np.ndarray] = []
 
     @property
     def param_nodes(self) -> list[ad.Node]:
@@ -148,19 +150,12 @@ class MlpBinding:
 
     def __call__(self, x: ad.Node) -> ad.Node:
         h = x
-        preacts = []
+        derivs = []
         for w, b, (name, slope) in zip(self.weight_nodes, self.bias_nodes,
                                        self.model.activations):
-            a = ad.add(ad.matmul(w, h), b)
-            preacts.append(a)
-            # the graph constructors are looked up on the module at each call
-            if name == "leaky-relu":
-                h = ad.leaky_relu(a, slope)
-            elif name == "identity":
-                h = a
-            else:
-                h = getattr(ad, name)(a)
-        self.last_preacts = preacts
+            h = ad.dense(w, h, b, name, slope)
+            derivs.append(h.meta.deriv)
+        self.last_derivs = derivs
         return h
 
     def gradients(self) -> list[np.ndarray]:

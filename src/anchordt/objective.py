@@ -67,6 +67,10 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     clamped into (clamp_eps, 1 - clamp_eps) before the logs, purely as a
     numerical guard.
 
+    With ``y_batch=None`` only the generator loss is built, and the pair is
+    (None, generator loss): the discriminator never sees a real batch, which
+    is what a generator-only step wants.
+
     ``fake`` lets a caller reuse an existing g(x) node so other loss terms
     can share the subgraph; ``detach_generator`` feeds g(x) in as a constant
     (same values, no gradient path to the generator), which is what a
@@ -78,20 +82,22 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     differentiation).  Off by default.
     """
     x_batch = _as_batch(x_batch)
-    y_batch = _as_batch(y_batch)
     if fake is None:
         if detach_generator:
             fake = ad.input_node(generator.model.apply(x_batch), "g(x)-detached")
         else:
             fake = generator(ad.input_node(x_batch, "x-batch"))
-    d_real = discriminator(ad.input_node(y_batch, "y-batch"))
-    d_fake = discriminator(fake)
     lo, hi = clamp_eps, 1.0 - clamp_eps
+    d_fake = discriminator(fake)
+    gen_loss = ad.scale(ad.mean(ad.log(ad.clip(d_fake, lo, hi))), -1.0)
+    if y_batch is None:
+        return None, gen_loss
+    y_batch = _as_batch(y_batch)
+    d_real = discriminator(ad.input_node(y_batch, "y-batch"))
     log_real = ad.log(ad.clip(d_real, lo, hi))
     ones = ad.input_node(np.ones_like(d_fake.value), "ones")
     log_one_minus_fake = ad.log(ad.clip(ad.subtract(ones, d_fake), lo, hi))
     disc_loss = ad.scale(ad.add(ad.mean(log_real), ad.mean(log_one_minus_fake)), -1.0)
-    gen_loss = ad.scale(ad.mean(ad.log(ad.clip(d_fake, lo, hi))), -1.0)
     if r1_weight > 0.0:
         penalty = _grad_norm_penalty(discriminator, y_batch)
         disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight))

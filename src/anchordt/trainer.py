@@ -21,7 +21,7 @@ from .nets import (MlpModel, adam_init, adam_step, bind, init_mlp,
 from .objective import (SPARSITY_MODES, AnchorSet, GeneratorLossParts, LossWeights,
                         anchor_loss, gan_losses, inv_loss, sparsity_loss,
                         total_generator_loss)
-from .sparsity import ProbeSpec, activation_masks
+from .sparsity import ProbeSpec
 from .stats import energy_distance
 from .synthdata import PairedDataset, select_anchors
 
@@ -197,11 +197,13 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
         # discriminator is frozen and g(x) is built once and shared by the
         # adversarial, round-trip, and sparsity terms
         xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
-        yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
+        # the step scores no real batch, but its draw keeps batch_rng's stream
+        batch_rng.integers(0, n, config.batch_size)
         gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
         fake = gen_b(ad.input_node(xb, "x-batch"))
-        gen_masks = activation_masks(gen, [p.value for p in gen_b.last_preacts])
-        _, gen_part = gan_losses(gen_b, disc_b, xb, yb, config.clamp_eps,
+        # read now: the anchor pass below overwrites gen_b.last_derivs
+        gen_masks = gen_b.last_derivs
+        _, gen_part = gan_losses(gen_b, disc_b, xb, None, config.clamp_eps,
                                  fake=fake)
         parts = GeneratorLossParts(gan=gen_part)
         if w.anchor > 0:

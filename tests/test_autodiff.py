@@ -208,3 +208,82 @@ class TestGradcheck:
         x = scalar(1.0, "parameter")
         with pytest.raises(ad.GraphError, match="step"):
             ad.gradcheck(ad.square(x), step=0.0)
+
+
+def bits(a):
+    """Raw IEEE bits, so -0.0 and 0.0 compare unequal."""
+    return a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes()
+
+
+def layer_graph(w_val, h_val, b_val, name, slope, fused, w_kind):
+    """One layer as a dense node or as its primitive ops, under a root
+    whose adjoint seed is a fixed non-constant matrix; returns (root, out,
+    (w, h, b))."""
+    w = (ad.parameter if w_kind == "parameter" else ad.input_node)(w_val.copy())
+    h, b = ad.parameter(h_val.copy()), ad.parameter(b_val.copy())
+    if fused:
+        out = ad.dense(w, h, b, name, slope)
+    else:
+        a = ad.add(ad.matmul(w, h), b)
+        out = {"identity": lambda n: n, "leaky-relu": lambda n: ad.leaky_relu(n, slope),
+               "tanh": ad.tanh, "sigmoid": ad.sigmoid}[name](a)
+    adjoint = np.random.default_rng(9).standard_normal(out.value.shape)
+    root = ad.node_sum(ad.elementwise_mul(out, ad.input_node(adjoint)))
+    return root, out, (w, h, b)
+
+
+def layer_values(rng, zero_ties):
+    w, h = rng.standard_normal((5, 3)), rng.standard_normal((3, 7))
+    b = rng.standard_normal((5, 1))
+    if zero_ties:
+        # exact-zero pre-activations: a zero weight row, a zero input column,
+        # and -0.0 in the bias
+        w[1] = 0.0
+        h[:, 2] = 0.0
+        b[1:3] = -0.0
+    return w, h, b
+
+
+class TestDense:
+    @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
+    @pytest.mark.parametrize("w_kind", ["parameter", "input"])
+    @pytest.mark.parametrize("zero_ties", [False, True])
+    def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties):
+        for slope in ((0.0, 0.2, 1.0) if name == "leaky-relu" else (0.2,)):
+            vals = layer_values(np.random.default_rng(3), zero_ties)
+            fused_root, fused, fused_parents = layer_graph(*vals, name, slope, True, w_kind)
+            prim_root, prim, prim_parents = layer_graph(*vals, name, slope, False, w_kind)
+            assert bits(fused.value) == bits(prim.value)
+            ad.backward(fused_root)
+            ad.backward(prim_root)
+            assert (fused_parents[0].grad is None) == (w_kind == "input")
+            for f, p in zip(fused_parents, prim_parents):
+                assert (f.grad is None) == (p.grad is None)
+                if f.grad is not None:
+                    assert bits(f.grad) == bits(p.grad)
+
+    @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
+    def test_forward_refreshes_value_and_derivative(self, name):
+        vals = layer_values(np.random.default_rng(4), zero_ties=True)
+        root, out, (w, _, _) = layer_graph(*vals, name, 0.2, True, "parameter")
+        w.value[:] += np.random.default_rng(5).standard_normal(w.value.shape)
+        ad.forward(root)
+        _, fresh, _ = layer_graph(w.value, *vals[1:], name, 0.2, True, "parameter")
+        assert bits(out.value) == bits(fresh.value)
+        assert bits(out.meta.deriv) == bits(fresh.meta.deriv)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_value_is_preactivation_times_derivative(self, slope):
+        # what dense computes for leaky-relu, on the -0.0 and 0.0 ties too
+        a = np.array([[-0.0, 0.0, -1.5, 2.0, -1e-320, 1e-320]])
+        value, vjp = ad.ACTIVATIONS["leaky-relu"]
+        assert bits(a * vjp(1.0, a, None, slope)) == bits(value(a, slope))
+
+    def test_shape_mismatch_and_unknown_activation_rejected(self):
+        w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
+        with pytest.raises(ad.GraphError, match=r"dense: shapes \(2, 3\) @ \(2, 4\)"):
+            ad.dense(w, ad.input_node(np.ones((2, 4))), b)
+        with pytest.raises(ad.GraphError, match=r"dense: shapes .* \+ \(2, 4\)"):
+            ad.dense(w, h, ad.input_node(np.ones((2, 4))))
+        with pytest.raises(ad.GraphError, match="unknown activation 'relu'"):
+            ad.dense(w, h, b, "relu")

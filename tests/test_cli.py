@@ -247,3 +247,38 @@ def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
     verb, *rest = fill(argv, data=data_dir, tmp=tmp_path)
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *rest]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data-dir", "{data}", "--override", "io.data_dri=x",
+      "--override", "train.iterations=0"],
+     "[io] unknown key 'data_dri'; known keys: data_dir"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv",
+      "--override", "sparsity_check.dimensoin=5"],
+     "[sparsity_check] unknown key 'dimensoin'; known keys: dimension"),
+], ids=["io", "sparsity_check"])
+def test_unknown_io_or_sparsity_check_key_exits_2(data_dir, tmp_path, capsys, argv,
+                                                  message):
+    (tmp_path / "support.csv").write_text("0,1\n1,0\n")
+    verb, *rest = fill(argv, data=data_dir, tmp=tmp_path)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *rest]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dimension", [None, 0, 5])
+def test_sparsity_check_config_round_trips_through_its_echo(dimension):
+    cfg = cli.SparsityCheckConfig(dimension)
+    sections = configio.echo(cfg, "sparsity_check")
+    assert configio.read(cli.SparsityCheckConfig(7), sections, "sparsity_check") == cfg
+
+
+def test_sparsity_check_records_the_dimension_it_checked(tmp_path):
+    (tmp_path / "support.csv").write_text("0,0\n1,1\n")
+    argv = ["sparsity-check", "--support-file", str(tmp_path / "support.csv")]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "inferred")]) == 0
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "set"),
+                     "--override", "sparsity_check.dimension=3"]) == 2
+    for run, dimension in (("inferred", "2"), ("set", "3")):
+        _, _, config, _ = manifest.read_manifest(tmp_path / run / "manifest.txt")
+        assert config["sparsity_check"] == {"dimension": dimension}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anchordt import autodiff as ad
 from anchordt import nets
+from anchordt.sparsity import activation_masks
 
 
 def scalar_model(w0: float) -> nets.MlpModel:
@@ -93,15 +94,16 @@ class TestForwardPaths:
             frozen.gradients()
 
     def test_binding_records_preactivations(self):
-        model = nets.init_mlp((2, 4, 2), seed=0)
-        binding = nets.bind(model)
+        # the derivatives kept by the dense nodes are the Jacobian masks
         x = np.random.default_rng(2).standard_normal((2, 8))
-        binding(ad.input_node(x))
-        recorded = [p.value for p in binding.last_preacts]
-        direct = model.preactivations(x)
-        assert len(recorded) == len(direct) == 2
-        for a, b in zip(recorded, direct):
-            np.testing.assert_array_equal(a, b)
+        for out_act in nets.OUTPUT_ACTIVATIONS:
+            model = nets.init_mlp((2, 4, 4, 2), output_activation=out_act, seed=0)
+            binding = nets.bind(model)
+            binding(ad.input_node(x))
+            direct = activation_masks(model, model.preactivations(x))
+            assert len(binding.last_derivs) == len(direct) == 3
+            for a, b in zip(binding.last_derivs, direct):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestAdam:

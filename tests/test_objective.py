@@ -6,6 +6,7 @@ import pytest
 from anchordt import autodiff as ad
 from anchordt import nets, objective
 from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe
+from rebuild_gradcheck import rebuild_gradcheck
 
 
 def constant_half_discriminator() -> nets.MlpModel:
@@ -293,6 +294,79 @@ class TestSparsityLoss:
         node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
                                        np.random.default_rng(10))
         assert ad.gradcheck(node, step=1e-6, tolerance=1e-4).passed
+
+
+def arrays(model):
+    return nets.param_order(model.weights, model.biases)
+
+
+class TestRebuildGradcheck:
+    """Every loss term through MlpBinding graphs, checked against the loss
+    rebuilt at each perturbed weight, so masks frozen at build time are
+    recomputed too.  R1 (r1_weight > 0) is left out: its frozen sigmoid
+    derivative makes its gradient wrong, which this check shows."""
+
+    STEP, TOLERANCE = 1e-6, 1e-4
+
+    @pytest.fixture
+    def nets3(self):
+        gen = nets.init_mlp((2, 6, 6, 2), seed=31)
+        disc = nets.init_mlp((2, 6, 6, 1), "sigmoid", seed=32)
+        rec = nets.init_mlp((2, 6, 6, 2), seed=33)
+        rng = np.random.default_rng(34)
+        x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
+        # no leaky kink within reach of the step
+        fake = gen.apply(x)
+        for model, batch in ((gen, x), (disc, y), (disc, fake), (rec, fake)):
+            assert min(np.abs(a).min() for a in model.preactivations(batch)) > 1e-4
+        return gen, disc, rec, x, y
+
+    def check(self, build, *models):
+        err = rebuild_gradcheck(build, [a for m in models for a in arrays(m)], self.STEP)
+        assert err < self.TOLERANCE
+
+    def test_anchor(self, nets3):
+        gen, _, _, x, y = nets3
+        anchors = objective.AnchorSet(x=x[:, :2], y=y[:, :2])
+        self.check(lambda: objective.anchor_loss(nets.bind(gen), anchors), gen)
+
+    def test_inv(self, nets3):
+        gen, _, rec, x, _ = nets3
+        self.check(lambda: objective.inv_loss(nets.bind(gen), nets.bind(rec), x), gen, rec)
+
+    def test_gan_generator(self, nets3):
+        gen, disc, _, x, _ = nets3
+        self.check(lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc, frozen=True),
+                                                x, None)[1], gen)
+
+    def test_gan_discriminator(self, nets3):
+        gen, disc, _, x, y = nets3
+        self.check(lambda: objective.gan_losses(nets.bind(gen, frozen=True), nets.bind(disc),
+                                                x, y, detach_generator=True)[0], disc)
+
+    def test_sparsity_exact_jacobian(self, nets3):
+        gen, _, _, x, _ = nets3
+        self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, ProbeSpec(2, 1),
+                                                   "exact-jacobian-l1"), gen)
+
+    def test_sparsity_masked_fd(self, nets3):
+        gen, _, _, x, _ = nets3
+        spec = ProbeSpec(2, 1, perturbation_scale=0.05, probes_per_sample=2)
+        # the same probes at every rebuild
+        self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, spec, "masked-fd",
+                                                   np.random.default_rng(35)), gen)
+
+    def test_sees_a_frozen_constant_that_gradcheck_misses(self):
+        # loss sum(w * w0) with w0 a frozen copy of w: backward returns w0,
+        # the true gradient of sum(w * w) is 2 w
+        w = np.random.default_rng(36).standard_normal((2, 3))
+
+        def build():
+            node = ad.parameter(w)
+            return ad.node_sum(ad.elementwise_mul(node, ad.input_node(w.copy())))
+
+        assert ad.gradcheck(build(), step=1e-6, tolerance=1e-4).passed
+        assert rebuild_gradcheck(build, [w], 1e-6) > 0.1
 
 
 class TestTotalLoss:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from anchordt import trainer
+from anchordt import nets, trainer
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import SynthConfig, generate, select_anchors
 from anchordt.trainer import TrainConfig
@@ -27,6 +27,23 @@ def test_sweep_draws_each_runs_anchors_with_its_own_count_and_seed(splits):
         _, alone = trainer.train(cfg, train_split, anchors, test_split)
         assert (report.te_mean, report.te_std) == (alone.te_mean, alone.te_std)
     assert len({report.te_mean for _, report in swept}) == len(configs)
+
+
+def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
+    train_split, test_split = splits
+    cfg = TrainConfig(iterations=1, batch_size=16, diag_interval=0)
+    passes = []
+    original = nets.MlpBinding.__call__
+
+    def counted(binding, x):
+        passes.append(binding.model.layer_sizes)
+        return original(binding, x)
+
+    monkeypatch.setattr(nets.MlpBinding, "__call__", counted)
+    trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
+    # the discriminator step scores a real and a fake batch, the generator
+    # step the fake batch alone
+    assert passes.count(cfg.disc_sizes) == 3
 
 
 def test_data_dimension_is_checked_before_the_first_step(splits):

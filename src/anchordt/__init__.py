@@ -3,22 +3,21 @@
 Learns an invertible map from a source to a target distribution from
 unpaired samples plus one (or a few) aligned anchor pairs, regularized by
 the entrywise l1 norm of the map's Jacobian; ships the randomized
-sparse-probe estimator of the Jacobian's nonzero count with its two-sided
-bound checker, and a numeric verification suite for the one-dimensional
+sparse-probe estimator of the Jacobian's nonzero count with its closed-form
+expectation, and a numeric verification suite for the one-dimensional
 measure-preserving-automorphism facts that make the anchor decisive.
 """
 
-from .autodiff import GraphError, Node, backward, forward, gradcheck
+from .autodiff import GraphError, Node, backward
 from .nets import (AdamState, MlpModel, adam_init, adam_step, bind, init_mlp,
                    load_checkpoint, save_checkpoint)
 from .objective import (AnchorSet, GeneratorLossParts, LossWeights, anchor_loss,
                         gan_losses, inv_loss, sparsity_loss, total_generator_loss)
-from .sparsity import (JacobianMatrix, ProbeSample, ProbeSpec, SupportPattern,
-                       check_sandwich_bound, check_structural_sparsity,
-                       draw_probe, exact_jacobian, probe_bias_variance_study,
-                       q_estimate)
+from .sparsity import (ProbeSample, ProbeSpec, SupportPattern,
+                       check_structural_sparsity, draw_probe, exact_jacobian,
+                       probe_bias_variance_study)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,
-                        save_dataset, select_anchors, shuffle_unpaired, warp)
+                        save_dataset, select_anchors, warp)
 from .trainer import (RunReport, TrainConfig, TrainedModels, TrainingDiverged, sweep,
                       train, translation_error)
 

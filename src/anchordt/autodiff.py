@@ -1,17 +1,15 @@
 """Define-by-run reverse-mode differentiation over dense float64 matrices.
 
 Every value in a graph is a 2-D row-major float64 array.  Graphs are built
-eagerly: each op computes its value on construction.  The ops are matmul,
-add, subtract, scale, elementwise-mul, log, square, clip, abs-sum, sum,
-mean, the activations of ``ACTIVATIONS`` (leaky-relu, tanh, sigmoid), and
-dense, one network layer ``act(W @ h + b)`` as a single node.  A dense node
-keeps the activation derivative of its last evaluation (the vjp at g = 1) in
-its meta, where backward and the Jacobian masks of ``anchordt.nets`` read it.
-
-:func:`forward` re-evaluates a graph in place after leaf values change.  It
-runs every op's compute from the op table again, so whatever an op keeps
-from its forward pass (a dense node's derivative) is refreshed with the
-value; the finite-difference gradient checker relies on this.
+eagerly: each op computes its value once, on construction, and a graph is
+never re-evaluated; a value at other leaf values is a new graph.  The ops
+are matmul, add, subtract, scale, elementwise-mul, log, square, clip,
+abs-sum, sum, mean, and dense, one network layer ``act(W @ h + b)`` as a
+single node over the activations of ``ACTIVATIONS``.  A dense node keeps
+the activation derivative (the vjp at g = 1) in its meta, where backward
+and the Jacobian masks of ``anchordt.nets`` read it.  The activations are
+also ops of their own (leaky-relu, tanh, sigmoid): the primitive form that
+dense equals bit for bit.
 
 Convention used throughout the package: samples are columns, so a batch of
 N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
@@ -19,8 +17,6 @@ N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,16 +61,6 @@ class Node:
 
     def __repr__(self):
         return f"Node({self.kind}, shape={self.value.shape})"
-
-    # Small conveniences; the named functions below are the actual API.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
 
 
 def input_node(value, what: str = "input") -> Node:
@@ -255,7 +241,7 @@ def _grad_mean(node, wanted):
 
 class DenseMeta:
     """A dense node's activation and slope, and ``deriv``: the activation
-    derivative (its vjp at g = 1) from the node's last evaluation."""
+    derivative (its vjp at g = 1) at the node's pre-activation."""
 
     __slots__ = ("activation", "slope", "deriv")
 
@@ -417,21 +403,6 @@ def topo_order(root: Node) -> list[Node]:
     return order
 
 
-def forward(root: Node) -> np.ndarray:
-    """Re-evaluate the graph from current leaf values and return root.value.
-
-    Values were already computed at construction; this recomputes them in
-    place so leaves may be perturbed (gradcheck) or parameters updated.
-    """
-    for node in topo_order(root):
-        if node.parents:
-            compute, _ = _OPS[node.kind]
-            node.value = compute(tuple(p.value for p in node.parents), node.meta)
-    if not np.isfinite(root.value).all():
-        raise GraphError("forward: non-finite root value")
-    return root.value
-
-
 def backward(root: Node) -> dict[Node, np.ndarray]:
     """Reverse accumulation from a scalar root.
 
@@ -477,56 +448,3 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         if not np.isfinite(p.grad).all():
             raise GraphError("backward: non-finite adjoints")
     return {p: p.grad for p in params}
-
-
-@dataclass
-class GradcheckReport:
-    """Per-parameter worst-case deviation between adjoints and central differences.
-
-    Errors are measured relative to max(|analytic|, |numeric|, 1), i.e.
-    relative for large gradients and absolute near zero.
-    """
-
-    step: float
-    tolerance: float
-    max_rel_err: float
-    per_parameter: list[float] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
-
-
-def gradcheck(root: Node, step: float = 1e-5, tolerance: float = 1e-4) -> GradcheckReport:
-    """Compare backward() against central finite differences at the root.
-
-    Perturbs every entry of every parameter node in the graph by +-step and
-    re-runs forward.  Only meaningful away from non-smooth points (kinks of
-    leaky-relu, clip boundaries, zeros of abs-sum).
-    """
-    if step <= 0:
-        raise GraphError("gradcheck: step must be positive")
-    grads = backward(root)
-    params = [n for n in topo_order(root) if n.kind == "parameter"]
-    analytic = {id(p): grads[p].copy() for p in params}
-    per_param = []
-    worst = 0.0
-    for p in params:
-        arr = p.value
-        g = analytic[id(p)]
-        err = 0.0
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + step
-            f_plus = forward(root)[0, 0]
-            arr[idx] = orig - step
-            f_minus = forward(root)[0, 0]
-            arr[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(g[idx]), abs(numeric), 1.0)
-            err = max(err, abs(g[idx] - numeric) / denom)
-        per_param.append(err)
-        worst = max(worst, err)
-    forward(root)
-    return GradcheckReport(step=step, tolerance=tolerance, max_rel_err=worst,
-                           per_parameter=per_param)

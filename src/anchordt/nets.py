@@ -61,10 +61,6 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def copy(self) -> "MlpModel":
         return MlpModel(
             layer_sizes=self.layer_sizes,

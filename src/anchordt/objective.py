@@ -72,14 +72,15 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     is what a generator-only step wants.
 
     ``fake`` lets a caller reuse an existing g(x) node so other loss terms
-    can share the subgraph; ``detach_generator`` feeds g(x) in as a constant
-    (same values, no gradient path to the generator), which is what a
-    discriminator-only step wants.
+    can share the subgraph.  ``detach_generator`` feeds g(x) in as a
+    constant (same values, no gradient path to the generator) and builds no
+    generator loss, so the pair is (discriminator loss, None), which is what
+    a discriminator-only step wants.
 
     With r1_weight > 0 the discriminator loss additionally penalizes
-    (r1_weight / 2) * mean ||grad_y d(y)||^2 on the real batch, with the
-    gradient built from the frozen activation masks (no second-order
-    differentiation).  Off by default.
+    (r1_weight / 2) * mean ||grad_y l(y)||^2 on the real batch, l the logit
+    that the output sigmoid squashes (R1, Mescheder et al. 2018), built from
+    frozen leaky-relu masks, exact almost everywhere.  Off by default.
     """
     x_batch = _as_batch(x_batch)
     if fake is None:
@@ -89,7 +90,9 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
             fake = generator(ad.input_node(x_batch, "x-batch"))
     lo, hi = clamp_eps, 1.0 - clamp_eps
     d_fake = discriminator(fake)
-    gen_loss = ad.scale(ad.mean(ad.log(ad.clip(d_fake, lo, hi))), -1.0)
+    gen_loss = None
+    if not detach_generator:
+        gen_loss = ad.scale(ad.mean(ad.log(ad.clip(d_fake, lo, hi))), -1.0)
     if y_batch is None:
         return None, gen_loss
     y_batch = _as_batch(y_batch)
@@ -105,12 +108,14 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
 
 
 def _grad_norm_penalty(discriminator: MlpBinding, y_batch: np.ndarray) -> ad.Node:
-    """mean over the batch of ||grad_y d(y)||^2 for a scalar-output net."""
+    """mean over the batch of ||grad_y l(y)||^2, l the scalar logit."""
     d = y_batch.shape[0]
     n = y_batch.shape[1]
-    # the masks depend on y alone, so one set serves every direction
+    # the masks depend on y alone, so one set serves every direction; the
+    # output layer's is ones, which differentiates the logit
     model = discriminator.model
     masks = activation_masks(model, model.preactivations(y_batch))
+    masks[-1] = np.ones_like(masks[-1])
     total = None
     for k in range(d):
         direction = np.zeros_like(y_batch)
@@ -156,7 +161,8 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     directions are propagated in a single tiled sweep (columns k*N..k*N+N
     carry direction e_k), so the cost is one widened forward pass, not D
     per-sample graphs.  ``masks`` can pass in precomputed activation masks
-    for x_batch.
+    for x_batch.  The generator output must be identity: backward through
+    a frozen tanh or sigmoid derivative is not the loss's gradient.
 
     masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1 with a
     fresh sparse Gaussian probe per sample, averaged over
@@ -168,6 +174,9 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape
     if mode == "exact-jacobian-l1":
+        if generator.model.output_activation != "identity":
+            raise ValueError(f"{mode} needs an identity generator output, got "
+                             f"output_activation {generator.model.output_activation!r}")
         if masks is None:
             masks = activation_masks(generator.model,
                                      generator.model.preactivations(x_batch))

@@ -6,14 +6,16 @@ Three layers of machinery live here:
   evaluation, and ``batched_jvp_graph``, the in-graph Jacobian-vector
   products J(x_n) v_n that the training penalties in ``objective`` build
   on.  They use the per-layer activation derivatives of
-  ``activation_masks``, frozen as constants.  Along the identity directions
-  at one point, the JVP graph is that point's full Jacobian;
+  ``activation_masks``, frozen as constants, which is exact (almost
+  everywhere) only for leaky-relu and identity layers.  Along the identity
+  directions at one point, the JVP graph is that point's full Jacobian;
 * the randomized sparse-probe estimator of the Jacobian's nonzero count:
   draw a mask with exactly S active coordinates, fill it with Gaussian
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0
   from above, and from below within a factor 1 - (S-1)(T-1)/(2(D-1)) where
-  T is the largest row-support size; both sides are checkable here, and
-  ``q_hypergeometric`` gives the sketch's expectation in closed form.
+  T is the largest row-support size.  ``probe_bias_variance_study``
+  reports that factor as ``lower_bound_factor`` beside the sketch's bias,
+  and ``q_hypergeometric`` gives the sketch's expectation in closed form.
   Probes come in (D, count) blocks, one probe a column: ``draw_probe``
   draws the whole mask block first, then the whole Gaussian block.
   ``q_probe_samples`` keeps a different stream contract: it consumes the
@@ -42,16 +44,6 @@ DEFAULT_ZERO_THRESHOLD = 1e-9
 # float64 elements in each per-block buffer of q_probe_samples (128 KB);
 # larger blocks measured no faster at D = 1000 and raise peak memory
 PROBE_BLOCK_ELEMENTS = 1 << 14
-
-
-@dataclass
-class JacobianMatrix:
-    entries: np.ndarray
-    basepoint: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass
@@ -134,7 +126,7 @@ def draw_probe(spec: ProbeSpec, rng: np.random.Generator,
 # Jacobian extraction
 # ---------------------------------------------------------------------------
 
-def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> JacobianMatrix:
+def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian of a square map; evaluation only.
 
     Column d is (g(x + step*e_d) - g(x - step*e_d)) / (2*step).  ``model``
@@ -161,8 +153,7 @@ def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> JacobianMatrix:
     if out.shape != pts.shape:
         raise ValueError(f"map must be square, got output shape {out.shape} "
                          f"for input shape {pts.shape}")
-    entries = (out[:, :d] - out[:, d:]) / (2.0 * step)
-    return JacobianMatrix(entries=entries, basepoint=x.copy())
+    return (out[:, :d] - out[:, d:]) / (2.0 * step)
 
 
 def activation_masks(model: MlpModel, preacts: list[np.ndarray]) -> list[np.ndarray]:
@@ -202,7 +193,7 @@ def batched_jvp_graph(binding: MlpBinding, x_batch: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# randomized l0 sketch q(J) = (D/S) E ||J z||_0 and its sandwich bound
+# randomized l0 sketch q(J) = (D/S) E ||J z||_0
 # ---------------------------------------------------------------------------
 
 def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
@@ -255,18 +246,6 @@ def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
     return vals
 
 
-def q_estimate(j, spec: ProbeSpec, num_probes: int,
-               zero_threshold: float, rng: np.random.Generator) -> float:
-    """Monte Carlo estimate of q(J) = (D/S) E ||J z||_0."""
-    if num_probes < 1:
-        raise ValueError("need at least one probe")
-    if zero_threshold < 0:
-        raise ValueError("zero threshold must be >= 0")
-    entries = j.entries if isinstance(j, JacobianMatrix) else np.asarray(j)
-    return float(q_probe_samples(entries, spec.mask_size, num_probes, rng,
-                                 zero_threshold).mean())
-
-
 def q_hypergeometric(j, mask_size: int,
                      zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> float:
     """Closed form q(J) = (D/S) sum_d (1 - C(D-T_d, S)/C(D, S)), at any D.
@@ -274,53 +253,15 @@ def q_hypergeometric(j, mask_size: int,
     With Gaussian entries on the mask, (J z)_d is nonzero almost surely
     exactly when the mask hits row d's support, of size T_d.
     """
-    entries = j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=np.float64)
-    d = entries.shape[0]
-    t_sizes = (np.abs(entries) > zero_threshold).sum(axis=1)
+    j = np.asarray(j, dtype=np.float64)
+    d = j.shape[0]
+    t_sizes = (np.abs(j) > zero_threshold).sum(axis=1)
     total = math.comb(d, mask_size)
     acc = 0.0
     for t in t_sizes:
         miss = math.comb(d - int(t), mask_size) if d - int(t) >= mask_size else 0
         acc += 1.0 - miss / total
     return (d / mask_size) * acc
-
-
-@dataclass
-class SandwichVerdict:
-    holds: bool
-    lower: float
-    upper: float
-    T: int
-    l0: int
-    slack: float = 0.0
-
-
-def check_sandwich_bound(j, mask_size: int, q_value: float,
-                         zero_threshold: float = DEFAULT_ZERO_THRESHOLD,
-                         mc_slack: float = 0.0) -> SandwichVerdict:
-    """Check ||J||_0 >= q >= (1 - (S-1)(T-1)/(2(D-1))) ||J||_0.
-
-    ``mc_slack`` widens both sides for Monte Carlo q estimates (pass the
-    3-sigma standard error); exact q values use slack 0.  Both comparisons
-    carry a representation-level epsilon: when every row support has size T
-    the lower bound is attained exactly, and the two float paths may differ
-    by an ulp.
-    """
-    entries = j.entries if isinstance(j, JacobianMatrix) else np.asarray(j, dtype=np.float64)
-    d = entries.shape[0]
-    t_sizes = (np.abs(entries) > zero_threshold).sum(axis=1)
-    t_max = int(t_sizes.max()) if d else 0
-    l0 = int(t_sizes.sum())
-    if d <= 1:
-        factor = 1.0
-    else:
-        factor = 1.0 - (mask_size - 1) * (t_max - 1) / (2.0 * (d - 1))
-    lower = factor * l0
-    upper = float(l0)
-    eps = 1e-12 * max(1.0, float(l0))
-    holds = (lower - mc_slack - eps) <= q_value <= (upper + mc_slack + eps)
-    return SandwichVerdict(holds=holds, lower=lower, upper=upper, T=t_max,
-                           l0=l0, slack=mc_slack)
 
 
 # ---------------------------------------------------------------------------

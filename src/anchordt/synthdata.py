@@ -76,10 +76,6 @@ class PairedDataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def pair_residual(self) -> float:
-        """Max |x - (t*cos(Ay) + Ay)| over the dataset; 0 up to float noise."""
-        return float(np.abs(self.x - warp(self.y, self.t, self.permutation)).max())
-
 
 def _make_split(n: int, t, cfg: SynthConfig, rng: np.random.Generator) -> PairedDataset:
     y1 = rng.uniform(-1.0, 1.0, size=n)
@@ -119,13 +115,6 @@ def select_anchors(train: PairedDataset, count: int, seed: int) -> AnchorSet:
     return AnchorSet(x=train.x[idx].T, y=train.y[idx].T)
 
 
-def shuffle_unpaired(dataset: PairedDataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independently permuted x and y streams, so alignment is never observed."""
-    rng = np.random.default_rng(seed)
-    return (dataset.x[rng.permutation(len(dataset))],
-            dataset.y[rng.permutation(len(dataset))])
-
-
 # ---------------------------------------------------------------------------
 # file I/O: CSV rows of aligned pairs plus a key=value metadata sidecar
 # ---------------------------------------------------------------------------
@@ -150,10 +139,10 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
         lines.append(",".join(row))
     with open(os.path.join(directory, csv_name), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    perm = ";".join(",".join(map(format_float, row)) for row in dataset.permutation)
     meta = {"seed": str(dataset.seed), "t_mode": dataset.t_mode,
             "t": "per-sample" if per_sample else format_float(dataset.t),
-            "permutation": perm, "num_samples": str(len(dataset))}
+            "permutation": configio.format_matrix(dataset.permutation),
+            "num_samples": str(len(dataset))}
     configio.save({"dataset": meta}, os.path.join(directory, meta_name))
     return [csv_name, meta_name]
 
@@ -161,8 +150,7 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
 def load_dataset(directory, prefix: str) -> PairedDataset:
     fields = configio.load(os.path.join(directory, f"{prefix}.meta"))["dataset"]
     t_mode = fields["t_mode"]
-    perm = np.array([[float(v) for v in row.split(",")]
-                     for row in fields["permutation"].split(";")])
+    perm = configio.parse_matrix(fields["permutation"])
     with open(os.path.join(directory, f"{prefix}.csv"), "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])

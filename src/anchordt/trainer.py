@@ -95,7 +95,6 @@ class RunReport:
     te_mean: float | None
     te_std: float | None
     wall_time: float
-    checkpoint_path: str | None = None
 
     def trace_csv_lines(self) -> list[str]:
         names = list(self.losses)
@@ -238,15 +237,13 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
     te_mean = te_std = None
     if test_data is not None:
         te_mean, te_std = translation_error(gen, test_data)
-    checkpoint_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        checkpoint_path = os.path.join(out_dir, "generator.ckpt")
-        save_checkpoint(gen, checkpoint_path)
+        save_checkpoint(gen, os.path.join(out_dir, "generator.ckpt"))
         save_checkpoint(disc, os.path.join(out_dir, "discriminator.ckpt"))
         save_checkpoint(rec, os.path.join(out_dir, "reconstructor.ckpt"))
     report = RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,
-                       te_std=te_std, wall_time=wall, checkpoint_path=checkpoint_path)
+                       te_std=te_std, wall_time=wall)
     return TrainedModels(generator=gen, discriminator=disc, reconstructor=rec), report
 
 

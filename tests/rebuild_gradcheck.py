@@ -1,11 +1,11 @@
 """Gradient check against central differences of the *rebuilt* loss.
 
-``autodiff.gradcheck`` perturbs a weight and re-runs ``forward`` over the
-same graph, so every constant frozen into the graph at build time (an
-activation mask, a detached g(x)) keeps its old value.  A term whose
-backward treats such a constant as fixed, where the loss really depends on
-the weights through it, passes that check.  Here the loss is built again
-from a closure at every perturbed weight, so nothing frozen is reused.
+A check that perturbs a weight and re-evaluates the same graph keeps every
+constant frozen into the graph at build time (an activation mask, a
+detached g(x)) at its old value.  A term whose backward treats such a
+constant as fixed, where the loss really depends on the weights through it,
+passes that check.  Here the loss is built again from a closure at every
+perturbed weight, so nothing frozen is reused.
 """
 
 import numpy as np
@@ -20,9 +20,12 @@ def rebuild_gradcheck(build, arrays, step=1e-5):
     ``arrays`` (model weights and biases, read through parameter nodes that
     alias them).  The analytic gradient of an array sums the adjoints of
     every parameter node that aliases it, and is zero when none does.
-    Errors are relative to max(|analytic|, |numeric|, 1), as in
-    ``autodiff.GradcheckReport``.
+    Each entry's error is |analytic - numeric| / max(|analytic|, |numeric|,
+    1): relative for large gradients, absolute near zero.  Every array is
+    left as it was.
     """
+    if step <= 0:
+        raise ValueError("step must be positive")
     root = build()
     ad.backward(root)
     params = [n for n in ad.topo_order(root) if n.kind == "parameter"]

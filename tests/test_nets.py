@@ -33,7 +33,8 @@ def hand_adam(w0, grads, lr, b1, b2, eps):
 class TestInit:
     def test_parameter_count(self):
         model = nets.init_mlp((2, 32, 2), seed=7)
-        assert model.num_params == 2 * 32 + 32 + 32 * 2 + 2 == 162
+        sizes = [p.size for p in nets.param_order(model.weights, model.biases)]
+        assert sizes == [2 * 32, 32, 32 * 2, 2]
 
     def test_same_seed_bit_identical(self):
         a = nets.init_mlp((2, 32, 2), seed=7)

@@ -9,6 +9,10 @@ from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe
 from rebuild_gradcheck import rebuild_gradcheck
 
 
+def arrays(model):
+    return nets.param_order(model.weights, model.biases)
+
+
 def constant_half_discriminator() -> nets.MlpModel:
     """All-zero weights + sigmoid output = exactly 0.5 everywhere."""
     model = nets.init_mlp((2, 4, 1), output_activation="sigmoid", seed=0)
@@ -55,20 +59,20 @@ class TestGanLosses:
         assert dl.value[0, 0] == pytest.approx(0.0, abs=1e-6)
 
     def test_generator_gradient_matches_finite_differences(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=3))
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=4))
+        gen = nets.init_mlp((2, 4, 2), seed=3)
+        disc = nets.init_mlp((2, 4, 1), "sigmoid", seed=4)
         rng = np.random.default_rng(5)
-        _, gl = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
-                                     rng.standard_normal((2, 6)))
-        assert ad.gradcheck(gl, step=1e-5, tolerance=1e-4).passed
+        x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+        build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[1]
+        assert rebuild_gradcheck(build, arrays(gen) + arrays(disc)) < 1e-4
 
     def test_discriminator_gradient_matches_finite_differences(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=6))
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=7))
+        gen = nets.init_mlp((2, 4, 2), seed=6)
+        disc = nets.init_mlp((2, 4, 1), "sigmoid", seed=7)
         rng = np.random.default_rng(8)
-        dl, _ = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
-                                     rng.standard_normal((2, 6)))
-        assert ad.gradcheck(dl, step=1e-5, tolerance=1e-4).passed
+        x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
+        build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[0]
+        assert rebuild_gradcheck(build, arrays(gen) + arrays(disc)) < 1e-4
 
     def test_detached_generator_receives_no_gradient(self):
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
@@ -80,6 +84,19 @@ class TestGanLosses:
         grads = ad.backward(dl)
         assert all(node not in grads for node in gen.param_nodes)
 
+    def test_detached_generator_builds_no_generator_loss(self, monkeypatch):
+        logs = []
+        original = ad.log
+        monkeypatch.setattr(ad, "log", lambda a: logs.append(a) or original(a))
+        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
+        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=10))
+        rng = np.random.default_rng(11)
+        losses = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
+                                      rng.standard_normal((2, 6)),
+                                      detach_generator=True)
+        assert losses[1] is None
+        assert len(logs) == 2   # log d(y) and log(1 - d(g(x))) alone
+
     def test_empty_batch_rejected(self):
         gen = nets.bind(identity_model())
         disc = nets.bind(constant_half_discriminator())
@@ -87,15 +104,18 @@ class TestGanLosses:
             objective.gan_losses(gen, disc, np.empty((2, 0)), np.ones((2, 3)))
 
     def test_r1_penalty_increases_disc_loss_and_gradchecks(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12))
+        gen_model = nets.init_mlp((2, 4, 2), seed=12)
         disc_model = nets.init_mlp((2, 4, 1), "sigmoid", seed=13)
+        gen = nets.bind(gen_model)
         rng = np.random.default_rng(14)
         x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
         plain, _ = objective.gan_losses(gen, nets.bind(disc_model), x, y)
         reg, _ = objective.gan_losses(gen, nets.bind(disc_model), x, y,
                                       r1_weight=3.0)
         assert reg.value[0, 0] > plain.value[0, 0]
-        assert ad.gradcheck(reg, step=1e-5, tolerance=1e-4).passed
+        build = lambda: objective.gan_losses(nets.bind(gen_model), nets.bind(disc_model),
+                                             x, y, r1_weight=3.0)[0]
+        assert rebuild_gradcheck(build, arrays(gen_model) + arrays(disc_model)) < 1e-4
 
     def test_r1_penalty_runs_one_forward_pass_for_all_directions(self, monkeypatch):
         calls = []
@@ -141,12 +161,12 @@ class TestAnchorLoss:
             objective.anchor_loss(nets.bind(identity_model()), anchors)
 
     def test_gradcheck(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=15))
+        gen = nets.init_mlp((2, 4, 2), seed=15)
         rng = np.random.default_rng(16)
         anchors = objective.AnchorSet(x=rng.standard_normal((2, 3)),
                                       y=rng.standard_normal((2, 3)))
-        node = objective.anchor_loss(gen, anchors)
-        assert ad.gradcheck(node, step=1e-5, tolerance=1e-4).passed
+        build = lambda: objective.anchor_loss(nets.bind(gen), anchors)
+        assert rebuild_gradcheck(build, arrays(gen)) < 1e-4
 
 
 class TestInvLoss:
@@ -164,14 +184,15 @@ class TestInvLoss:
         assert node.value[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradcheck_both_networks(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=17))
-        rec = nets.bind(nets.init_mlp((2, 4, 2), seed=18))
-        node = objective.inv_loss(gen, rec,
-                                  np.random.default_rng(2).standard_normal((2, 5)))
-        grads = ad.backward(node)
+        gen_model = nets.init_mlp((2, 4, 2), seed=17)
+        rec_model = nets.init_mlp((2, 4, 2), seed=18)
+        gen, rec = nets.bind(gen_model), nets.bind(rec_model)
+        x = np.random.default_rng(2).standard_normal((2, 5))
+        grads = ad.backward(objective.inv_loss(gen, rec, x))
         assert any(np.abs(grads[p]).max() > 0 for p in gen.param_nodes)
         assert any(np.abs(grads[p]).max() > 0 for p in rec.param_nodes)
-        assert ad.gradcheck(node, step=1e-5, tolerance=1e-4).passed
+        build = lambda: objective.inv_loss(nets.bind(gen_model), nets.bind(rec_model), x)
+        assert rebuild_gradcheck(build, arrays(gen_model) + arrays(rec_model)) < 1e-4
 
     def test_dim_mismatch_rejected(self):
         gen = nets.bind(nets.init_mlp((2, 4, 3), seed=0))
@@ -279,32 +300,38 @@ class TestSparsityLoss:
         with pytest.raises(ValueError, match="mode"):
             objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(2, 1), "l2")
 
+    def test_exact_mode_rejects_a_non_identity_output(self):
+        # a frozen tanh' is wrong once the weights move; masked-fd stays allowed
+        model = nets.init_mlp((2, 4, 2), output_activation="tanh", seed=24)
+        x = np.random.default_rng(11).standard_normal((2, 3))
+        with pytest.raises(ValueError, match="output_activation 'tanh'"):
+            objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
+                                    "exact-jacobian-l1")
+        objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1), "masked-fd",
+                                np.random.default_rng(12))
+
     def test_exact_mode_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=22)
         x = np.random.default_rng(8).standard_normal((2, 4)) + 0.4
         assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
-        gen = nets.bind(model)
-        node = objective.sparsity_loss(gen, x, ProbeSpec(2, 1), "exact-jacobian-l1")
-        assert ad.gradcheck(node, step=1e-6, tolerance=1e-4).passed
+        build = lambda: objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
+                                                "exact-jacobian-l1")
+        assert rebuild_gradcheck(build, arrays(model), 1e-6) < 1e-4
 
     def test_masked_fd_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=23)
         x = np.random.default_rng(9).standard_normal((2, 3)) + 0.3
         spec = ProbeSpec(2, 2, perturbation_scale=0.05, probes_per_sample=2)
-        node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
-                                       np.random.default_rng(10))
-        assert ad.gradcheck(node, step=1e-6, tolerance=1e-4).passed
-
-
-def arrays(model):
-    return nets.param_order(model.weights, model.biases)
+        # the same probes at every rebuild
+        build = lambda: objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
+                                                np.random.default_rng(10))
+        assert rebuild_gradcheck(build, arrays(model), 1e-6) < 1e-4
 
 
 class TestRebuildGradcheck:
     """Every loss term through MlpBinding graphs, checked against the loss
     rebuilt at each perturbed weight, so masks frozen at build time are
-    recomputed too.  R1 (r1_weight > 0) is left out: its frozen sigmoid
-    derivative makes its gradient wrong, which this check shows."""
+    recomputed too."""
 
     STEP, TOLERANCE = 1e-6, 1e-4
 
@@ -344,6 +371,13 @@ class TestRebuildGradcheck:
         self.check(lambda: objective.gan_losses(nets.bind(gen, frozen=True), nets.bind(disc),
                                                 x, y, detach_generator=True)[0], disc)
 
+    @pytest.mark.parametrize("r1_weight", [1.0, 3.0])
+    def test_gan_discriminator_r1(self, nets3, r1_weight):
+        gen, disc, _, x, y = nets3
+        self.check(lambda: objective.gan_losses(nets.bind(gen, frozen=True), nets.bind(disc),
+                                                x, y, r1_weight=r1_weight,
+                                                detach_generator=True)[0], disc)
+
     def test_sparsity_exact_jacobian(self, nets3):
         gen, _, _, x, _ = nets3
         self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, ProbeSpec(2, 1),
@@ -365,7 +399,12 @@ class TestRebuildGradcheck:
             node = ad.parameter(w)
             return ad.node_sum(ad.elementwise_mul(node, ad.input_node(w.copy())))
 
-        assert ad.gradcheck(build(), step=1e-6, tolerance=1e-4).passed
+        # a check that keeps the constant from the first build, as one that
+        # re-evaluates the same graph does, agrees with backward
+        w0 = w.copy()
+        same_graph = lambda: ad.node_sum(ad.elementwise_mul(ad.parameter(w),
+                                                            ad.input_node(w0)))
+        assert rebuild_gradcheck(same_graph, [w], 1e-6) < 1e-4
         assert rebuild_gradcheck(build, [w], 1e-6) > 0.1
 
 

@@ -1,10 +1,13 @@
 #!/bin/sh
 # usage: manifest_diff.sh BASE_TREE HEAD_TREE
 #
-# Runs gen-data, a 20-iteration default train and an 8-iteration masked-fd
-# train from the sources of each checkout, then prints the diff of their
-# manifest.txt files with the output paths replaced by OUT.  Exits non-zero
-# when any manifest differs.
+# Runs gen-data, a 20-iteration default train, an 8-iteration masked-fd
+# train and a 20-iteration train with the R1 penalty on from the sources of
+# each checkout.  For each run it compares the [checksums] section of
+# manifest.txt (the artifact bytes) apart from the rest, the config echo,
+# with the output paths replaced by OUT, prints the diff of whichever part
+# differs and one line such as "train: checksums identical, config echo
+# differs".  Exits non-zero when any part of any manifest differs.
 set -eu
 unset ANCHORDT_SEED
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
@@ -17,20 +20,32 @@ runs() {
         --override train.iterations=20 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/fd" \
         --override train.iterations=8 --override train.sparsity_mode=masked-fd > /dev/null
-    for run in data train fd; do
-        sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/$run.$2"
+    PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
+        --override train.iterations=20 --override train.r1_weight=1 \
+        --override train.batch_size=128 > /dev/null
+    for run in data train fd r1; do
+        # [checksums] is the manifest's last section
+        sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
+        sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
+        sed '/^\[checksums\]$/,$d' "$work/manifest" > "$work/$run.echo.$2"
     done
 }
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train fd; do
-    if diff "$work/$run.base" "$work/$run.head"; then
-        echo "$run: manifest.txt identical"
-    else
-        echo "$run: manifest.txt differs"
-        status=1
-    fi
+for run in data train fd r1; do
+    verdict=""
+    for part in checksums echo; do
+        name=$part
+        [ $part = echo ] && name="config echo"
+        if diff "$work/$run.$part.base" "$work/$run.$part.head"; then
+            verdict="$verdict, $name identical"
+        else
+            verdict="$verdict, $name differs"
+            status=1
+        fi
+    done
+    echo "$run:${verdict#,}"
 done
 rm -rf "$work"
 exit $status

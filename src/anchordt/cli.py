@@ -101,7 +101,7 @@ def cmd_train(config, out_dir):
     io = _read_io(config, DataIo)
     train_split, test_split = _load_splits(io.data_dir)
     anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
-    os.makedirs(out_dir, exist_ok=True)
+    # train() makes out_dir once the config has passed its checks on the data
     models, report = train(cfg, train_split, anchors, test_split, out_dir)
     artifacts = ["generator.ckpt", "discriminator.ckpt", "reconstructor.ckpt"]
     artifacts.append(_write_lines(out_dir, "trace.csv", report.trace_csv_lines()))
@@ -419,7 +419,6 @@ def cmd_ablate(config, out_dir):
         runs = [(case, replace(cfg, seed=seed, weights=replace(
                     cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
                 for case in ablate.cases for seed in ablate.seeds]
-    os.makedirs(out_dir, exist_ok=True)
     lines = [f"{column},seed,te_mean,te_std"]
     te_by_label = {}
     reports = sweep([run_cfg for _, run_cfg in runs], train_split, test_split)
@@ -428,6 +427,8 @@ def cmd_ablate(config, out_dir):
                      f"{format_float(report.te_std)}")
         te_by_label.setdefault(label, []).append(report.te_mean)
         print(f"ablate: {column}={label} seed={run_cfg.seed} TE={report.te_mean:.4f}")
+    # made after the runs: the first one checks the config against the data
+    os.makedirs(out_dir, exist_ok=True)
     artifacts = [_write_lines(out_dir, name, lines)]
     if not ablate.anchor_sweep:
         medians = {case: float(np.median(tes)) for case, tes in te_by_label.items()}

@@ -130,22 +130,23 @@ def read(base, sections, name: str):
     Raises ConfigError for a key that names no field or a value its field's
     type cannot parse; the dataclass's own checks raise ValueError.
     """
-    entries = dict(sections.get(name, {}))
-    changes = {}
+    entries = sections.get(name, {})
     fields = _fields(type(base))
+    known = [key for key, kind in fields if not dataclasses.is_dataclass(kind)]
+    for key in entries:   # named before any nested section is read
+        if key not in known:
+            raise ConfigError(f"[{name}] unknown key {key!r}; "
+                              f"known keys: {', '.join(known)}")
+    changes = {}
     for key, kind in fields:
         if dataclasses.is_dataclass(kind):
             changes[key] = read(getattr(base, key), sections, key)
         elif key in entries:
-            raw = entries.pop(key)
+            raw = entries[key]
             try:
                 changes[key] = _CODECS[kind][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from None
-    if entries:
-        known = [key for key, kind in fields if not dataclasses.is_dataclass(kind)]
-        raise ConfigError(f"[{name}] unknown key {next(iter(entries))!r}; "
-                          f"known keys: {', '.join(known)}")
     return dataclasses.replace(base, **changes)
 
 

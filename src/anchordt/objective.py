@@ -108,14 +108,13 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
 
 
 def _grad_norm_penalty(discriminator: MlpBinding, y_batch: np.ndarray) -> ad.Node:
-    """mean over the batch of ||grad_y l(y)||^2, l the scalar logit."""
-    d = y_batch.shape[0]
-    n = y_batch.shape[1]
+    """mean over the batch of ||grad_y l(y)||^2, l the scalar logit; reads the
+    masks that the discriminator's last pass, over y_batch, left behind."""
+    d, n = y_batch.shape
     # the masks depend on y alone, so one set serves every direction; the
     # output layer's is ones, which differentiates the logit
-    model = discriminator.model
-    masks = activation_masks(model, model.preactivations(y_batch))
-    masks[-1] = np.ones_like(masks[-1])
+    derivs = discriminator.last_derivs
+    masks = derivs[:-1] + [np.ones_like(derivs[-1])]
     total = None
     for k in range(d):
         direction = np.zeros_like(y_batch)
@@ -192,7 +191,7 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
         delta = spec.perturbation_scale
         base = fake if fake is not None else generator(
             ad.input_node(x_batch, "x-batch"))
-        probes = draw_probe(spec, rng, n * spec.probes_per_sample).probe
+        probes = draw_probe(spec, d, rng, n * spec.probes_per_sample).probe
         total = None
         for r in range(spec.probes_per_sample):
             z = probes[:, r * n:(r + 1) * n]

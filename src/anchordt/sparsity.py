@@ -17,7 +17,9 @@ Three layers of machinery live here:
   reports that factor as ``lower_bound_factor`` beside the sketch's bias,
   and ``q_hypergeometric`` gives the sketch's expectation in closed form.
   Probes come in (D, count) blocks, one probe a column: ``draw_probe``
-  draws the whole mask block first, then the whole Gaussian block.
+  draws the whole mask block first, then the whole Gaussian block.  D is
+  the data's dimension, which the caller passes; a ``ProbeSpec`` holds S
+  and the probe's scale and count alone.
   ``q_probe_samples`` keeps a different stream contract: it consumes the
   same draws as count-1 ``draw_probe`` calls in sequence, D mask keys then
   D Gaussian entries a probe, and scores the probes in blocks;
@@ -33,7 +35,7 @@ call per loss, a block holding every sample's probe for every round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +50,15 @@ PROBE_BLOCK_ELEMENTS = 1 << 14
 
 @dataclass
 class ProbeSpec:
-    dimension: int
+    """Mask size S, scale and count of the masked-FD probes.  D, the data's
+    dimension, comes from the caller of ``draw_probe``; S must not exceed it."""
     mask_size: int
     perturbation_scale: float = 0.01
     probes_per_sample: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.mask_size <= self.dimension:
-            raise ValueError(
-                f"mask size {self.mask_size} not in [1, {self.dimension}]")
+        if self.mask_size < 1:
+            raise ValueError(f"mask size {self.mask_size} must be at least 1")
         if self.perturbation_scale <= 0:
             raise ValueError("perturbation scale must be positive")
         if self.probes_per_sample < 1:
@@ -66,8 +68,7 @@ class ProbeSpec:
 @dataclass
 class ProbeSample:
     mask: np.ndarray      # bool (D, count), exactly S True entries a column
-    epsilon: np.ndarray   # standard normal (D, count)
-    probe: np.ndarray     # mask * epsilon
+    probe: np.ndarray     # standard normal entries on the mask, zero off it
 
 
 @dataclass
@@ -108,18 +109,19 @@ def random_mask(dimension: int, size: int, rng: np.random.Generator,
     return mask
 
 
-def draw_probe(spec: ProbeSpec, rng: np.random.Generator,
+def draw_probe(spec: ProbeSpec, dimension: int, rng: np.random.Generator,
                count: int = 1) -> ProbeSample:
-    """count sparse Gaussian probes as (D, count) blocks, one probe a column.
+    """count sparse Gaussian probes in R^dimension as (D, count) blocks, one
+    probe a column.
 
-    Each column is a uniform mask of S coordinates times N(0, I).  The whole
-    mask block is drawn first, then the whole Gaussian block, so masks and
-    entries are independent and the stream is reproducible; the stream
+    Each column is a uniform mask of S <= D coordinates times N(0, I).  The
+    whole mask block is drawn first, then the whole Gaussian block, so masks
+    and entries are independent and the stream is reproducible; the stream
     depends on count, so one block of n probes is not n single draws.
     """
-    mask = random_mask(spec.dimension, spec.mask_size, rng, count)
-    eps = rng.standard_normal((spec.dimension, count))
-    return ProbeSample(mask=mask, epsilon=eps, probe=np.where(mask, eps, 0.0))
+    mask = random_mask(dimension, spec.mask_size, rng, count)
+    eps = rng.standard_normal((dimension, count))
+    return ProbeSample(mask=mask, probe=np.where(mask, eps, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,8 @@ def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
     """
     j = np.asarray(j, dtype=np.float64)
     d = j.shape[0]
-    ProbeSpec(dimension=d, mask_size=mask_size)   # checks 1 <= S <= D
+    if not 1 <= mask_size <= d:
+        raise ValueError(f"mask size {mask_size} not in [1, {d}]")
     # J's nonzeros in column order, rows ascending within a column
     flat = np.flatnonzero(j != 0)
     flat = flat[np.argsort(flat % d, kind="stable")]
@@ -327,8 +330,6 @@ class StudyRow:
 @dataclass
 class StudyResult:
     rows: list[StudyRow]
-    # per mask size: arrays over matrices of (q_hat, ||J||_0, per-probe variance)
-    per_matrix: dict = field(default_factory=dict)
 
     def csv_lines(self) -> list[str]:
         out = ["S,mean_rel_bias,variance,lower_bound_factor"]
@@ -348,12 +349,14 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
     variance is that of a single probe (not of the averaged estimate), and
     the bias is relative to the true nonzero count.
     """
-    if min(dimension, row_support, num_matrices, mc_samples) < 1:
+    if min(dimension, row_support, num_matrices) < 1:
         raise ValueError("all study parameters must be positive")
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples = {mc_samples} must be at least 2")
     mats = [random_sparse_jacobian(dimension, row_support, rng)
             for _ in range(num_matrices)]
     l0s = np.array([np.count_nonzero(np.abs(m) > zero_threshold) for m in mats])
-    rows, per_matrix = [], {}
+    rows = []
     for s in mask_sizes:
         q_hats = np.empty(num_matrices)
         variances = np.empty(num_matrices)
@@ -370,6 +373,4 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
                              mean_rel_bias=float(rel_bias.mean()),
                              variance=float(variances.mean()),
                              lower_bound_factor=factor))
-        per_matrix[int(s)] = {"q_hat": q_hats, "l0": l0s.astype(float),
-                              "variance": variances}
-    return StudyResult(rows=rows, per_matrix=per_matrix)
+    return StudyResult(rows=rows)

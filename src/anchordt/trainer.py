@@ -4,7 +4,9 @@ a sweep that trains a list of configs in turn.
 One iteration draws independent unpaired minibatches, takes the configured
 number of discriminator steps, then one combined generator+reconstructor
 step on the weighted total loss.  Everything is seeded through a single
-SeedSequence so identical configs and data give bit-identical traces.
+SeedSequence so identical configs and data give bit-identical traces.  A
+config names the networks' hidden widths alone: train() builds their sizes
+(D, *hidden, D) and (D, *hidden, 1) from the dimension D of the data.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     anchor_count: int = 1
     sparsity_mode: str = "exact-jacobian-l1"
-    probe: ProbeSpec = field(default_factory=lambda: ProbeSpec(2, 1, 0.01, 8))
+    probe: ProbeSpec = field(default_factory=lambda: ProbeSpec(1, 0.01, 8))
     learning_rate: float = 1e-3
     batch_size: int = 1024
     iterations: int = 7000
@@ -48,9 +50,10 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    gen_sizes: tuple[int, ...] = (2, 32, 32, 2)
-    disc_sizes: tuple[int, ...] = (2, 64, 64, 1)
-    rec_sizes: tuple[int, ...] = (2, 32, 32, 2)
+    # hidden-layer widths; the input and output sizes come from the data
+    gen_hidden: tuple[int, ...] = (32, 32)
+    disc_hidden: tuple[int, ...] = (64, 64)
+    rec_hidden: tuple[int, ...] = (32, 32)
     clamp_eps: float = 1e-7
     r1_weight: float = 0.0
     diag_interval: int = 500
@@ -66,19 +69,9 @@ class TrainConfig:
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ValueError(f"sparsity_mode {self.sparsity_mode!r} is not one of "
                              f"{SPARSITY_MODES}")
-        gen, disc, rec = self.gen_sizes, self.disc_sizes, self.rec_sizes
-        if min(len(gen), len(disc), len(rec)) < 2:
-            raise ValueError("gen_sizes, disc_sizes and rec_sizes each need an input "
-                             "and an output size")
-        # g maps data to data, f inverts g, and d scores g's outputs
-        for name, value, other, expected in (
-                ("gen_sizes[-1]", gen[-1], "rec_sizes[0]", rec[0]),
-                ("rec_sizes[-1]", rec[-1], "gen_sizes[0]", gen[0]),
-                ("disc_sizes[0]", disc[0], "gen_sizes[-1]", gen[-1]),
-                ("disc_sizes[-1]", disc[-1], "the score size", 1),
-                ("probe.dimension", self.probe.dimension, "gen_sizes[0]", gen[0])):
-            if value != expected:
-                raise ValueError(f"{name} = {value} must equal {other} = {expected}")
+        for name in ("gen_hidden", "disc_hidden", "rec_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)}: widths must be positive")
 
 
 @dataclass
@@ -122,11 +115,11 @@ def translation_error(generator: MlpModel, test: PairedDataset) -> tuple[float, 
     return float(te.mean()), float(te.std())
 
 
-def _init_models(config: TrainConfig):
+def _init_models(config: TrainConfig, d: int):
     seeds = np.random.SeedSequence(config.seed).spawn(5)
-    gen = init_mlp(config.gen_sizes, "identity", seeds[0])
-    disc = init_mlp(config.disc_sizes, "sigmoid", seeds[1])
-    rec = init_mlp(config.rec_sizes, "identity", seeds[2])
+    gen = init_mlp((d, *config.gen_hidden, d), "identity", seeds[0])
+    disc = init_mlp((d, *config.disc_hidden, 1), "sigmoid", seeds[1])
+    rec = init_mlp((d, *config.rec_hidden, d), "identity", seeds[2])
     batch_rng = np.random.default_rng(seeds[3])
     probe_rng = np.random.default_rng(seeds[4])
     return gen, disc, rec, batch_rng, probe_rng
@@ -136,16 +129,19 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
           test_data: PairedDataset | None = None, out_dir=None):
     """Run the full alternating loop; returns (TrainedModels, RunReport).
 
-    Aborts with TrainingDiverged on a non-finite loss, leaving last-good
-    checkpoints in out_dir when one is given.  With zero iterations the
-    freshly initialized models are evaluated as-is.
+    The data's dimension D sizes the networks.  A probe mask wider than D
+    is rejected before any model or out_dir exists.  Aborts with
+    TrainingDiverged on a non-finite loss, leaving last-good checkpoints in
+    out_dir when one is given.  With zero iterations the freshly
+    initialized models are evaluated as-is.
     """
-    if train_data.x.shape[1] != config.gen_sizes[0]:
-        raise ValueError(f"data dimension {train_data.x.shape[1]} != gen_sizes[0] = "
-                         f"{config.gen_sizes[0]}")
+    d = train_data.x.shape[1]
+    if config.probe.mask_size > d:
+        raise ValueError(f"probe.mask_size = {config.probe.mask_size} exceeds the "
+                         f"data dimension D = {d}")
     if config.weights.anchor > 0 and anchors.size < config.anchor_count:
         raise ValueError(f"config expects {config.anchor_count} anchors, got {anchors.size}")
-    gen, disc, rec, batch_rng, probe_rng = _init_models(config)
+    gen, disc, rec, batch_rng, probe_rng = _init_models(config, d)
     gen_state = adam_init(gen, config.learning_rate, config.beta1, config.beta2,
                           config.epsilon)
     disc_state = adam_init(disc, config.learning_rate, config.beta1, config.beta2,

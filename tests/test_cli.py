@@ -93,23 +93,42 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
 @pytest.mark.parametrize("verb, overrides, message", [
     ("train", ["train.iteration=2"], "unknown key 'iteration'"),
     ("probe-study", ["probe_study.exact_overlay=maybe"], "exact_overlay = 'maybe'"),
-    ("train", ["train.gen_sizes=2,8,3"], "gen_sizes[-1] = 3 must equal rec_sizes[0] = 2"),
-    ("train", ["probe.dimension=3"], "probe.dimension = 3 must equal gen_sizes[0] = 2"),
+    ("train", ["train.gen_sizes=2,8,2"], "[train] unknown key 'gen_sizes'"),
+    ("train", ["probe.dimension=2"], "[probe] unknown key 'dimension'"),
     ("train", ["train.sparsity_mode=exact"], "sparsity_mode 'exact'"),
     ("gen-data", ["data.t_min=0.6", "data.t_max=0.1"], "t_min = 0.6 exceeds t_max = 0.1"),
     ("mpa-check", ["mpa_check.samples=0"], "samples = 0 must be at least 2"),
     ("mpa-check", ["mpa_check.tolerance=0"], "tolerance = 0.0 must be positive"),
+    ("train", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
+    ("ablate", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
+    ("probe-study", ["probe_study.mc_samples=1"], "mc_samples = 1 must be at least 2"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
     argv = [verb, "--out-dir", str(tmp_path / "out")]
-    if verb == "train":
+    if verb in ("train", "ablate"):
         argv += ["--data-dir", str(data_dir)]
     for item in overrides:
         argv += ["--override", item]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
+    # a manifest from before the networks' sizes came from the data
+    train(data_dir, tmp_path / "run", "exact-jacobian-l1")
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    for new, old in (("gen_hidden = 32,32", "gen_sizes = 2,32,32,2"),
+                     ("disc_hidden = 64,64", "disc_sizes = 2,64,64,1"),
+                     ("rec_hidden = 32,32", "rec_sizes = 2,32,32,2"),
+                     ("[config.probe]\n", "[config.probe]\ndimension = 2\n")):
+        assert new in text
+        text = text.replace(new, old)
+    (tmp_path / "old.txt").write_text(text)
+    with pytest.raises(configio.ConfigError, match="unknown key 'gen_sizes'"):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
 
 
 @pytest.mark.parametrize("override, message", [

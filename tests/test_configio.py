@@ -19,20 +19,18 @@ counts = st.integers(0, 10**6)
 
 @st.composite
 def train_configs(draw):
-    # g: d -> e, f: e -> d, d: e -> 1, probes in the data dimension d
-    d, e = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     hidden = lambda: tuple(draw(st.lists(st.integers(1, 64), max_size=3)))
     weights = LossWeights(draw(non_negative), draw(non_negative), draw(non_negative))
     return TrainConfig(
         weights=weights, anchor_count=draw(st.integers(int(weights.anchor > 0), 10**6)),
         sparsity_mode=draw(st.sampled_from(SPARSITY_MODES)),
-        probe=ProbeSpec(d, draw(st.integers(1, d)), draw(positive),
+        probe=ProbeSpec(draw(st.integers(1, 64)), draw(positive),
                         draw(st.integers(1, 64))),
         learning_rate=draw(finite), batch_size=draw(st.integers(1, 10**6)),
         iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
         seed=draw(st.integers(-2**63, 2**63)), beta1=draw(finite), beta2=draw(finite),
-        epsilon=draw(finite), gen_sizes=(d, *hidden(), e),
-        disc_sizes=(e, *hidden(), 1), rec_sizes=(e, *hidden(), d),
+        epsilon=draw(finite), gen_hidden=hidden(), disc_hidden=hidden(),
+        rec_hidden=hidden(),
         clamp_eps=draw(finite), r1_weight=draw(finite),
         diag_interval=draw(st.integers()), diag_points=draw(st.integers()))
 
@@ -78,7 +76,11 @@ def test_absent_keys_keep_the_base_values_and_nested_sections_apply():
     ({"probe": {"mask": "1"}}, "[probe] unknown key 'mask'"),
     ({"train": {"weights": "1"}}, "[train] unknown key 'weights'"),
     ({"train": {"iterations": "2.5"}}, "[train] iterations = '2.5'"),
-    ({"train": {"gen_sizes": "2,x,2"}}, "[train] gen_sizes = '2,x,2'"),
+    ({"train": {"gen_sizes": "2,32,32,2"}}, "[train] unknown key 'gen_sizes'"),
+    ({"train": {"gen_hidden": "32,x"}}, "[train] gen_hidden = '32,x'"),
+    # an outer section's unknown key is named before a nested one
+    ({"train": {"disc_sizes": "2,64,64,1"}, "probe": {"dimension": "2"}},
+     "[train] unknown key 'disc_sizes'"),
 ])
 def test_unknown_key_or_unparsable_value_is_named(sections, message):
     with pytest.raises(configio.ConfigError) as info:

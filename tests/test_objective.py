@@ -132,7 +132,10 @@ class TestGanLosses:
         objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
                              rng.standard_normal((2, 5)), r1_weight=1.0,
                              detach_generator=True)
-        assert len(calls) <= 1
+        # the penalty reads the real-batch masks without replacing the
+        # binding's own sigmoid-derivative row by ones
+        assert calls == []
+        assert (disc.last_derivs[-1] < 1.0).all()
 
 
 class TestAnchorLoss:
@@ -213,13 +216,13 @@ class TestSparsityLoss:
     def test_identity_generator_exact_mode_gives_dimension(self):
         gen = nets.bind(identity_model(2))
         x = np.random.default_rng(0).standard_normal((2, 6))
-        node = objective.sparsity_loss(gen, x, ProbeSpec(2, 1), "exact-jacobian-l1")
+        node = objective.sparsity_loss(gen, x, ProbeSpec(1), "exact-jacobian-l1")
         assert node.value[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_mode_equals_mean_jacobian_l1(self):
         model = nets.init_mlp((2, 8, 2), seed=21)
         x = np.random.default_rng(4).standard_normal((2, 5))
-        node = objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
+        node = objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
                                        "exact-jacobian-l1")
         # J(x_n): the JVPs along the identity directions at x_n
         jacobians = [batched_jvp_graph(nets.bind(model), np.repeat(x[:, n:n + 1], 2, axis=1),
@@ -229,13 +232,13 @@ class TestSparsityLoss:
 
     def test_linear_generator_masked_fd_equals_l1_of_az(self):
         a = np.array([[1.0, -2.0], [3.0, 0.5]])
-        spec = ProbeSpec(2, 1, perturbation_scale=0.05, probes_per_sample=1)
+        spec = ProbeSpec(1, perturbation_scale=0.05, probes_per_sample=1)
         seed = 99
         x = np.random.default_rng(1).standard_normal((2, 4))
         node = objective.sparsity_loss(nets.bind(linear_model(a)), x, spec,
                                        "masked-fd", np.random.default_rng(seed))
         # replay the identical probe stream, one block of 4, to build the oracle
-        probes = draw_probe(spec, np.random.default_rng(seed), 4).probe
+        probes = draw_probe(spec, 2, np.random.default_rng(seed), 4).probe
         expected = np.abs(a @ probes).sum(axis=0).mean()
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -244,12 +247,12 @@ class TestSparsityLoss:
         # E_z ||A z||_1; compare against a direct MC oracle of that quantity
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 3))
-        spec = ProbeSpec(3, 2, perturbation_scale=0.01, probes_per_sample=16)
+        spec = ProbeSpec(2, perturbation_scale=0.01, probes_per_sample=16)
         x = rng.standard_normal((3, 64))
         node = objective.sparsity_loss(nets.bind(linear_model(a)), x, spec,
                                        "masked-fd", np.random.default_rng(7))
         oracle_rng = np.random.default_rng(1234)
-        oracle = np.array([np.abs(a @ draw_probe(spec, oracle_rng).probe).sum()
+        oracle = np.array([np.abs(a @ draw_probe(spec, 3, oracle_rng).probe).sum()
                            for _ in range(4096)])
         se = oracle.std(ddof=1) * np.sqrt(1 / 4096 + 1 / (64 * 16))
         assert abs(node.value[0, 0] - oracle.mean()) < 3 * se
@@ -263,12 +266,12 @@ class TestSparsityLoss:
         x = np.array([[0.3], [-0.2]])
         w, b = model.weights[0], model.biases[0]
         jac = (1.0 - np.tanh(w @ x + b) ** 2) * w
-        probe = draw_probe(ProbeSpec(2, 2), np.random.default_rng(17)).probe
+        probe = draw_probe(ProbeSpec(2), 2, np.random.default_rng(17)).probe
         exact = np.abs(jac @ probe).sum()
         deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         errors = []
         for delta in deltas:
-            spec = ProbeSpec(2, 2, perturbation_scale=delta, probes_per_sample=1)
+            spec = ProbeSpec(2, perturbation_scale=delta, probes_per_sample=1)
             node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
                                            np.random.default_rng(17))
             errors.append(abs(node.value[0, 0] - exact))
@@ -278,50 +281,50 @@ class TestSparsityLoss:
     def test_masked_fd_draws_one_probe_block_per_call(self, monkeypatch):
         calls = []
 
-        def counted(spec, rng, count=1):
-            calls.append(count)
-            return draw_probe(spec, rng, count)
+        def counted(spec, dimension, rng, count=1):
+            calls.append((dimension, count))
+            return draw_probe(spec, dimension, rng, count)
 
         monkeypatch.setattr(objective, "draw_probe", counted)
-        spec = ProbeSpec(2, 1, probes_per_sample=3)
+        spec = ProbeSpec(1, probes_per_sample=3)
         x = np.random.default_rng(2).standard_normal((2, 5))
         objective.sparsity_loss(nets.bind(identity_model()), x, spec, "masked-fd",
                                 np.random.default_rng(3))
-        assert calls == [5 * 3]
+        assert calls == [(2, 5 * 3)]
 
     def test_masked_fd_requires_rng(self):
         gen = nets.bind(identity_model())
         with pytest.raises(ValueError, match="rng"):
-            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(2, 1),
+            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1),
                                     "masked-fd")
 
     def test_unknown_mode_rejected(self):
         gen = nets.bind(identity_model())
         with pytest.raises(ValueError, match="mode"):
-            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(2, 1), "l2")
+            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1), "l2")
 
     def test_exact_mode_rejects_a_non_identity_output(self):
         # a frozen tanh' is wrong once the weights move; masked-fd stays allowed
         model = nets.init_mlp((2, 4, 2), output_activation="tanh", seed=24)
         x = np.random.default_rng(11).standard_normal((2, 3))
         with pytest.raises(ValueError, match="output_activation 'tanh'"):
-            objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
+            objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
                                     "exact-jacobian-l1")
-        objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1), "masked-fd",
+        objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1), "masked-fd",
                                 np.random.default_rng(12))
 
     def test_exact_mode_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=22)
         x = np.random.default_rng(8).standard_normal((2, 4)) + 0.4
         assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
-        build = lambda: objective.sparsity_loss(nets.bind(model), x, ProbeSpec(2, 1),
+        build = lambda: objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
                                                 "exact-jacobian-l1")
         assert rebuild_gradcheck(build, arrays(model), 1e-6) < 1e-4
 
     def test_masked_fd_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=23)
         x = np.random.default_rng(9).standard_normal((2, 3)) + 0.3
-        spec = ProbeSpec(2, 2, perturbation_scale=0.05, probes_per_sample=2)
+        spec = ProbeSpec(2, perturbation_scale=0.05, probes_per_sample=2)
         # the same probes at every rebuild
         build = lambda: objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
                                                 np.random.default_rng(10))
@@ -380,12 +383,12 @@ class TestRebuildGradcheck:
 
     def test_sparsity_exact_jacobian(self, nets3):
         gen, _, _, x, _ = nets3
-        self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, ProbeSpec(2, 1),
+        self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, ProbeSpec(1),
                                                    "exact-jacobian-l1"), gen)
 
     def test_sparsity_masked_fd(self, nets3):
         gen, _, _, x, _ = nets3
-        spec = ProbeSpec(2, 1, perturbation_scale=0.05, probes_per_sample=2)
+        spec = ProbeSpec(1, perturbation_scale=0.05, probes_per_sample=2)
         # the same probes at every rebuild
         self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, spec, "masked-fd",
                                                    np.random.default_rng(35)), gen)

@@ -166,15 +166,18 @@ class TestAnalyticJacobianGraph:
 
 class TestProbes:
     def test_full_mask_is_all_ones(self):
-        spec = sparsity.ProbeSpec(dimension=6, mask_size=6)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(0))
+        spec = sparsity.ProbeSpec(mask_size=6)
+        probe = sparsity.draw_probe(spec, 6, np.random.default_rng(0))
         assert probe.mask.all()
-        np.testing.assert_array_equal(probe.probe, probe.epsilon)
+        # a same-seed rng replays the mask keys, then the Gaussian entries
+        rng = np.random.default_rng(0)
+        rng.random((6, 1))
+        np.testing.assert_array_equal(probe.probe, rng.standard_normal((6, 1)))
 
     def test_single_coordinate_uniform_chi2_at_1pct(self):
         d, draws = 5, 100000
-        spec = sparsity.ProbeSpec(dimension=d, mask_size=1)
-        mask = sparsity.draw_probe(spec, np.random.default_rng(123), draws).mask
+        spec = sparsity.ProbeSpec(mask_size=1)
+        mask = sparsity.draw_probe(spec, d, np.random.default_rng(123), draws).mask
         assert (mask.sum(axis=0) == 1).all()
         counts = mask.sum(axis=1)
         expected = draws / d
@@ -183,15 +186,15 @@ class TestProbes:
 
     def test_inclusion_frequency_binomial(self):
         d, s, draws = 10, 3, 100000
-        spec = sparsity.ProbeSpec(dimension=d, mask_size=s)
-        hits = sparsity.draw_probe(spec, np.random.default_rng(7), draws).mask.sum(axis=1)
+        spec = sparsity.ProbeSpec(mask_size=s)
+        hits = sparsity.draw_probe(spec, d, np.random.default_rng(7), draws).mask.sum(axis=1)
         p = s / d
         sigma = np.sqrt(p * (1 - p) / draws)
         assert np.abs(hits / draws - p).max() < 3 * sigma
 
     def test_zero_off_mask(self):
-        spec = sparsity.ProbeSpec(dimension=8, mask_size=3)
-        probe = sparsity.draw_probe(spec, np.random.default_rng(5))
+        spec = sparsity.ProbeSpec(mask_size=3)
+        probe = sparsity.draw_probe(spec, 8, np.random.default_rng(5))
         assert (probe.probe[~probe.mask] == 0).all()
         assert np.count_nonzero(probe.mask) == 3
 
@@ -203,11 +206,9 @@ class TestProbes:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
-            sparsity.ProbeSpec(dimension=4, mask_size=5)
+            sparsity.ProbeSpec(mask_size=0)
         with pytest.raises(ValueError):
-            sparsity.ProbeSpec(dimension=4, mask_size=0)
-        with pytest.raises(ValueError):
-            sparsity.ProbeSpec(dimension=4, mask_size=2, perturbation_scale=0.0)
+            sparsity.ProbeSpec(mask_size=2, perturbation_scale=0.0)
 
 
 class TestQEstimate:
@@ -216,6 +217,11 @@ class TestQEstimate:
         rng = np.random.default_rng(11)
         samples = sparsity.q_probe_samples(np.eye(d), 3, 200, rng)
         np.testing.assert_array_equal(samples, np.full(200, float(d)))
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_mask_size_outside_one_to_d_rejected(self, size):
+        with pytest.raises(ValueError, match=rf"mask size {size} not in \[1, 4\]"):
+            sparsity.q_probe_samples(np.eye(4), size, 10, np.random.default_rng(0))
 
     def test_zero_matrix(self):
         samples = sparsity.q_probe_samples(np.zeros((5, 5)), 2, 100,
@@ -236,10 +242,10 @@ def per_probe_q_samples(j, mask_size, num_probes, rng,
     J z from a gather of the masked columns."""
     j = np.asarray(j, dtype=np.float64)
     d = j.shape[0]
-    spec = sparsity.ProbeSpec(dimension=d, mask_size=mask_size)
+    spec = sparsity.ProbeSpec(mask_size=mask_size)
     vals = np.empty(num_probes)
     for i in range(num_probes):
-        p = sparsity.draw_probe(spec, rng)
+        p = sparsity.draw_probe(spec, d, rng)
         idx = np.flatnonzero(p.mask)
         col = j[:, idx] @ p.probe[idx, 0]
         vals[i] = (d / mask_size) * np.count_nonzero(np.abs(col) > zero_threshold)
@@ -429,24 +435,36 @@ class TestStructuralSparsity:
             sparsity.SupportPattern(dimension=2, index_pairs=frozenset({(0, 2)}))
 
 
+def study_standard_errors(dimension, row_support, mask_sizes, num_matrices,
+                          mc_samples, seed):
+    """Per mask size, the standard error of the study's mean relative bias,
+    from the study's own probes: a same-seed rng draws its matrices, then
+    scores them with q_probe_samples in the study's order."""
+    rng = np.random.default_rng(seed)
+    mats = [sparsity.random_sparse_jacobian(dimension, row_support, rng)
+            for _ in range(num_matrices)]
+    l0 = dimension * row_support
+    return {s: np.mean([sparsity.q_probe_samples(m, s, mc_samples, rng).std(ddof=1)
+                        for m in mats]) / np.sqrt(mc_samples) / l0
+            for s in mask_sizes}
+
+
 class TestBiasVarianceStudy:
     def test_single_mask_size_unbiased(self):
         rng = np.random.default_rng(41)
         result = sparsity.probe_bias_variance_study(30, 3, [1], 5, 400, rng)
         row = result.rows[0]
-        per = result.per_matrix[1]
-        se = np.sqrt(per["variance"] / 400).mean() / per["l0"].mean()
+        se = study_standard_errors(30, 3, [1], 5, 400, 41)[1]
         assert abs(row.mean_rel_bias) < 3 * se
         assert row.lower_bound_factor == 1.0
 
     def test_row_support_one_unbiased_for_all_mask_sizes(self):
         rng = np.random.default_rng(43)
         result = sparsity.probe_bias_variance_study(20, 1, [1, 2, 5, 10], 5, 400, rng)
+        errors = study_standard_errors(20, 1, [1, 2, 5, 10], 5, 400, 43)
         for row in result.rows:
-            per = result.per_matrix[row.mask_size]
-            se = np.sqrt(per["variance"] / 400).mean() / per["l0"].mean()
             assert row.lower_bound_factor == 1.0
-            assert abs(row.mean_rel_bias) < 3 * se + 1e-12
+            assert abs(row.mean_rel_bias) < 3 * errors[row.mask_size] + 1e-12
 
     def test_csv_schema(self):
         rng = np.random.default_rng(47)
@@ -461,7 +479,11 @@ class TestBiasVarianceStudy:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            sparsity.probe_bias_variance_study(0, 1, [1], 1, 1,
+            sparsity.probe_bias_variance_study(0, 1, [1], 1, 2,
+                                               np.random.default_rng(0))
+        # one draw a probe has no variance
+        with pytest.raises(ValueError, match="mc_samples = 1"):
+            sparsity.probe_bias_variance_study(4, 1, [1], 1, 1,
                                                np.random.default_rng(0))
 
 

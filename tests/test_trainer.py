@@ -2,11 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from anchordt import nets, trainer
 from anchordt.sparsity import ProbeSpec
-from anchordt.synthdata import SynthConfig, generate, select_anchors
+from anchordt.synthdata import PairedDataset, SynthConfig, generate, select_anchors
 from anchordt.trainer import TrainConfig
 
 
@@ -43,25 +44,43 @@ def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
     trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
     # the discriminator step scores a real and a fake batch, the generator
     # step the fake batch alone
-    assert passes.count(cfg.disc_sizes) == 3
+    assert passes.count((2, *cfg.disc_hidden, 1)) == 3
 
 
-def test_data_dimension_is_checked_before_the_first_step(splits):
+def test_data_dimension_is_checked_before_the_first_step(splits, tmp_path, monkeypatch):
     train_split, test_split = splits
-    cfg = TrainConfig(iterations=1, batch_size=4, gen_sizes=(3, 4, 3),
-                      disc_sizes=(3, 4, 1), rec_sizes=(3, 4, 3), probe=ProbeSpec(3, 1))
-    with pytest.raises(ValueError, match=r"data dimension 2 != gen_sizes\[0\] = 3"):
-        trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
+    monkeypatch.setattr(trainer, "_init_models", pytest.fail)
+    cfg = TrainConfig(iterations=1, batch_size=4, probe=ProbeSpec(3))
+    with pytest.raises(ValueError, match="probe.mask_size = 3 exceeds the data "
+                                         "dimension D = 2"):
+        trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split,
+                      tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact-jacobian-l1", "masked-fd"])
+def test_the_data_sets_every_network_dimension(tmp_path, mode):
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-1.0, 1.0, (40, 3))
+    data = PairedDataset(x=y[:, ::-1] + 0.1 * np.cos(y), y=y, t=0.1,
+                         permutation=np.eye(3)[::-1])
+    cfg = TrainConfig(iterations=1, batch_size=8, sparsity_mode=mode,
+                      probe=ProbeSpec(3, probes_per_sample=2))
+    trainer.train(cfg, data, select_anchors(data, 1, 0), data, tmp_path)
+    for name, sizes in (("generator", (3, 32, 32, 3)), ("discriminator", (3, 64, 64, 1)),
+                        ("reconstructor", (3, 32, 32, 3))):
+        model = nets.load_checkpoint(tmp_path / f"{name}.ckpt")
+        assert model.layer_sizes == sizes
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"gen_sizes": (2, 8, 3)}, r"gen_sizes\[-1\] = 3 must equal rec_sizes\[0\] = 2"),
-    ({"rec_sizes": (2, 8, 3)}, r"rec_sizes\[-1\] = 3 must equal gen_sizes\[0\] = 2"),
-    ({"disc_sizes": (3, 8, 1)}, r"disc_sizes\[0\] = 3 must equal gen_sizes\[-1\] = 2"),
-    ({"disc_sizes": (2, 8, 2)}, r"disc_sizes\[-1\] = 2 must equal"),
-    ({"probe": ProbeSpec(3, 1)}, r"probe.dimension = 3 must equal gen_sizes\[0\] = 2"),
+    ({"gen_hidden": (0,)}, r"gen_hidden = \(0,\): widths must be positive"),
+    ({"disc_hidden": (64, 0)}, r"disc_hidden = \(64, 0\)"),
+    ({"rec_hidden": (-1, 32)}, r"rec_hidden = \(-1, 32\)"),
+    ({"batch_size": 0}, "batch size and disc steps must be positive"),
+    ({"iterations": -1}, "iterations and anchor count must be >= 0"),
     ({"sparsity_mode": "l1"}, "sparsity_mode 'l1'"),
-    ({"gen_sizes": (2,)}, "need an input and an output size"),
+    ({"disc_steps_per_gen_step": 0}, "batch size and disc steps must be positive"),
     ({"anchor_count": 0}, "weights.anchor > 0 needs anchor_count >= 1"),
 ])
 def test_inconsistent_config_is_rejected_naming_the_field(change, message):

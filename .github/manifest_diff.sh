@@ -9,7 +9,6 @@
 # differs and one line such as "train: checksums identical, config echo
 # differs".  Exits non-zero when any part of any manifest differs.
 set -eu
-unset ANCHORDT_SEED
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 work=$(mktemp -d)
 runs() {

@@ -8,8 +8,9 @@ abs-sum, sum, mean, and dense, one network layer ``act(W @ h + b)`` as a
 single node over the activations of ``ACTIVATIONS``.  A dense node keeps
 the activation derivative (the vjp at g = 1) in its meta, where backward
 and the Jacobian masks of ``anchordt.nets`` read it.  The activations are
-also ops of their own (leaky-relu, tanh, sigmoid): the primitive form that
-dense equals bit for bit.
+also ops of their own (leaky-relu, tanh, sigmoid, softplus): the primitive
+form that dense equals bit for bit.  softplus(a) = log(1 + e^a) is the
+GAN losses' one nonlinearity on the discriminator's logits.
 
 Convention used throughout the package: samples are columns, so a batch of
 N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
@@ -106,8 +107,9 @@ def _leaky(x, slope):
 # a is the pre-activation, value its activation and g the output adjoint.  The
 # graph ops below, the numpy forward pass of nets.MlpModel and the Jacobian
 # masks of sparsity.activation_masks (the vjp at g = 1) all read it.  Only
-# tanh and sigmoid read ``value``, and only identity and leaky-relu read
-# ``a``.  The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
+# tanh, sigmoid and softplus read ``value``: softplus' derivative is
+# sigmoid(a) = -expm1(-softplus(a)).  Only identity and leaky-relu read ``a``.
+# The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
 # arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
 # rounds to exactly 1 for s in [0, 1], so both forms give the same bits.
 ACTIVATIONS = {
@@ -115,6 +117,7 @@ ACTIVATIONS = {
     "leaky-relu": (_leaky, lambda g, a, v, s: g * ((a >= 0) * (1.0 - s) + s)),
     "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
     "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
+    "softplus": (lambda a, s: np.logaddexp(0.0, a), lambda g, a, v, s: -g * np.expm1(-v)),
 }
 
 
@@ -205,8 +208,9 @@ def _compute_clip(vals, meta):
 
 
 def _grad_clip(node, wanted):
-    # Zero gradient where the value saturated; subgradient choice documented
-    # in gan_losses (clamp is a numerical guard, not part of the objective).
+    # Zero gradient where the value saturated.  No runtime code calls clip or
+    # log since the GAN losses moved to softplus on logits; the benchmark
+    # traces both by name, so they go with the next change to it.
     lo, hi = node.meta
     x = node.parents[0].value
     inside = (x > lo) & (x < hi)
@@ -277,7 +281,7 @@ def _grad_dense(node, wanted):
     elif name == "leaky-relu":
         ga = node.grad * node.meta.deriv
     else:
-        # tanh and sigmoid: the table vjp, since g * deriv rounds differently
+        # tanh, sigmoid, softplus: the table vjp, since g * deriv rounds differently
         ga = ACTIVATIONS[name][1](node.grad, None, node.value, node.meta.slope)
     return (ga @ h.value.T if wanted[0] else None,
             w.value.T @ ga if wanted[1] else None,
@@ -307,7 +311,8 @@ def _activation_op(name):
                                       node.meta),))
 
 
-_OPS.update((name, _activation_op(name)) for name in ("leaky-relu", "tanh", "sigmoid"))
+_OPS.update((name, _activation_op(name))
+            for name in ("leaky-relu", "tanh", "sigmoid", "softplus"))
 
 
 def _make(kind, parents, meta=None):
@@ -358,6 +363,10 @@ def tanh(a: Node) -> Node:
 
 def sigmoid(a: Node) -> Node:
     return _make("sigmoid", (a,))
+
+
+def softplus(a: Node) -> Node:
+    return _make("softplus", (a,))
 
 
 def log(a: Node) -> Node:

@@ -456,9 +456,7 @@ COMMANDS = {
 
 
 def dispatch_from_config(command, config, out_dir):
-    """Run a command from already-assembled config sections (replay path).
-
-    Reads no environment: a replay sees only the recorded config."""
+    """Run a command from already-assembled config sections (replay path)."""
     if command not in COMMANDS:
         raise CliError(f"unknown command {command!r}")
     artifacts, sections, seed = COMMANDS[command](config, out_dir)
@@ -505,14 +503,6 @@ def _build_parser():
     return parser
 
 
-# ANCHORDT_SEED, when set, overrides the config entry each seeded verb reads
-# its seed from, whatever the config file and --override flags say
-SEED_ENV_VAR = "ANCHORDT_SEED"
-SEED_KEYS = {"gen-data": ("data", "seed"), "train": ("train", "seed"),
-             "ablate": ("train", "seed"), "probe-study": ("probe_study", "seed"),
-             "mpa-check": ("mpa_check", "seed")}
-
-
 # the config sections each verb reads; any other section is an error
 VERB_SECTIONS = {
     "gen-data": ("data",),
@@ -551,14 +541,6 @@ def _assemble_config(args):
         if section not in known:
             raise CliError(f"{args.command} reads no [{section}] section; it reads "
                            + " ".join(f"[{name}]" for name in known))
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None and args.command in SEED_KEYS:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
-        section, key = SEED_KEYS[args.command]
-        config.setdefault(section, {})[key] = str(seed)
     return config
 
 

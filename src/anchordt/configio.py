@@ -18,10 +18,6 @@ manifest replay its run.  A field that is itself a dataclass has its own
 section, named after the field: TrainConfig reads [train], [weights] and
 [probe].  A key that names no field is rejected, so a misspelt key cannot
 leave a default in place.  One table parses and formats values by field type.
-
-The ANCHORDT_SEED environment variable is applied once, by the CLI, as an
-override of the running verb's seed entry (see anchordt.cli), so a replay
-from a manifest sees only the recorded config.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import MlpBinding
-from .sparsity import ProbeSpec, activation_masks, batched_jvp_graph, draw_probe
-
-DEFAULT_CLAMP_EPS = 1e-7
+from .sparsity import ProbeSpec, activation_masks, draw_probe, jacobian_graph
 
 SPARSITY_MODES = ("exact-jacobian-l1", "masked-fd")
 
@@ -56,16 +54,16 @@ def _as_batch(batch) -> np.ndarray:
 
 
 def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
-               x_batch, y_batch, clamp_eps: float = DEFAULT_CLAMP_EPS,
-               r1_weight: float = 0.0, fake: ad.Node | None = None,
-               detach_generator: bool = False):
+               x_batch, y_batch, *, r1_weight: float = 0.0,
+               fake: ad.Node | None = None, detach_generator: bool = False):
     """Adversarial pair of scalar nodes (discriminator loss, generator loss).
 
-    The discriminator loss is the negated two-term log score
-    -[mean log d(y) + mean log(1 - d(g(x)))]; the generator uses the
-    non-saturating form -mean log d(g(x)).  Discriminator outputs are
-    clamped into (clamp_eps, 1 - clamp_eps) before the logs, purely as a
-    numerical guard.
+    The discriminator outputs a logit l, its output activation identity.
+    The discriminator loss is mean softplus(-l(y)) + mean softplus(l(g(x))),
+    the negated log score -[mean log s(l(y)) + mean log(1 - s(l(g(x))))] of
+    s = sigmoid; the generator uses the non-saturating form
+    mean softplus(-l(g(x))) = -mean log s(l(g(x))) (Goodfellow et al. 2014).
+    softplus is finite at any finite logit, so nothing is clamped.
 
     With ``y_batch=None`` only the generator loss is built, and the pair is
     (None, generator loss): the discriminator never sees a real batch, which
@@ -78,51 +76,35 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     a discriminator-only step wants.
 
     With r1_weight > 0 the discriminator loss additionally penalizes
-    (r1_weight / 2) * mean ||grad_y l(y)||^2 on the real batch, l the logit
-    that the output sigmoid squashes (R1, Mescheder et al. 2018), built from
-    frozen leaky-relu masks, exact almost everywhere.  Off by default.
+    (r1_weight / 2) * mean ||grad_y l(y)||^2 on the real batch (R1,
+    Mescheder et al. 2018), one ``jacobian_graph`` sweep over the masks of
+    the real-batch pass, exact almost everywhere.  Off by default.
     """
+    if discriminator.model.output_activation != "identity":
+        raise ValueError("gan_losses needs a logit discriminator, an identity output; got "
+                         f"output_activation {discriminator.model.output_activation!r}")
     x_batch = _as_batch(x_batch)
     if fake is None:
         if detach_generator:
             fake = ad.input_node(generator.model.apply(x_batch), "g(x)-detached")
         else:
             fake = generator(ad.input_node(x_batch, "x-batch"))
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-    d_fake = discriminator(fake)
+    l_fake = discriminator(fake)
     gen_loss = None
     if not detach_generator:
-        gen_loss = ad.scale(ad.mean(ad.log(ad.clip(d_fake, lo, hi))), -1.0)
+        gen_loss = ad.mean(ad.softplus(ad.scale(l_fake, -1.0)))
     if y_batch is None:
         return None, gen_loss
     y_batch = _as_batch(y_batch)
-    d_real = discriminator(ad.input_node(y_batch, "y-batch"))
-    log_real = ad.log(ad.clip(d_real, lo, hi))
-    ones = ad.input_node(np.ones_like(d_fake.value), "ones")
-    log_one_minus_fake = ad.log(ad.clip(ad.subtract(ones, d_fake), lo, hi))
-    disc_loss = ad.scale(ad.add(ad.mean(log_real), ad.mean(log_one_minus_fake)), -1.0)
+    l_real = discriminator(ad.input_node(y_batch, "y-batch"))
+    disc_loss = ad.add(ad.mean(ad.softplus(ad.scale(l_real, -1.0))),
+                       ad.mean(ad.softplus(l_fake)))
     if r1_weight > 0.0:
-        penalty = _grad_norm_penalty(discriminator, y_batch)
-        disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight))
+        # the masks of the pass just above, over y_batch
+        grads = jacobian_graph(discriminator, discriminator.last_derivs)
+        penalty = ad.node_sum(ad.square(grads))
+        disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight / y_batch.shape[1]))
     return disc_loss, gen_loss
-
-
-def _grad_norm_penalty(discriminator: MlpBinding, y_batch: np.ndarray) -> ad.Node:
-    """mean over the batch of ||grad_y l(y)||^2, l the scalar logit; reads the
-    masks that the discriminator's last pass, over y_batch, left behind."""
-    d, n = y_batch.shape
-    # the masks depend on y alone, so one set serves every direction; the
-    # output layer's is ones, which differentiates the logit
-    derivs = discriminator.last_derivs
-    masks = derivs[:-1] + [np.ones_like(derivs[-1])]
-    total = None
-    for k in range(d):
-        direction = np.zeros_like(y_batch)
-        direction[k, :] = 1.0
-        jvp = batched_jvp_graph(discriminator, y_batch, direction, masks=masks)  # (1, N)
-        term = ad.node_sum(ad.square(jvp))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / n)
 
 
 def anchor_loss(generator: MlpBinding, anchors: AnchorSet) -> ad.Node:
@@ -157,11 +139,11 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
 
     exact-jacobian-l1: batch mean of ||J(x)||_1, assembled from the
     per-layer linearizations with frozen activation masks.  All D basis
-    directions are propagated in a single tiled sweep (columns k*N..k*N+N
-    carry direction e_k), so the cost is one widened forward pass, not D
-    per-sample graphs.  ``masks`` can pass in precomputed activation masks
-    for x_batch.  The generator output must be identity: backward through
-    a frozen tanh or sigmoid derivative is not the loss's gradient.
+    directions go through one ``jacobian_graph`` sweep, so the cost is one
+    widened forward pass, not D per-sample graphs.  ``masks`` can pass in
+    precomputed activation masks for x_batch.  The generator output must be
+    identity: backward through a frozen tanh or sigmoid derivative is not
+    the loss's gradient.
 
     masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1 with a
     fresh sparse Gaussian probe per sample, averaged over
@@ -179,12 +161,7 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
         if masks is None:
             masks = activation_masks(generator.model,
                                      generator.model.preactivations(x_batch))
-        tiled_masks = [np.tile(m, (1, d)) for m in masks]
-        directions = np.zeros((d, d * n))
-        for k in range(d):
-            directions[k, k * n:(k + 1) * n] = 1.0
-        jvp = batched_jvp_graph(generator, None, directions, masks=tiled_masks)
-        return ad.scale(ad.abs_sum(jvp), 1.0 / n)
+        return ad.scale(ad.abs_sum(jacobian_graph(generator, masks)), 1.0 / n)
     if mode == "masked-fd":
         if rng is None:
             raise ValueError("masked-fd mode needs an rng")

@@ -8,7 +8,9 @@ Three layers of machinery live here:
   on.  They use the per-layer activation derivatives of
   ``activation_masks``, frozen as constants, which is exact (almost
   everywhere) only for leaky-relu and identity layers.  Along the identity
-  directions at one point, the JVP graph is that point's full Jacobian;
+  directions, ``jacobian_graph`` holds every point's full Jacobian in one
+  sweep; the exact Jacobian l1 term and the discriminator's R1 penalty
+  both build on it;
 * the randomized sparse-probe estimator of the Jacobian's nonzero count:
   draw a mask with exactly S active coordinates, fill it with Gaussian
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0
@@ -194,6 +196,18 @@ def batched_jvp_graph(binding: MlpBinding, x_batch: np.ndarray,
     return v
 
 
+def jacobian_graph(binding: MlpBinding, masks) -> ad.Node:
+    """Every column of J(x_n) for a batch of N points, as one (out, D N) node.
+
+    ``masks`` are the activation masks at the batch; column k N + n is
+    J(x_n) e_k.  One widened JVP sweep carries all D directions.
+    """
+    d, n = binding.model.input_dim, masks[0].shape[1]
+    directions = np.kron(np.eye(d), np.ones((1, n)))
+    return batched_jvp_graph(binding, None, directions,
+                             masks=[np.tile(m, (1, d)) for m in masks])
+
+
 # ---------------------------------------------------------------------------
 # randomized l0 sketch q(J) = (D/S) E ||J z||_0
 # ---------------------------------------------------------------------------
@@ -347,12 +361,20 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
 
     Matrices are generated first, then probed per mask size; the reported
     variance is that of a single probe (not of the averaged estimate), and
-    the bias is relative to the true nonzero count.
+    the bias is relative to the true nonzero count.  Every parameter is
+    checked before the first draw.
     """
-    if min(dimension, row_support, num_matrices) < 1:
-        raise ValueError("all study parameters must be positive")
+    if min(dimension, num_matrices) < 1:
+        raise ValueError("dimension and num_matrices must be positive")
     if mc_samples < 2:
         raise ValueError(f"mc_samples = {mc_samples} must be at least 2")
+    if not 1 <= row_support <= dimension:
+        raise ValueError(f"row_support = {row_support} not in [1, dimension = {dimension}]")
+    if len(mask_sizes) == 0:
+        raise ValueError("mask_sizes is empty")
+    for s in mask_sizes:
+        if not 1 <= s <= dimension:
+            raise ValueError(f"mask_sizes entry {s} not in [1, dimension = {dimension}]")
     mats = [random_sparse_jacobian(dimension, row_support, rng)
             for _ in range(num_matrices)]
     l0s = np.array([np.count_nonzero(np.abs(m) > zero_threshold) for m in mats])

@@ -54,7 +54,6 @@ class TrainConfig:
     gen_hidden: tuple[int, ...] = (32, 32)
     disc_hidden: tuple[int, ...] = (64, 64)
     rec_hidden: tuple[int, ...] = (32, 32)
-    clamp_eps: float = 1e-7
     r1_weight: float = 0.0
     diag_interval: int = 500
     diag_points: int = 512
@@ -118,7 +117,7 @@ def translation_error(generator: MlpModel, test: PairedDataset) -> tuple[float, 
 def _init_models(config: TrainConfig, d: int):
     seeds = np.random.SeedSequence(config.seed).spawn(5)
     gen = init_mlp((d, *config.gen_hidden, d), "identity", seeds[0])
-    disc = init_mlp((d, *config.disc_hidden, 1), "sigmoid", seeds[1])
+    disc = init_mlp((d, *config.disc_hidden, 1), "identity", seeds[1])
     rec = init_mlp((d, *config.rec_hidden, d), "identity", seeds[2])
     batch_rng = np.random.default_rng(seeds[3])
     probe_rng = np.random.default_rng(seeds[4])
@@ -180,8 +179,8 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
             yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
             gen_b, disc_b = bind(gen, frozen=True), bind(disc)
-            disc_loss, _ = gan_losses(gen_b, disc_b, xb, yb, config.clamp_eps,
-                                      config.r1_weight, detach_generator=True)
+            disc_loss, _ = gan_losses(gen_b, disc_b, xb, yb, r1_weight=config.r1_weight,
+                                      detach_generator=True)
             if not np.isfinite(disc_loss.value[0, 0]):
                 abort(it, "discriminator")
             ad.backward(disc_loss)
@@ -198,8 +197,7 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
         fake = gen_b(ad.input_node(xb, "x-batch"))
         # read now: the anchor pass below overwrites gen_b.last_derivs
         gen_masks = gen_b.last_derivs
-        _, gen_part = gan_losses(gen_b, disc_b, xb, None, config.clamp_eps,
-                                 fake=fake)
+        _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
         parts = GeneratorLossParts(gan=gen_part)
         if w.anchor > 0:
             parts.anchor = anchor_loss(gen_b, anchors)

@@ -1,6 +1,8 @@
 """Graph construction, backward rules, and backward against central
 differences of the rebuilt graph."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,7 +225,7 @@ def layer_graph(w_val, h_val, b_val, name, slope, fused, w_kind):
     else:
         a = ad.add(ad.matmul(w, h), b)
         out = {"identity": lambda n: n, "leaky-relu": lambda n: ad.leaky_relu(n, slope),
-               "tanh": ad.tanh, "sigmoid": ad.sigmoid}[name](a)
+               "tanh": ad.tanh, "sigmoid": ad.sigmoid, "softplus": ad.softplus}[name](a)
     adjoint = np.random.default_rng(9).standard_normal(out.value.shape)
     root = ad.node_sum(ad.elementwise_mul(out, ad.input_node(adjoint)))
     return root, out, (w, h, b)
@@ -265,6 +267,15 @@ class TestDense:
         a = np.array([[-0.0, 0.0, -1.5, 2.0, -1e-320, 1e-320]])
         value, vjp = ad.ACTIVATIONS["leaky-relu"]
         assert bits(a * vjp(1.0, a, None, slope)) == bits(value(a, slope))
+
+    def test_softplus_is_stable_at_large_logits(self):
+        a = ad.parameter(np.array([[-800.0, 800.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.softplus(a)
+            ad.backward(ad.node_sum(out))
+        assert out.value.tolist() == [[0.0, 800.0]]
+        assert a.grad.tolist() == [[0.0, 1.0]]
 
     def test_shape_mismatch_and_unknown_activation_rejected(self):
         w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))

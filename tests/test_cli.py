@@ -10,11 +10,6 @@ import anchordt
 from anchordt import cli, configio, manifest, trainer
 
 
-@pytest.fixture(autouse=True)
-def no_seed_override(monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-
-
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -53,28 +48,13 @@ def test_train_twice_gives_identical_checksums(data_dir, tmp_path, mode):
     assert checksums == second[3]
 
 
-@pytest.mark.parametrize("env_seed", [None, "7"])
-def test_replay_reproduces_every_checksum(data_dir, tmp_path, monkeypatch, env_seed):
+def test_replay_reproduces_every_checksum(data_dir, tmp_path):
     _, seed, _, recorded = train(data_dir, tmp_path / "run", "masked-fd")
     assert seed == 3
-    if env_seed is not None:
-        monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
     result = manifest.replay_manifest(tmp_path / "run" / manifest.MANIFEST_NAME,
                                       tmp_path / "replay")
     assert set(result) == set(recorded)
     assert all(old == new for old, new in result.values())
-
-
-def test_seed_variable_overrides_the_verb_seed(data_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-    _, seed, config, _ = train(data_dir, tmp_path, "exact-jacobian-l1")
-    assert seed == 7
-    assert config["train"]["seed"] == "7"
-
-
-def test_non_integer_seed_variable_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "seven")
-    assert cli.main(["mpa-check", "--out-dir", str(tmp_path)]) == 2
 
 
 def test_missing_data_directory_exits_2(tmp_path, capsys):
@@ -102,6 +82,10 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("train", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
     ("ablate", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
     ("probe-study", ["probe_study.mc_samples=1"], "mc_samples = 1 must be at least 2"),
+    ("probe-study", ["probe_study.dimension=20", "probe_study.mask_sizes=1,30"],
+     "mask_sizes entry 30 not in [1, dimension = 20]"),
+    ("probe-study", ["probe_study.dimension=20", "probe_study.row_support=30"],
+     "row_support = 30 not in [1, dimension = 20]"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -112,6 +96,16 @@ def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
         argv += ["--override", item]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_mask_sizes_exits_2_before_any_output(tmp_path, capsys):
+    # an empty list can only come from a config file: --override needs a value
+    (tmp_path / "run.cfg").write_text("[probe_study]\nmask_sizes =\n")
+    code = cli.main(["probe-study", "--out-dir", str(tmp_path / "out"),
+                     "--config", str(tmp_path / "run.cfg")])
+    assert code == 2
+    assert "mask_sizes is empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

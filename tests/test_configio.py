@@ -30,8 +30,7 @@ def train_configs(draw):
         iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
         seed=draw(st.integers(-2**63, 2**63)), beta1=draw(finite), beta2=draw(finite),
         epsilon=draw(finite), gen_hidden=hidden(), disc_hidden=hidden(),
-        rec_hidden=hidden(),
-        clamp_eps=draw(finite), r1_weight=draw(finite),
+        rec_hidden=hidden(), r1_weight=draw(finite),
         diag_interval=draw(st.integers()), diag_points=draw(st.integers()))
 
 
@@ -81,6 +80,7 @@ def test_absent_keys_keep_the_base_values_and_nested_sections_apply():
     # an outer section's unknown key is named before a nested one
     ({"train": {"disc_sizes": "2,64,64,1"}, "probe": {"dimension": "2"}},
      "[train] unknown key 'disc_sizes'"),
+    ({"train": {"clamp_eps": "1e-07"}}, "[train] unknown key 'clamp_eps'"),
 ])
 def test_unknown_key_or_unparsable_value_is_named(sections, message):
     with pytest.raises(configio.ConfigError) as info:

@@ -13,9 +13,9 @@ def arrays(model):
     return nets.param_order(model.weights, model.biases)
 
 
-def constant_half_discriminator() -> nets.MlpModel:
-    """All-zero weights + sigmoid output = exactly 0.5 everywhere."""
-    model = nets.init_mlp((2, 4, 1), output_activation="sigmoid", seed=0)
+def zero_logit_discriminator() -> nets.MlpModel:
+    """All-zero weights and biases: logit exactly 0 everywhere."""
+    model = nets.init_mlp((2, 4, 1), seed=0)
     for w in model.weights:
         w[:] = 0.0
     return model
@@ -42,7 +42,7 @@ def biased_identity(offset) -> nets.MlpModel:
 class TestGanLosses:
     def test_uninformative_discriminator_values(self):
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=1))
-        disc = nets.bind(constant_half_discriminator())
+        disc = nets.bind(zero_logit_discriminator())
         rng = np.random.default_rng(0)
         dl, gl = objective.gan_losses(gen, disc, rng.standard_normal((2, 8)),
                                       rng.standard_normal((2, 8)))
@@ -50,17 +50,26 @@ class TestGanLosses:
         assert gl.value[0, 0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_discriminator_on_disjoint_supports(self):
-        # 1D: d(v) = sigmoid(50 v) saturates to the clamp on +-1 inputs
+        # 1D: logit 50 v, so +-50 on +-1 inputs: the loss is tiny, and its
+        # gradient still is not zero
         gen = nets.bind(identity_model(1))
-        disc = nets.bind(linear_model(np.array([[50.0]]), "sigmoid"))
+        disc = nets.bind(linear_model(np.array([[50.0]])))
         x = np.full((1, 16), -1.0)
         y = np.full((1, 16), 1.0)
-        dl, _ = objective.gan_losses(gen, disc, x, y)
-        assert dl.value[0, 0] == pytest.approx(0.0, abs=1e-6)
+        dl, _ = objective.gan_losses(gen, disc, x, y, detach_generator=True)
+        assert 0.0 < dl.value[0, 0] < 1e-20
+        ad.backward(dl)
+        assert disc.weight_nodes[0].grad[0, 0] != 0.0
+
+    def test_non_logit_discriminator_rejected(self):
+        gen = nets.bind(identity_model())
+        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=0))
+        with pytest.raises(ValueError, match="output_activation 'sigmoid'"):
+            objective.gan_losses(gen, disc, np.ones((2, 3)), np.ones((2, 3)))
 
     def test_generator_gradient_matches_finite_differences(self):
         gen = nets.init_mlp((2, 4, 2), seed=3)
-        disc = nets.init_mlp((2, 4, 1), "sigmoid", seed=4)
+        disc = nets.init_mlp((2, 4, 1), seed=4)
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
         build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[1]
@@ -68,7 +77,7 @@ class TestGanLosses:
 
     def test_discriminator_gradient_matches_finite_differences(self):
         gen = nets.init_mlp((2, 4, 2), seed=6)
-        disc = nets.init_mlp((2, 4, 1), "sigmoid", seed=7)
+        disc = nets.init_mlp((2, 4, 1), seed=7)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
         build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[0]
@@ -76,7 +85,7 @@ class TestGanLosses:
 
     def test_detached_generator_receives_no_gradient(self):
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=10))
+        disc = nets.bind(nets.init_mlp((2, 4, 1), seed=10))
         rng = np.random.default_rng(11)
         dl, _ = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
                                      rng.standard_normal((2, 6)),
@@ -85,27 +94,27 @@ class TestGanLosses:
         assert all(node not in grads for node in gen.param_nodes)
 
     def test_detached_generator_builds_no_generator_loss(self, monkeypatch):
-        logs = []
-        original = ad.log
-        monkeypatch.setattr(ad, "log", lambda a: logs.append(a) or original(a))
+        softpluses = []
+        original = ad.softplus
+        monkeypatch.setattr(ad, "softplus", lambda a: softpluses.append(a) or original(a))
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=10))
+        disc = nets.bind(nets.init_mlp((2, 4, 1), seed=10))
         rng = np.random.default_rng(11)
         losses = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
                                       rng.standard_normal((2, 6)),
                                       detach_generator=True)
         assert losses[1] is None
-        assert len(logs) == 2   # log d(y) and log(1 - d(g(x))) alone
+        assert len(softpluses) == 2   # softplus(-l(y)) and softplus(l(g(x))) alone
 
     def test_empty_batch_rejected(self):
         gen = nets.bind(identity_model())
-        disc = nets.bind(constant_half_discriminator())
+        disc = nets.bind(zero_logit_discriminator())
         with pytest.raises(ValueError, match="nonempty"):
             objective.gan_losses(gen, disc, np.empty((2, 0)), np.ones((2, 3)))
 
     def test_r1_penalty_increases_disc_loss_and_gradchecks(self):
         gen_model = nets.init_mlp((2, 4, 2), seed=12)
-        disc_model = nets.init_mlp((2, 4, 1), "sigmoid", seed=13)
+        disc_model = nets.init_mlp((2, 4, 1), seed=13)
         gen = nets.bind(gen_model)
         rng = np.random.default_rng(14)
         x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
@@ -127,15 +136,13 @@ class TestGanLosses:
 
         monkeypatch.setattr(nets.MlpModel, "preactivations", counted)
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12))
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=13))
+        disc = nets.bind(nets.init_mlp((2, 4, 1), seed=13))
         rng = np.random.default_rng(14)
         objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
                              rng.standard_normal((2, 5)), r1_weight=1.0,
                              detach_generator=True)
-        # the penalty reads the real-batch masks without replacing the
-        # binding's own sigmoid-derivative row by ones
+        # the penalty reads the masks of the real-batch pass
         assert calls == []
-        assert (disc.last_derivs[-1] < 1.0).all()
 
 
 class TestAnchorLoss:
@@ -341,7 +348,7 @@ class TestRebuildGradcheck:
     @pytest.fixture
     def nets3(self):
         gen = nets.init_mlp((2, 6, 6, 2), seed=31)
-        disc = nets.init_mlp((2, 6, 6, 1), "sigmoid", seed=32)
+        disc = nets.init_mlp((2, 6, 6, 1), seed=32)
         rec = nets.init_mlp((2, 6, 6, 2), seed=33)
         rng = np.random.default_rng(34)
         x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))

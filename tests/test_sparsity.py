@@ -21,11 +21,11 @@ def linear_model(matrix: np.ndarray) -> nets.MlpModel:
 
 
 def jacobian_graph(model, x) -> ad.Node:
-    """J(x) as a graph node: the batched JVP along the identity directions."""
+    """J(x) at one point x as a graph node."""
     binding = model if isinstance(model, nets.MlpBinding) else nets.bind(model)
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    d = x.shape[0]
-    return sparsity.batched_jvp_graph(binding, np.repeat(x, d, axis=1), np.eye(d))
+    masks = sparsity.activation_masks(binding.model, binding.model.preactivations(x))
+    return sparsity.jacobian_graph(binding, masks)
 
 
 def q_exact_enumeration(j, mask_size: int,
@@ -151,6 +151,16 @@ class TestAnalyticJacobianGraph:
         assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
         build = lambda: ad.node_sum(jacobian_graph(model, x))
         assert rebuild_gradcheck(build, nets.param_order(model.weights, model.biases)) < 1e-4
+
+    def test_one_sweep_holds_every_point_jacobian(self):
+        model = nets.init_mlp((3, 8, 3), seed=9)
+        x = np.random.default_rng(2).standard_normal((3, 4))
+        masks = sparsity.activation_masks(model, model.preactivations(x))
+        out = sparsity.jacobian_graph(nets.bind(model), masks).value
+        for n in range(4):
+            # column k N + n is J(x_n) e_k
+            np.testing.assert_allclose(out[:, n::4], jacobian_graph(model, x[:, n]).value,
+                                       atol=1e-15)
 
     def test_batched_jvp_agrees_with_per_sample_products(self):
         model = nets.init_mlp((3, 8, 3), seed=8)
@@ -485,6 +495,20 @@ class TestBiasVarianceStudy:
         with pytest.raises(ValueError, match="mc_samples = 1"):
             sparsity.probe_bias_variance_study(4, 1, [1], 1, 1,
                                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("row_support, mask_sizes, message", [
+        (30, [1], r"row_support = 30 not in \[1, dimension = 20\]"),
+        (0, [1], r"row_support = 0 not in \[1, dimension = 20\]"),
+        (3, [], "mask_sizes is empty"),
+        (3, [1, 30], r"mask_sizes entry 30 not in \[1, dimension = 20\]"),
+        (3, [0], r"mask_sizes entry 0 not in \[1, dimension = 20\]"),
+    ])
+    def test_rejects_before_any_draw(self, row_support, mask_sizes, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sparsity.probe_bias_variance_study(20, row_support, mask_sizes, 2, 2, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_random_mask_covers_all_subsets():

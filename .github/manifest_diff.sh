@@ -2,12 +2,14 @@
 # usage: manifest_diff.sh BASE_TREE HEAD_TREE
 #
 # Runs gen-data, a 20-iteration default train, an 8-iteration masked-fd
-# train and a 20-iteration train with the R1 penalty on from the sources of
-# each checkout.  For each run it compares the [checksums] section of
-# manifest.txt (the artifact bytes) apart from the rest, the config echo,
-# with the output paths replaced by OUT, prints the diff of whichever part
-# differs and one line such as "train: checksums identical, config echo
-# differs".  Exits non-zero when any part of any manifest differs.
+# train, a 20-iteration train with the R1 penalty on and mpa-check at seed 13
+# (a seed where every check passes; the shift control fails at some others)
+# from the sources of each checkout.  For each run it compares the
+# [checksums] section of manifest.txt (the artifact bytes) apart from the
+# rest, the config echo, with the output paths replaced by OUT, prints the
+# diff of whichever part differs and one line such as "train: checksums
+# identical, config echo differs".  Exits non-zero when any part of any
+# manifest differs.
 set -eu
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 work=$(mktemp -d)
@@ -22,7 +24,9 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
         --override train.iterations=20 --override train.r1_weight=1 \
         --override train.batch_size=128 > /dev/null
-    for run in data train fd r1; do
+    PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
+        --override mpa_check.seed=13 > /dev/null
+    for run in data train fd r1 mpa; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -32,7 +36,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train fd r1; do
+for run in data train fd r1 mpa; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -66,8 +66,8 @@ def warp(y: np.ndarray, t, permutation: np.ndarray = SWAP) -> np.ndarray:
 @dataclass
 class PairedDataset:
     """Aligned (x_i, y_i) rows; alignment is for evaluation and anchors only."""
-    x: np.ndarray                 # (N, 2)
-    y: np.ndarray                 # (N, 2)
+    x: np.ndarray                 # (N, D)
+    y: np.ndarray                 # (N, D)
     t: float | np.ndarray         # scalar, or (N,) in per-sample mode
     permutation: np.ndarray
     t_mode: str = "per-dataset"
@@ -119,24 +119,25 @@ def select_anchors(train: PairedDataset, count: int, seed: int) -> AnchorSet:
 # file I/O: CSV rows of aligned pairs plus a key=value metadata sidecar
 # ---------------------------------------------------------------------------
 
+def _csv_header(d: int, per_sample: bool) -> list[str]:
+    names = [f"x{k}" for k in range(1, d + 1)] + [f"y{k}" for k in range(1, d + 1)]
+    return names + ["t"] if per_sample else names
+
+
 def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
     """Write {prefix}.csv and {prefix}.meta into directory; returns filenames.
 
-    Per-dataset mode stores t in the sidecar and the CSV has columns
-    x1,x2,y1,y2; per-sample mode appends a t column instead.
+    The CSV has columns x1..xD,y1..yD.  Per-dataset mode stores t in the
+    sidecar; per-sample mode appends a t column instead.
     """
     os.makedirs(directory, exist_ok=True)
     per_sample = dataset.t_mode == "per-sample"
     csv_name, meta_name = f"{prefix}.csv", f"{prefix}.meta"
-    header = "x1,x2,y1,y2,t" if per_sample else "x1,x2,y1,y2"
-    lines = [header]
-    t_arr = np.asarray(dataset.t).reshape(-1) if per_sample else None
-    for i in range(len(dataset)):
-        row = [format_float(dataset.x[i, 0]), format_float(dataset.x[i, 1]),
-               format_float(dataset.y[i, 0]), format_float(dataset.y[i, 1])]
-        if per_sample:
-            row.append(format_float(t_arr[i]))
-        lines.append(",".join(row))
+    columns = [dataset.x, dataset.y]
+    if per_sample:
+        columns.append(np.asarray(dataset.t).reshape(-1, 1))
+    lines = [",".join(_csv_header(dataset.x.shape[1], per_sample))]
+    lines += [",".join(map(format_float, row)) for row in np.hstack(columns)]
     with open(os.path.join(directory, csv_name), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     meta = {"seed": str(dataset.seed), "t_mode": dataset.t_mode,
@@ -148,16 +149,20 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
 
 
 def load_dataset(directory, prefix: str) -> PairedDataset:
+    """Read what save_dataset wrote; D is the number of x columns."""
     fields = configio.load(os.path.join(directory, f"{prefix}.meta"))["dataset"]
     t_mode = fields["t_mode"]
+    per_sample = t_mode == "per-sample"
     perm = configio.parse_matrix(fields["permutation"])
-    with open(os.path.join(directory, f"{prefix}.csv"), "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    x, y = data[:, 0:2], data[:, 2:4]
-    if t_mode == "per-sample":
-        t = data[:, 4]
-    else:
-        t = float(fields["t"])
+    path = os.path.join(directory, f"{prefix}.csv")
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip().split(",")
+    d = sum(name.startswith("x") for name in header)
+    expected = _csv_header(d, per_sample)
+    if header != expected:
+        raise ValueError(f"{path}: header {','.join(header)} is not {','.join(expected)}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
+    x, y = data[:, :d], data[:, d:2 * d]
+    t = data[:, 2 * d] if per_sample else float(fields["t"])
     seed = None if fields["seed"] == "None" else int(fields["seed"])
     return PairedDataset(x=x, y=y, t=t, permutation=perm, t_mode=t_mode, seed=seed)

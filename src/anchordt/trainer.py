@@ -71,6 +71,17 @@ class TrainConfig:
         for name in ("gen_hidden", "disc_hidden", "rec_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} = {getattr(self, name)}: widths must be positive")
+        # each written so that NaN fails it too
+        for name in ("learning_rate", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)!r} not in [0, 1)")
+        if not self.r1_weight >= 0:
+            raise ValueError(f"r1_weight = {self.r1_weight!r} must be >= 0")
+        if self.diag_points < 1:
+            raise ValueError(f"diag_points = {self.diag_points} must be at least 1")
 
 
 @dataclass

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import anchordt
-from anchordt import cli, configio, manifest, trainer
+from anchordt import cli, configio, manifest, nets, synthdata, trainer
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,22 @@ def test_train_twice_gives_identical_checksums(data_dir, tmp_path, mode):
     assert checksums == second[3]
 
 
+def test_train_reads_a_three_dimensional_dataset_from_files(tmp_path):
+    rng = np.random.default_rng(6)
+    perm = np.eye(3)[[1, 2, 0]]
+    for prefix, n in (("train", 40), ("test", 8)):
+        y = rng.uniform(-1.0, 1.0, (n, 3))
+        synthdata.save_dataset(synthdata.PairedDataset(
+            x=synthdata.warp(y, 0.4, perm), y=y, t=0.4, permutation=perm),
+            tmp_path / "data", prefix)
+    assert cli.main(["train", "--out-dir", str(tmp_path / "run"),
+                     "--data-dir", str(tmp_path / "data"),
+                     "--override", "train.iterations=1",
+                     "--override", "train.batch_size=8"]) == 0
+    generator = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt")
+    assert generator.layer_sizes == (3, 32, 32, 3)
+
+
 def test_replay_reproduces_every_checksum(data_dir, tmp_path):
     _, seed, _, recorded = train(data_dir, tmp_path / "run", "masked-fd")
     assert seed == 3
@@ -86,6 +103,11 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
      "mask_sizes entry 30 not in [1, dimension = 20]"),
     ("probe-study", ["probe_study.dimension=20", "probe_study.row_support=30"],
      "row_support = 30 not in [1, dimension = 20]"),
+    ("train", ["train.learning_rate=-1"], "learning_rate = -1.0 must be positive"),
+    ("train", ["train.r1_weight=-1"], "r1_weight = -1.0 must be >= 0"),
+    ("train", ["train.diag_points=-5"], "diag_points = -5 must be at least 1"),
+    ("train", ["train.beta2=1"], "beta2 = 1.0 not in [0, 1)"),
+    ("ablate", ["train.epsilon=0"], "epsilon = 0.0 must be positive"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):

@@ -14,6 +14,7 @@ from anchordt.trainer import TrainConfig
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 counts = st.integers(0, 10**6)
 
 
@@ -26,12 +27,12 @@ def train_configs(draw):
         sparsity_mode=draw(st.sampled_from(SPARSITY_MODES)),
         probe=ProbeSpec(draw(st.integers(1, 64)), draw(positive),
                         draw(st.integers(1, 64))),
-        learning_rate=draw(finite), batch_size=draw(st.integers(1, 10**6)),
+        learning_rate=draw(positive), batch_size=draw(st.integers(1, 10**6)),
         iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
-        seed=draw(st.integers(-2**63, 2**63)), beta1=draw(finite), beta2=draw(finite),
-        epsilon=draw(finite), gen_hidden=hidden(), disc_hidden=hidden(),
-        rec_hidden=hidden(), r1_weight=draw(finite),
-        diag_interval=draw(st.integers()), diag_points=draw(st.integers()))
+        seed=draw(st.integers(-2**63, 2**63)), beta1=draw(unit), beta2=draw(unit),
+        epsilon=draw(positive), gen_hidden=hidden(), disc_hidden=hidden(),
+        rec_hidden=hidden(), r1_weight=draw(non_negative),
+        diag_interval=draw(st.integers()), diag_points=draw(st.integers(min_value=1)))
 
 
 def through_text(sections):

@@ -1,9 +1,14 @@
 """Measure-preserving automorphism constructions and their sampling checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+import anchordt
 from anchordt import mpa
 
 
@@ -224,3 +229,104 @@ class TestEmpiricalCdf:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             mpa.EmpiricalCdf(np.array([1.0]))
+
+
+def scipy_ks(a, b) -> float:
+    return float(scipy_stats.ks_2samp(a, b).statistic)
+
+
+class TestKsStatistic:
+    # scipy's exact mode (both sizes <= 10000) snaps the statistic onto the
+    # 1/lcm lattice; 10001 and 100000 take its asymptotic branch
+    @pytest.mark.parametrize("n1, n2", [
+        (2, 2), (17, 17), (1000, 1000), (5000, 5000), (10000, 10000),
+        (10001, 10001), (100000, 100000), (2, 17), (17, 1000), (1000, 5000),
+        (10000, 10001), (5000, 100000), (100000, 10001)])
+    def test_matches_scipy_bit_for_bit(self, n1, n2):
+        rng = np.random.default_rng(n1 + 7 * n2)
+        a = rng.standard_normal(n1)
+        b = 0.05 + rng.standard_normal(n2)
+        assert mpa._ks_statistic(a, b).hex() == scipy_ks(a, b).hex()
+
+    @pytest.mark.parametrize("n1, n2", [
+        (2, 2), (17, 17), (1000, 1000), (10000, 10000), (10001, 10001),
+        (100000, 100000), (17, 1000), (10000, 10001), (5000, 100000)])
+    def test_heavy_ties_match_scipy_bit_for_bit(self, n1, n2):
+        rng = np.random.default_rng(n1 + 11 * n2)
+        a = rng.integers(0, 6, n1) * 0.5
+        b = rng.integers(1, 7, n2) * 0.5
+        assert mpa._ks_statistic(a, b).hex() == scipy_ks(a, b).hex()
+
+    @pytest.mark.parametrize("n", [2, 17, 10001, 100000])
+    def test_a_sample_against_itself_is_zero(self, n):
+        a = np.random.default_rng(n).standard_normal(n)
+        # +0.0, as scipy gives: its tie rule keeps the max side, not -min
+        assert mpa._ks_statistic(a, a).hex() == scipy_ks(a, a).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (17, 1000), (10001, 100000)])
+    def test_disjoint_supports_give_one(self, n1, n2):
+        rng = np.random.default_rng(n1)
+        a, b = rng.uniform(0.0, 1.0, n1), rng.uniform(2.0, 3.0, n2)
+        assert mpa._ks_statistic(a, b) == mpa._ks_statistic(b, a) == 1.0
+        assert scipy_ks(a, b) == 1.0
+
+    def test_input_order_and_arrays_are_left_alone(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(500), rng.standard_normal(300)
+        a_copy, b_copy = a.copy(), b.copy()
+        value = mpa._ks_statistic(a, b)
+        np.testing.assert_array_equal(a, a_copy)
+        np.testing.assert_array_equal(b, b_copy)
+        assert mpa._ks_statistic(a[::-1], rng.permutation(b)) == value
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            mpa._ks_statistic(np.array([]), np.ones(3))
+
+
+def reference_finite_translations(p1_sampler, transport, seed, n_fit, n_test):
+    """finite_translations_check as it was written with scipy's KS test and
+    unsorted test draws."""
+    rng = np.random.default_rng(seed)
+    f1 = mpa.EmpiricalCdf(p1_sampler(rng, n_fit))
+    f2 = mpa.EmpiricalCdf(transport(p1_sampler(rng, n_fit)))
+    r_up = lambda x: f2.quantile(f1.cdf(x))
+    r_down = lambda x: f2.quantile(1.0 - f1.cdf(x))
+    x_test = p1_sampler(rng, n_test)
+    y_test = transport(p1_sampler(rng, n_test))
+    ks_up = scipy_ks(r_up(x_test), y_test)
+    ks_down = scipy_ks(r_down(x_test), y_test)
+    lo, hi = np.quantile(x_test, 0.001), np.quantile(x_test, 0.999)
+    grid = np.linspace(lo, hi, 20001)
+    signs = np.sign(r_up(grid) - r_down(grid))
+    signs = signs[signs != 0]
+    return mpa.FiniteTranslationsReport(
+        ks_increasing=ks_up, ks_decreasing=ks_down,
+        crossing_count=int((signs[:-1] != signs[1:]).sum()))
+
+
+@pytest.mark.parametrize("seed", [5, 13, 41])
+def test_finite_translations_report_is_the_unsorted_scipy_report(seed):
+    args = (lambda rng, k: rng.standard_normal(k), lambda x: x + 3.0, seed)
+    new = mpa.finite_translations_check(*args, n_fit=100000, n_test=100000)
+    old = reference_finite_translations(*args, n_fit=100000, n_test=100000)
+    assert new == old
+    assert new.ks_increasing.hex() == old.ks_increasing.hex()
+    assert new.ks_decreasing.hex() == old.ks_decreasing.hex()
+
+
+def test_checks_run_without_scipy():
+    src = os.path.dirname(os.path.dirname(anchordt.__file__))
+    code = "\n".join([
+        "import sys",
+        "from anchordt import mpa",
+        "gauss = lambda rng, k: rng.standard_normal(k)",
+        "assert mpa.pushforward_ks_check(gauss, mpa.reflection_mpa(0.0), 2000, 1) < 0.1",
+        "report = mpa.finite_translations_check(gauss, lambda x: x + 3.0, 2,",
+        "                                       n_fit=2000, n_test=2000)",
+        "assert report.crossing_count == 1",
+        "assert 'scipy' not in sys.modules, 'scipy was imported'",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr

@@ -169,3 +169,36 @@ class TestFileRoundTrip:
         lines = (tmp_path / "train.csv").read_text().splitlines()
         assert lines[0] == "x1,x2,y1,y2"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("t_mode", ["per-dataset", "per-sample"])
+    def test_three_dimensional_round_trip(self, tmp_path, t_mode):
+        rng = np.random.default_rng(26)
+        y = rng.uniform(-1.0, 1.0, (7, 3))
+        perm = np.eye(3)[[2, 0, 1]]
+        t = rng.uniform(0.3, 0.5, 7) if t_mode == "per-sample" else 0.4
+        ds = PairedDataset(x=synthdata.warp(y, t, perm), y=y, t=t, permutation=perm,
+                           t_mode=t_mode, seed=26)
+        synthdata.save_dataset(ds, tmp_path, "train")
+        header = (tmp_path / "train.csv").read_text().splitlines()[0]
+        assert header == "x1,x2,x3,y1,y2,y3" + (",t" if t_mode == "per-sample" else "")
+        loaded = synthdata.load_dataset(tmp_path, "train")
+        np.testing.assert_array_equal(loaded.x, ds.x)
+        np.testing.assert_array_equal(loaded.y, ds.y)
+        np.testing.assert_array_equal(loaded.t, ds.t)
+        np.testing.assert_array_equal(loaded.permutation, perm)
+        assert (loaded.t_mode, loaded.seed) == (t_mode, 26)
+
+    def test_single_row_loads_as_one_sample(self, tmp_path):
+        train, _ = synthdata.generate(SynthConfig(num_train=1, num_test=1, seed=27))
+        synthdata.save_dataset(train, tmp_path, "train")
+        loaded = synthdata.load_dataset(tmp_path, "train")
+        assert loaded.x.shape == loaded.y.shape == (1, 2)
+        np.testing.assert_array_equal(loaded.x, train.x)
+
+    def test_header_that_does_not_match_the_columns_is_rejected(self, tmp_path):
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=28))
+        synthdata.save_dataset(train, tmp_path, "train")
+        path = tmp_path / "train.csv"
+        path.write_text(path.read_text().replace("x1,x2,y1,y2", "x1,x2,y2,y1", 1))
+        with pytest.raises(ValueError, match="header x1,x2,y2,y1 is not x1,x2,y1,y2"):
+            synthdata.load_dataset(tmp_path, "train")

@@ -82,7 +82,22 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"sparsity_mode": "l1"}, "sparsity_mode 'l1'"),
     ({"disc_steps_per_gen_step": 0}, "batch size and disc steps must be positive"),
     ({"anchor_count": 0}, "weights.anchor > 0 needs anchor_count >= 1"),
+    ({"learning_rate": 0.0}, "learning_rate = 0.0 must be positive"),
+    ({"learning_rate": -1.0}, "learning_rate = -1.0 must be positive"),
+    ({"learning_rate": float("nan")}, "learning_rate = nan must be positive"),
+    ({"r1_weight": -1.0}, r"r1_weight = -1.0 must be >= 0"),
+    ({"diag_points": 0}, "diag_points = 0 must be at least 1"),
+    ({"diag_points": -5}, "diag_points = -5 must be at least 1"),
+    ({"beta1": -0.1}, r"beta1 = -0.1 not in \[0, 1\)"),
+    ({"beta1": 1.0}, r"beta1 = 1.0 not in \[0, 1\)"),
+    ({"beta2": 1.5}, r"beta2 = 1.5 not in \[0, 1\)"),
+    ({"epsilon": 0.0}, "epsilon = 0.0 must be positive"),
 ])
 def test_inconsistent_config_is_rejected_naming_the_field(change, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**change)
+
+
+def test_edges_of_the_valid_ranges_are_accepted():
+    TrainConfig(r1_weight=0.0, beta1=0.0, beta2=0.0, diag_points=1,
+                learning_rate=5e-324, epsilon=5e-324)

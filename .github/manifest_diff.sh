@@ -1,10 +1,11 @@
 #!/bin/sh
 # usage: manifest_diff.sh BASE_TREE HEAD_TREE
 #
-# Runs gen-data, a 20-iteration default train, an 8-iteration masked-fd
-# train, a 20-iteration train with the R1 penalty on and mpa-check at seed 13
-# (a seed where every check passes; the shift control fails at some others)
-# from the sources of each checkout.  For each run it compares the
+# Runs gen-data, a 20-iteration default train, an eval of that train's
+# generator.ckpt (so checkpoint loading is compared too), an 8-iteration
+# masked-fd train, a 20-iteration train with the R1 penalty on and mpa-check
+# at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11) from the
+# sources of each checkout.  For each run it compares the
 # [checksums] section of manifest.txt (the artifact bytes) apart from the
 # rest, the config echo, with the output paths replaced by OUT, prints the
 # diff of whichever part differs and one line such as "train: checksums
@@ -19,6 +20,8 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt gen-data --out-dir "$out/data" > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/train" \
         --override train.iterations=20 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt eval --data-dir "$out/data" --out-dir "$out/eval" \
+        --checkpoint "$out/train/generator.ckpt" > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/fd" \
         --override train.iterations=8 --override train.sparsity_mode=masked-fd > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
@@ -26,7 +29,7 @@ runs() {
         --override train.batch_size=128 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
-    for run in data train fd r1 mpa; do
+    for run in data train eval fd r1 mpa; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -36,7 +39,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train fd r1 mpa; do
+for run in data train eval fd r1 mpa; do
     verdict=""
     for part in checksums echo; do
         name=$part

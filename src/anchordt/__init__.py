@@ -1,4 +1,4 @@
-"""anchordt: anchored, sparsity-regularized transfer maps between 2D laws.
+"""anchordt: anchored, sparsity-regularized transfer maps between laws on R^D.
 
 Learns an invertible map from a source to a target distribution from
 unpaired samples plus one (or a few) aligned anchor pairs, regularized by

@@ -4,13 +4,16 @@ Every value in a graph is a 2-D row-major float64 array.  Graphs are built
 eagerly: each op computes its value once, on construction, and a graph is
 never re-evaluated; a value at other leaf values is a new graph.  The ops
 are matmul, add, subtract, scale, elementwise-mul, log, square, clip,
-abs-sum, sum, mean, and dense, one network layer ``act(W @ h + b)`` as a
-single node over the activations of ``ACTIVATIONS``.  A dense node keeps
-the activation derivative (the vjp at g = 1) in its meta, where backward
-and the Jacobian masks of ``anchordt.nets`` read it.  The activations are
-also ops of their own (leaky-relu, tanh, sigmoid, softplus): the primitive
-form that dense equals bit for bit.  softplus(a) = log(1 + e^a) is the
-GAN losses' one nonlinearity on the discriminator's logits.
+abs-sum, sum, mean, softplus, and dense, one network layer
+``act(W @ h + b)`` as a single node, where act is identity or leaky-relu
+with a slope in [0, 1]: the two activations of ``anchordt.nets``.  Their
+derivative is exactly 1 or the slope, so a dense node's value is the
+pre-activation times the derivative, and it keeps that derivative in its
+meta, where backward and the Jacobian masks of ``anchordt.nets`` read it.
+softplus(a) = log(1 + e^a) is the GAN losses' one nonlinearity on the
+discriminator's logits.  leaky-relu, tanh and sigmoid are ops of their
+own as well, and clip and log ops too; no runtime code builds any of
+them, and they stay only as names the benchmark traces.
 
 Convention used throughout the package: samples are columns, so a batch of
 N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
@@ -105,9 +108,9 @@ def _leaky(x, slope):
 
 # Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
 # a is the pre-activation, value its activation and g the output adjoint.  The
-# graph ops below, the numpy forward pass of nets.MlpModel and the Jacobian
-# masks of sparsity.activation_masks (the vjp at g = 1) all read it.  Only
-# tanh, sigmoid and softplus read ``value``: softplus' derivative is
+# one-input activation ops read it, and dense and sparsity.activation_masks
+# read the identity and leaky-relu vjps at g = 1.  Only tanh, sigmoid and
+# softplus read ``value``: softplus' derivative is
 # sigmoid(a) = -expm1(-softplus(a)).  Only identity and leaky-relu read ``a``.
 # The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
 # arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
@@ -261,28 +264,15 @@ def _compute_dense(vals, meta):
         raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
     a = w @ h
     a += b
-    value_of, vjp = ACTIVATIONS[meta.activation]
-    s = meta.slope
-    if meta.activation == "leaky-relu" and 0.0 <= s <= 1.0:
-        # the derivative is 1 or s exactly, so a * deriv has the bits of
-        # max(a, s * a), -0.0 included
-        meta.deriv = vjp(1.0, a, None, s)
-        return a * meta.deriv
-    value = value_of(a, s)
-    meta.deriv = vjp(1.0, a, value, s)
-    return value
+    # the derivative is 1 or s exactly, so a * deriv has the bits of a and of
+    # max(a, s * a), -0.0 included
+    meta.deriv = ACTIVATIONS[meta.activation][1](1.0, a, None, meta.slope)
+    return a * meta.deriv
 
 
 def _grad_dense(node, wanted):
     w, h, b = node.parents
-    name = node.meta.activation
-    if name == "identity":
-        ga = node.grad
-    elif name == "leaky-relu":
-        ga = node.grad * node.meta.deriv
-    else:
-        # tanh, sigmoid, softplus: the table vjp, since g * deriv rounds differently
-        ga = ACTIVATIONS[name][1](node.grad, None, node.value, node.meta.slope)
+    ga = node.grad * node.meta.deriv
     return (ga @ h.value.T if wanted[0] else None,
             w.value.T @ ga if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
@@ -325,12 +315,17 @@ def dense(w: Node, h: Node, b: Node, activation: str = "identity",
           slope: float = 0.2) -> Node:
     """One layer, ``activation(w @ h + b)``, as a single node.
 
-    Same bits, value and adjoints, as ``activation(add(matmul(w, h), b))``
-    built from the separate ops.
+    ``activation`` is identity, or leaky-relu with a slope in [0, 1]; any
+    other raises GraphError.  Same bits, value and adjoints, as
+    ``activation(add(matmul(w, h), b))`` built from the separate ops.
     """
-    if activation not in ACTIVATIONS:
-        raise GraphError(f"dense: unknown activation {activation!r}")
-    return _make("dense", (w, h, b), DenseMeta(activation, float(slope)))
+    slope = float(slope)
+    if activation not in ("identity", "leaky-relu"):
+        raise GraphError(f"dense: unknown activation {activation!r}; "
+                         "dense takes identity or leaky-relu")
+    if activation == "leaky-relu" and not 0.0 <= slope <= 1.0:
+        raise GraphError(f"dense: leaky-relu slope {slope} not in [0, 1]")
+    return _make("dense", (w, h, b), DenseMeta(activation, slope))
 
 
 def matmul(a: Node, b: Node) -> Node:

@@ -1,13 +1,14 @@
 """Small fully-connected networks: init, forward passes, Adam, checkpoints.
 
 Weights are stored (n_out, n_in) and biases (n_out, 1), acting on column
-batches, so a layer is ``W @ x + b``.  Hidden activations are leaky-relu
-with slope 0.2; the output layer is identity, tanh, or sigmoid.  Each
-model's per-layer activation list is derived once, when the model is built,
-from the activation table in ``autodiff``; the plain numpy forward pass
-(``MlpModel``) and the graph forward pass (``MlpBinding``) both walk it.
-The graph pass builds one ``autodiff.dense`` node per layer, and keeps the
-activation derivatives those nodes computed.
+batches, so a layer is ``W @ x + b``.  Every network is the one kind built
+here: leaky-relu hidden layers with slope ``HIDDEN_SLOPE`` and an identity
+output.  Both are piecewise linear, so the activation derivatives at a
+point, frozen, give the network's exact Jacobian there (almost everywhere).
+The plain numpy forward pass (``MlpModel.apply``) and the graph forward
+pass (``MlpBinding``) give the same bits.  The graph pass builds one
+``autodiff.dense`` node per layer, and keeps the activation derivatives
+those nodes computed: the Jacobian masks.
 Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
 (gradients, Adam moments), as ``param_order`` spells out.
 """
@@ -21,11 +22,12 @@ import numpy as np
 from . import autodiff as ad
 from .configio import format_float
 
-OUTPUT_ACTIVATIONS = ("identity", "tanh", "sigmoid")
-
 HIDDEN_SLOPE = 0.2
 
 _CHECKPOINT_MAGIC = "anchordt-mlp-v1"
+# header lines the format has always carried; every network has these
+_CHECKPOINT_ACTIVATIONS = {"output_activation": "identity",
+                           "hidden_slope": format_float(HIDDEN_SLOPE)}
 
 
 def param_order(weights, biases) -> list:
@@ -35,23 +37,11 @@ def param_order(weights, biases) -> list:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Frozen fields, so ``activations`` cannot go stale; the weight and bias
-    arrays are updated in place."""
+    """Frozen fields; the weight and bias arrays are updated in place."""
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    output_activation: str = "identity"
-    hidden_slope: float = HIDDEN_SLOPE
-    # (activation table name, slope) per layer, derived from the fields above
-    activations: list[tuple[str, float]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
-        hidden = [("leaky-relu", self.hidden_slope)] * (len(self.layer_sizes) - 2)
-        object.__setattr__(self, "activations",
-                           hidden + [(self.output_activation, self.hidden_slope)])
 
     @property
     def input_dim(self) -> int:
@@ -66,36 +56,24 @@ class MlpModel:
             layer_sizes=self.layer_sizes,
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            output_activation=self.output_activation,
-            hidden_slope=self.hidden_slope,
         )
-
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Output and per-layer pre-activations for a (D, N) column batch."""
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.shape[0] != self.input_dim:
-            raise ValueError(
-                f"input dim {x.shape[0]} != model input dim {self.input_dim}")
-        h, pres = x, []
-        for w, b, (name, slope) in zip(self.weights, self.biases, self.activations):
-            a = w @ h + b
-            pres.append(a)
-            h = ad.ACTIVATIONS[name][0](a, slope)
-        return h, pres
-
-    def preactivations(self, x: np.ndarray) -> list[np.ndarray]:
-        """Pre-activation matrices of every layer for a (D, N) column batch."""
-        return self._forward(np.asarray(x, dtype=np.float64))[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass on a (D, N) column batch."""
         x = np.asarray(x, dtype=np.float64)
-        h = self._forward(x)[0]
+        h = x.reshape(-1, 1) if x.ndim == 1 else x
+        if h.shape[0] != self.input_dim:
+            raise ValueError(
+                f"input dim {h.shape[0]} != model input dim {self.input_dim}")
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = w @ h + b
+            if i < last:
+                h = np.maximum(h, HIDDEN_SLOPE * h)
         return h[:, 0] if x.ndim == 1 else h
 
 
-def init_mlp(layer_sizes, output_activation: str = "identity", seed=0) -> MlpModel:
+def init_mlp(layer_sizes, seed=0) -> MlpModel:
     """Xavier-uniform weights U(-a, a) with a = sqrt(6/(n_in+n_out)), zero biases.
 
     Deterministic given seed; weights are drawn layer by layer in order.
@@ -111,8 +89,7 @@ def init_mlp(layer_sizes, output_activation: str = "identity", seed=0) -> MlpMod
         a = np.sqrt(6.0 / (n_in + n_out))
         weights.append(rng.uniform(-a, a, size=(n_out, n_in)))
         biases.append(np.zeros((n_out, 1)))
-    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases,
-                    output_activation=output_activation)
+    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
 
 
 class MlpBinding:
@@ -128,8 +105,7 @@ class MlpBinding:
     the discriminator while the generator trains, and vice versa).
 
     After each __call__ the activation derivative of every layer of that
-    pass is kept in ``last_derivs``.  These are the Jacobian masks of
-    ``sparsity.activation_masks``, bit for bit, with no further pass.
+    pass is kept in ``last_derivs``: the Jacobian masks at its input.
     """
 
     def __init__(self, model: MlpModel, frozen: bool = False):
@@ -147,9 +123,9 @@ class MlpBinding:
     def __call__(self, x: ad.Node) -> ad.Node:
         h = x
         derivs = []
-        for w, b, (name, slope) in zip(self.weight_nodes, self.bias_nodes,
-                                       self.model.activations):
-            h = ad.dense(w, h, b, name, slope)
+        last = len(self.weight_nodes) - 1
+        for i, (w, b) in enumerate(zip(self.weight_nodes, self.bias_nodes)):
+            h = ad.dense(w, h, b, "leaky-relu" if i < last else "identity", HIDDEN_SLOPE)
             derivs.append(h.meta.deriv)
         self.last_derivs = derivs
         return h
@@ -224,9 +200,8 @@ def save_checkpoint(model: MlpModel, path):
     lines = [
         _CHECKPOINT_MAGIC,
         "layer_sizes = " + ",".join(str(s) for s in model.layer_sizes),
-        f"output_activation = {model.output_activation}",
-        f"hidden_slope = {format_float(model.hidden_slope)}",
     ]
+    lines += [f"{key} = {value}" for key, value in _CHECKPOINT_ACTIVATIONS.items()]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         lines.append(f"W{i} = " + " ".join(format_float(v) for v in w.ravel()))
         lines.append(f"b{i} = " + " ".join(format_float(v) for v in b.ravel()))
@@ -245,13 +220,12 @@ def load_checkpoint(path) -> MlpModel:
             continue
         key, _, val = ln.partition(" = ")
         fields[key] = val
+    for key, value in _CHECKPOINT_ACTIVATIONS.items():
+        if fields.get(key) != value:
+            raise ValueError(f"{path}: {key} = {fields.get(key, '(missing)')}; "
+                             f"every network has {key} = {value}")
     sizes = tuple(int(s) for s in fields["layer_sizes"].split(","))
-    model = MlpModel(
-        layer_sizes=sizes,
-        weights=[], biases=[],
-        output_activation=fields["output_activation"],
-        hidden_slope=float(fields["hidden_slope"]),
-    )
+    model = MlpModel(layer_sizes=sizes, weights=[], biases=[])
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         w = _parse_floats(fields[f"W{i}"]).reshape(n_out, n_in)
         b = _parse_floats(fields[f"b{i}"]).reshape(n_out, 1)

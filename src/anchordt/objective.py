@@ -2,7 +2,10 @@
 
 All losses are scalar graph nodes built through MlpBindings, so several
 terms can share one network's parameter nodes and a single backward pass
-accumulates the combined gradient.
+accumulates the combined gradient.  Every network is leaky-relu with an
+identity output, so the discriminator outputs a logit, and the Jacobian
+terms (the exact l1 term, R1) are exact almost everywhere on the masks the
+dense nodes of a pass computed; each takes those of a pass already built.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import MlpBinding
-from .sparsity import ProbeSpec, activation_masks, draw_probe, jacobian_graph
+from .sparsity import ProbeSpec, draw_probe, jacobian_graph
 
 SPARSITY_MODES = ("exact-jacobian-l1", "masked-fd")
 
@@ -25,8 +28,10 @@ class LossWeights:
     inv: float = 1.0
 
     def __post_init__(self):
-        if min(self.anchor, self.sparsity, self.inv) < 0:
-            raise ValueError("loss weights must be non-negative")
+        # written so that NaN fails it too
+        for name in ("anchor", "sparsity", "inv"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
 
 
 @dataclass
@@ -58,10 +63,10 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
                fake: ad.Node | None = None, detach_generator: bool = False):
     """Adversarial pair of scalar nodes (discriminator loss, generator loss).
 
-    The discriminator outputs a logit l, its output activation identity.
-    The discriminator loss is mean softplus(-l(y)) + mean softplus(l(g(x))),
-    the negated log score -[mean log s(l(y)) + mean log(1 - s(l(g(x))))] of
-    s = sigmoid; the generator uses the non-saturating form
+    The discriminator outputs a logit l.  The discriminator loss is
+    mean softplus(-l(y)) + mean softplus(l(g(x))), the negated log score
+    -[mean log s(l(y)) + mean log(1 - s(l(g(x))))] of s = sigmoid; the
+    generator uses the non-saturating form
     mean softplus(-l(g(x))) = -mean log s(l(g(x))) (Goodfellow et al. 2014).
     softplus is finite at any finite logit, so nothing is clamped.
 
@@ -80,9 +85,6 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     Mescheder et al. 2018), one ``jacobian_graph`` sweep over the masks of
     the real-batch pass, exact almost everywhere.  Off by default.
     """
-    if discriminator.model.output_activation != "identity":
-        raise ValueError("gan_losses needs a logit discriminator, an identity output; got "
-                         f"output_activation {discriminator.model.output_activation!r}")
     x_batch = _as_batch(x_batch)
     if fake is None:
         if detach_generator:
@@ -140,10 +142,9 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     exact-jacobian-l1: batch mean of ||J(x)||_1, assembled from the
     per-layer linearizations with frozen activation masks.  All D basis
     directions go through one ``jacobian_graph`` sweep, so the cost is one
-    widened forward pass, not D per-sample graphs.  ``masks`` can pass in
-    precomputed activation masks for x_batch.  The generator output must be
-    identity: backward through a frozen tanh or sigmoid derivative is not
-    the loss's gradient.
+    widened forward pass, not D per-sample graphs.  Needs ``masks``, the
+    activation masks of a generator pass over x_batch (the binding's
+    ``last_derivs`` right after that pass).
 
     masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1 with a
     fresh sparse Gaussian probe per sample, averaged over
@@ -155,12 +156,9 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape
     if mode == "exact-jacobian-l1":
-        if generator.model.output_activation != "identity":
-            raise ValueError(f"{mode} needs an identity generator output, got "
-                             f"output_activation {generator.model.output_activation!r}")
         if masks is None:
-            masks = activation_masks(generator.model,
-                                     generator.model.preactivations(x_batch))
+            raise ValueError(f"{mode} mode needs the masks of a generator pass over "
+                             "x_batch")
         return ad.scale(ad.abs_sum(jacobian_graph(generator, masks)), 1.0 / n)
     if mode == "masked-fd":
         if rng is None:

@@ -5,9 +5,10 @@ Three layers of machinery live here:
 * Jacobians of a network: ``exact_jacobian`` by central differences, for
   evaluation, and ``batched_jvp_graph``, the in-graph Jacobian-vector
   products J(x_n) v_n that the training penalties in ``objective`` build
-  on.  They use the per-layer activation derivatives of
-  ``activation_masks``, frozen as constants, which is exact (almost
-  everywhere) only for leaky-relu and identity layers.  Along the identity
+  on.  They use the per-layer activation derivatives that the ``dense``
+  nodes of a pass over the x_n computed (``MlpBinding.last_derivs``),
+  frozen as constants.  Every network is leaky-relu with an identity
+  output, so this is exact almost everywhere.  Along the identity
   directions, ``jacobian_graph`` holds every point's full Jacobian in one
   sweep; the exact Jacobian l1 term and the discriminator's R1 penalty
   both build on it;
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import MlpBinding, MlpModel
+from .nets import HIDDEN_SLOPE, MlpBinding, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 # float64 elements in each per-block buffer of q_probe_samples (128 KB);
@@ -61,8 +62,9 @@ class ProbeSpec:
     def __post_init__(self):
         if self.mask_size < 1:
             raise ValueError(f"mask size {self.mask_size} must be at least 1")
-        if self.perturbation_scale <= 0:
-            raise ValueError("perturbation scale must be positive")
+        if not self.perturbation_scale > 0:   # NaN fails it too
+            raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
+                             "must be positive")
         if self.probes_per_sample < 1:
             raise ValueError("probes per sample must be >= 1")
 
@@ -160,35 +162,29 @@ def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return (out[:, :d] - out[:, d:]) / (2.0 * step)
 
 
-def activation_masks(model: MlpModel, preacts: list[np.ndarray]) -> list[np.ndarray]:
-    """Activation derivatives per layer from pre-activation arrays.
+def activation_masks(preacts: list[np.ndarray]) -> list[np.ndarray]:
+    """Activation derivatives per layer from a network's pre-activation arrays.
 
-    Each is the layer activation's vjp at g = 1.  Only the output layer's
-    activation value is computed: the hidden layers are leaky-relu, whose
-    derivative needs the pre-activation alone.
+    Each is the layer activation's vjp at g = 1: leaky-relu for the hidden
+    layers, identity for the output.  A pass's dense nodes hold the same
+    arrays; no runtime code calls this, kept as the tests' reference and a
+    name the benchmark traces.
     """
-    masks = []
-    last = len(preacts) - 1
-    for i, (a, (name, slope)) in enumerate(zip(preacts, model.activations)):
-        value, vjp = ad.ACTIVATIONS[name]
-        masks.append(vjp(1.0, a, value(a, slope) if i == last else None, slope))
-    return masks
+    leaky = ad.ACTIVATIONS["leaky-relu"][1]
+    return ([leaky(1.0, a, None, HIDDEN_SLOPE) for a in preacts[:-1]]
+            + [np.ones_like(preacts[-1])])
 
 
-def batched_jvp_graph(binding: MlpBinding, x_batch: np.ndarray,
-                      directions: np.ndarray, masks=None) -> ad.Node:
+def batched_jvp_graph(binding: MlpBinding, directions: np.ndarray, masks) -> ad.Node:
     """Graph whose column n is J(x_n) @ v_n, for per-sample directions v_n.
 
-    x_batch and directions are (D, N).  Propagates the directions through
-    the layer linearizations with the activation masks frozen at x_batch,
-    so the result is linear in the weights of each layer and differentiable
-    w.r.t. them: backward through it yields a valid a.e. subgradient of any
-    function of the JVPs without second-order differentiation.  Pass
-    precomputed ``masks`` (from activation_masks) to skip the extra forward
-    pass.
+    directions is (D, N), and ``masks`` are the activation masks of a pass
+    over the points x_n.  Propagates the directions through the layer
+    linearizations with those masks frozen, so the result is linear in the
+    weights of each layer and differentiable w.r.t. them: backward through
+    it yields a valid a.e. subgradient of any function of the JVPs without
+    second-order differentiation.
     """
-    if masks is None:
-        masks = activation_masks(binding.model, binding.model.preactivations(x_batch))
     v = ad.input_node(directions, "jvp-direction")
     for w_node, mask in zip(binding.weight_nodes, masks):
         v = ad.matmul(w_node, v)
@@ -204,8 +200,7 @@ def jacobian_graph(binding: MlpBinding, masks) -> ad.Node:
     """
     d, n = binding.model.input_dim, masks[0].shape[1]
     directions = np.kron(np.eye(d), np.ones((1, n)))
-    return batched_jvp_graph(binding, None, directions,
-                             masks=[np.tile(m, (1, d)) for m in masks])
+    return batched_jvp_graph(binding, directions, [np.tile(m, (1, d)) for m in masks])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Target points y have y1 ~ Unif[-1,1] and y2 ~ Unif[-1,1] + 0.5*y1; source
 points are x = t*cos(A y) + A y (cos elementwise), where A is a non-identity
 permutation and the warp amplitude t is drawn once per dataset from
 Unif[0.3, 0.5] (or per sample, for sensitivity runs).  The y -> x direction
-is the inverse of the map being learned, and since t < 1 it is injective,
-so every generated pair is a valid aligned example.
+is the inverse of the map being learned, and since |t| < 1 it is
+injective, so every generated pair is a valid aligned example.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class SynthConfig:
             raise ValueError("sample counts must be positive")
         if self.t_mode not in T_MODES:
             raise ValueError(f"t_mode must be one of {T_MODES}")
+        for name in ("t_min", "t_max"):
+            # |t| < 1 keeps the warp injective; NaN and infinities fail it too
+            if not -1 < getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)!r} not in (-1, 1)")
         if self.t_min > self.t_max:
             raise ValueError(f"t_min = {self.t_min} exceeds t_max = {self.t_max}")
 

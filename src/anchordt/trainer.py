@@ -80,6 +80,8 @@ class TrainConfig:
                 raise ValueError(f"{name} = {getattr(self, name)!r} not in [0, 1)")
         if not self.r1_weight >= 0:
             raise ValueError(f"r1_weight = {self.r1_weight!r} must be >= 0")
+        if self.diag_interval < 0:   # 0 turns the diagnostics off
+            raise ValueError(f"diag_interval = {self.diag_interval} must be >= 0")
         if self.diag_points < 1:
             raise ValueError(f"diag_points = {self.diag_points} must be at least 1")
 
@@ -127,9 +129,9 @@ def translation_error(generator: MlpModel, test: PairedDataset) -> tuple[float, 
 
 def _init_models(config: TrainConfig, d: int):
     seeds = np.random.SeedSequence(config.seed).spawn(5)
-    gen = init_mlp((d, *config.gen_hidden, d), "identity", seeds[0])
-    disc = init_mlp((d, *config.disc_hidden, 1), "identity", seeds[1])
-    rec = init_mlp((d, *config.rec_hidden, d), "identity", seeds[2])
+    gen = init_mlp((d, *config.gen_hidden, d), seeds[0])
+    disc = init_mlp((d, *config.disc_hidden, 1), seeds[1])
+    rec = init_mlp((d, *config.rec_hidden, d), seeds[2])
     batch_rng = np.random.default_rng(seeds[3])
     probe_rng = np.random.default_rng(seeds[4])
     return gen, disc, rec, batch_rng, probe_rng

@@ -224,8 +224,7 @@ def layer_graph(w_val, h_val, b_val, name, slope, fused, w_kind):
         out = ad.dense(w, h, b, name, slope)
     else:
         a = ad.add(ad.matmul(w, h), b)
-        out = {"identity": lambda n: n, "leaky-relu": lambda n: ad.leaky_relu(n, slope),
-               "tanh": ad.tanh, "sigmoid": ad.sigmoid, "softplus": ad.softplus}[name](a)
+        out = a if name == "identity" else ad.leaky_relu(a, slope)
     adjoint = np.random.default_rng(9).standard_normal(out.value.shape)
     root = ad.node_sum(ad.elementwise_mul(out, ad.input_node(adjoint)))
     return root, out, (w, h, b)
@@ -244,7 +243,7 @@ def layer_values(rng, zero_ties):
 
 
 class TestDense:
-    @pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
+    @pytest.mark.parametrize("name", ["identity", "leaky-relu"])
     @pytest.mark.parametrize("w_kind", ["parameter", "input"])
     @pytest.mark.parametrize("zero_ties", [False, True])
     def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties):
@@ -285,3 +284,15 @@ class TestDense:
             ad.dense(w, h, ad.input_node(np.ones((2, 4))))
         with pytest.raises(ad.GraphError, match="unknown activation 'relu'"):
             ad.dense(w, h, b, "relu")
+
+    @pytest.mark.parametrize("name", ["tanh", "sigmoid", "softplus"])
+    def test_rejects_the_smooth_activations(self, name):
+        w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
+        with pytest.raises(ad.GraphError, match=f"unknown activation '{name}'"):
+            ad.dense(w, h, b, name)
+
+    @pytest.mark.parametrize("slope", [-0.2, 1.5, float("nan"), float("inf")])
+    def test_rejects_a_leaky_slope_outside_the_unit_interval(self, slope):
+        w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
+        with pytest.raises(ad.GraphError, match=r"slope .* not in \[0, 1\]"):
+            ad.dense(w, h, b, "leaky-relu", slope)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import anchordt
-from anchordt import cli, configio, manifest, nets, synthdata, trainer
+from anchordt import cli, configio, manifest, nets, sparsity, synthdata, trainer
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,12 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("train", ["train.diag_points=-5"], "diag_points = -5 must be at least 1"),
     ("train", ["train.beta2=1"], "beta2 = 1.0 not in [0, 1)"),
     ("ablate", ["train.epsilon=0"], "epsilon = 0.0 must be positive"),
+    ("train", ["weights.sparsity=nan"], "sparsity = nan must be >= 0"),
+    ("train", ["weights.anchor=nan"], "anchor = nan must be >= 0"),
+    ("train", ["probe.perturbation_scale=nan"], "perturbation_scale = nan must be positive"),
+    ("train", ["train.diag_interval=-3"], "diag_interval = -3 must be >= 0"),
+    ("gen-data", ["data.t_min=nan"], "t_min = nan not in (-1, 1)"),
+    ("gen-data", ["data.t_max=1"], "t_max = 1.0 not in (-1, 1)"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -317,3 +323,40 @@ def test_sparsity_check_records_the_dimension_it_checked(tmp_path):
     for run, dimension in (("inferred", "2"), ("set", "3")):
         _, _, config, _ = manifest.read_manifest(tmp_path / run / "manifest.txt")
         assert config["sparsity_check"] == {"dimension": dimension}
+
+
+def test_probe_study_exact_overlay_rows_are_the_closed_form(tmp_path):
+    argv = ["probe-study", "--out-dir", str(tmp_path), *VERB_ARGS["probe-study"],
+            "--override", "probe_study.exact_overlay=true"]
+    assert cli.main(argv) == 0
+    # the overlay's matrix is drawn from seed + 1, the default seed being 0
+    j = sparsity.random_sparse_jacobian(20, 2, np.random.default_rng(0 + 1))
+    l0 = np.count_nonzero(j)
+    lines = (tmp_path / "study_exact.csv").read_text().splitlines()
+    assert lines[0] == "S,q_exact,rel_bias_exact"
+    assert [line.partition(",")[0] for line in lines[1:]] == ["1", "3"]
+    for line, s in zip(lines[1:], (1, 3)):
+        q = sparsity.q_hypergeometric(j, s)
+        assert line == ",".join([str(s), configio.format_float(q),
+                                 configio.format_float((q - l0) / l0)])
+    # T = 2 in every row: q = (D/S) D (1 - C(18, S) / C(20, S))
+    assert lines[1].startswith("1,40.000000000000007,")
+    assert lines[2].startswith("3,37.894736842105253,")
+    checksums = manifest.read_manifest(tmp_path / manifest.MANIFEST_NAME)[3]
+    assert "study_exact.csv" in checksums
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("output_activation = identity", "output_activation = tanh"),
+    ("hidden_slope = 0.20000000000000001", "hidden_slope = 0.5"),
+])
+def test_eval_of_a_checkpoint_with_other_activations_exits_2(data_dir, checkpoint, tmp_path,
+                                                              capsys, line, replacement):
+    text = checkpoint.read_text()
+    assert line in text
+    (tmp_path / "other.ckpt").write_text(text.replace(line, replacement))
+    code = cli.main(["eval", "--out-dir", str(tmp_path / "out"), "--data-dir", str(data_dir),
+                     "--checkpoint", str(tmp_path / "other.ckpt")])
+    assert code == 2
+    assert f"other.ckpt: {replacement}; every network has {line}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,5 @@
 """Network init, forward agreement, Adam arithmetic, checkpoint round trips."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from hypothesis import strategies as st
 from anchordt import autodiff as ad
 from anchordt import nets
 from anchordt.sparsity import activation_masks
+from reference_pass import preactivations
 
 
 def scalar_model(w0: float) -> nets.MlpModel:
@@ -59,23 +58,16 @@ class TestInit:
         with pytest.raises(ValueError):
             nets.init_mlp((), seed=0)
 
-    def test_output_activation_checked_once_and_frozen(self):
-        with pytest.raises(ValueError, match="output activation"):
-            nets.MlpModel(layer_sizes=(1, 1), weights=[np.ones((1, 1))],
-                          biases=[np.zeros((1, 1))], output_activation="relu")
-        model = nets.init_mlp((2, 4, 4, 1), output_activation="sigmoid", seed=0)
-        assert model.activations == [("leaky-relu", 0.2)] * 2 + [("sigmoid", 0.2)]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            model.output_activation = "tanh"
-
 
 class TestForwardPaths:
-    @pytest.mark.parametrize("out_act", ["identity", "tanh", "sigmoid"])
-    def test_apply_matches_graph_forward_bitwise(self, out_act):
-        model = nets.init_mlp((3, 8, 8, 3), output_activation=out_act, seed=11)
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 8, 8, 3), (3, 8, 1)],
+                             ids=["one-layer", "two-hidden", "logit"])
+    def test_apply_matches_graph_forward_bitwise(self, sizes):
+        model = nets.init_mlp(sizes, seed=11)
         x = np.random.default_rng(1).standard_normal((3, 16))
+        x[:, 3] = 0.0   # zero pre-activations in the first layer
         graph_out = nets.bind(model)(ad.input_node(x)).value
-        np.testing.assert_array_equal(model.apply(x), graph_out)
+        assert model.apply(x).tobytes() == graph_out.tobytes()
 
     def test_apply_1d_convenience(self):
         model = nets.init_mlp((2, 4, 2), seed=0)
@@ -97,14 +89,16 @@ class TestForwardPaths:
     def test_binding_records_preactivations(self):
         # the derivatives kept by the dense nodes are the Jacobian masks
         x = np.random.default_rng(2).standard_normal((2, 8))
-        for out_act in nets.OUTPUT_ACTIVATIONS:
-            model = nets.init_mlp((2, 4, 4, 2), output_activation=out_act, seed=0)
-            binding = nets.bind(model)
-            binding(ad.input_node(x))
-            direct = activation_masks(model, model.preactivations(x))
-            assert len(binding.last_derivs) == len(direct) == 3
-            for a, b in zip(binding.last_derivs, direct):
-                np.testing.assert_array_equal(a, b)
+        x[:, 5] = 0.0   # exact-zero pre-activations take the slope-1 side
+        model = nets.init_mlp((2, 4, 4, 2), seed=0)
+        binding = nets.bind(model)
+        binding(ad.input_node(x))
+        direct = activation_masks(preactivations(model, x))
+        assert len(binding.last_derivs) == len(direct) == 3
+        for a, b in zip(binding.last_derivs, direct):
+            assert a.tobytes() == b.tobytes()
+        assert np.isin(direct[0], (nets.HIDDEN_SLOPE, 1.0)).all()
+        assert (direct[-1] == 1.0).all()
 
 
 class TestAdam:
@@ -180,14 +174,13 @@ class TestAdam:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = nets.init_mlp((2, 32, 32, 2), output_activation="tanh", seed=9)
+        model = nets.init_mlp((2, 32, 32, 2), seed=9)
         # make values irrational-ish to exercise the full 17 digits
         model.weights[0] *= np.pi
         path = tmp_path / "model.ckpt"
         nets.save_checkpoint(model, path)
         loaded = nets.load_checkpoint(path)
         assert loaded.layer_sizes == model.layer_sizes
-        assert loaded.output_activation == "tanh"
         for a, b in zip(model.weights + model.biases,
                         loaded.weights + loaded.biases):
             np.testing.assert_array_equal(a, b)
@@ -203,4 +196,40 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="checkpoint"):
+            nets.load_checkpoint(path)
+
+    # a checkpoint as the format has always been written, activations included
+    EARLIER_FORMAT = ("anchordt-mlp-v1\n"
+                      "layer_sizes = 1,2,1\n"
+                      "output_activation = identity\n"
+                      "hidden_slope = 0.20000000000000001\n"
+                      "W0 = 0.31415926535897931 -1.2\n"
+                      "b0 = 0 -0.5\n"
+                      "W1 = 2 -3.0000000000000004\n"
+                      "b1 = 0.10000000000000001\n")
+
+    def test_earlier_format_round_trips_bit_for_bit(self, tmp_path):
+        path, again = tmp_path / "earlier.ckpt", tmp_path / "again.ckpt"
+        path.write_text(self.EARLIER_FORMAT)
+        model = nets.load_checkpoint(path)
+        assert model.layer_sizes == (1, 2, 1)
+        # hidden units at 0.314 x and -1.2 x - 0.5: leaky-relu, identity output
+        h = np.array([0.31415926535897931 * 2.0, -1.2 * 2.0 - 0.5])
+        h = np.maximum(h, 0.2 * h)
+        expected = 2.0 * h[0] - 3.0000000000000004 * h[1] + 0.1
+        assert model.apply(np.array([2.0]))[0] == pytest.approx(expected, rel=1e-15)
+        nets.save_checkpoint(model, again)
+        assert again.read_text() == self.EARLIER_FORMAT
+
+    @pytest.mark.parametrize("line, replacement", [
+        ("output_activation = identity", "output_activation = tanh"),
+        ("output_activation = identity", "output_activation = sigmoid"),
+        ("hidden_slope = 0.20000000000000001", "hidden_slope = 0.01"),
+        ("hidden_slope = 0.20000000000000001", ""),
+    ])
+    def test_rejects_other_activations_naming_the_key(self, tmp_path, line, replacement):
+        path = tmp_path / "other.ckpt"
+        path.write_text(self.EARLIER_FORMAT.replace(line, replacement))
+        key = line.partition(" = ")[0]
+        with pytest.raises(ValueError, match=f"{key} = "):
             nets.load_checkpoint(path)

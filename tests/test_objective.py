@@ -5,8 +5,9 @@ import pytest
 
 from anchordt import autodiff as ad
 from anchordt import nets, objective
-from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe
+from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe, jacobian_graph
 from rebuild_gradcheck import rebuild_gradcheck
+from reference_pass import preactivations
 
 
 def arrays(model):
@@ -26,11 +27,18 @@ def identity_model(d=2) -> nets.MlpModel:
                          biases=[np.zeros((d, 1))])
 
 
-def linear_model(a, output_activation="identity") -> nets.MlpModel:
+def linear_model(a) -> nets.MlpModel:
     a = np.asarray(a, dtype=np.float64)
     return nets.MlpModel(layer_sizes=(a.shape[1], a.shape[0]),
-                         weights=[a.copy()], biases=[np.zeros((a.shape[0], 1))],
-                         output_activation=output_activation)
+                         weights=[a.copy()], biases=[np.zeros((a.shape[0], 1))])
+
+
+def exact_sparsity_loss(generator: nets.MlpBinding, x) -> ad.Node:
+    """The exact-mode term as the trainer builds it: over the masks of the
+    generator's pass over x."""
+    generator(ad.input_node(x))
+    return objective.sparsity_loss(generator, x, ProbeSpec(1), "exact-jacobian-l1",
+                                   masks=generator.last_derivs)
 
 
 def biased_identity(offset) -> nets.MlpModel:
@@ -60,12 +68,6 @@ class TestGanLosses:
         assert 0.0 < dl.value[0, 0] < 1e-20
         ad.backward(dl)
         assert disc.weight_nodes[0].grad[0, 0] != 0.0
-
-    def test_non_logit_discriminator_rejected(self):
-        gen = nets.bind(identity_model())
-        disc = nets.bind(nets.init_mlp((2, 4, 1), "sigmoid", seed=0))
-        with pytest.raises(ValueError, match="output_activation 'sigmoid'"):
-            objective.gan_losses(gen, disc, np.ones((2, 3)), np.ones((2, 3)))
 
     def test_generator_gradient_matches_finite_differences(self):
         gen = nets.init_mlp((2, 4, 2), seed=3)
@@ -127,22 +129,23 @@ class TestGanLosses:
         assert rebuild_gradcheck(build, arrays(gen_model) + arrays(disc_model)) < 1e-4
 
     def test_r1_penalty_runs_one_forward_pass_for_all_directions(self, monkeypatch):
-        calls = []
-        original = nets.MlpModel.preactivations
+        passes = []
+        original = nets.MlpBinding.__call__
 
-        def counted(model, x):
-            calls.append(model)
-            return original(model, x)
+        def counted(binding, x):
+            passes.append(x.value.shape)
+            return original(binding, x)
 
-        monkeypatch.setattr(nets.MlpModel, "preactivations", counted)
+        monkeypatch.setattr(nets.MlpBinding, "__call__", counted)
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12))
         disc = nets.bind(nets.init_mlp((2, 4, 1), seed=13))
         rng = np.random.default_rng(14)
         objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
                              rng.standard_normal((2, 5)), r1_weight=1.0,
                              detach_generator=True)
-        # the penalty reads the masks of the real-batch pass
-        assert calls == []
+        # the fake and the real batch alone: the penalty reads the masks of
+        # the real-batch pass
+        assert passes == [(2, 5), (2, 5)]
 
 
 class TestAnchorLoss:
@@ -221,19 +224,22 @@ class TestInvLoss:
 
 class TestSparsityLoss:
     def test_identity_generator_exact_mode_gives_dimension(self):
-        gen = nets.bind(identity_model(2))
         x = np.random.default_rng(0).standard_normal((2, 6))
-        node = objective.sparsity_loss(gen, x, ProbeSpec(1), "exact-jacobian-l1")
+        node = exact_sparsity_loss(nets.bind(identity_model(2)), x)
         assert node.value[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_exact_mode_equals_mean_jacobian_l1(self):
         model = nets.init_mlp((2, 8, 2), seed=21)
         x = np.random.default_rng(4).standard_normal((2, 5))
-        node = objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
-                                       "exact-jacobian-l1")
-        # J(x_n): the JVPs along the identity directions at x_n
-        jacobians = [batched_jvp_graph(nets.bind(model), np.repeat(x[:, n:n + 1], 2, axis=1),
-                                       np.eye(2)).value for n in range(5)]
+        node = exact_sparsity_loss(nets.bind(model), x)
+
+        def jacobian_at(n):
+            # the JVPs along the identity directions at x_n
+            binding = nets.bind(model)
+            binding(ad.input_node(np.repeat(x[:, n:n + 1], 2, axis=1)))
+            return batched_jvp_graph(binding, np.eye(2), binding.last_derivs).value
+
+        jacobians = [jacobian_at(n) for n in range(5)]
         expected = np.mean([np.abs(j).sum() for j in jacobians])
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -264,26 +270,27 @@ class TestSparsityLoss:
         se = oracle.std(ddof=1) * np.sqrt(1 / 4096 + 1 / (64 * 16))
         assert abs(node.value[0, 0] - oracle.mean()) < 3 * se
 
-    def test_masked_fd_first_order_convergence_on_smooth_map(self):
-        # tanh output layer (no hidden kinks): the error against ||J z||_1 is
-        # O(delta), so its log-log slope is ~1; one rng seed gives every
-        # delta the same probe.  delta = 0.1 is not yet asymptotic, so the
-        # slope is fitted over the three smallest deltas
-        model = nets.init_mlp((2, 2), output_activation="tanh", seed=13)
-        x = np.array([[0.3], [-0.2]])
-        w, b = model.weights[0], model.biases[0]
-        jac = (1.0 - np.tanh(w @ x + b) ** 2) * w
-        probe = draw_probe(ProbeSpec(2), 2, np.random.default_rng(17)).probe
-        exact = np.abs(jac @ probe).sum()
-        deltas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-        errors = []
-        for delta in deltas:
-            spec = ProbeSpec(2, perturbation_scale=delta, probes_per_sample=1)
-            node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
-                                           np.random.default_rng(17))
-            errors.append(abs(node.value[0, 0] - exact))
-        slope = np.polyfit(np.log(deltas[1:]), np.log(errors[1:]), 1)[0]
-        assert 0.9 <= slope <= 1.1
+    def test_masked_fd_equals_jacobian_l1_on_a_linear_piece(self):
+        # the net is linear between x and x + delta z when no hidden
+        # pre-activation changes sign on the way, and there the finite
+        # difference is J(x) z up to rounding
+        model = nets.init_mlp((2, 8, 2), seed=13)
+        x = np.array([[0.3, -0.7, 1.1], [-0.2, 0.5, 0.4]])
+        spec = ProbeSpec(1, perturbation_scale=1e-3, probes_per_sample=2)
+        node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
+                                       np.random.default_rng(17))
+        probes = draw_probe(spec, 2, np.random.default_rng(17), 3 * 2).probe
+        binding = nets.bind(model)
+        binding(ad.input_node(x))
+        jac = jacobian_graph(binding, binding.last_derivs).value   # column k N + n
+        total = 0.0
+        for r in range(2):
+            z = probes[:, 3 * r:3 * r + 3]
+            moved = preactivations(model, x + spec.perturbation_scale * z)
+            for a, b in zip(preactivations(model, x)[:-1], moved[:-1]):
+                assert ((a >= 0) == (b >= 0)).all()
+            total += sum(np.abs(jac[:, n::3] @ z[:, n]).sum() for n in range(3))
+        assert node.value[0, 0] == pytest.approx(total / (3 * 2), rel=1e-10)
 
     def test_masked_fd_draws_one_probe_block_per_call(self, monkeypatch):
         calls = []
@@ -310,22 +317,17 @@ class TestSparsityLoss:
         with pytest.raises(ValueError, match="mode"):
             objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1), "l2")
 
-    def test_exact_mode_rejects_a_non_identity_output(self):
-        # a frozen tanh' is wrong once the weights move; masked-fd stays allowed
-        model = nets.init_mlp((2, 4, 2), output_activation="tanh", seed=24)
-        x = np.random.default_rng(11).standard_normal((2, 3))
-        with pytest.raises(ValueError, match="output_activation 'tanh'"):
-            objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
+    def test_exact_mode_requires_masks(self):
+        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=24))
+        with pytest.raises(ValueError, match="masks"):
+            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1),
                                     "exact-jacobian-l1")
-        objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1), "masked-fd",
-                                np.random.default_rng(12))
 
     def test_exact_mode_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=22)
         x = np.random.default_rng(8).standard_normal((2, 4)) + 0.4
-        assert min(np.abs(p).min() for p in model.preactivations(x)) > 1e-3
-        build = lambda: objective.sparsity_loss(nets.bind(model), x, ProbeSpec(1),
-                                                "exact-jacobian-l1")
+        assert min(np.abs(p).min() for p in preactivations(model, x)) > 1e-3
+        build = lambda: exact_sparsity_loss(nets.bind(model), x)
         assert rebuild_gradcheck(build, arrays(model), 1e-6) < 1e-4
 
     def test_masked_fd_gradcheck(self):
@@ -355,7 +357,7 @@ class TestRebuildGradcheck:
         # no leaky kink within reach of the step
         fake = gen.apply(x)
         for model, batch in ((gen, x), (disc, y), (disc, fake), (rec, fake)):
-            assert min(np.abs(a).min() for a in model.preactivations(batch)) > 1e-4
+            assert min(np.abs(a).min() for a in preactivations(model, batch)) > 1e-4
         return gen, disc, rec, x, y
 
     def check(self, build, *models):
@@ -390,8 +392,7 @@ class TestRebuildGradcheck:
 
     def test_sparsity_exact_jacobian(self, nets3):
         gen, _, _, x, _ = nets3
-        self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, ProbeSpec(1),
-                                                   "exact-jacobian-l1"), gen)
+        self.check(lambda: exact_sparsity_loss(nets.bind(gen), x), gen)
 
     def test_sparsity_masked_fd(self, nets3):
         gen, _, _, x, _ = nets3

@@ -88,6 +88,20 @@ class TestGenerate:
         with pytest.raises(ValueError, match="permutation"):
             SynthConfig(permutation=np.array([[0.0, 2.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("name, value", [
+        ("t_min", float("nan")), ("t_max", float("nan")), ("t_min", -float("inf")),
+        ("t_max", float("inf")), ("t_min", -1.0), ("t_max", 1.0), ("t_max", 1.5),
+    ])
+    def test_amplitude_outside_the_injective_range_rejected(self, name, value):
+        # the warp is injective for |t| < 1
+        with pytest.raises(ValueError, match=rf"{name} = {value!r} not in \(-1, 1\)"):
+            SynthConfig(**{name: value})
+
+    def test_amplitudes_just_inside_the_range_accepted(self):
+        train, _ = synthdata.generate(SynthConfig(num_train=5, num_test=5, t_min=-0.99,
+                                                  t_max=0.99))
+        assert -0.99 <= train.t <= 0.99
+
 
 class TestAnchors:
     def test_anchor_pairs_are_aligned(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anchordt import nets, trainer
+from anchordt.objective import LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import PairedDataset, SynthConfig, generate, select_anchors
 from anchordt.trainer import TrainConfig
@@ -92,6 +93,7 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"beta1": 1.0}, r"beta1 = 1.0 not in \[0, 1\)"),
     ({"beta2": 1.5}, r"beta2 = 1.5 not in \[0, 1\)"),
     ({"epsilon": 0.0}, "epsilon = 0.0 must be positive"),
+    ({"diag_interval": -3}, "diag_interval = -3 must be >= 0"),
 ])
 def test_inconsistent_config_is_rejected_naming_the_field(change, message):
     with pytest.raises(ValueError, match=message):
@@ -100,4 +102,21 @@ def test_inconsistent_config_is_rejected_naming_the_field(change, message):
 
 def test_edges_of_the_valid_ranges_are_accepted():
     TrainConfig(r1_weight=0.0, beta1=0.0, beta2=0.0, diag_points=1,
-                learning_rate=5e-324, epsilon=5e-324)
+                learning_rate=5e-324, epsilon=5e-324, diag_interval=0,
+                weights=LossWeights(anchor=0.0, sparsity=0.0, inv=0.0), anchor_count=0,
+                probe=ProbeSpec(1, perturbation_scale=5e-324))
+
+
+@pytest.mark.parametrize("cls, change, message", [
+    (LossWeights, {"sparsity": float("nan")}, "sparsity = nan must be >= 0"),
+    (LossWeights, {"anchor": float("nan")}, "anchor = nan must be >= 0"),
+    (LossWeights, {"inv": float("nan")}, "inv = nan must be >= 0"),
+    (LossWeights, {"anchor": -0.1}, "anchor = -0.1 must be >= 0"),
+    (ProbeSpec, {"mask_size": 1, "perturbation_scale": float("nan")},
+     "perturbation_scale = nan must be positive"),
+    (ProbeSpec, {"mask_size": 1, "perturbation_scale": 0.0},
+     "perturbation_scale = 0.0 must be positive"),
+])
+def test_nested_config_rejects_nan_naming_the_field(cls, change, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**change)

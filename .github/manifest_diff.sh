@@ -3,9 +3,12 @@
 #
 # Runs gen-data, a 20-iteration default train, an eval of that train's
 # generator.ckpt (so checkpoint loading is compared too), an 8-iteration
-# masked-fd train, a 20-iteration train with the R1 penalty on and mpa-check
-# at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11) from the
-# sources of each checkout.  For each run it compares the
+# masked-fd train, a 20-iteration train with the R1 penalty on, a 5-iteration
+# ablate sweep of the full and neither cases at seeds 0 and 1 (sweep trains
+# its four configs one after another in one process, where state leaked from
+# one run into the next would show) and mpa-check at seed 13 (mpa-check exits
+# 0 there, as at each of seeds 0-11) from the sources of each checkout.  For
+# each run it compares the
 # [checksums] section of manifest.txt (the artifact bytes) apart from the
 # rest, the config echo, with the output paths replaced by OUT, prints the
 # diff of whichever part differs and one line such as "train: checksums
@@ -27,9 +30,12 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
         --override train.iterations=20 --override train.r1_weight=1 \
         --override train.batch_size=128 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/ablate" \
+        --override ablate.cases=full,neither --override ablate.seeds=0,1 \
+        --override train.iterations=5 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
-    for run in data train eval fd r1 mpa; do
+    for run in data train eval fd r1 ablate mpa; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -39,7 +45,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval fd r1 mpa; do
+for run in data train eval fd r1 ablate mpa; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -10,6 +10,9 @@ with a slope in [0, 1]: the two activations of ``anchordt.nets``.  Their
 derivative is exactly 1 or the slope, so a dense node's value is the
 pre-activation times the derivative, and it keeps that derivative in its
 meta, where backward and the Jacobian masks of ``anchordt.nets`` read it.
+backward releases each interior node's adjoint once it has reached the
+node's parents, so only the adjoints still to propagate are alive at once;
+parameter gradients, the root's adjoint and every value are kept.
 softplus(a) = log(1 + e^a) is the GAN losses' one nonlinearity on the
 discriminator's logits.  leaky-relu, tanh and sigmoid are ops of their
 own as well, and clip and log ops too; no runtime code builds any of
@@ -45,12 +48,12 @@ class Node:
 
     ``kind`` is the op name, ``parents`` the input nodes, ``value`` the
     (rows, cols) float64 result, ``grad`` the accumulated adjoint of the
-    same shape (populated by :func:`backward`), and ``meta`` carries the
-    op's constants (scale factor, slope, clip bounds; a dense node's
-    :class:`DenseMeta`).
+    same shape (:func:`backward` leaves it on parameters and the root
+    alone), and ``meta`` carries the op's constants (scale factor, slope,
+    clip bounds; a dense node's :class:`DenseMeta`).
     """
 
-    __slots__ = ("kind", "parents", "value", "grad", "meta")
+    __slots__ = ("kind", "parents", "value", "grad", "meta", "__weakref__")
 
     def __init__(self, kind, parents, value, meta=None):
         self.kind = kind
@@ -108,15 +111,14 @@ def _leaky(x, slope):
 
 # Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
 # a is the pre-activation, value its activation and g the output adjoint.  The
-# one-input activation ops read it, and dense and sparsity.activation_masks
-# read the identity and leaky-relu vjps at g = 1.  Only tanh, sigmoid and
-# softplus read ``value``: softplus' derivative is
-# sigmoid(a) = -expm1(-softplus(a)).  Only identity and leaky-relu read ``a``.
+# one-input activation ops read it, and sparsity.activation_masks reads the
+# leaky-relu vjp at g = 1, which dense builds in place.  Only tanh, sigmoid
+# and softplus read ``value``: softplus' derivative is
+# sigmoid(a) = -expm1(-softplus(a)).  Only leaky-relu reads ``a``.
 # The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
 # arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
 # rounds to exactly 1 for s in [0, 1], so both forms give the same bits.
 ACTIVATIONS = {
-    "identity": (lambda a, s: a, lambda g, a, v, s: np.full_like(a, g)),
     "leaky-relu": (_leaky, lambda g, a, v, s: g * ((a >= 0) * (1.0 - s) + s)),
     "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
     "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
@@ -264,17 +266,36 @@ def _compute_dense(vals, meta):
         raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
     a = w @ h
     a += b
-    # the derivative is 1 or s exactly, so a * deriv has the bits of a and of
-    # max(a, s * a), -0.0 included
-    meta.deriv = ACTIVATIONS[meta.activation][1](1.0, a, None, meta.slope)
-    return a * meta.deriv
+    if meta.activation == "identity":
+        # the all-ones derivative is kept for the Jacobian masks alone
+        meta.deriv = np.ones_like(a)
+        return a
+    # the leaky vjp at g = 1, built in place; it is 1 or s exactly, so
+    # a * deriv has the bits of max(a, s * a), -0.0 included
+    deriv = (a >= 0) * (1.0 - meta.slope)
+    deriv += meta.slope
+    meta.deriv = deriv
+    a *= deriv
+    return a
 
 
 def _grad_dense(node, wanted):
     w, h, b = node.parents
-    ga = node.grad * node.meta.deriv
+    ga = node.grad
+    if node.meta.activation != "identity":
+        ga = ga * node.meta.deriv
+    if not wanted[1]:
+        gh = None
+    elif w.value.shape[0] == 1:
+        # a one-row weight's input adjoint is an outer product.  GEMM adds
+        # each product to +0.0, turning -0.0 into 0.0; += 0.0 does the same,
+        # so the bits are GEMM's
+        gh = w.value.T * ga
+        gh += 0.0
+    else:
+        gh = w.value.T @ ga
     return (ga @ h.value.T if wanted[0] else None,
-            w.value.T @ ga if wanted[1] else None,
+            gh,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
 
 
@@ -413,8 +434,10 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     Returns {parameter node: gradient}; every parameter node in the
     subgraph gets its ``grad`` populated, with adjoints of multi-consumer
     nodes summed.  Adjoints are only propagated along paths that reach a
-    parameter (pure-constant branches are skipped), so input leaves may be
-    left with grad None.
+    parameter (pure-constant branches are skipped), so input leaves are
+    left with grad None.  An interior node's adjoint is released (``grad``
+    back to None) once it has reached the node's parents; parameter
+    gradients, the root's adjoint and every value are kept.
     """
     if root.value.shape != (1, 1):
         raise GraphError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -446,6 +469,8 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         for parent, contrib in zip(node.parents, backprop(node, wanted)):
             if contrib is not None:
                 accumulate(parent, contrib, node.grad)
+        if node is not root:
+            node.grad = None
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)

@@ -224,15 +224,27 @@ def load_checkpoint(path) -> MlpModel:
         if fields.get(key) != value:
             raise ValueError(f"{path}: {key} = {fields.get(key, '(missing)')}; "
                              f"every network has {key} = {value}")
-    sizes = tuple(int(s) for s in fields["layer_sizes"].split(","))
+
+    def numbers(key, parse, sep=None, count=None):
+        if key not in fields:
+            raise ValueError(f"{path}: the {key} line is missing")
+        try:
+            values = [parse(tok) for tok in fields[key].split(sep)]
+        except ValueError:
+            raise ValueError(f"{path}: {key} holds a token that is not a number") from None
+        if count is not None and len(values) != count:
+            raise ValueError(f"{path}: {key} holds {len(values)} numbers, "
+                             f"layer_sizes needs {count}")
+        return values
+
+    sizes = tuple(numbers("layer_sizes", int, ","))
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}: layer_sizes = {fields['layer_sizes']}; "
+                         "needs at least two positive sizes")
     model = MlpModel(layer_sizes=sizes, weights=[], biases=[])
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = _parse_floats(fields[f"W{i}"]).reshape(n_out, n_in)
-        b = _parse_floats(fields[f"b{i}"]).reshape(n_out, 1)
-        model.weights.append(w)
-        model.biases.append(b)
+        w = numbers(f"W{i}", float, count=n_out * n_in)
+        b = numbers(f"b{i}", float, count=n_out)
+        model.weights.append(np.array(w, dtype=np.float64).reshape(n_out, n_in))
+        model.biases.append(np.array(b, dtype=np.float64).reshape(n_out, 1))
     return model
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()], dtype=np.float64)

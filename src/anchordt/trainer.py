@@ -3,14 +3,18 @@ a sweep that trains a list of configs in turn.
 
 One iteration draws independent unpaired minibatches, takes the configured
 number of discriminator steps, then one combined generator+reconstructor
-step on the weighted total loss.  Everything is seeded through a single
-SeedSequence so identical configs and data give bit-identical traces.  A
-config names the networks' hidden widths alone: train() builds their sizes
-(D, *hidden, D) and (D, *hidden, 1) from the dimension D of the data.
+step on the weighted total loss.  Each step runs in a helper that returns
+its losses as floats, so a step's graph, bindings and masks live only within
+the step, and the next step is built with none of them held.  Everything is
+seeded through a single SeedSequence so identical configs and data give
+bit-identical traces.  A config names the networks' hidden widths alone:
+train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the
+dimension D of the data.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass, field
@@ -137,6 +141,82 @@ def _init_models(config: TrainConfig, d: int):
     return gen, disc, rec, batch_rng, probe_rng
 
 
+# glibc's mallopt parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory():
+    """Have glibc's malloc keep the memory a step frees for the next step.
+
+    A step frees its whole graph when it ends, at the top of the heap.  By
+    default glibc returns that to the kernel and the next step faults the
+    same pages back in: about 4,800 pages (19 MB) a step in masked-fd mode
+    at the default config, which cost more time than releasing the graph
+    saved.  Here arrays up to 32 MiB come from the heap rather than from
+    mmap, and up to 256 MiB of free heap stays mapped.  The setting is the
+    process's; it changes no result, and does nothing where the C library
+    has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+def _disc_step(config: TrainConfig, gen: MlpModel, disc: MlpModel, state, xb, yb) -> float:
+    """One discriminator step; returns its loss, after the update when it is
+    finite and with nothing updated when it is not.  The fake batch is
+    detached: no gradient path into the generator is needed."""
+    gen_b, disc_b = bind(gen, frozen=True), bind(disc)
+    loss, _ = gan_losses(gen_b, disc_b, xb, yb, r1_weight=config.r1_weight,
+                         detach_generator=True)
+    value = float(loss.value[0, 0])
+    if np.isfinite(value):
+        ad.backward(loss)
+        adam_step(disc, disc_b.gradients(), state)
+    return value
+
+
+def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
+                    probe_rng) -> dict:
+    """One generator + reconstructor step on the combined objective; returns
+    the trace's gen, anchor, sparsity, inv and total losses (0.0 for a term
+    that is off), after the updates when the total is finite and with
+    nothing updated when it is not.
+
+    The discriminator is frozen, and g(x) is built once and shared by the
+    adversarial, round-trip and sparsity terms.
+    """
+    (gen, disc, rec), (gen_state, rec_state), w = models, states, config.weights
+    gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
+    fake = gen_b(ad.input_node(xb, "x-batch"))
+    # read now: the anchor pass below overwrites gen_b.last_derivs
+    gen_masks = gen_b.last_derivs
+    _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
+    parts = GeneratorLossParts(gan=gen_part)
+    if w.anchor > 0:
+        parts.anchor = anchor_loss(gen_b, anchors)
+    if w.sparsity > 0:
+        parts.sparsity = sparsity_loss(gen_b, xb, config.probe, config.sparsity_mode,
+                                       probe_rng, masks=gen_masks, fake=fake)
+    if w.inv > 0:
+        parts.inv = inv_loss(gen_b, rec_b, xb, fake=fake)
+    total = total_generator_loss(parts, w)
+    terms = {"gen": gen_part, "anchor": parts.anchor, "sparsity": parts.sparsity,
+             "inv": parts.inv, "total": total}
+    losses = {k: 0.0 if node is None else float(node.value[0, 0])
+              for k, node in terms.items()}
+    if np.isfinite(losses["total"]):
+        ad.backward(total)
+        adam_step(gen, gen_b.gradients(), gen_state)
+        if w.inv > 0:
+            adam_step(rec, rec_b.gradients(), rec_state)
+    return losses
+
+
 def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
           test_data: PairedDataset | None = None, out_dir=None):
     """Run the full alternating loop; returns (TrainedModels, RunReport).
@@ -153,6 +233,7 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
                          f"data dimension D = {d}")
     if config.weights.anchor > 0 and anchors.size < config.anchor_count:
         raise ValueError(f"config expects {config.anchor_count} anchors, got {anchors.size}")
+    _keep_freed_memory()
     gen, disc, rec, batch_rng, probe_rng = _init_models(config, d)
     gen_state = adam_init(gen, config.learning_rate, config.beta1, config.beta2,
                           config.epsilon)
@@ -162,7 +243,6 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
                           config.epsilon)
     x_all, y_all = train_data.x, train_data.y
     n = len(train_data)
-    w = config.weights
     names = ("disc", "gen", "anchor", "sparsity", "inv", "total")
     trace = {k: np.zeros(config.iterations) for k in names}
     diagnostics = []
@@ -186,53 +266,23 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
 
     for it in range(config.iterations):
         last_good = snapshot()
-        # discriminator step(s), fresh unpaired minibatches each; the fake
-        # batch is detached (no gradient path into the generator is needed)
+        # discriminator step(s), fresh unpaired minibatches each
         for _ in range(config.disc_steps_per_gen_step):
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
             yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
-            gen_b, disc_b = bind(gen, frozen=True), bind(disc)
-            disc_loss, _ = gan_losses(gen_b, disc_b, xb, yb, r1_weight=config.r1_weight,
-                                      detach_generator=True)
-            if not np.isfinite(disc_loss.value[0, 0]):
+            trace["disc"][it] = _disc_step(config, gen, disc, disc_state, xb, yb)
+            if not np.isfinite(trace["disc"][it]):
                 abort(it, "discriminator")
-            ad.backward(disc_loss)
-            adam_step(disc, disc_b.gradients(), disc_state)
-        trace["disc"][it] = disc_loss.value[0, 0]
 
-        # one generator + reconstructor step on the combined objective; the
-        # discriminator is frozen and g(x) is built once and shared by the
-        # adversarial, round-trip, and sparsity terms
         xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
         # the step scores no real batch, but its draw keeps batch_rng's stream
         batch_rng.integers(0, n, config.batch_size)
-        gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
-        fake = gen_b(ad.input_node(xb, "x-batch"))
-        # read now: the anchor pass below overwrites gen_b.last_derivs
-        gen_masks = gen_b.last_derivs
-        _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
-        parts = GeneratorLossParts(gan=gen_part)
-        if w.anchor > 0:
-            parts.anchor = anchor_loss(gen_b, anchors)
-        if w.sparsity > 0:
-            parts.sparsity = sparsity_loss(gen_b, xb, config.probe,
-                                           config.sparsity_mode, probe_rng,
-                                           masks=gen_masks, fake=fake)
-        if w.inv > 0:
-            parts.inv = inv_loss(gen_b, rec_b, xb, fake=fake)
-        total = total_generator_loss(parts, w)
-        if not np.isfinite(total.value[0, 0]):
+        losses = _generator_step(config, (gen, disc, rec), (gen_state, rec_state), xb,
+                                 anchors, probe_rng)
+        if not np.isfinite(losses["total"]):
             abort(it, "generator")
-        ad.backward(total)
-        adam_step(gen, gen_b.gradients(), gen_state)
-        if w.inv > 0:
-            adam_step(rec, rec_b.gradients(), rec_state)
-
-        trace["gen"][it] = gen_part.value[0, 0]
-        for key, node in (("anchor", parts.anchor), ("sparsity", parts.sparsity),
-                          ("inv", parts.inv)):
-            trace[key][it] = node.value[0, 0] if node is not None else 0.0
-        trace["total"][it] = total.value[0, 0]
+        for key, value in losses.items():
+            trace[key][it] = value
 
         if test_data is not None and config.diag_interval > 0 and (
                 it % config.diag_interval == 0 or it == config.iterations - 1):

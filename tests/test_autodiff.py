@@ -1,6 +1,7 @@
 """Graph construction, backward rules, and backward against central
 differences of the rebuilt graph."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -137,6 +138,32 @@ class TestBackward:
         grads = ad.backward(y)
         assert grads[x][0, 0] == 0.0
 
+    def test_interior_adjoints_are_released_and_the_rest_kept(self):
+        # a shared parameter, an add pass-through, dense layers and a
+        # constant branch, under a scalar root
+        rng = np.random.default_rng(2)
+        w0, b0 = (ad.parameter(rng.standard_normal(s)) for s in ((4, 3), (4, 1)))
+        w1, b1 = ad.parameter(rng.standard_normal((1, 4))), ad.parameter(np.zeros((1, 1)))
+        x = ad.input_node(rng.standard_normal((3, 5)))
+        h = ad.dense(w0, x, b0, "leaky-relu")
+        out = ad.dense(w1, ad.add(h, ad.dense(w0, x, b0)), b1)
+        root = ad.mean(ad.add(ad.square(out), ad.scale(ad.input_node(np.ones((1, 5))), 2.0)))
+        order = ad.topo_order(root)
+        values = [node.value.copy() for node in order]
+        grads = ad.backward(root)
+        assert set(grads) == {w0, w1, b0, b1}
+        assert all(node.grad is grads[node] for node in grads)
+        assert root.grad.tolist() == [[1.0]]
+        interior = [node for node in order if node.parents and node is not root]
+        assert len(interior) == 7
+        assert all(node.grad is None for node in interior)
+        assert all(node.grad is None for node in order if node.kind == "input")
+        assert all(bits(node.value) == bits(v) for node, v in zip(order, values))
+        # the released graph runs backward again to the same gradients
+        first = {node: g.copy() for node, g in grads.items()}
+        again = ad.backward(root)
+        assert all(bits(again[node]) == bits(first[node]) for node in first)
+
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_product_rule(self, a_val, b_val):
@@ -230,10 +257,16 @@ def layer_graph(w_val, h_val, b_val, name, slope, fused, w_kind):
     return root, out, (w, h, b)
 
 
-def layer_values(rng, zero_ties):
-    w, h = rng.standard_normal((5, 3)), rng.standard_normal((3, 7))
-    b = rng.standard_normal((5, 1))
-    if zero_ties:
+def layer_values(rng, zero_ties, rows=5):
+    w, h = rng.standard_normal((rows, 3)), rng.standard_normal((3, 7))
+    b = rng.standard_normal((rows, 1))
+    if zero_ties and rows == 1:
+        # a zero weight, whose input-adjoint products are 0.0 or -0.0 by the
+        # adjoint's sign, and an exact-zero pre-activation in column 2
+        w[0, 1] = 0.0
+        h[:, 2] = 0.0
+        b[0] = -0.0
+    elif zero_ties:
         # exact-zero pre-activations: a zero weight row, a zero input column,
         # and -0.0 in the bias
         w[1] = 0.0
@@ -247,8 +280,11 @@ class TestDense:
     @pytest.mark.parametrize("w_kind", ["parameter", "input"])
     @pytest.mark.parametrize("zero_ties", [False, True])
     def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties):
-        for slope in ((0.0, 0.2, 1.0) if name == "leaky-relu" else (0.2,)):
-            vals = layer_values(np.random.default_rng(3), zero_ties)
+        # a one-row weight, as in the discriminator's output layer, takes the
+        # outer-product input adjoint in place of matmul's GEMM
+        slopes = (0.0, 0.2, 1.0) if name == "leaky-relu" else (0.2,)
+        for rows, slope in itertools.product((5, 1), slopes):
+            vals = layer_values(np.random.default_rng(3), zero_ties, rows)
             fused_root, fused, fused_parents = layer_graph(*vals, name, slope, True, w_kind)
             prim_root, prim, prim_parents = layer_graph(*vals, name, slope, False, w_kind)
             assert bits(fused.value) == bits(prim.value)

@@ -360,3 +360,27 @@ def test_eval_of_a_checkpoint_with_other_activations_exits_2(data_dir, checkpoin
     assert code == 2
     assert f"other.ckpt: {replacement}; every network has {line}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def drop_w1(text):
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("W1 = "))
+
+
+def truncate_w1(text):
+    # the W1 line loses its last number
+    return "".join(ln.rsplit(" ", 1)[0] + "\n" if ln.startswith("W1 = ") else ln
+                   for ln in text.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_w1, "the W1 line is missing"),
+    (truncate_w1, "W1 holds 1023 numbers, layer_sizes needs 1024"),
+])
+def test_eval_of_a_checkpoint_missing_a_line_exits_2_naming_it(data_dir, checkpoint, tmp_path,
+                                                               capsys, edit, message):
+    (tmp_path / "cut.ckpt").write_text(edit(checkpoint.read_text()))
+    code = cli.main(["eval", "--out-dir", str(tmp_path / "out"), "--data-dir", str(data_dir),
+                     "--checkpoint", str(tmp_path / "cut.ckpt")])
+    assert code == 2
+    assert f"cut.ckpt: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

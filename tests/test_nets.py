@@ -233,3 +233,24 @@ class TestCheckpoint:
         key = line.partition(" = ")[0]
         with pytest.raises(ValueError, match=f"{key} = "):
             nets.load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("layer_sizes = 1,2,1\n", "", "the layer_sizes line is missing"),
+        ("W1 = 2 -3.0000000000000004\n", "", "the W1 line is missing"),
+        ("b0 = 0 -0.5\n", "", "the b0 line is missing"),
+        ("W1 = 2 -3.0000000000000004", "W1 = 2", "W1 holds 1 numbers, layer_sizes needs 2"),
+        ("b1 = 0.10000000000000001", "b1 = 0.1 0.2",
+         "b1 holds 2 numbers, layer_sizes needs 1"),
+        ("W0 = 0.31415926535897931 -1.2", "W0 = 0.31415926535897931 x",
+         "W0 holds a token that is not a number"),
+        ("layer_sizes = 1,2,1", "layer_sizes = 1,2,", "layer_sizes holds a token"),
+        ("layer_sizes = 1,2,1", "layer_sizes = 1", "needs at least two positive sizes"),
+        ("layer_sizes = 1,2,1", "layer_sizes = 1,0,1", "needs at least two positive sizes"),
+    ])
+    def test_rejects_a_missing_or_short_line_naming_the_key(self, tmp_path, line,
+                                                           replacement, message):
+        assert line in self.EARLIER_FORMAT
+        path = tmp_path / "cut.ckpt"
+        path.write_text(self.EARLIER_FORMAT.replace(line, replacement))
+        with pytest.raises(ValueError, match=message):
+            nets.load_checkpoint(path)

@@ -1,10 +1,13 @@
-"""The training sweep and the checks train() makes before its first step."""
+"""The training sweep, the lifetime of a step's graph, and the checks
+train() makes before its first step."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from anchordt import autodiff as ad
 from anchordt import nets, trainer
 from anchordt.objective import LossWeights
 from anchordt.sparsity import ProbeSpec
@@ -46,6 +49,26 @@ def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
     # the discriminator step scores a real and a fake batch, the generator
     # step the fake batch alone
     assert passes.count((2, *cfg.disc_hidden, 1)) == 3
+
+
+@pytest.mark.parametrize("mode", ["exact-jacobian-l1", "masked-fd"])
+def test_no_earlier_steps_graph_is_alive_when_a_step_runs_backward(splits, monkeypatch,
+                                                                   mode):
+    train_split, test_split = splits
+    cfg = TrainConfig(iterations=3, batch_size=16, diag_interval=0, sparsity_mode=mode,
+                      r1_weight=1.0)
+    roots = []
+    original = ad.backward
+
+    def recording(root):
+        assert [ref() for ref in roots] == [None] * len(roots)
+        roots.append(weakref.ref(root))
+        return original(root)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
+    # a discriminator and a generator step per iteration
+    assert len(roots) == 6
 
 
 def test_data_dimension_is_checked_before_the_first_step(splits, tmp_path, monkeypatch):
@@ -120,3 +143,19 @@ def test_edges_of_the_valid_ranges_are_accepted():
 def test_nested_config_rejects_nan_naming_the_field(cls, change, message):
     with pytest.raises(ValueError, match=message):
         cls(**change)
+
+
+def test_training_runs_where_the_c_library_cannot_be_loaded(splits, monkeypatch):
+    # the allocator setting is skipped; the losses do not depend on it
+    train_split, test_split = splits
+    cfg = TrainConfig(iterations=2, batch_size=16, diag_interval=0)
+    anchors = select_anchors(train_split, 1, 0)
+    _, kept = trainer.train(cfg, train_split, anchors, test_split)
+
+    def unloadable(name):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(trainer.ctypes, "CDLL", unloadable)
+    _, skipped = trainer.train(cfg, train_split, anchors, test_split)
+    for name, losses in kept.losses.items():
+        assert losses.tobytes() == skipped.losses[name].tobytes()

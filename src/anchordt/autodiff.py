@@ -109,17 +109,25 @@ def _leaky(x, slope):
     return np.where(x >= 0, x, slope * x)
 
 
+def _leaky_deriv(a, slope):
+    """The leaky derivative, 1 where a >= 0 and ``slope`` elsewhere, built in
+    place: one boolean and one float temporary."""
+    deriv = (a >= 0) * (1.0 - slope)
+    deriv += slope
+    return deriv
+
+
 # Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
 # a is the pre-activation, value its activation and g the output adjoint.  The
 # one-input activation ops read it, and sparsity.activation_masks reads the
-# leaky-relu vjp at g = 1, which dense builds in place.  Only tanh, sigmoid
-# and softplus read ``value``: softplus' derivative is
+# leaky-relu vjp at g = 1; dense calls _leaky_deriv, the same derivative.  Only
+# tanh, sigmoid and softplus read ``value``: softplus' derivative is
 # sigmoid(a) = -expm1(-softplus(a)).  Only leaky-relu reads ``a``.
 # The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
 # arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
 # rounds to exactly 1 for s in [0, 1], so both forms give the same bits.
 ACTIVATIONS = {
-    "leaky-relu": (_leaky, lambda g, a, v, s: g * ((a >= 0) * (1.0 - s) + s)),
+    "leaky-relu": (_leaky, lambda g, a, v, s: g * _leaky_deriv(a, s)),
     "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
     "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
     "softplus": (lambda a, s: np.logaddexp(0.0, a), lambda g, a, v, s: -g * np.expm1(-v)),
@@ -270,12 +278,10 @@ def _compute_dense(vals, meta):
         # the all-ones derivative is kept for the Jacobian masks alone
         meta.deriv = np.ones_like(a)
         return a
-    # the leaky vjp at g = 1, built in place; it is 1 or s exactly, so
-    # a * deriv has the bits of max(a, s * a), -0.0 included
-    deriv = (a >= 0) * (1.0 - meta.slope)
-    deriv += meta.slope
-    meta.deriv = deriv
-    a *= deriv
+    # the derivative is 1 or s exactly, so a * deriv has the bits of
+    # max(a, s * a), -0.0 included
+    meta.deriv = _leaky_deriv(a, meta.slope)
+    a *= meta.deriv
     return a
 
 
@@ -284,18 +290,8 @@ def _grad_dense(node, wanted):
     ga = node.grad
     if node.meta.activation != "identity":
         ga = ga * node.meta.deriv
-    if not wanted[1]:
-        gh = None
-    elif w.value.shape[0] == 1:
-        # a one-row weight's input adjoint is an outer product.  GEMM adds
-        # each product to +0.0, turning -0.0 into 0.0; += 0.0 does the same,
-        # so the bits are GEMM's
-        gh = w.value.T * ga
-        gh += 0.0
-    else:
-        gh = w.value.T @ ga
     return (ga @ h.value.T if wanted[0] else None,
-            gh,
+            w.value.T @ ga if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
 
 

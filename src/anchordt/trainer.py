@@ -14,7 +14,6 @@ dimension D of the data.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import time
 from dataclasses import dataclass, field
@@ -141,31 +140,6 @@ def _init_models(config: TrainConfig, d: int):
     return gen, disc, rec, batch_rng, probe_rng
 
 
-# glibc's mallopt parameter numbers
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_memory():
-    """Have glibc's malloc keep the memory a step frees for the next step.
-
-    A step frees its whole graph when it ends, at the top of the heap.  By
-    default glibc returns that to the kernel and the next step faults the
-    same pages back in: about 4,800 pages (19 MB) a step in masked-fd mode
-    at the default config, which cost more time than releasing the graph
-    saved.  Here arrays up to 32 MiB come from the heap rather than from
-    mmap, and up to 256 MiB of free heap stays mapped.  The setting is the
-    process's; it changes no result, and does nothing where the C library
-    has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
 def _disc_step(config: TrainConfig, gen: MlpModel, disc: MlpModel, state, xb, yb) -> float:
     """One discriminator step; returns its loss, after the update when it is
     finite and with nothing updated when it is not.  The fake batch is
@@ -233,7 +207,6 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
                          f"data dimension D = {d}")
     if config.weights.anchor > 0 and anchors.size < config.anchor_count:
         raise ValueError(f"config expects {config.anchor_count} anchors, got {anchors.size}")
-    _keep_freed_memory()
     gen, disc, rec, batch_rng, probe_rng = _init_models(config, d)
     gen_state = adam_init(gen, config.learning_rate, config.beta1, config.beta2,
                           config.epsilon)

@@ -280,8 +280,7 @@ class TestDense:
     @pytest.mark.parametrize("w_kind", ["parameter", "input"])
     @pytest.mark.parametrize("zero_ties", [False, True])
     def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties):
-        # a one-row weight, as in the discriminator's output layer, takes the
-        # outer-product input adjoint in place of matmul's GEMM
+        # a one-row weight too, as in the discriminator's output layer
         slopes = (0.0, 0.2, 1.0) if name == "leaky-relu" else (0.2,)
         for rows, slope in itertools.product((5, 1), slopes):
             vals = layer_values(np.random.default_rng(3), zero_ties, rows)

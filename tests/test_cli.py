@@ -384,3 +384,14 @@ def test_eval_of_a_checkpoint_missing_a_line_exits_2_naming_it(data_dir, checkpo
     assert code == 2
     assert f"cut.ckpt: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_runs_where_the_c_library_cannot_be_loaded(data_dir, tmp_path, monkeypatch):
+    # the allocator setting is skipped
+    def unloadable(name):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", unloadable)
+    assert cli.main(["train", "--out-dir", str(tmp_path), "--data-dir", str(data_dir),
+                     "--override", "train.iterations=2",
+                     "--override", "train.batch_size=16"]) == 0

@@ -143,19 +143,3 @@ def test_edges_of_the_valid_ranges_are_accepted():
 def test_nested_config_rejects_nan_naming_the_field(cls, change, message):
     with pytest.raises(ValueError, match=message):
         cls(**change)
-
-
-def test_training_runs_where_the_c_library_cannot_be_loaded(splits, monkeypatch):
-    # the allocator setting is skipped; the losses do not depend on it
-    train_split, test_split = splits
-    cfg = TrainConfig(iterations=2, batch_size=16, diag_interval=0)
-    anchors = select_anchors(train_split, 1, 0)
-    _, kept = trainer.train(cfg, train_split, anchors, test_split)
-
-    def unloadable(name):
-        raise OSError(f"cannot load {name}")
-
-    monkeypatch.setattr(trainer.ctypes, "CDLL", unloadable)
-    _, skipped = trainer.train(cfg, train_split, anchors, test_split)
-    for name, losses in kept.losses.items():
-        assert losses.tobytes() == skipped.losses[name].tobytes()

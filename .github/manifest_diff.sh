@@ -2,13 +2,14 @@
 # usage: manifest_diff.sh BASE_TREE HEAD_TREE
 #
 # Runs gen-data, a 20-iteration default train, an eval of that train's
-# generator.ckpt (so checkpoint loading is compared too), an 8-iteration
-# masked-fd train, a 20-iteration train with the R1 penalty on, a 5-iteration
-# ablate sweep of the full and neither cases at seeds 0 and 1 (sweep trains
-# its four configs one after another in one process, where state leaked from
-# one run into the next would show) and mpa-check at seed 13 (mpa-check exits
-# 0 there, as at each of seeds 0-11) from the sources of each checkout.  For
-# each run it compares the
+# generator.ckpt (so checkpoint loading is compared too), a plot with that
+# checkpoint as a panel, an 8-iteration masked-fd train, a 20-iteration train
+# with the R1 penalty on, a 5-iteration ablate sweep of the full and neither
+# cases at seeds 0 and 1 (sweep trains its four configs one after another in
+# one process, where state leaked from one run into the next would show),
+# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11)
+# and a small probe-study from the sources of each checkout; plot and
+# probe-study are the verbs that write SVGs.  For each run it compares the
 # [checksums] section of manifest.txt (the artifact bytes) apart from the
 # rest, the config echo, with the output paths replaced by OUT, prints the
 # diff of whichever part differs and one line such as "train: checksums
@@ -25,6 +26,8 @@ runs() {
         --override train.iterations=20 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt eval --data-dir "$out/data" --out-dir "$out/eval" \
         --checkpoint "$out/train/generator.ckpt" > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt plot --data-dir "$out/data" --out-dir "$out/plot" \
+        --checkpoint "g=$out/train/generator.ckpt" > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/fd" \
         --override train.iterations=8 --override train.sparsity_mode=masked-fd > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
@@ -35,7 +38,10 @@ runs() {
         --override train.iterations=5 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
-    for run in data train eval fd r1 ablate mpa; do
+    PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
+        --override probe_study.dimension=50 --override probe_study.num_matrices=2 \
+        --override probe_study.mc_samples=50 > /dev/null
+    for run in data train eval plot fd r1 ablate mpa probe; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -45,7 +51,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval fd r1 ablate mpa; do
+for run in data train eval plot fd r1 ablate mpa probe; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -6,10 +6,11 @@ never re-evaluated; a value at other leaf values is a new graph.  The ops
 are matmul, add, subtract, scale, elementwise-mul, log, square, clip,
 abs-sum, sum, mean, softplus, and dense, one network layer
 ``act(W @ h + b)`` as a single node, where act is identity or leaky-relu
-with a slope in [0, 1]: the two activations of ``anchordt.nets``.  Their
-derivative is exactly 1 or the slope, so a dense node's value is the
-pre-activation times the derivative, and it keeps that derivative in its
-meta, where backward and the Jacobian masks of ``anchordt.nets`` read it.
+with a slope in [0, 1]: the two activations of ``anchordt.nets``.  The
+leaky derivative is exactly 1 or the slope, so a leaky dense node's value is
+the pre-activation times the derivative, and its meta is that derivative,
+which backward and the Jacobian graphs of ``anchordt.sparsity`` read; an
+identity layer's derivative is 1, and its meta is None.
 backward releases each interior node's adjoint once it has reached the
 node's parents, so only the adjoints still to propagate are alive at once;
 parameter gradients, the root's adjoint and every value are kept.
@@ -50,7 +51,8 @@ class Node:
     (rows, cols) float64 result, ``grad`` the accumulated adjoint of the
     same shape (:func:`backward` leaves it on parameters and the root
     alone), and ``meta`` carries the op's constants (scale factor, slope,
-    clip bounds; a dense node's :class:`DenseMeta`).
+    clip bounds).  A dense node's meta is its leaky derivative at the
+    pre-activation, or None for an identity layer.
     """
 
     __slots__ = ("kind", "parents", "value", "grad", "meta", "__weakref__")
@@ -256,40 +258,9 @@ def _grad_mean(node, wanted):
     return (np.full_like(p, node.grad[0, 0] / p.size),)
 
 
-class DenseMeta:
-    """A dense node's activation and slope, and ``deriv``: the activation
-    derivative (its vjp at g = 1) at the node's pre-activation."""
-
-    __slots__ = ("activation", "slope", "deriv")
-
-    def __init__(self, activation: str, slope: float):
-        self.activation = activation
-        self.slope = slope
-        self.deriv = None
-
-
-def _compute_dense(vals, meta):
-    w, h, b = vals
-    if w.shape[1] != h.shape[0] or b.shape != (w.shape[0], 1):
-        raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
-    a = w @ h
-    a += b
-    if meta.activation == "identity":
-        # the all-ones derivative is kept for the Jacobian masks alone
-        meta.deriv = np.ones_like(a)
-        return a
-    # the derivative is 1 or s exactly, so a * deriv has the bits of
-    # max(a, s * a), -0.0 included
-    meta.deriv = _leaky_deriv(a, meta.slope)
-    a *= meta.deriv
-    return a
-
-
 def _grad_dense(node, wanted):
     w, h, b = node.parents
-    ga = node.grad
-    if node.meta.activation != "identity":
-        ga = ga * node.meta.deriv
+    ga = node.grad if node.meta is None else node.grad * node.meta
     return (ga @ h.value.T if wanted[0] else None,
             w.value.T @ ga if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
@@ -307,7 +278,7 @@ _OPS = {
     "abs-sum": (_compute_abs_sum, _grad_abs_sum),
     "sum": (_compute_sum, _grad_sum),
     "mean": (_compute_mean, _grad_mean),
-    "dense": (_compute_dense, _grad_dense),
+    "dense": (None, _grad_dense),   # dense() computes its value and meta
 }
 
 
@@ -342,7 +313,17 @@ def dense(w: Node, h: Node, b: Node, activation: str = "identity",
                          "dense takes identity or leaky-relu")
     if activation == "leaky-relu" and not 0.0 <= slope <= 1.0:
         raise GraphError(f"dense: leaky-relu slope {slope} not in [0, 1]")
-    return _make("dense", (w, h, b), DenseMeta(activation, slope))
+    if w.shape[1] != h.shape[0] or b.shape != (w.shape[0], 1):
+        raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
+    a = w.value @ h.value
+    a += b.value
+    if activation == "identity":
+        return Node("dense", (w, h, b), a)
+    # the derivative is 1 or s exactly, so a * deriv has the bits of
+    # max(a, s * a), -0.0 included
+    deriv = _leaky_deriv(a, slope)
+    a *= deriv
+    return Node("dense", (w, h, b), a, deriv)
 
 
 def matmul(a: Node, b: Node) -> Node:

@@ -400,6 +400,9 @@ class AblateConfig:
     anchor_sweep: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("cases", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty")
         unknown = [c for c in self.cases if c not in ABLATION_CASES]
         if unknown:
             raise ValueError(f"unknown ablation case {unknown[0]!r}; "

@@ -7,8 +7,9 @@ output.  Both are piecewise linear, so the activation derivatives at a
 point, frozen, give the network's exact Jacobian there (almost everywhere).
 The plain numpy forward pass (``MlpModel.apply``) and the graph forward
 pass (``MlpBinding``) give the same bits.  The graph pass builds one
-``autodiff.dense`` node per layer, and keeps the activation derivatives
-those nodes computed: the Jacobian masks.
+``autodiff.dense`` node per layer; each hidden node keeps its activation
+derivative, so the output node of a pass carries the pass's Jacobian,
+which ``sparsity.jacobian_graph`` reads from it.
 Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
 (gradients, Adam moments), as ``param_order`` spells out.
 """
@@ -104,8 +105,9 @@ class MlpBinding:
     values participate in the graph but backward skips past them (used for
     the discriminator while the generator trains, and vice versa).
 
-    After each __call__ the activation derivative of every layer of that
-    pass is kept in ``last_derivs``: the Jacobian masks at its input.
+    A call returns the output node of one pass, a chain of dense nodes that
+    holds the activation derivatives of the pass; nothing of the pass is
+    kept on the binding.
     """
 
     def __init__(self, model: MlpModel, frozen: bool = False):
@@ -114,7 +116,6 @@ class MlpBinding:
         wrap = ad.input_node if frozen else ad.parameter
         self.weight_nodes = [wrap(w, f"W{i}") for i, w in enumerate(model.weights)]
         self.bias_nodes = [wrap(b, f"b{i}") for i, b in enumerate(model.biases)]
-        self.last_derivs: list[np.ndarray] = []
 
     @property
     def param_nodes(self) -> list[ad.Node]:
@@ -122,12 +123,9 @@ class MlpBinding:
 
     def __call__(self, x: ad.Node) -> ad.Node:
         h = x
-        derivs = []
         last = len(self.weight_nodes) - 1
         for i, (w, b) in enumerate(zip(self.weight_nodes, self.bias_nodes)):
             h = ad.dense(w, h, b, "leaky-relu" if i < last else "identity", HIDDEN_SLOPE)
-            derivs.append(h.meta.deriv)
-        self.last_derivs = derivs
         return h
 
     def gradients(self) -> list[np.ndarray]:

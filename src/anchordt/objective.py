@@ -4,8 +4,8 @@ All losses are scalar graph nodes built through MlpBindings, so several
 terms can share one network's parameter nodes and a single backward pass
 accumulates the combined gradient.  Every network is leaky-relu with an
 identity output, so the discriminator outputs a logit, and the Jacobian
-terms (the exact l1 term, R1) are exact almost everywhere on the masks the
-dense nodes of a pass computed; each takes those of a pass already built.
+terms (the exact l1 term, R1) are exact almost everywhere: each reads the
+activation derivatives from the output node of a pass already built.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
 
     With r1_weight > 0 the discriminator loss additionally penalizes
     (r1_weight / 2) * mean ||grad_y l(y)||^2 on the real batch (R1,
-    Mescheder et al. 2018), one ``jacobian_graph`` sweep over the masks of
-    the real-batch pass, exact almost everywhere.  Off by default.
+    Mescheder et al. 2018), one ``jacobian_graph`` sweep over the
+    real-batch pass, exact almost everywhere.  Off by default.
     """
     x_batch = _as_batch(x_batch)
     if fake is None:
@@ -102,8 +102,7 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     disc_loss = ad.add(ad.mean(ad.softplus(ad.scale(l_real, -1.0))),
                        ad.mean(ad.softplus(l_fake)))
     if r1_weight > 0.0:
-        # the masks of the pass just above, over y_batch
-        grads = jacobian_graph(discriminator, discriminator.last_derivs)
+        grads = jacobian_graph(l_real)
         penalty = ad.node_sum(ad.square(grads))
         disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight / y_batch.shape[1]))
     return disc_loss, gen_loss
@@ -135,46 +134,40 @@ def inv_loss(generator: MlpBinding, reconstructor: MlpBinding, x_batch,
 
 
 def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
-                  rng: np.random.Generator | None = None, masks=None,
+                  rng: np.random.Generator | None = None,
                   fake: ad.Node | None = None) -> ad.Node:
-    """Jacobian-sparsity penalty over the batch, in one of two modes.
+    """Jacobian-sparsity penalty over the batch, in one of two modes, on the
+    generator pass over x_batch ``fake`` (built here when None).
 
     exact-jacobian-l1: batch mean of ||J(x)||_1, assembled from the
-    per-layer linearizations with frozen activation masks.  All D basis
-    directions go through one ``jacobian_graph`` sweep, so the cost is one
-    widened forward pass, not D per-sample graphs.  Needs ``masks``, the
-    activation masks of a generator pass over x_batch (the binding's
-    ``last_derivs`` right after that pass).
+    per-layer linearizations with that pass's activation derivatives
+    frozen.  All D basis directions go through one ``jacobian_graph``
+    sweep, so the cost is one widened forward pass, not D per-sample graphs.
 
-    masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1 with a
-    fresh sparse Gaussian probe per sample, averaged over
+    masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1, g(x)
+    that pass, with a fresh sparse Gaussian probe per sample, averaged over
     spec.probes_per_sample rounds.  Every probe comes from one
     ``draw_probe`` block of N * probes_per_sample columns; round r takes
-    columns r*N .. r*N + N - 1.  Needs ``rng``; ``fake`` reuses an existing
-    g(x_batch) node as the unperturbed side.
+    columns r*N .. r*N + N - 1.  Needs ``rng``.
     """
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape
+    if mode not in SPARSITY_MODES:
+        raise ValueError(f"unknown sparsity mode {mode!r}; options: {SPARSITY_MODES}")
+    if mode == "masked-fd" and rng is None:
+        raise ValueError("masked-fd mode needs an rng")
+    base = fake if fake is not None else generator(ad.input_node(x_batch, "x-batch"))
     if mode == "exact-jacobian-l1":
-        if masks is None:
-            raise ValueError(f"{mode} mode needs the masks of a generator pass over "
-                             "x_batch")
-        return ad.scale(ad.abs_sum(jacobian_graph(generator, masks)), 1.0 / n)
-    if mode == "masked-fd":
-        if rng is None:
-            raise ValueError("masked-fd mode needs an rng")
-        delta = spec.perturbation_scale
-        base = fake if fake is not None else generator(
-            ad.input_node(x_batch, "x-batch"))
-        probes = draw_probe(spec, d, rng, n * spec.probes_per_sample).probe
-        total = None
-        for r in range(spec.probes_per_sample):
-            z = probes[:, r * n:(r + 1) * n]
-            pert = generator(ad.input_node(x_batch + delta * z, "x-perturbed"))
-            term = ad.abs_sum(ad.subtract(pert, base))
-            total = term if total is None else ad.add(total, term)
-        return ad.scale(total, 1.0 / (delta * n * spec.probes_per_sample))
-    raise ValueError(f"unknown sparsity mode {mode!r}; options: {SPARSITY_MODES}")
+        return ad.scale(ad.abs_sum(jacobian_graph(base)), 1.0 / n)
+    delta = spec.perturbation_scale
+    probes = draw_probe(spec, d, rng, n * spec.probes_per_sample).probe
+    total = None
+    for r in range(spec.probes_per_sample):
+        z = probes[:, r * n:(r + 1) * n]
+        pert = generator(ad.input_node(x_batch + delta * z, "x-perturbed"))
+        term = ad.abs_sum(ad.subtract(pert, base))
+        total = term if total is None else ad.add(total, term)
+    return ad.scale(total, 1.0 / (delta * n * spec.probes_per_sample))
 
 
 @dataclass

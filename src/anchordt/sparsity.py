@@ -5,13 +5,13 @@ Three layers of machinery live here:
 * Jacobians of a network: ``exact_jacobian`` by central differences, for
   evaluation, and ``batched_jvp_graph``, the in-graph Jacobian-vector
   products J(x_n) v_n that the training penalties in ``objective`` build
-  on.  They use the per-layer activation derivatives that the ``dense``
-  nodes of a pass over the x_n computed (``MlpBinding.last_derivs``),
-  frozen as constants.  Every network is leaky-relu with an identity
-  output, so this is exact almost everywhere.  Along the identity
-  directions, ``jacobian_graph`` holds every point's full Jacobian in one
-  sweep; the exact Jacobian l1 term and the discriminator's R1 penalty
-  both build on it;
+  on.  It takes the output node of a network pass over the x_n and walks
+  that pass's chain of ``dense`` nodes for each layer's weight node and
+  activation derivative, frozen as a constant.  Every network is
+  leaky-relu with an identity output, so this is exact almost everywhere.
+  Along the identity directions, ``jacobian_graph`` holds every point's
+  full Jacobian in one sweep; the exact Jacobian l1 term and the
+  discriminator's R1 penalty both build on it;
 * the randomized sparse-probe estimator of the Jacobian's nonzero count:
   draw a mask with exactly S active coordinates, fill it with Gaussian
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import HIDDEN_SLOPE, MlpBinding, MlpModel
+from .nets import HIDDEN_SLOPE, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 # float64 elements in each per-block buffer of q_probe_samples (128 KB);
@@ -163,44 +163,57 @@ def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def activation_masks(preacts: list[np.ndarray]) -> list[np.ndarray]:
-    """Activation derivatives per layer from a network's pre-activation arrays.
-
-    Each is the layer activation's vjp at g = 1: leaky-relu for the hidden
-    layers, identity for the output.  A pass's dense nodes hold the same
-    arrays; no runtime code calls this, kept as the tests' reference and a
+    """The hidden layers' activation derivatives (leaky-relu vjp at g = 1)
+    from a network's pre-activation arrays: what a pass's hidden dense nodes
+    hold.  No runtime code calls this, kept as the tests' reference and a
     name the benchmark traces.
     """
     leaky = ad.ACTIVATIONS["leaky-relu"][1]
-    return ([leaky(1.0, a, None, HIDDEN_SLOPE) for a in preacts[:-1]]
-            + [np.ones_like(preacts[-1])])
+    return [leaky(1.0, a, None, HIDDEN_SLOPE) for a in preacts[:-1]]
 
 
-def batched_jvp_graph(binding: MlpBinding, directions: np.ndarray, masks) -> ad.Node:
-    """Graph whose column n is J(x_n) @ v_n, for per-sample directions v_n.
-
-    directions is (D, N), and ``masks`` are the activation masks of a pass
-    over the points x_n.  Propagates the directions through the layer
-    linearizations with those masks frozen, so the result is linear in the
-    weights of each layer and differentiable w.r.t. them: backward through
-    it yields a valid a.e. subgradient of any function of the JVPs without
-    second-order differentiation.
+def _pass_layers(out: ad.Node) -> list:
+    """[(weight node, activation derivative or None)] of each layer, in
+    order, of the pass whose identity output dense node is ``out``: the
+    chain of leaky dense nodes below it, up to the pass's input.
     """
+    if out.kind != "dense" or out.meta is not None:
+        raise ad.GraphError(f"{out!r} does not end a network pass")
+    layers = [(out.parents[0], None)]
+    h = out.parents[1]
+    while h.kind == "dense" and h.meta is not None:
+        layers.append((h.parents[0], h.meta))
+        h = h.parents[1]
+    return layers[::-1]
+
+
+def batched_jvp_graph(out: ad.Node, directions: np.ndarray) -> ad.Node:
+    """Graph whose column j is J(x_n) @ v_j, n = j mod N, for the N points x_n
+    of the network pass ending at ``out`` and (D, k N) directions.
+
+    Propagates the directions through the layer linearizations with the
+    pass's activation derivatives frozen (tiled k times when k > 1), so the
+    result is linear in the weights of each layer and differentiable w.r.t.
+    them: backward through it yields a valid a.e. subgradient of any
+    function of the JVPs without second-order differentiation.
+    """
+    reps = directions.shape[1] // out.shape[1]
     v = ad.input_node(directions, "jvp-direction")
-    for w_node, mask in zip(binding.weight_nodes, masks):
+    for w_node, deriv in _pass_layers(out):
         v = ad.matmul(w_node, v)
-        v = ad.elementwise_mul(v, ad.input_node(mask, "activation-derivative"))
+        if deriv is not None:
+            if reps > 1:
+                deriv = np.tile(deriv, (1, reps))
+            v = ad.elementwise_mul(v, ad.input_node(deriv, "activation-derivative"))
     return v
 
 
-def jacobian_graph(binding: MlpBinding, masks) -> ad.Node:
-    """Every column of J(x_n) for a batch of N points, as one (out, D N) node.
-
-    ``masks`` are the activation masks at the batch; column k N + n is
-    J(x_n) e_k.  One widened JVP sweep carries all D directions.
-    """
-    d, n = binding.model.input_dim, masks[0].shape[1]
-    directions = np.kron(np.eye(d), np.ones((1, n)))
-    return batched_jvp_graph(binding, directions, [np.tile(m, (1, d)) for m in masks])
+def jacobian_graph(out: ad.Node) -> ad.Node:
+    """Every column of J(x_n) for the N points of the network pass ending at
+    ``out``, as one (out, D N) node whose column k N + n is J(x_n) e_k: one
+    widened JVP sweep carries all D directions."""
+    d, n = _pass_layers(out)[0][0].shape[1], out.shape[1]
+    return batched_jvp_graph(out, np.kron(np.eye(d), np.ones((1, n))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 No plotting dependency: the files are plain text with fixed-precision
 coordinates and index-hashed colors, so identical inputs give byte-identical
-SVGs and runs can be diffed.
+SVGs and runs can be diffed.  Text nodes are escaped, so any label gives
+well-formed XML.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ def _axis_bounds(panels):
     return min(xs) - pad_x, max(xs) + pad_x, min(ys) - pad_y, max(ys) + pad_y
 
 
+def _escape(text):
+    # xml.sax.saxutils.escape; importing xml.sax costs every CLI verb 2.5 MB
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _write(path, lines):
+    lines.append("</svg>")
+    with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def scatter_panels(path, panels):
     """Write side-by-side scatter panels sharing axes.
 
@@ -62,15 +74,13 @@ def scatter_panels(path, panels):
             f'fill="none" stroke="#404040" stroke-width="1"/>')
         lines.append(
             f'<text x="{ox + inner / 2:.1f}" y="{oy - 10}" font-size="13" '
-            f'font-family="sans-serif" text-anchor="middle">{title}</text>')
+            f'font-family="sans-serif" text-anchor="middle">{_escape(title)}</text>')
         for (xv, yv), color in zip(pts, colors):
             cx = ox + inner * (xv - x_lo) / (x_hi - x_lo)
             cy = oy + inner * (1.0 - (yv - y_lo) / (y_hi - y_lo))
             lines.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" '
                          f'r="{POINT_RADIUS}" fill="{color}"/>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 def line_chart(path, xs, ys, title, x_label, y_label, log_y=False):
@@ -97,17 +107,16 @@ def line_chart(path, xs, ys, title, x_label, y_label, log_y=False):
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{inner}" height="{inner}" '
         f'fill="none" stroke="#404040" stroke-width="1"/>',
         f'<text x="{size / 2:.1f}" y="{MARGIN - 14}" font-size="14" '
-        f'font-family="sans-serif" text-anchor="middle">{title}</text>',
+        f'font-family="sans-serif" text-anchor="middle">{_escape(title)}</text>',
         f'<text x="{size / 2:.1f}" y="{size - 8}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle">{x_label}</text>',
+        f'font-family="sans-serif" text-anchor="middle">{_escape(x_label)}</text>',
         f'<text x="12" y="{size / 2:.1f}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 12 {size / 2:.1f})">{y_title}</text>',
+        f'text-anchor="middle" transform="rotate(-90 12 {size / 2:.1f})">'
+        f'{_escape(y_title)}</text>',
         f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1.5"/>',
     ]
     for x, y in zip(xs, yvals):
         lines.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#1f5fa8"/>')
         lines.append(f'<text x="{sx(x):.2f}" y="{size - MARGIN + 16}" font-size="10" '
                      f'font-family="sans-serif" text-anchor="middle">{x:g}</text>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)

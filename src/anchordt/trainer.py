@@ -4,8 +4,8 @@ a sweep that trains a list of configs in turn.
 One iteration draws independent unpaired minibatches, takes the configured
 number of discriminator steps, then one combined generator+reconstructor
 step on the weighted total loss.  Each step runs in a helper that returns
-its losses as floats, so a step's graph, bindings and masks live only within
-the step, and the next step is built with none of them held.  Everything is
+its losses as floats, so a step's graph and bindings live only within the
+step, and the next step is built with neither held.  Everything is
 seeded through a single SeedSequence so identical configs and data give
 bit-identical traces.  A config names the networks' hidden widths alone:
 train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the
@@ -167,15 +167,13 @@ def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
     (gen, disc, rec), (gen_state, rec_state), w = models, states, config.weights
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
-    # read now: the anchor pass below overwrites gen_b.last_derivs
-    gen_masks = gen_b.last_derivs
     _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
     parts = GeneratorLossParts(gan=gen_part)
     if w.anchor > 0:
         parts.anchor = anchor_loss(gen_b, anchors)
     if w.sparsity > 0:
         parts.sparsity = sparsity_loss(gen_b, xb, config.probe, config.sparsity_mode,
-                                       probe_rng, masks=gen_masks, fake=fake)
+                                       probe_rng, fake=fake)
     if w.inv > 0:
         parts.inv = inv_loss(gen_b, rec_b, xb, fake=fake)
     total = total_generator_loss(parts, w)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ def test_bad_ablation_exits_2_before_any_training(data_dir, tmp_path, monkeypatc
                      "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["seeds", "cases"])
+def test_empty_ablation_list_exits_2_before_any_training(data_dir, tmp_path, monkeypatch,
+                                                         capsys, field):
+    # an empty list can only come from a config file: --override needs a value
+    monkeypatch.setattr(trainer, "train", pytest.fail)
+    (tmp_path / "run.cfg").write_text(f"[ablate]\n{field} =\n")
+    code = cli.main(["ablate", "--out-dir", str(tmp_path / "out"), "--data-dir",
+                     str(data_dir), "--config", str(tmp_path / "run.cfg")])
+    assert code == 2
+    assert f"{field} is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plot_label_with_markup_gives_well_formed_svg(data_dir, checkpoint, tmp_path):
+    assert cli.main(["plot", "--out-dir", str(tmp_path), "--data-dir", str(data_dir),
+                     "--checkpoint", f"g<1>&b={checkpoint}",
+                     "--override", "plot.max_points=20"]) == 0
+    root = ET.parse(tmp_path / "panels.svg").getroot()
+    titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert titles == ["source x", "target y", "translated (g<1>&b)"]
 
 
 @pytest.mark.parametrize("sweep, artifacts", [

@@ -34,11 +34,10 @@ def linear_model(a) -> nets.MlpModel:
 
 
 def exact_sparsity_loss(generator: nets.MlpBinding, x) -> ad.Node:
-    """The exact-mode term as the trainer builds it: over the masks of the
-    generator's pass over x."""
-    generator(ad.input_node(x))
+    """The exact-mode term as the trainer builds it: over the generator's
+    pass over x."""
     return objective.sparsity_loss(generator, x, ProbeSpec(1), "exact-jacobian-l1",
-                                   masks=generator.last_derivs)
+                                   fake=generator(ad.input_node(x)))
 
 
 def biased_identity(offset) -> nets.MlpModel:
@@ -143,8 +142,8 @@ class TestGanLosses:
         objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
                              rng.standard_normal((2, 5)), r1_weight=1.0,
                              detach_generator=True)
-        # the fake and the real batch alone: the penalty reads the masks of
-        # the real-batch pass
+        # the fake and the real batch alone: the penalty reads the
+        # real-batch pass
         assert passes == [(2, 5), (2, 5)]
 
 
@@ -235,9 +234,8 @@ class TestSparsityLoss:
 
         def jacobian_at(n):
             # the JVPs along the identity directions at x_n
-            binding = nets.bind(model)
-            binding(ad.input_node(np.repeat(x[:, n:n + 1], 2, axis=1)))
-            return batched_jvp_graph(binding, np.eye(2), binding.last_derivs).value
+            out = nets.bind(model)(ad.input_node(np.repeat(x[:, n:n + 1], 2, axis=1)))
+            return batched_jvp_graph(out, np.eye(2)).value
 
         jacobians = [jacobian_at(n) for n in range(5)]
         expected = np.mean([np.abs(j).sum() for j in jacobians])
@@ -280,9 +278,7 @@ class TestSparsityLoss:
         node = objective.sparsity_loss(nets.bind(model), x, spec, "masked-fd",
                                        np.random.default_rng(17))
         probes = draw_probe(spec, 2, np.random.default_rng(17), 3 * 2).probe
-        binding = nets.bind(model)
-        binding(ad.input_node(x))
-        jac = jacobian_graph(binding, binding.last_derivs).value   # column k N + n
+        jac = jacobian_graph(nets.bind(model)(ad.input_node(x))).value   # column k N + n
         total = 0.0
         for r in range(2):
             z = probes[:, 3 * r:3 * r + 3]
@@ -317,11 +313,19 @@ class TestSparsityLoss:
         with pytest.raises(ValueError, match="mode"):
             objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1), "l2")
 
-    def test_exact_mode_requires_masks(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=24))
-        with pytest.raises(ValueError, match="masks"):
-            objective.sparsity_loss(gen, np.ones((2, 3)), ProbeSpec(1),
-                                    "exact-jacobian-l1")
+    def test_exact_mode_gives_the_same_bits_with_and_without_fake(self):
+        model = nets.init_mlp((2, 6, 6, 2), seed=24)
+        x = np.random.default_rng(5).standard_normal((2, 7))
+        results = []
+        for shared in (False, True):
+            gen = nets.bind(model)
+            fake = gen(ad.input_node(x)) if shared else None
+            node = objective.sparsity_loss(gen, x, ProbeSpec(1), "exact-jacobian-l1",
+                                           fake=fake)
+            ad.backward(node)
+            results.append([node.value.tobytes()]
+                           + [g.tobytes() for g in gen.gradients()])
+        assert results[0] == results[1]
 
     def test_exact_mode_gradcheck(self):
         model = nets.init_mlp((2, 5, 2), seed=22)

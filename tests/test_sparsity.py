@@ -25,8 +25,7 @@ def jacobian_graph(model, x) -> ad.Node:
     """J(x) at one point x as a graph node."""
     binding = model if isinstance(model, nets.MlpBinding) else nets.bind(model)
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    masks = sparsity.activation_masks(preactivations(binding.model, x))
-    return sparsity.jacobian_graph(binding, masks)
+    return sparsity.jacobian_graph(binding(ad.input_node(x)))
 
 
 def q_exact_enumeration(j, mask_size: int,
@@ -149,8 +148,7 @@ class TestAnalyticJacobianGraph:
     def test_one_sweep_holds_every_point_jacobian(self):
         model = nets.init_mlp((3, 8, 3), seed=9)
         x = np.random.default_rng(2).standard_normal((3, 4))
-        masks = sparsity.activation_masks(preactivations(model, x))
-        out = sparsity.jacobian_graph(nets.bind(model), masks).value
+        out = sparsity.jacobian_graph(nets.bind(model)(ad.input_node(x))).value
         for n in range(4):
             # column k N + n is J(x_n) e_k
             np.testing.assert_allclose(out[:, n::4], jacobian_graph(model, x[:, n]).value,
@@ -162,11 +160,29 @@ class TestAnalyticJacobianGraph:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 5))
         v = rng.standard_normal((3, 5))
-        binding(ad.input_node(x))
-        out = sparsity.batched_jvp_graph(binding, v, binding.last_derivs).value
+        out = sparsity.batched_jvp_graph(binding(ad.input_node(x)), v).value
         for n in range(5):
             jn = jacobian_graph(model, x[:, n]).value
             np.testing.assert_allclose(out[:, n], jn @ v[:, n], atol=1e-12)
+
+    def test_jacobian_of_a_pass_fed_another_pass_is_its_own(self):
+        # the walk stops at the first network's identity output
+        first, second = nets.init_mlp((2, 4, 2), seed=4), nets.init_mlp((2, 5, 2), seed=5)
+        x = np.random.default_rng(3).standard_normal((2, 3))
+        out = nets.bind(second)(nets.bind(first)(ad.input_node(x)))
+        alone = nets.bind(second)(ad.input_node(first.apply(x)))
+        assert (sparsity.jacobian_graph(out).value.tobytes()
+                == sparsity.jacobian_graph(alone).value.tobytes())
+
+    def test_node_that_ends_no_pass_is_rejected_by_name(self):
+        x = ad.input_node(np.ones((2, 3)))
+        with pytest.raises(ad.GraphError, match=r"Node\(input, shape=\(2, 3\)\) does "
+                                                "not end a network pass"):
+            sparsity.jacobian_graph(x)
+        hidden = ad.dense(ad.parameter(np.eye(2)), x, ad.parameter(np.zeros((2, 1))),
+                          "leaky-relu")
+        with pytest.raises(ad.GraphError, match=r"Node\(dense"):
+            sparsity.batched_jvp_graph(hidden, np.ones((2, 3)))
 
 
 class TestProbes:

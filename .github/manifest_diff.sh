@@ -7,14 +7,15 @@
 # with the R1 penalty on, a 5-iteration ablate sweep of the full and neither
 # cases at seeds 0 and 1 (sweep trains its four configs one after another in
 # one process, where state leaked from one run into the next would show),
-# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11)
-# and a small probe-study from the sources of each checkout; plot and
-# probe-study are the verbs that write SVGs.  For each run it compares the
-# [checksums] section of manifest.txt (the artifact bytes) apart from the
-# rest, the config echo, with the output paths replaced by OUT, prints the
-# diff of whichever part differs and one line such as "train: checksums
-# identical, config echo differs".  Exits non-zero when any part of any
-# manifest differs.
+# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
+# a small probe-study and a sparsity-check of the two-entry swap support
+# {(0, 1), (1, 0)}, which passes, from the sources of each checkout; so every
+# verb runs, and plot and probe-study are the verbs that write SVGs.  For
+# each run it compares the [checksums] section of manifest.txt (the artifact
+# bytes) apart from the rest, the config echo, with the output paths replaced
+# by OUT, prints the diff of whichever part differs and one line such as
+# "train: checksums identical, config echo differs".  Exits non-zero when any
+# part of any manifest differs.
 set -eu
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
 work=$(mktemp -d)
@@ -41,7 +42,10 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
         --override probe_study.dimension=50 --override probe_study.num_matrices=2 \
         --override probe_study.mc_samples=50 > /dev/null
-    for run in data train eval plot fd r1 ablate mpa probe; do
+    printf '0,1\n1,0\n' > "$out/support.csv"
+    PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
+        --support-file "$out/support.csv" > /dev/null
+    for run in data train eval plot fd r1 ablate mpa probe support; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -51,7 +55,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 ablate mpa probe; do
+for run in data train eval plot fd r1 ablate mpa probe support; do
     verdict=""
     for part in checksums echo; do
         name=$part

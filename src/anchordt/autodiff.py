@@ -1,23 +1,26 @@
 """Define-by-run reverse-mode differentiation over dense float64 matrices.
 
 Every value in a graph is a 2-D row-major float64 array.  Graphs are built
-eagerly: each op computes its value once, on construction, and a graph is
-never re-evaluated; a value at other leaf values is a new graph.  The ops
-are matmul, add, subtract, scale, elementwise-mul, log, square, clip,
-abs-sum, sum, mean, softplus, and dense, one network layer
-``act(W @ h + b)`` as a single node, where act is identity or leaky-relu
-with a slope in [0, 1]: the two activations of ``anchordt.nets``.  The
-leaky derivative is exactly 1 or the slope, so a leaky dense node's value is
-the pre-activation times the derivative, and its meta is that derivative,
-which backward and the Jacobian graphs of ``anchordt.sparsity`` read; an
-identity layer's derivative is 1, and its meta is None.
+eagerly: each op's constructor checks its parents' shapes, computes the
+node's value once and returns the node, and a graph is never re-evaluated;
+a value at other leaf values is a new graph.  The op table maps each kind to
+its backprop alone.  The ops are matmul, add, subtract, scale,
+elementwise-mul, log, square, clip, abs-sum, sum, mean, softplus, and dense,
+one network layer ``act(W @ h + b)`` as a single node, where act is identity
+or leaky-relu with a slope in [0, 1]: the two activations of
+``anchordt.nets``.  The leaky derivative is exactly 1 or the slope, so a
+leaky dense node's value is the pre-activation times the derivative, and its
+meta is that derivative, which backward and the Jacobian graphs of
+``anchordt.sparsity`` read; an identity layer's derivative is 1, and its
+meta is None.
 backward releases each interior node's adjoint once it has reached the
 node's parents, so only the adjoints still to propagate are alive at once;
 parameter gradients, the root's adjoint and every value are kept.
 softplus(a) = log(1 + e^a) is the GAN losses' one nonlinearity on the
 discriminator's logits.  leaky-relu, tanh and sigmoid are ops of their
-own as well, and clip and log ops too; no runtime code builds any of
-them, and they stay only as names the benchmark traces.
+own as well, sharing one backprop through ``ACTIVATIONS``, and clip and log
+ops too; no runtime code builds any of them, and they stay only as names
+the benchmark traces.
 
 Convention used throughout the package: samples are columns, so a batch of
 N points in R^D is a (D, N) matrix and a linear layer is ``W @ x + b`` with
@@ -88,11 +91,11 @@ def parameter(value, what: str = "parameter") -> Node:
 
 
 # ---------------------------------------------------------------------------
-# op table: kind -> (compute(parent_values, meta) -> value,
-#                    backprop(node, wanted) -> one adjoint contribution per
-#                    parent, None where ``wanted`` is False)
-# backward calls backprop only for a node some parent of which is wanted, so
-# the one-parent ops ignore ``wanted``.
+# ops: each constructor checks its parents' shapes, computes the node's value
+# and returns the node; its backprop(node, wanted) returns one adjoint
+# contribution per parent, None where ``wanted`` is False.  backward calls
+# backprop only for a node some parent of which is wanted, so the one-parent
+# ops ignore ``wanted``.
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
@@ -136,167 +139,29 @@ ACTIVATIONS = {
 }
 
 
-def _compute_matmul(vals, meta):
-    a, b = vals
-    if a.shape[1] != b.shape[0]:
-        raise GraphError(f"matmul: inner dims disagree {a.shape} @ {b.shape}")
-    return a @ b
+def _activation(kind, a, slope=None):
+    return Node(kind, (a,), ACTIVATIONS[kind][0](a.value, slope), slope)
 
 
-def _grad_matmul(node, wanted):
-    a, b = node.parents
-    return (node.grad @ b.value.T if wanted[0] else None,
-            a.value.T @ node.grad if wanted[1] else None)
+def _grad_activation(node, wanted):
+    vjp = ACTIVATIONS[node.kind][1]
+    return (vjp(node.grad, node.parents[0].value, node.value, node.meta),)
 
 
-def _compute_add(vals, meta):
-    a, b = vals
-    if a.shape == b.shape:
-        return a + b
-    if b.shape == (a.shape[0], 1):
-        return a + b
-    raise GraphError(f"add: shapes {a.shape} + {b.shape} (only equal or column broadcast)")
+def leaky_relu(a: Node, slope: float = 0.2) -> Node:
+    return _activation("leaky-relu", a, float(slope))
 
 
-def _grad_add(node, wanted):
-    a, b = node.parents
-    gb = node.grad
-    if wanted[1] and b.value.shape != node.grad.shape:
-        gb = node.grad.sum(axis=1, keepdims=True)
-    return (node.grad if wanted[0] else None, gb if wanted[1] else None)
+def tanh(a: Node) -> Node:
+    return _activation("tanh", a)
 
 
-def _compute_subtract(vals, meta):
-    a, b = vals
-    if a.shape != b.shape:
-        raise GraphError(f"subtract: shapes {a.shape} - {b.shape}")
-    return a - b
+def sigmoid(a: Node) -> Node:
+    return _activation("sigmoid", a)
 
 
-def _grad_subtract(node, wanted):
-    return (node.grad if wanted[0] else None, -node.grad if wanted[1] else None)
-
-
-def _compute_scale(vals, meta):
-    return meta * vals[0]
-
-
-def _grad_scale(node, wanted):
-    return (node.meta * node.grad,)
-
-
-def _compute_elementwise_mul(vals, meta):
-    a, b = vals
-    if a.shape != b.shape:
-        raise GraphError(f"elementwise-mul: shapes {a.shape} * {b.shape}")
-    return a * b
-
-
-def _grad_elementwise_mul(node, wanted):
-    a, b = node.parents
-    return (node.grad * b.value if wanted[0] else None,
-            node.grad * a.value if wanted[1] else None)
-
-
-def _compute_log(vals, meta):
-    x = vals[0]
-    if np.any(x <= 0):
-        raise GraphError("log: non-positive input")
-    return np.log(x)
-
-
-def _grad_log(node, wanted):
-    return (node.grad / node.parents[0].value,)
-
-
-def _compute_square(vals, meta):
-    return vals[0] ** 2
-
-
-def _grad_square(node, wanted):
-    return (node.grad * 2.0 * node.parents[0].value,)
-
-
-def _compute_clip(vals, meta):
-    lo, hi = meta
-    return np.clip(vals[0], lo, hi)
-
-
-def _grad_clip(node, wanted):
-    # Zero gradient where the value saturated.  No runtime code calls clip or
-    # log since the GAN losses moved to softplus on logits; the benchmark
-    # traces both by name, so they go with the next change to it.
-    lo, hi = node.meta
-    x = node.parents[0].value
-    inside = (x > lo) & (x < hi)
-    return (node.grad * inside,)
-
-
-def _compute_abs_sum(vals, meta):
-    return np.abs(vals[0]).sum().reshape(1, 1)
-
-
-def _grad_abs_sum(node, wanted):
-    # Subgradient 0 at exact zeros (np.sign convention); valid a.e.
-    return (node.grad[0, 0] * np.sign(node.parents[0].value),)
-
-
-def _compute_sum(vals, meta):
-    return vals[0].sum().reshape(1, 1)
-
-
-def _grad_sum(node, wanted):
-    return (np.full_like(node.parents[0].value, node.grad[0, 0]),)
-
-
-def _compute_mean(vals, meta):
-    return vals[0].mean().reshape(1, 1)
-
-
-def _grad_mean(node, wanted):
-    p = node.parents[0].value
-    return (np.full_like(p, node.grad[0, 0] / p.size),)
-
-
-def _grad_dense(node, wanted):
-    w, h, b = node.parents
-    ga = node.grad if node.meta is None else node.grad * node.meta
-    return (ga @ h.value.T if wanted[0] else None,
-            w.value.T @ ga if wanted[1] else None,
-            ga.sum(axis=1, keepdims=True) if wanted[2] else None)
-
-
-_OPS = {
-    "matmul": (_compute_matmul, _grad_matmul),
-    "add": (_compute_add, _grad_add),
-    "subtract": (_compute_subtract, _grad_subtract),
-    "scale": (_compute_scale, _grad_scale),
-    "elementwise-mul": (_compute_elementwise_mul, _grad_elementwise_mul),
-    "log": (_compute_log, _grad_log),
-    "square": (_compute_square, _grad_square),
-    "clip": (_compute_clip, _grad_clip),
-    "abs-sum": (_compute_abs_sum, _grad_abs_sum),
-    "sum": (_compute_sum, _grad_sum),
-    "mean": (_compute_mean, _grad_mean),
-    "dense": (None, _grad_dense),   # dense() computes its value and meta
-}
-
-
-def _activation_op(name):
-    value, vjp = ACTIVATIONS[name]
-    return (lambda vals, meta: value(vals[0], meta),
-            lambda node, wanted: (vjp(node.grad, node.parents[0].value, node.value,
-                                      node.meta),))
-
-
-_OPS.update((name, _activation_op(name))
-            for name in ("leaky-relu", "tanh", "sigmoid", "softplus"))
-
-
-def _make(kind, parents, meta=None):
-    compute, _ = _OPS[kind]
-    value = compute(tuple(p.value for p in parents), meta)
-    return Node(kind, tuple(parents), value, meta)
+def softplus(a: Node) -> Node:
+    return _activation("softplus", a)
 
 
 def dense(w: Node, h: Node, b: Node, activation: str = "identity",
@@ -326,64 +191,146 @@ def dense(w: Node, h: Node, b: Node, activation: str = "identity",
     return Node("dense", (w, h, b), a, deriv)
 
 
+def _grad_dense(node, wanted):
+    w, h, b = node.parents
+    ga = node.grad if node.meta is None else node.grad * node.meta
+    return (ga @ h.value.T if wanted[0] else None,
+            w.value.T @ ga if wanted[1] else None,
+            ga.sum(axis=1, keepdims=True) if wanted[2] else None)
+
+
 def matmul(a: Node, b: Node) -> Node:
-    return _make("matmul", (a, b))
+    if a.shape[1] != b.shape[0]:
+        raise GraphError(f"matmul: inner dims disagree {a.shape} @ {b.shape}")
+    return Node("matmul", (a, b), a.value @ b.value)
+
+
+def _grad_matmul(node, wanted):
+    a, b = node.parents
+    return (node.grad @ b.value.T if wanted[0] else None,
+            a.value.T @ node.grad if wanted[1] else None)
 
 
 def add(a: Node, b: Node) -> Node:
-    return _make("add", (a, b))
+    if b.shape != a.shape and b.shape != (a.shape[0], 1):
+        raise GraphError(f"add: shapes {a.shape} + {b.shape} (only equal or column broadcast)")
+    return Node("add", (a, b), a.value + b.value)
+
+
+def _grad_add(node, wanted):
+    a, b = node.parents
+    gb = node.grad
+    if wanted[1] and b.value.shape != node.grad.shape:
+        gb = node.grad.sum(axis=1, keepdims=True)
+    return (node.grad if wanted[0] else None, gb if wanted[1] else None)
 
 
 def subtract(a: Node, b: Node) -> Node:
-    return _make("subtract", (a, b))
+    if a.shape != b.shape:
+        raise GraphError(f"subtract: shapes {a.shape} - {b.shape}")
+    return Node("subtract", (a, b), a.value - b.value)
+
+
+def _grad_subtract(node, wanted):
+    return (node.grad if wanted[0] else None, -node.grad if wanted[1] else None)
 
 
 def scale(a: Node, c: float) -> Node:
-    return _make("scale", (a,), float(c))
+    c = float(c)
+    return Node("scale", (a,), c * a.value, c)
+
+
+def _grad_scale(node, wanted):
+    return (node.meta * node.grad,)
 
 
 def elementwise_mul(a: Node, b: Node) -> Node:
-    return _make("elementwise-mul", (a, b))
+    if a.shape != b.shape:
+        raise GraphError(f"elementwise-mul: shapes {a.shape} * {b.shape}")
+    return Node("elementwise-mul", (a, b), a.value * b.value)
 
 
-def leaky_relu(a: Node, slope: float = 0.2) -> Node:
-    return _make("leaky-relu", (a,), float(slope))
-
-
-def tanh(a: Node) -> Node:
-    return _make("tanh", (a,))
-
-
-def sigmoid(a: Node) -> Node:
-    return _make("sigmoid", (a,))
-
-
-def softplus(a: Node) -> Node:
-    return _make("softplus", (a,))
+def _grad_elementwise_mul(node, wanted):
+    a, b = node.parents
+    return (node.grad * b.value if wanted[0] else None,
+            node.grad * a.value if wanted[1] else None)
 
 
 def log(a: Node) -> Node:
-    return _make("log", (a,))
+    if np.any(a.value <= 0):
+        raise GraphError("log: non-positive input")
+    return Node("log", (a,), np.log(a.value))
+
+
+def _grad_log(node, wanted):
+    return (node.grad / node.parents[0].value,)
 
 
 def square(a: Node) -> Node:
-    return _make("square", (a,))
+    return Node("square", (a,), a.value ** 2)
+
+
+def _grad_square(node, wanted):
+    return (node.grad * 2.0 * node.parents[0].value,)
 
 
 def clip(a: Node, lo: float, hi: float) -> Node:
-    return _make("clip", (a,), (float(lo), float(hi)))
+    lo, hi = float(lo), float(hi)
+    return Node("clip", (a,), np.clip(a.value, lo, hi), (lo, hi))
+
+
+def _grad_clip(node, wanted):
+    # Zero gradient where the value saturated.  No runtime code calls clip or
+    # log since the GAN losses moved to softplus on logits; the benchmark
+    # traces both by name, so they go with the next change to it.
+    lo, hi = node.meta
+    x = node.parents[0].value
+    inside = (x > lo) & (x < hi)
+    return (node.grad * inside,)
 
 
 def abs_sum(a: Node) -> Node:
-    return _make("abs-sum", (a,))
+    return Node("abs-sum", (a,), np.abs(a.value).sum().reshape(1, 1))
+
+
+def _grad_abs_sum(node, wanted):
+    # Subgradient 0 at exact zeros (np.sign convention); valid a.e.
+    return (node.grad[0, 0] * np.sign(node.parents[0].value),)
 
 
 def node_sum(a: Node) -> Node:
-    return _make("sum", (a,))
+    return Node("sum", (a,), a.value.sum().reshape(1, 1))
+
+
+def _grad_sum(node, wanted):
+    return (np.full_like(node.parents[0].value, node.grad[0, 0]),)
 
 
 def mean(a: Node) -> Node:
-    return _make("mean", (a,))
+    return Node("mean", (a,), a.value.mean().reshape(1, 1))
+
+
+def _grad_mean(node, wanted):
+    p = node.parents[0].value
+    return (np.full_like(p, node.grad[0, 0] / p.size),)
+
+
+# op table: node kind -> backprop
+_OPS = {
+    "dense": _grad_dense,
+    "matmul": _grad_matmul,
+    "add": _grad_add,
+    "subtract": _grad_subtract,
+    "scale": _grad_scale,
+    "elementwise-mul": _grad_elementwise_mul,
+    "log": _grad_log,
+    "square": _grad_square,
+    "clip": _grad_clip,
+    "abs-sum": _grad_abs_sum,
+    "sum": _grad_sum,
+    "mean": _grad_mean,
+    **dict.fromkeys(ACTIVATIONS, _grad_activation),
+}
 
 
 def topo_order(root: Node) -> list[Node]:
@@ -441,7 +388,7 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     for node in reversed(order):
         if node.grad is None or not node.parents:
             continue
-        _, backprop = _OPS[node.kind]
+        backprop = _OPS[node.kind]
         wanted = tuple(needs[id(p)] for p in node.parents)
         for parent, contrib in zip(node.parents, backprop(node, wanted)):
             if contrib is not None:

@@ -103,7 +103,7 @@ def cmd_train(config, out_dir):
     train_split, test_split = _load_splits(io.data_dir)
     anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
     # train() makes out_dir once the config has passed its checks on the data
-    models, report = train(cfg, train_split, anchors, test_split, out_dir)
+    report = train(cfg, train_split, anchors, test_split, out_dir)
     artifacts = ["generator.ckpt", "discriminator.ckpt", "reconstructor.ckpt"]
     artifacts.append(_write_lines(out_dir, "trace.csv", report.trace_csv_lines()))
     artifacts.append(_write_lines(out_dir, "diag.csv", report.diag_csv_lines()))
@@ -182,6 +182,10 @@ class ProbeStudyConfig:
     mc_samples: int = 500
     seed: int = 0
     exact_overlay: bool = False
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
 
 
 def cmd_probe_study(config, out_dir):
@@ -309,8 +313,11 @@ class MpaCheckConfig:
     tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError(f"samples = {self.samples} must be at least 2")
+        # the fixed-measure probe needs 10,000 samples, the KS checks 1,000
+        if self.samples < 10000:
+            raise ValueError(f"samples = {self.samples} must be at least 10000")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance = {self.tolerance} must be positive")
 
@@ -403,6 +410,8 @@ class AblateConfig:
         for name in ("cases", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} is empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds entry {min(self.seeds)} must be >= 0")
         unknown = [c for c in self.cases if c not in ABLATION_CASES]
         if unknown:
             raise ValueError(f"unknown ablation case {unknown[0]!r}; "

@@ -1,4 +1,4 @@
-"""Loss terms for adversarial transfer-map training and their combination.
+"""Loss terms for adversarial transfer-map training.
 
 All losses are scalar graph nodes built through MlpBindings, so several
 terms can share one network's parameter nodes and a single backward pass
@@ -168,30 +168,3 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
         term = ad.abs_sum(ad.subtract(pert, base))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / (delta * n * spec.probes_per_sample))
-
-
-@dataclass
-class GeneratorLossParts:
-    gan: ad.Node
-    anchor: ad.Node | None = None
-    sparsity: ad.Node | None = None
-    inv: ad.Node | None = None
-
-
-def total_generator_loss(parts: GeneratorLossParts, weights: LossWeights) -> ad.Node:
-    """gan + anchor_w * anchor + sparsity_w * sparsity + inv_w * inv.
-
-    Zero-weight terms may be omitted from ``parts``; a positive weight with
-    a missing part is an error.
-    """
-    total = parts.gan
-    for name, weight in (("anchor", weights.anchor),
-                         ("sparsity", weights.sparsity),
-                         ("inv", weights.inv)):
-        part = getattr(parts, name)
-        if weight == 0.0:
-            continue
-        if part is None:
-            raise ValueError(f"{name} weight is {weight} but no {name} term was built")
-        total = ad.add(total, ad.scale(part, weight))
-    return total

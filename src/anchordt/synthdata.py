@@ -41,6 +41,8 @@ class SynthConfig:
             raise ValueError("permutation must be a non-identity 2x2 permutation matrix")
         if self.num_train < 1 or self.num_test < 1:
             raise ValueError("sample counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
         if self.t_mode not in T_MODES:
             raise ValueError(f"t_mode must be one of {T_MODES}")
         for name in ("t_min", "t_max"):

@@ -23,9 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .nets import (MlpModel, adam_init, adam_step, bind, init_mlp,
                    save_checkpoint)
-from .objective import (SPARSITY_MODES, AnchorSet, GeneratorLossParts, LossWeights,
-                        anchor_loss, gan_losses, inv_loss, sparsity_loss,
-                        total_generator_loss)
+from .objective import (SPARSITY_MODES, AnchorSet, LossWeights, anchor_loss, gan_losses,
+                        inv_loss, sparsity_loss)
 from .sparsity import ProbeSpec
 from .stats import energy_distance
 from .synthdata import PairedDataset, select_anchors
@@ -66,6 +65,8 @@ class TrainConfig:
             raise ValueError("batch size and disc steps must be positive")
         if self.iterations < 0 or self.anchor_count < 0:
             raise ValueError("iterations and anchor count must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be >= 0")
         if self.weights.anchor > 0 and self.anchor_count < 1:
             raise ValueError("weights.anchor > 0 needs anchor_count >= 1")
         if self.sparsity_mode not in SPARSITY_MODES:
@@ -87,13 +88,6 @@ class TrainConfig:
             raise ValueError(f"diag_interval = {self.diag_interval} must be >= 0")
         if self.diag_points < 1:
             raise ValueError(f"diag_points = {self.diag_points} must be at least 1")
-
-
-@dataclass
-class TrainedModels:
-    generator: MlpModel
-    discriminator: MlpModel
-    reconstructor: MlpModel
 
 
 @dataclass
@@ -156,10 +150,11 @@ def _disc_step(config: TrainConfig, gen: MlpModel, disc: MlpModel, state, xb, yb
 
 def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
                     probe_rng) -> dict:
-    """One generator + reconstructor step on the combined objective; returns
-    the trace's gen, anchor, sparsity, inv and total losses (0.0 for a term
-    that is off), after the updates when the total is finite and with
-    nothing updated when it is not.
+    """One generator + reconstructor step on the combined objective
+    gan + w_anchor * anchor + w_sparsity * sparsity + w_inv * inv, the terms
+    added in that order; returns the trace's gen, anchor, sparsity, inv and
+    total losses (0.0 for a term that is off), after the updates when the
+    total is finite and with nothing updated when it is not.
 
     The discriminator is frozen, and g(x) is built once and shared by the
     adversarial, round-trip and sparsity terms.
@@ -168,19 +163,17 @@ def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
     _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
-    parts = GeneratorLossParts(gan=gen_part)
-    if w.anchor > 0:
-        parts.anchor = anchor_loss(gen_b, anchors)
-    if w.sparsity > 0:
-        parts.sparsity = sparsity_loss(gen_b, xb, config.probe, config.sparsity_mode,
-                                       probe_rng, fake=fake)
-    if w.inv > 0:
-        parts.inv = inv_loss(gen_b, rec_b, xb, fake=fake)
-    total = total_generator_loss(parts, w)
-    terms = {"gen": gen_part, "anchor": parts.anchor, "sparsity": parts.sparsity,
-             "inv": parts.inv, "total": total}
+    # a term is built only when its weight is positive
+    terms = {"anchor": anchor_loss(gen_b, anchors) if w.anchor > 0 else None,
+             "sparsity": sparsity_loss(gen_b, xb, config.probe, config.sparsity_mode,
+                                       probe_rng, fake=fake) if w.sparsity > 0 else None,
+             "inv": inv_loss(gen_b, rec_b, xb, fake=fake) if w.inv > 0 else None}
+    total = gen_part
+    for name, node in terms.items():
+        if node is not None:
+            total = ad.add(total, ad.scale(node, getattr(w, name)))
     losses = {k: 0.0 if node is None else float(node.value[0, 0])
-              for k, node in terms.items()}
+              for k, node in {"gen": gen_part, **terms, "total": total}.items()}
     if np.isfinite(losses["total"]):
         ad.backward(total)
         adam_step(gen, gen_b.gradients(), gen_state)
@@ -190,8 +183,8 @@ def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
 
 
 def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
-          test_data: PairedDataset | None = None, out_dir=None):
-    """Run the full alternating loop; returns (TrainedModels, RunReport).
+          test_data: PairedDataset | None = None, out_dir=None) -> RunReport:
+    """Run the full alternating loop; returns its RunReport.
 
     The data's dimension D sizes the networks.  A probe mask wider than D
     is rejected before any model or out_dir exists.  Aborts with
@@ -272,7 +265,7 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
         save_checkpoint(rec, os.path.join(out_dir, "reconstructor.ckpt"))
     report = RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,
                        te_std=te_std, wall_time=wall)
-    return TrainedModels(generator=gen, discriminator=disc, reconstructor=rec), report
+    return report
 
 
 def sweep(configs, train_data: PairedDataset, test_data: PairedDataset):
@@ -283,5 +276,4 @@ def sweep(configs, train_data: PairedDataset, test_data: PairedDataset):
     """
     for config in configs:
         anchors = select_anchors(train_data, config.anchor_count, config.seed)
-        _, report = train(config, train_data, anchors, test_data)
-        yield config, report
+        yield config, train(config, train_data, anchors, test_data)

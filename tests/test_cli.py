@@ -95,7 +95,7 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("train", ["probe.dimension=2"], "[probe] unknown key 'dimension'"),
     ("train", ["train.sparsity_mode=exact"], "sparsity_mode 'exact'"),
     ("gen-data", ["data.t_min=0.6", "data.t_max=0.1"], "t_min = 0.6 exceeds t_max = 0.1"),
-    ("mpa-check", ["mpa_check.samples=0"], "samples = 0 must be at least 2"),
+    ("mpa-check", ["mpa_check.samples=0"], "samples = 0 must be at least 10000"),
     ("mpa-check", ["mpa_check.tolerance=0"], "tolerance = 0.0 must be positive"),
     ("train", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
     ("ablate", ["probe.mask_size=3"], "probe.mask_size = 3 exceeds the data dimension D = 2"),
@@ -115,6 +115,13 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("train", ["train.diag_interval=-3"], "diag_interval = -3 must be >= 0"),
     ("gen-data", ["data.t_min=nan"], "t_min = nan not in (-1, 1)"),
     ("gen-data", ["data.t_max=1"], "t_max = 1.0 not in (-1, 1)"),
+    ("mpa-check", ["mpa_check.samples=9999"], "samples = 9999 must be at least 10000"),
+    ("train", ["train.seed=-1"], "seed = -1 must be >= 0"),
+    ("gen-data", ["data.seed=-1"], "seed = -1 must be >= 0"),
+    ("probe-study", ["probe_study.seed=-1"], "seed = -1 must be >= 0"),
+    ("ablate", ["ablate.seeds=0,-2"], "seeds entry -2 must be >= 0"),
+    ("ablate", ["train.seed=-1"], "seed = -1 must be >= 0"),
+    ("mpa-check", ["mpa_check.seed=-1"], "seed = -1 must be >= 0"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -136,6 +143,29 @@ def test_empty_mask_sizes_exits_2_before_any_output(tmp_path, capsys):
     assert code == 2
     assert "mask_sizes is empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_divergence_exits_2_leaving_the_last_good_models(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--out-dir", str(out), "--data-dir", str(data_dir),
+                         "--override", "train.learning_rate=1e300",
+                         "--override", "train.batch_size=16"])
+    assert code == 2
+    assert "non-finite generator loss at iteration 0" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == [f"last_good_{name}.ckpt" for name in
+                                       ("discriminator", "generator", "reconstructor")]
+    # the discriminator's step-0 update was applied before the generator's
+    # loss went non-finite, but the last-good models are the initial ones
+    seeds = np.random.SeedSequence(0).spawn(5)
+    for name, sizes, seed in (("generator", (2, 32, 32, 2), seeds[0]),
+                              ("discriminator", (2, 64, 64, 1), seeds[1])):
+        saved = nets.load_checkpoint(out / f"last_good_{name}.ckpt")
+        initial = nets.init_mlp(sizes, seed)
+        assert saved.layer_sizes == initial.layer_sizes
+        for got, want in zip(saved.weights + saved.biases,
+                             initial.weights + initial.biases):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):

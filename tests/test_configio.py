@@ -30,7 +30,7 @@ def train_configs(draw):
                         draw(st.integers(1, 64))),
         learning_rate=draw(positive), batch_size=draw(st.integers(1, 10**6)),
         iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
-        seed=draw(st.integers(-2**63, 2**63)), beta1=draw(unit), beta2=draw(unit),
+        seed=draw(st.integers(0, 2**63)), beta1=draw(unit), beta2=draw(unit),
         epsilon=draw(positive), gen_hidden=hidden(), disc_hidden=hidden(),
         rec_hidden=hidden(), r1_weight=draw(non_negative),
         diag_interval=draw(st.integers(min_value=0)), diag_points=draw(st.integers(min_value=1)))
@@ -49,7 +49,7 @@ def test_train_config_round_trips_through_its_echo(cfg):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-2**63, 2**63),
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 2**63),
        st.sampled_from(T_MODES), amplitude, amplitude)
 def test_synth_config_round_trips_through_its_echo(n_train, n_test, seed, t_mode,
                                                    t_a, t_b):

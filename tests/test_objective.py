@@ -424,26 +424,6 @@ class TestRebuildGradcheck:
 
 
 class TestTotalLoss:
-    def _parts(self, gan=0.2, anchor=0.3, sparsity=0.4, inv=0.5):
-        mk = lambda v: ad.input_node(np.array([[v]]))
-        return objective.GeneratorLossParts(gan=mk(gan), anchor=mk(anchor),
-                                            sparsity=mk(sparsity), inv=mk(inv))
-
-    def test_zero_weights_reduce_to_gan_term(self):
-        weights = objective.LossWeights(anchor=0.0, sparsity=0.0, inv=0.0)
-        node = objective.total_generator_loss(self._parts(), weights)
-        assert node.value[0, 0] == pytest.approx(0.2, abs=1e-15)
-
-    def test_unit_weights_sum(self):
-        weights = objective.LossWeights(anchor=1.0, sparsity=1.0, inv=1.0)
-        node = objective.total_generator_loss(self._parts(), weights)
-        assert node.value[0, 0] == pytest.approx(1.4, abs=1e-12)
-
-    def test_missing_part_with_positive_weight_rejected(self):
-        parts = objective.GeneratorLossParts(gan=ad.input_node(np.array([[0.1]])))
-        with pytest.raises(ValueError, match="anchor"):
-            objective.total_generator_loss(parts, objective.LossWeights())
-
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             objective.LossWeights(anchor=-0.1)

@@ -1,5 +1,5 @@
-"""The training sweep, the lifetime of a step's graph, and the checks
-train() makes before its first step."""
+"""The training sweep, the generator step's weighted total, the lifetime of
+a step's graph, and the checks train() makes before its first step."""
 
 import weakref
 from dataclasses import replace
@@ -29,9 +29,29 @@ def test_sweep_draws_each_runs_anchors_with_its_own_count_and_seed(splits):
     assert [cfg for cfg, _ in swept] == configs
     for cfg, report in swept:
         anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
-        _, alone = trainer.train(cfg, train_split, anchors, test_split)
+        alone = trainer.train(cfg, train_split, anchors, test_split)
         assert (report.te_mean, report.te_std) == (alone.te_mean, alone.te_std)
     assert len({report.te_mean for _, report in swept}) == len(configs)
+
+
+@pytest.mark.parametrize("anchor, sparsity, inv", [
+    (0.7, 0.0, 1.3), (0.0, 0.25, 1.3), (0.7, 0.25, 0.0), (0.7, 0.25, 1.3)])
+def test_traced_total_is_the_weighted_sum_of_the_terms(splits, anchor, sparsity, inv):
+    train_split, test_split = splits
+    weights = LossWeights(anchor=anchor, sparsity=sparsity, inv=inv)
+    cfg = TrainConfig(weights=weights, iterations=3, batch_size=16, diag_interval=0)
+    losses = trainer.train(cfg, train_split, select_anchors(train_split, 1, 0),
+                           test_split).losses
+    expected = losses["gen"]
+    # gan + anchor + sparsity + inv, each weighted, in that order
+    for name in ("anchor", "sparsity", "inv"):
+        weight = getattr(weights, name)
+        if weight == 0.0:
+            assert (losses[name] == 0.0).all()
+        else:
+            assert (losses[name] != 0.0).all()
+            expected = expected + weight * losses[name]
+    assert losses["total"].tobytes() == expected.tobytes()
 
 
 def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):

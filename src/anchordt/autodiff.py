@@ -9,12 +9,14 @@ elementwise-mul, log, square, clip, abs-sum, sum, mean, softplus, and dense,
 one network layer ``act(W @ h + b)`` as a single node, where act is identity
 or leaky-relu with a slope in [0, 1]: the two activations of
 ``anchordt.nets``.  The leaky derivative is exactly 1 or the slope, so a
-leaky dense node's value is the pre-activation times the derivative, and its
-meta is that derivative, which backward and the Jacobian graphs of
-``anchordt.sparsity`` read; an identity layer's derivative is 1, and its
-meta is None.
-backward releases each interior node's adjoint once it has reached the
-node's parents, so only the adjoints still to propagate are alive at once;
+leaky dense node's value is the pre-activation times the derivative, and a
+sign bit is all the derivative carries: the node's meta is the boolean mask
+``a >= 0`` of its pre-activation a and the slope, one byte an element, from
+which ``leaky_derivative`` rebuilds the float derivative when backward or
+the Jacobian graphs of ``anchordt.sparsity`` need it; an identity layer's
+derivative is 1, and its meta is None.
+backward releases each node's adjoint once it has reached the node's
+parents, so only the adjoints still to propagate are alive at once;
 parameter gradients, the root's adjoint and every value are kept.
 softplus(a) = log(1 + e^a) is the GAN losses' one nonlinearity on the
 discriminator's logits.  leaky-relu, tanh and sigmoid are ops of their
@@ -54,8 +56,9 @@ class Node:
     (rows, cols) float64 result, ``grad`` the accumulated adjoint of the
     same shape (:func:`backward` leaves it on parameters and the root
     alone), and ``meta`` carries the op's constants (scale factor, slope,
-    clip bounds).  A dense node's meta is its leaky derivative at the
-    pre-activation, or None for an identity layer.
+    clip bounds).  A leaky dense node's meta is ``(mask, slope)``, mask the
+    boolean ``a >= 0`` of its pre-activation a; an identity dense node's is
+    None.
     """
 
     __slots__ = ("kind", "parents", "value", "grad", "meta", "__weakref__")
@@ -114,25 +117,26 @@ def _leaky(x, slope):
     return np.where(x >= 0, x, slope * x)
 
 
-def _leaky_deriv(a, slope):
-    """The leaky derivative, 1 where a >= 0 and ``slope`` elsewhere, built in
-    place: one boolean and one float temporary."""
-    deriv = (a >= 0) * (1.0 - slope)
+def leaky_derivative(mask, slope):
+    """The leaky derivative from its mask ``a >= 0``: 1 where the mask is
+    True and ``slope`` elsewhere, one float array built in place."""
+    deriv = mask * (1.0 - slope)
     deriv += slope
     return deriv
 
 
 # Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
 # a is the pre-activation, value its activation and g the output adjoint.  The
-# one-input activation ops read it, and sparsity.activation_masks reads the
-# leaky-relu vjp at g = 1; dense calls _leaky_deriv, the same derivative.  Only
-# tanh, sigmoid and softplus read ``value``: softplus' derivative is
-# sigmoid(a) = -expm1(-softplus(a)).  Only leaky-relu reads ``a``.
-# The leaky tie at exactly 0 resolves to slope 1.  The leaky vjp is
-# arithmetic, not np.where, which mispredicts on random signs; (1 - s) + s
-# rounds to exactly 1 for s in [0, 1], so both forms give the same bits.
+# one-input activation ops read it.  The leaky-relu vjp, dense's backward,
+# sparsity's Jacobian graphs and sparsity.activation_masks all build the leaky
+# derivative with leaky_derivative.  Only tanh, sigmoid and softplus read
+# ``value``: softplus' derivative is sigmoid(a) = -expm1(-softplus(a)).  Only
+# leaky-relu reads ``a``.  The leaky tie at exactly 0 resolves to slope 1.
+# The leaky derivative is arithmetic, not np.where, which mispredicts on
+# random signs; (1 - s) + s rounds to exactly 1 for s in [0, 1], so both
+# forms give the same bits.
 ACTIVATIONS = {
-    "leaky-relu": (_leaky, lambda g, a, v, s: g * _leaky_deriv(a, s)),
+    "leaky-relu": (_leaky, lambda g, a, v, s: g * leaky_derivative(a >= 0, s)),
     "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
     "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
     "softplus": (lambda a, s: np.logaddexp(0.0, a), lambda g, a, v, s: -g * np.expm1(-v)),
@@ -184,16 +188,19 @@ def dense(w: Node, h: Node, b: Node, activation: str = "identity",
     a += b.value
     if activation == "identity":
         return Node("dense", (w, h, b), a)
-    # the derivative is 1 or s exactly, so a * deriv has the bits of
-    # max(a, s * a), -0.0 included
-    deriv = _leaky_deriv(a, slope)
-    a *= deriv
-    return Node("dense", (w, h, b), a, deriv)
+    # the derivative is 1 or s exactly, so max(a, s * a) has the bits of
+    # a * deriv, -0.0 included
+    mask = a >= 0
+    np.maximum(a, slope * a, out=a)
+    return Node("dense", (w, h, b), a, (mask, slope))
 
 
 def _grad_dense(node, wanted):
     w, h, b = node.parents
-    ga = node.grad if node.meta is None else node.grad * node.meta
+    ga = node.grad
+    if node.meta is not None:
+        # in place: the adjoint is this node's alone (see backward)
+        ga *= leaky_derivative(*node.meta)
     return (ga @ h.value.T if wanted[0] else None,
             w.value.T @ ga if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
@@ -359,9 +366,15 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     subgraph gets its ``grad`` populated, with adjoints of multi-consumer
     nodes summed.  Adjoints are only propagated along paths that reach a
     parameter (pure-constant branches are skipped), so input leaves are
-    left with grad None.  An interior node's adjoint is released (``grad``
-    back to None) once it has reached the node's parents; parameter
-    gradients, the root's adjoint and every value are kept.
+    left with grad None.  Each node's adjoint is released (``grad`` back to
+    None) once it has reached the node's parents, and the root's is set
+    back to 1 after the sweep; parameter gradients and every value are kept.
+
+    Each adjoint in the sweep has exactly one owner, the node whose ``grad``
+    it is: an add or subtract node hands its own adjoint to the first parent
+    that has none yet and a copy to any other, and every other contribution
+    is a new array.  So a backprop may scale its node's adjoint in place, as
+    dense's does.
     """
     if root.value.shape != (1, 1):
         raise GraphError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -378,23 +391,25 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
             p.grad = np.zeros_like(p.value)
         return {p: p.grad for p in params}
 
-    def accumulate(parent, contrib, owner_grad):
-        if parent.grad is None:
-            # contributions alias node.grad only for add/subtract pass-through
-            parent.grad = contrib.copy() if contrib is owner_grad else contrib
-        else:
-            parent.grad += contrib
-
     for node in reversed(order):
         if node.grad is None or not node.parents:
             continue
         backprop = _OPS[node.kind]
         wanted = tuple(needs[id(p)] for p in node.parents)
+        handed_on = False
         for parent, contrib in zip(node.parents, backprop(node, wanted)):
-            if contrib is not None:
-                accumulate(parent, contrib, node.grad)
-        if node is not root:
-            node.grad = None
+            if contrib is None:
+                continue
+            if parent.grad is not None:
+                parent.grad += contrib
+            elif contrib is node.grad:
+                # add/subtract pass-through: one parent may own it
+                parent.grad = contrib.copy() if handed_on else contrib
+                handed_on = True
+            else:
+                parent.grad = contrib
+        node.grad = None
+    root.grad = np.ones((1, 1))
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)

@@ -7,8 +7,9 @@ Three layers of machinery live here:
   products J(x_n) v_n that the training penalties in ``objective`` build
   on.  It takes the output node of a network pass over the x_n and walks
   that pass's chain of ``dense`` nodes for each layer's weight node and
-  activation derivative, frozen as a constant.  Every network is
-  leaky-relu with an identity output, so this is exact almost everywhere.
+  activation mask, whose derivative it freezes as a constant.  Every
+  network is leaky-relu with an identity output, so this is exact almost
+  everywhere.
   Along the identity directions, ``jacobian_graph`` holds every point's
   full Jacobian in one sweep; the exact Jacobian l1 term and the
   discriminator's R1 penalty both build on it;
@@ -163,19 +164,19 @@ def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 
 def activation_masks(preacts: list[np.ndarray]) -> list[np.ndarray]:
-    """The hidden layers' activation derivatives (leaky-relu vjp at g = 1)
-    from a network's pre-activation arrays: what a pass's hidden dense nodes
-    hold.  No runtime code calls this, kept as the tests' reference and a
-    name the benchmark traces.
+    """The hidden layers' activation derivatives from a network's
+    pre-activation arrays: what a pass's hidden dense nodes rebuild from
+    their masks.  No runtime code calls this, kept as the tests' reference
+    and a name the benchmark traces.
     """
-    leaky = ad.ACTIVATIONS["leaky-relu"][1]
-    return [leaky(1.0, a, None, HIDDEN_SLOPE) for a in preacts[:-1]]
+    return [ad.leaky_derivative(a >= 0, HIDDEN_SLOPE) for a in preacts[:-1]]
 
 
 def _pass_layers(out: ad.Node) -> list:
-    """[(weight node, activation derivative or None)] of each layer, in
-    order, of the pass whose identity output dense node is ``out``: the
-    chain of leaky dense nodes below it, up to the pass's input.
+    """[(weight node, (mask, slope) or None)] of each layer, in order, of the
+    pass whose identity output dense node is ``out``: the chain of leaky
+    dense nodes below it, up to the pass's input, each with the activation
+    mask and slope it keeps as its meta.
     """
     if out.kind != "dense" or out.meta is not None:
         raise ad.GraphError(f"{out!r} does not end a network pass")
@@ -192,18 +193,22 @@ def batched_jvp_graph(out: ad.Node, directions: np.ndarray) -> ad.Node:
     of the network pass ending at ``out`` and (D, k N) directions.
 
     Propagates the directions through the layer linearizations with the
-    pass's activation derivatives frozen (tiled k times when k > 1), so the
-    result is linear in the weights of each layer and differentiable w.r.t.
-    them: backward through it yields a valid a.e. subgradient of any
-    function of the JVPs without second-order differentiation.
+    pass's activation derivatives frozen as constants, each rebuilt from
+    its layer's mask, tiled k times first when k > 1, so the graph keeps one
+    float derivative a layer, at the width of the directions.  The result
+    is linear in the weights of each layer and differentiable w.r.t. them:
+    backward through it yields a valid a.e. subgradient of any function of
+    the JVPs without second-order differentiation.
     """
     reps = directions.shape[1] // out.shape[1]
     v = ad.input_node(directions, "jvp-direction")
-    for w_node, deriv in _pass_layers(out):
+    for w_node, leaky in _pass_layers(out):
         v = ad.matmul(w_node, v)
-        if deriv is not None:
+        if leaky is not None:
+            mask, slope = leaky
             if reps > 1:
-                deriv = np.tile(deriv, (1, reps))
+                mask = np.tile(mask, (1, reps))
+            deriv = ad.leaky_derivative(mask, slope)
             v = ad.elementwise_mul(v, ad.input_node(deriv, "activation-derivative"))
     return v
 

@@ -228,31 +228,34 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
         raise TrainingDiverged(
             f"non-finite {reason} loss at iteration {iteration}", checkpoints)
 
-    for it in range(config.iterations):
-        last_good = snapshot()
-        # discriminator step(s), fresh unpaired minibatches each
-        for _ in range(config.disc_steps_per_gen_step):
+    # a diverging step overflows on its way to a non-finite loss; the
+    # finite checks report that in one line, which numpy's warnings would bury
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(config.iterations):
+            last_good = snapshot()
+            # discriminator step(s), fresh unpaired minibatches each
+            for _ in range(config.disc_steps_per_gen_step):
+                xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
+                yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
+                trace["disc"][it] = _disc_step(config, gen, disc, disc_state, xb, yb)
+                if not np.isfinite(trace["disc"][it]):
+                    abort(it, "discriminator")
+
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
-            yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
-            trace["disc"][it] = _disc_step(config, gen, disc, disc_state, xb, yb)
-            if not np.isfinite(trace["disc"][it]):
-                abort(it, "discriminator")
+            # the step scores no real batch, but its draw keeps batch_rng's stream
+            batch_rng.integers(0, n, config.batch_size)
+            losses = _generator_step(config, (gen, disc, rec), (gen_state, rec_state), xb,
+                                     anchors, probe_rng)
+            if not np.isfinite(losses["total"]):
+                abort(it, "generator")
+            for key, value in losses.items():
+                trace[key][it] = value
 
-        xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
-        # the step scores no real batch, but its draw keeps batch_rng's stream
-        batch_rng.integers(0, n, config.batch_size)
-        losses = _generator_step(config, (gen, disc, rec), (gen_state, rec_state), xb,
-                                 anchors, probe_rng)
-        if not np.isfinite(losses["total"]):
-            abort(it, "generator")
-        for key, value in losses.items():
-            trace[key][it] = value
-
-        if test_data is not None and config.diag_interval > 0 and (
-                it % config.diag_interval == 0 or it == config.iterations - 1):
-            k = min(config.diag_points, len(test_data))
-            moved = gen.apply(test_data.x[:k].T).T
-            diagnostics.append((it, energy_distance(moved, test_data.y[:k])))
+            if test_data is not None and config.diag_interval > 0 and (
+                    it % config.diag_interval == 0 or it == config.iterations - 1):
+                k = min(config.diag_points, len(test_data))
+                moved = gen.apply(test_data.x[:k].T).T
+                diagnostics.append((it, energy_distance(moved, test_data.y[:k])))
 
     wall = time.perf_counter() - start
     te_mean = te_std = None

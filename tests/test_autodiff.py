@@ -164,6 +164,41 @@ class TestBackward:
         again = ad.backward(root)
         assert all(bits(again[node]) == bits(first[node]) for node in first)
 
+    @pytest.mark.parametrize("shared", [0, 1])
+    def test_add_of_equal_shapes_gives_each_parent_its_own_adjoint(self, shared):
+        # one parent also feeds another term, so its adjoint is accumulated
+        # into after the add's pass-through reaches it
+        rng = np.random.default_rng(6)
+        pair = [ad.parameter(rng.standard_normal((2, 3))) for _ in range(2)]
+        u, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        root = ad.add(
+            ad.node_sum(ad.elementwise_mul(ad.add(*pair), ad.input_node(u))),
+            ad.node_sum(ad.elementwise_mul(pair[shared], ad.input_node(v))))
+        grads = ad.backward(root)
+        assert bits(grads[pair[shared]]) == bits(u + v)
+        assert bits(grads[pair[1 - shared]]) == bits(u)
+
+    def test_add_of_a_node_to_itself_doubles_its_adjoint(self):
+        a = ad.parameter(np.array([[1.0, -2.0]]))
+        u = np.array([[0.5, 3.0]])
+        grads = ad.backward(ad.node_sum(ad.elementwise_mul(ad.add(a, a), ad.input_node(u))))
+        assert grads[a].tolist() == [[1.0, 6.0]]
+
+    def test_add_root_hands_on_its_adjoint_and_keeps_it(self):
+        p, q = scalar(2.0, "parameter"), scalar(3.0, "parameter")
+        root = ad.add(p, q)
+        grads = ad.backward(root)
+        assert grads[p].tolist() == grads[q].tolist() == root.grad.tolist() == [[1.0]]
+        assert len({id(p.grad), id(q.grad), id(root.grad)}) == 3
+
+    def test_leaky_dense_root_keeps_its_adjoint(self):
+        w, b = ad.parameter(np.array([[1.0, -2.0]])), ad.parameter(np.array([[-1.0]]))
+        root = ad.dense(w, ad.input_node(np.array([[1.0], [1.0]])), b, "leaky-relu", 0.25)
+        grads = ad.backward(root)
+        assert root.value.tolist() == [[-0.5]]
+        assert root.grad.tolist() == [[1.0]]
+        assert grads[w].tolist() == [[0.25, 0.25]] and grads[b].tolist() == [[0.25]]
+
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_product_rule(self, a_val, b_val):
@@ -294,6 +329,14 @@ class TestDense:
                 assert (f.grad is None) == (p.grad is None)
                 if f.grad is not None:
                     assert bits(f.grad) == bits(p.grad)
+
+    def test_leaky_node_keeps_a_one_byte_mask_and_its_slope(self):
+        w, h, b = layer_values(np.random.default_rng(5), zero_ties=True)
+        parents = [ad.input_node(v) for v in (w, h, b)]
+        mask, slope = ad.dense(*parents, "leaky-relu", 0.3).meta
+        assert mask.dtype == np.bool_ and mask.shape == (5, 7) and slope == 0.3
+        assert np.array_equal(mask, w @ h + b >= 0)
+        assert ad.dense(*parents).meta is None
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_leaky_value_is_preactivation_times_derivative(self, slope):

@@ -87,21 +87,23 @@ class TestForwardPaths:
             frozen.gradients()
 
     def test_binding_records_preactivations(self):
-        # each hidden dense node of a pass keeps its activation derivative,
-        # and the identity output keeps none
+        # each hidden dense node of a pass keeps its activation mask and
+        # slope, from which its derivative is rebuilt, and the identity
+        # output keeps none
         x = np.random.default_rng(2).standard_normal((2, 8))
         x[:, 5] = 0.0   # exact-zero pre-activations take the slope-1 side
         model = nets.init_mlp((2, 4, 4, 2), seed=0)
         node = nets.bind(model)(ad.input_node(x))
-        derivs = []
+        metas = []
         while node.kind == "dense":
-            derivs.insert(0, node.meta)
+            metas.insert(0, node.meta)
             node = node.parents[1]
         direct = activation_masks(preactivations(model, x))
-        assert len(derivs) == 3 and len(direct) == 2
-        assert derivs[-1] is None
-        for a, b in zip(derivs, direct):
-            assert a.tobytes() == b.tobytes()
+        assert len(metas) == 3 and len(direct) == 2
+        assert metas[-1] is None
+        for meta, b in zip(metas, direct):
+            assert meta[1] == nets.HIDDEN_SLOPE
+            assert ad.leaky_derivative(*meta).tobytes() == b.tobytes()
         assert np.isin(direct[0], (nets.HIDDEN_SLOPE, 1.0)).all()
 
 

@@ -7,7 +7,7 @@ from anchordt import autodiff as ad
 from anchordt import nets, objective
 from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe, jacobian_graph
 from rebuild_gradcheck import rebuild_gradcheck
-from reference_pass import preactivations
+from reference_pass import jacobian_sweep, preactivations
 
 
 def arrays(model):
@@ -126,6 +126,24 @@ class TestGanLosses:
         build = lambda: objective.gan_losses(nets.bind(gen_model), nets.bind(disc_model),
                                              x, y, r1_weight=3.0)[0]
         assert rebuild_gradcheck(build, arrays(gen_model) + arrays(disc_model)) < 1e-4
+
+    def test_r1_penalty_gives_the_reference_bits_in_value_and_gradients(self):
+        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12), frozen=True)
+        disc_model = nets.init_mlp((2, 8, 8, 1), seed=13)
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
+        y[:, 3] = 0.0   # exact-zero pre-activations take the slope-1 side
+        assert (preactivations(disc_model, y)[0] == 0).any()
+        disc, ref = nets.bind(disc_model), nets.bind(disc_model)
+        loss, _ = objective.gan_losses(gen, disc, x, y, r1_weight=3.0,
+                                       detach_generator=True)
+        plain, _ = objective.gan_losses(gen, ref, x, y, detach_generator=True)
+        penalty = ad.node_sum(ad.square(jacobian_sweep(ref.weight_nodes, disc_model, y)))
+        want = ad.add(plain, ad.scale(penalty, 0.5 * 3.0 / 5))
+        assert loss.value.tobytes() == want.value.tobytes()
+        got, expected = ad.backward(loss), ad.backward(want)
+        for a, b in zip(disc.param_nodes, ref.param_nodes):
+            assert got[a].tobytes() == expected[b].tobytes()
 
     def test_r1_penalty_runs_one_forward_pass_for_all_directions(self, monkeypatch):
         passes = []

@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 from anchordt import autodiff as ad
 from anchordt import nets, sparsity
 from rebuild_gradcheck import rebuild_gradcheck
-from reference_pass import preactivations
+from reference_pass import jacobian_sweep, preactivations
 
 
 def linear_model(matrix: np.ndarray) -> nets.MlpModel:
@@ -164,6 +164,22 @@ class TestAnalyticJacobianGraph:
         for n in range(5):
             jn = jacobian_graph(model, x[:, n]).value
             np.testing.assert_allclose(out[:, n], jn @ v[:, n], atol=1e-12)
+
+    def test_sweep_gives_the_reference_bits_in_values_and_gradients(self):
+        # derivatives rebuilt from the dense nodes' masks, exact-zero
+        # pre-activations in column 2 included
+        model = nets.init_mlp((3, 8, 8, 3), seed=7)
+        x = np.random.default_rng(5).standard_normal((3, 6))
+        x[:, 2] = 0.0
+        assert any((a == 0).any() for a in preactivations(model, x)[:-1])
+        binding, ref = nets.bind(model), nets.bind(model)
+        jac = sparsity.jacobian_graph(binding(ad.input_node(x)))
+        want = jacobian_sweep(ref.weight_nodes, model, x)
+        assert jac.value.tobytes() == want.value.tobytes()
+        got, expected = ad.backward(ad.abs_sum(jac)), ad.backward(ad.abs_sum(want))
+        assert len(got) == len(expected) == 3
+        for a, b in zip(binding.weight_nodes, ref.weight_nodes):
+            assert got[a].tobytes() == expected[b].tobytes()
 
     def test_jacobian_of_a_pass_fed_another_pass_is_its_own(self):
         # the walk stops at the first network's identity output

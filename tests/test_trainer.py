@@ -9,7 +9,7 @@ import pytest
 
 from anchordt import autodiff as ad
 from anchordt import nets, trainer
-from anchordt.objective import LossWeights
+from anchordt.objective import AnchorSet, LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import PairedDataset, SynthConfig, generate, select_anchors
 from anchordt.trainer import TrainConfig
@@ -89,6 +89,33 @@ def test_no_earlier_steps_graph_is_alive_when_a_step_runs_backward(splits, monke
     trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
     # a discriminator and a generator step per iteration
     assert len(roots) == 6
+
+
+def test_a_masked_fd_generator_steps_graph_holds_under_8_mb(monkeypatch):
+    # every array a node holds, its value and any in its meta, parameters
+    # excluded, at the default batch and widths: 12.5 MB while each leaky
+    # dense node kept a float64 derivative
+    cfg = TrainConfig(sparsity_mode="masked-fd")
+    gen, disc, rec, _, probe_rng = trainer._init_models(cfg, 2)
+    rng = np.random.default_rng(0)
+    anchors = AnchorSet(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
+    roots = []
+    original = ad.backward
+
+    def recording(root):
+        roots.append(root)
+        return original(root)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    trainer._generator_step(cfg, (gen, disc, rec), (nets.adam_init(gen), nets.adam_init(rec)),
+                            rng.standard_normal((2, cfg.batch_size)), anchors, probe_rng)
+    held = 0
+    for node in ad.topo_order(roots[0]):
+        if node.kind != "parameter":
+            meta = node.meta if isinstance(node.meta, tuple) else (node.meta,)
+            held += node.value.nbytes + sum(m.nbytes for m in meta
+                                            if isinstance(m, np.ndarray))
+    assert cfg.batch_size == 1024 and held < 8 * 2 ** 20
 
 
 def test_data_dimension_is_checked_before_the_first_step(splits, tmp_path, monkeypatch):

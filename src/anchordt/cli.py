@@ -4,12 +4,11 @@ Every command reads a line-oriented config (file and/or --override
 SECTION.KEY=VALUE flags), writes its artifacts into --out-dir, and leaves a
 manifest.txt with the effective config and sha256 checksums, from which the
 run can be replayed byte-for-byte (see anchordt.manifest.replay_manifest).
-The sections each verb reads are listed in VERB_SECTIONS, and a config
-holding any other section is rejected, so a misspelt section name cannot
-leave a default in place.  Every section but [plot.checkpoints], whose keys
-are free labels, is a dataclass read by configio.read, which rejects a key
-that names no field.  [io] is read into the dataclass of the paths the
-running verb needs.
+Each verb is one row of VERBS, and a config holding a section its row does
+not list is rejected, so a misspelt section name cannot leave a default in
+place.  Every section but [plot.checkpoints], whose keys are free labels, is
+a dataclass read by configio.read, which rejects a key that names no field;
+[io] has one field per path the row names, and each path a flag.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,43 +41,20 @@ def _write_lines(out_dir, name, lines):
     return name
 
 
-# [io]: one dataclass per set of paths a verb needs, every field required
-@dataclass
-class DataIo:
-    data_dir: str = ""
-
-
-@dataclass
-class EvalIo:
-    checkpoint: str = ""
-    data_dir: str = ""
-
-
-@dataclass
-class SupportIo:
-    support_file: str = ""
-
-
-def _read_io(config, cls):
-    """[io] read into the dataclass ``cls``; a key it has no field for is an
-    error, and so is a field left empty."""
-    io = configio.read(cls(), config, "io")
-    for key, path in dataclasses.asdict(io).items():
-        if not path:
-            raise CliError(f"missing [io] {key} in config")
-    return io
-
-
-def _io_section(io):
-    """The [io] manifest section: every path of ``io`` made absolute."""
-    return {key: os.path.abspath(path) for key, path in dataclasses.asdict(io).items()}
+# [io] path -> the help line of its flag; a verb's flags come in this order
+IO_FLAGS = {
+    "data_dir": "directory holding train/test CSVs",
+    "checkpoint": "generator checkpoint path",
+    "support_file": "CSV of row,col index pairs",
+}
 
 
 # ---------------------------------------------------------------------------
-# commands: each takes (config sections, out_dir) and returns artifact names
+# commands: each takes (config sections, [io] paths, out_dir) and returns
+# (artifact names, config sections, seed, the message of a failed check or None)
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(config, out_dir):
+def cmd_gen_data(config, io, out_dir):
     cfg = configio.read(SynthConfig(), config, "data")
     train_split, test_split = generate(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -85,22 +62,23 @@ def cmd_gen_data(config, out_dir):
     artifacts += save_dataset(test_split, out_dir, "test")
     print(f"gen-data: {len(train_split)} train / {len(test_split)} test pairs, "
           f"t_mode={cfg.t_mode}, seed={cfg.seed}")
-    return artifacts, configio.echo(cfg, "data"), cfg.seed
+    return artifacts, configio.echo(cfg, "data"), cfg.seed, None
 
 
-def _load_splits(data_dir):
-    if data_dir is None or not os.path.isdir(data_dir):
+def _load_splits(data_dir, *prefixes):
+    """The splits named by ``prefixes`` ("train", "test") of the dataset in
+    data_dir; only those files are read."""
+    if not os.path.isdir(data_dir):
         raise CliError(f"data directory not found: {data_dir!r}")
     try:
-        return load_dataset(data_dir, "train"), load_dataset(data_dir, "test")
+        return [load_dataset(data_dir, prefix) for prefix in prefixes]
     except FileNotFoundError as exc:
         raise CliError(f"dataset files missing in {data_dir}: {exc}") from None
 
 
-def cmd_train(config, out_dir):
+def cmd_train(config, io, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
-    io = _read_io(config, DataIo)
-    train_split, test_split = _load_splits(io.data_dir)
+    train_split, test_split = _load_splits(io.data_dir, "train", "test")
     anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
     # train() makes out_dir once the config has passed its checks on the data
     report = train(cfg, train_split, anchors, test_split, out_dir)
@@ -117,16 +95,13 @@ def cmd_train(config, out_dir):
     artifacts.append(_write_lines(out_dir, "summary.txt", summary))
     print(f"train: TE = {report.te_mean:.4f} +- {report.te_std:.4f} "
           f"({cfg.iterations} iterations, {report.wall_time:.1f}s)")
-    sections = configio.echo(cfg, "train")
-    sections["io"] = _io_section(io)
-    return artifacts, sections, cfg.seed
+    return artifacts, configio.echo(cfg, "train"), cfg.seed, None
 
 
-def cmd_eval(config, out_dir):
-    io = _read_io(config, EvalIo)
+def cmd_eval(config, io, out_dir):
     if not os.path.isfile(io.checkpoint):
         raise CliError(f"checkpoint not found: {io.checkpoint!r}")
-    _, test_split = _load_splits(io.data_dir)
+    [test_split] = _load_splits(io.data_dir, "test")
     model = load_checkpoint(io.checkpoint)
     te_mean, te_std = translation_error(model, test_split)
     os.makedirs(out_dir, exist_ok=True)
@@ -134,7 +109,7 @@ def cmd_eval(config, out_dir):
              f"{format_float(te_mean)},{format_float(te_std)},{len(test_split)}"]
     artifacts = [_write_lines(out_dir, "eval.csv", lines)]
     print(f"eval: TE = {te_mean:.4f} +- {te_std:.4f} on {len(test_split)} pairs")
-    return artifacts, {"io": _io_section(io)}, 0
+    return artifacts, {}, 0, None
 
 
 @dataclass
@@ -146,10 +121,9 @@ class PlotConfig:
             raise ValueError("max_points must be positive")
 
 
-def cmd_plot(config, out_dir):
+def cmd_plot(config, io, out_dir):
     cfg = configio.read(PlotConfig(), config, "plot")
-    io = _read_io(config, DataIo)
-    _, test_split = _load_splits(io.data_dir)
+    [test_split] = _load_splits(io.data_dir, "test")
     n = len(test_split)
     idx = np.unique(np.linspace(0, n - 1, min(cfg.max_points, n)).astype(int))
     colors = [svgplot.color_for_index(int(i)) for i in idx]
@@ -166,11 +140,10 @@ def cmd_plot(config, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     svgplot.scatter_panels(os.path.join(out_dir, "panels.svg"), panels)
     print(f"plot: {len(panels)} panels over {idx.size} points -> panels.svg")
-    sections = {"io": _io_section(io),
-                **configio.echo(cfg, "plot"),
+    sections = {**configio.echo(cfg, "plot"),
                 "plot.checkpoints": {k: os.path.abspath(v)
                                      for k, v in checkpoints.items()}}
-    return ["panels.svg"], sections, 0
+    return ["panels.svg"], sections, 0, None
 
 
 @dataclass
@@ -188,7 +161,7 @@ class ProbeStudyConfig:
             raise ValueError(f"seed = {self.seed} must be >= 0")
 
 
-def cmd_probe_study(config, out_dir):
+def cmd_probe_study(config, io, out_dir):
     cfg = configio.read(ProbeStudyConfig(), config, "probe_study")
     rng = np.random.default_rng(cfg.seed)
     result = sparsity.probe_bias_variance_study(
@@ -216,7 +189,7 @@ def cmd_probe_study(config, out_dir):
     for r in result.rows:
         print(f"probe-study: S={r.mask_size:4d} rel_bias={r.mean_rel_bias:+.5f} "
               f"variance={r.variance:10.2f} bound_factor={r.lower_bound_factor:.5f}")
-    return artifacts, configio.echo(cfg, "probe_study"), cfg.seed
+    return artifacts, configio.echo(cfg, "probe_study"), cfg.seed, None
 
 
 def _ks_noise(n, variance_factor=2):
@@ -322,7 +295,7 @@ class MpaCheckConfig:
             raise ValueError(f"tolerance = {self.tolerance} must be positive")
 
 
-def cmd_mpa_check(config, out_dir):
+def cmd_mpa_check(config, io, out_dir):
     cfg = configio.read(MpaCheckConfig(), config, "mpa_check")
     rows = _mpa_checks(cfg.samples, cfg.seed, cfg.tolerance)
     os.makedirs(out_dir, exist_ok=True)
@@ -336,9 +309,8 @@ def cmd_mpa_check(config, out_dir):
               f"{float(value):12.6g}  [{status}]")
         all_ok = all_ok and ok
     artifacts = [_write_lines(out_dir, "mpa_report.csv", lines)]
-    if not all_ok:
-        raise CliError("mpa-check: one or more checks failed")
-    return artifacts, configio.echo(cfg, "mpa_check"), cfg.seed
+    failure = None if all_ok else "one or more checks failed"
+    return artifacts, configio.echo(cfg, "mpa_check"), cfg.seed, failure
 
 
 @dataclass
@@ -347,14 +319,12 @@ class SparsityCheckConfig:
     dimension: int | None = None
 
 
-def cmd_sparsity_check(config, out_dir):
+def cmd_sparsity_check(config, io, out_dir):
     cfg = configio.read(SparsityCheckConfig(), config, "sparsity_check")
-    io = _read_io(config, SupportIo)
-    support_file = io.support_file
-    if not os.path.isfile(support_file):
-        raise CliError(f"support file not found: {support_file!r}")
+    if not os.path.isfile(io.support_file):
+        raise CliError(f"support file not found: {io.support_file!r}")
     pairs = []
-    with open(support_file, "r", encoding="utf-8") as fh:
+    with open(io.support_file, "r", encoding="utf-8") as fh:
         for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
             if not ln or ln.startswith("#") or ln.lower().startswith("row"):
@@ -362,10 +332,10 @@ def cmd_sparsity_check(config, out_dir):
             try:
                 r, c = (int(v) for v in ln.split(","))
             except ValueError:
-                raise CliError(f"{support_file}:{lineno}: expected 'row,col'") from None
+                raise CliError(f"{io.support_file}:{lineno}: expected 'row,col'") from None
             pairs.append((r, c))
     if not pairs:
-        raise CliError(f"{support_file}: no index pairs")
+        raise CliError(f"{io.support_file}: no index pairs")
     inferred = max(max(r, c) for r, c in pairs) + 1
     dimension = inferred if cfg.dimension is None else cfg.dimension
     pattern = sparsity.SupportPattern(dimension=dimension,
@@ -385,12 +355,9 @@ def cmd_sparsity_check(config, out_dir):
           f"(D={dimension}, {len(pairs)} support entries)")
     for k, reason in sorted(result.failures.items()):
         print(f"sparsity-check:   column {k}: {reason}")
-    sections = {"io": _io_section(io),
-                **configio.echo(SparsityCheckConfig(dimension), "sparsity_check")}
-    if not result.satisfied:
-        manifest.write_manifest(out_dir, "sparsity-check", sections, 0, artifacts)
-        raise CliError("sparsity-check: pattern is not structurally sparse")
-    return artifacts, sections, 0
+    sections = configio.echo(SparsityCheckConfig(dimension), "sparsity_check")
+    failure = None if result.satisfied else "pattern is not structurally sparse"
+    return artifacts, sections, 0, failure
 
 
 # ablation case -> the loss weights it sets to zero
@@ -418,11 +385,10 @@ class AblateConfig:
                              f"options: {', '.join(ABLATION_CASES)}")
 
 
-def cmd_ablate(config, out_dir):
+def cmd_ablate(config, io, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
     ablate = configio.read(AblateConfig(), config, "ablate")
-    io = _read_io(config, DataIo)
-    train_split, test_split = _load_splits(io.data_dir)
+    train_split, test_split = _load_splits(io.data_dir, "train", "test")
     if ablate.anchor_sweep:
         name, column = "anchor_sweep.csv", "anchor_count"
         runs = [(count, replace(cfg, anchor_count=count, seed=seed))
@@ -450,30 +416,68 @@ def cmd_ablate(config, out_dir):
                                       ["case,median_te"] + summary))
         for case, med in medians.items():
             print(f"ablate: median TE [{case}] = {med:.4f}")
-    sections = configio.echo(cfg, "train")
-    sections["io"] = _io_section(io)
-    sections.update(configio.echo(ablate, "ablate"))
-    return artifacts, sections, cfg.seed
+    sections = {**configio.echo(cfg, "train"), **configio.echo(ablate, "ablate")}
+    return artifacts, sections, cfg.seed, None
 
 
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "plot": cmd_plot,
-    "probe-study": cmd_probe_study,
-    "mpa-check": cmd_mpa_check,
-    "sparsity-check": cmd_sparsity_check,
-    "ablate": cmd_ablate,
+class Verb(NamedTuple):
+    """One verb: its command, its help line, the config sections it reads in
+    the order its manifest records them, and the names of its [io] paths."""
+    command: Callable
+    help: str
+    sections: tuple[str, ...]
+    io: tuple[str, ...] = ()
+
+
+VERBS = {
+    "gen-data": Verb(cmd_gen_data, "generate the 2D paired dataset as CSV + sidecar",
+                     ("data",)),
+    "train": Verb(cmd_train, "train the transfer map on a generated dataset",
+                  ("train", "weights", "probe", "io"), ("data_dir",)),
+    "eval": Verb(cmd_eval, "evaluate a generator checkpoint on a test split",
+                 ("io",), ("checkpoint", "data_dir")),
+    "plot": Verb(cmd_plot, "emit scatter panels (source / target / translated) as SVG",
+                 ("io", "plot", "plot.checkpoints"), ("data_dir",)),
+    "probe-study": Verb(cmd_probe_study, "bias/variance study of the sparse-probe estimator",
+                        ("probe_study",)),
+    "mpa-check": Verb(cmd_mpa_check, "run the measure-preserving automorphism check suite",
+                      ("mpa_check",)),
+    "sparsity-check": Verb(cmd_sparsity_check,
+                           "check structural sparsity of a support-pattern file",
+                           ("io", "sparsity_check"), ("support_file",)),
+    "ablate": Verb(cmd_ablate, "ablation grid or anchor-count sweep over seeds",
+                   ("train", "weights", "probe", "io", "ablate"), ("data_dir",)),
 }
 
 
 def dispatch_from_config(command, config, out_dir):
-    """Run a command from already-assembled config sections (replay path)."""
-    if command not in COMMANDS:
+    """Run a command from already-assembled config sections (replay path).
+
+    A section the verb's row does not list is an error.  The manifest
+    records the sections the row lists, in its order, [io] as absolute
+    paths; a failed check is raised once the manifest is written.
+    """
+    if command not in VERBS:
         raise CliError(f"unknown command {command!r}")
-    artifacts, sections, seed = COMMANDS[command](config, out_dir)
+    verb = VERBS[command]
+    for section in config:
+        if section not in verb.sections:
+            raise CliError(f"{command} reads no [{section}] section; it reads "
+                           + " ".join(f"[{name}]" for name in verb.sections))
+    # [io] holds one field per path the row names; a key that names no field
+    # is an error, and so is a path left empty
+    io_class = dataclasses.make_dataclass("Io", [(name, str, "") for name in verb.io])
+    io = configio.read(io_class(), config, "io")
+    paths = dataclasses.asdict(io)
+    for key, path in paths.items():
+        if not path:
+            raise CliError(f"missing [io] {key} in config")
+    artifacts, sections, seed, failure = verb.command(config, io, out_dir)
+    sections["io"] = {key: os.path.abspath(path) for key, path in paths.items()}
+    sections = {name: sections[name] for name in verb.sections}
     manifest.write_manifest(out_dir, command, sections, seed, artifacts)
+    if failure is not None:
+        raise CliError(f"{command}: {failure}")
     return artifacts
 
 
@@ -486,74 +490,39 @@ def _build_parser():
         prog="anchordt",
         description="anchored sparse transfer maps: data, training, probes, checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "gen-data": "generate the 2D paired dataset as CSV + sidecar",
-        "train": "train the transfer map on a generated dataset",
-        "eval": "evaluate a generator checkpoint on a test split",
-        "plot": "emit scatter panels (source / target / translated) as SVG",
-        "probe-study": "bias/variance study of the sparse-probe estimator",
-        "mpa-check": "run the measure-preserving automorphism check suite",
-        "sparsity-check": "check structural sparsity of a support-pattern file",
-        "ablate": "ablation grid or anchor-count sweep over seeds",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
         p.add_argument("--config", help="config file (key = value with [sections])")
         p.add_argument("--out-dir", required=True, help="output directory")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="override one config entry (repeatable)")
-        if name in ("train", "eval", "plot", "ablate"):
-            p.add_argument("--data-dir", help="directory holding train/test CSVs")
-        if name == "eval":
-            p.add_argument("--checkpoint", help="generator checkpoint path")
+        for key, help_text in IO_FLAGS.items():
+            if key in verb.io:
+                p.add_argument("--" + key.replace("_", "-"), help=help_text)
         if name == "plot":
             p.add_argument("--checkpoint", action="append", default=[],
-                           metavar="LABEL=PATH",
+                           dest="plot_checkpoints", metavar="LABEL=PATH",
                            help="generator checkpoint to add as a panel (repeatable)")
-        if name == "sparsity-check":
-            p.add_argument("--support-file", help="CSV of row,col index pairs")
     return parser
-
-
-# the config sections each verb reads; any other section is an error
-VERB_SECTIONS = {
-    "gen-data": ("data",),
-    "train": ("train", "weights", "probe", "io"),
-    "eval": ("io",),
-    "plot": ("plot", "plot.checkpoints", "io"),
-    "probe-study": ("probe_study",),
-    "mpa-check": ("mpa_check",),
-    "sparsity-check": ("sparsity_check", "io"),
-    "ablate": ("train", "weights", "probe", "ablate", "io"),
-}
 
 
 def _assemble_config(args):
     config = configio.load(args.config) if args.config else {}
-    if getattr(args, "data_dir", None):
-        config.setdefault("io", {})["data_dir"] = args.data_dir
-    if args.command == "eval" and getattr(args, "checkpoint", None):
-        config.setdefault("io", {})["checkpoint"] = args.checkpoint
-    if args.command == "plot":
-        for item in getattr(args, "checkpoint", []):
-            label, _, path = item.partition("=")
-            if not path:
-                raise CliError(f"--checkpoint needs LABEL=PATH, got {item!r}")
-            config.setdefault("plot.checkpoints", {})[label] = path
-    if getattr(args, "support_file", None):
-        config.setdefault("io", {})["support_file"] = args.support_file
+    for key in VERBS[args.command].io:
+        if getattr(args, key):
+            config.setdefault("io", {})[key] = getattr(args, key)
+    for item in getattr(args, "plot_checkpoints", []):
+        label, _, path = item.partition("=")
+        if not path:
+            raise CliError(f"--checkpoint needs LABEL=PATH, got {item!r}")
+        config.setdefault("plot.checkpoints", {})[label] = path
     for item in args.override:
         target, _, value = item.partition("=")
         section, _, key = target.partition(".")
         if not key or not value:
             raise CliError(f"--override needs SECTION.KEY=VALUE, got {item!r}")
         config.setdefault(section, {})[key] = value
-    known = VERB_SECTIONS[args.command]
-    for section in config:
-        if section not in known:
-            raise CliError(f"{args.command} reads no [{section}] section; it reads "
-                           + " ".join(f"[{name}]" for name in known))
     return config
 
 

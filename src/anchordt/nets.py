@@ -7,9 +7,11 @@ output.  Both are piecewise linear, so the activation derivatives at a
 point, frozen, give the network's exact Jacobian there (almost everywhere).
 The plain numpy forward pass (``MlpModel.apply``) and the graph forward
 pass (``MlpBinding``) give the same bits.  The graph pass builds one
-``autodiff.dense`` node per layer; each hidden node keeps its activation
-derivative, so the output node of a pass carries the pass's Jacobian,
-which ``sparsity.jacobian_graph`` reads from it.
+``autodiff.dense`` node per layer; each hidden node keeps the mask
+``a >= 0`` of its pre-activation and its slope, from which
+``autodiff.leaky_derivative`` rebuilds the activation derivative, so the
+output node of a pass carries the pass's Jacobian, which
+``sparsity.jacobian_graph`` reads from it.
 Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
 (gradients, Adam moments), as ``param_order`` spells out.
 """
@@ -105,8 +107,9 @@ class MlpBinding:
     values participate in the graph but backward skips past them (used for
     the discriminator while the generator trains, and vice versa).
 
-    A call returns the output node of one pass, a chain of dense nodes that
-    holds the activation derivatives of the pass; nothing of the pass is
+    A call returns the output node of one pass, a chain of dense nodes
+    whose hidden nodes hold the masks ``a >= 0`` and the slope from which
+    the pass's activation derivatives are rebuilt; nothing of the pass is
     kept on the binding.
     """
 

@@ -4,8 +4,10 @@ All losses are scalar graph nodes built through MlpBindings, so several
 terms can share one network's parameter nodes and a single backward pass
 accumulates the combined gradient.  Every network is leaky-relu with an
 identity output, so the discriminator outputs a logit, and the Jacobian
-terms (the exact l1 term, R1) are exact almost everywhere: each reads the
-activation derivatives from the output node of a pass already built.
+terms (the exact l1 term, R1) are exact almost everywhere: each goes
+through ``sparsity.jacobian_graph``, which reads the masks and slope held
+by the dense nodes of a pass already built and rebuilds the activation
+derivatives from them with ``autodiff.leaky_derivative``.
 """
 
 from __future__ import annotations

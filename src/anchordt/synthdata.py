@@ -155,8 +155,18 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
 
 
 def load_dataset(directory, prefix: str) -> PairedDataset:
-    """Read what save_dataset wrote; D is the number of x columns."""
-    fields = configio.load(os.path.join(directory, f"{prefix}.meta"))["dataset"]
+    """Read what save_dataset wrote; D is the number of x columns.
+
+    A .meta file without its [dataset] section, or without an entry that
+    save_dataset writes and this reads, raises ValueError naming it.
+    """
+    meta_path = os.path.join(directory, f"{prefix}.meta")
+    fields = configio.load(meta_path).get("dataset")
+    if fields is None:
+        raise ValueError(f"{meta_path}: missing [dataset] section")
+    for key in ("seed", "t_mode", "t", "permutation"):
+        if key not in fields:
+            raise ValueError(f"{meta_path}: missing [dataset] entry {key!r}")
     t_mode = fields["t_mode"]
     per_sample = t_mode == "per-sample"
     perm = configio.parse_matrix(fields["permutation"])

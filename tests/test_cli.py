@@ -264,6 +264,17 @@ def test_section_the_verb_does_not_read_exits_2_naming_it(tmp_path, capsys, verb
     assert not (tmp_path / "out").exists()
 
 
+def test_replay_of_a_manifest_with_a_misspelt_section_is_rejected(tmp_path):
+    argv = ["probe-study", "--out-dir", str(tmp_path / "run"), *VERB_ARGS["probe-study"]]
+    assert cli.main(argv) == 0
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    (tmp_path / "old.txt").write_text(text.replace("[config.probe_study]",
+                                                   "[config.probe_studdy]"))
+    with pytest.raises(cli.CliError, match=r"probe-study reads no \[probe_studdy\] section"):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
 def test_section_misspelt_in_a_config_file_exits_2(tmp_path, capsys):
     (tmp_path / "run.cfg").write_text("[data]\nseed = 3\n[dta]\nnum_train = 10\n")
     code = cli.main(["gen-data", "--out-dir", str(tmp_path / "out"),
@@ -296,20 +307,71 @@ def fill(argv, **values):
     return [item.format(**values) for item in argv]
 
 
-@pytest.mark.parametrize("verb", sorted(cli.VERB_SECTIONS))
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
 def test_every_verb_reruns_from_its_manifest_config_file(data_dir, checkpoint,
                                                          tmp_path, verb):
-    # each section a verb's manifest records must be one the verb reads
+    # a verb's manifest records the sections its row lists, in the row's order
     (tmp_path / "support.csv").write_text("row,col\n0,0\n1,1\n")
     argv = fill(VERB_ARGS[verb], data=data_dir, ckpt=checkpoint,
                 support=tmp_path / "support.csv")
     assert cli.main([verb, "--out-dir", str(tmp_path / "first"), *argv]) == 0
     _, _, config, checksums = manifest.read_manifest(tmp_path / "first" / "manifest.txt")
-    assert set(config) <= set(cli.VERB_SECTIONS[verb])
+    assert list(config) == list(cli.VERBS[verb].sections)
     configio.save(config, tmp_path / "run.cfg")
     assert cli.main([verb, "--out-dir", str(tmp_path / "second"),
                      "--config", str(tmp_path / "run.cfg")]) == 0
     assert manifest.read_manifest(tmp_path / "second" / "manifest.txt")[3] == checksums
+
+
+def test_every_verb_runs_in_the_manifest_diff_script():
+    # the script guards byte identity of every verb's manifest
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, ".github", "manifest_diff.sh"), encoding="utf-8") as fh:
+        script = fh.read()
+    missing = [verb for verb in cli.VERBS if f"python -m anchordt {verb} " not in script]
+    assert missing == []
+
+
+def test_failing_mpa_check_exits_2_leaving_its_report_and_manifest(tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setattr(cli, "_mpa_checks",
+                        lambda n, seed, eps: [("always-fails", "ks", 0.5, 0.1, False)])
+    assert cli.main(["mpa-check", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("anchordt mpa-check: error: mpa-check: one or "
+                                       "more checks failed\n")
+    assert (tmp_path / "mpa_report.csv").read_text().splitlines()[1] == (
+        "always-fails,ks,0.5,0.1,False")
+    command, _, config, checksums = manifest.read_manifest(tmp_path / manifest.MANIFEST_NAME)
+    assert command == "mpa-check" and list(config) == ["mpa_check"]
+    assert checksums == {"mpa_report.csv": manifest.sha256_file(tmp_path / "mpa_report.csv")}
+
+
+@pytest.mark.parametrize("verb", ["eval", "plot"])
+def test_eval_and_plot_read_no_train_split(data_dir, checkpoint, tmp_path, verb):
+    test_only = tmp_path / "data"
+    test_only.mkdir()
+    for name in ("test.csv", "test.meta"):
+        (test_only / name).write_bytes((data_dir / name).read_bytes())
+    argv = fill(VERB_ARGS[verb], data=test_only, ckpt=checkpoint)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 0
+
+
+@pytest.mark.parametrize("verb, prefix", [("train", "train"), ("eval", "test")])
+def test_damaged_meta_exits_2_naming_the_file(data_dir, checkpoint, tmp_path, capsys,
+                                              verb, prefix):
+    damaged = tmp_path / "data"
+    damaged.mkdir()
+    for name in os.listdir(data_dir):
+        text = (data_dir / name).read_text()
+        if name == f"{prefix}.meta":
+            text = "".join(ln for ln in text.splitlines(keepends=True)
+                           if not ln.startswith("t_mode = "))
+        (damaged / name).write_text(text)
+    argv = fill(VERB_ARGS[verb], data=damaged, ckpt=checkpoint)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{prefix}.meta: missing [dataset] entry 't_mode'\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, support, message", [

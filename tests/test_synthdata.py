@@ -216,3 +216,20 @@ class TestFileRoundTrip:
         path.write_text(path.read_text().replace("x1,x2,y1,y2", "x1,x2,y2,y1", 1))
         with pytest.raises(ValueError, match="header x1,x2,y2,y1 is not x1,x2,y1,y2"):
             synthdata.load_dataset(tmp_path, "train")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("t_mode = per-dataset\n", "", "missing [dataset] entry 't_mode'"),
+        ("permutation = 0,1;1,0\n", "", "missing [dataset] entry 'permutation'"),
+        ("[dataset]", "[datset]", "missing [dataset] section"),
+    ])
+    def test_damaged_meta_is_rejected_naming_what_is_missing(self, tmp_path, old, new,
+                                                             message):
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=29))
+        synthdata.save_dataset(train, tmp_path, "train")
+        path = tmp_path / "train.meta"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            synthdata.load_dataset(tmp_path, "train")
+        assert str(info.value) == f"{path}: {message}"

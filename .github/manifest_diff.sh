@@ -4,10 +4,11 @@
 # Runs gen-data, a 20-iteration default train, an eval of that train's
 # generator.ckpt (so checkpoint loading is compared too), a plot with that
 # checkpoint as a panel, an 8-iteration masked-fd train, a 20-iteration train
-# with the R1 penalty on, a 5-iteration ablate sweep of the full and neither
-# cases at seeds 0 and 1 (sweep trains its four configs one after another in
-# one process, where state leaked from one run into the next would show),
-# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
+# with the R1 penalty on, a 5-iteration ablate grid of the full and neither
+# cases at seeds 0 and 1 and a 5-iteration ablate anchor sweep of counts 1
+# and 2 at seeds 0 and 1 (each trains its four runs one after another in one
+# process, where state leaked from one run into the next would show, and each
+# run draws its own anchors), mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
 # a small probe-study and a sparsity-check of the two-entry swap support
 # {(0, 1), (1, 0)}, which passes, from the sources of each checkout; so every
 # verb runs, and plot and probe-study are the verbs that write SVGs.  For
@@ -37,6 +38,9 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/ablate" \
         --override ablate.cases=full,neither --override ablate.seeds=0,1 \
         --override train.iterations=5 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/sweep" \
+        --override ablate.anchor_sweep=1,2 --override ablate.seeds=0,1 \
+        --override train.iterations=5 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
@@ -45,7 +49,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 ablate mpa probe support; do
+    for run in data train eval plot fd r1 ablate sweep mpa probe support; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -55,7 +59,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 ablate mpa probe support; do
+for run in data train eval plot fd r1 ablate sweep mpa probe support; do
     verdict=""
     for part in checksums echo; do
         name=$part

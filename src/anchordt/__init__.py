@@ -18,7 +18,7 @@ from .sparsity import (ProbeSample, ProbeSpec, SupportPattern,
                        probe_bias_variance_study)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,
                         save_dataset, select_anchors, warp)
-from .trainer import (RunReport, TrainConfig, TrainingDiverged, sweep, train,
+from .trainer import (RunReport, TrainConfig, TrainingDiverged, train,
                       translation_error)
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ import numpy as np
 from . import configio, manifest, mpa, sparsity, svgplot
 from .configio import format_float
 from .nets import load_checkpoint
-from .synthdata import SynthConfig, generate, load_dataset, save_dataset, select_anchors
-from .trainer import TrainConfig, TrainingDiverged, sweep, train, translation_error
+from .synthdata import SynthConfig, generate, load_dataset, save_dataset
+from .trainer import Networks, TrainConfig, TrainingDiverged, train, translation_error
 
 
 class CliError(RuntimeError):
@@ -79,10 +79,9 @@ def _load_splits(data_dir, *prefixes):
 def cmd_train(config, io, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
     train_split, test_split = _load_splits(io.data_dir, "train", "test")
-    anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
     # train() makes out_dir once the config has passed its checks on the data
-    report = train(cfg, train_split, anchors, test_split, out_dir)
-    artifacts = ["generator.ckpt", "discriminator.ckpt", "reconstructor.ckpt"]
+    report = train(cfg, train_split, test_split, out_dir)
+    artifacts = Networks.files()
     artifacts.append(_write_lines(out_dir, "trace.csv", report.trace_csv_lines()))
     artifacts.append(_write_lines(out_dir, "diag.csv", report.diag_csv_lines()))
     summary = [
@@ -90,7 +89,7 @@ def cmd_train(config, io, out_dir):
         f"te_mean = {format_float(report.te_mean)}",
         f"te_std = {format_float(report.te_std)}",
         f"iterations = {cfg.iterations}",
-        f"anchor_count = {anchors.size}",
+        f"anchor_count = {cfg.anchor_count}",
     ]
     artifacts.append(_write_lines(out_dir, "summary.txt", summary))
     print(f"train: TE = {report.te_mean:.4f} +- {report.te_std:.4f} "
@@ -398,10 +397,15 @@ def cmd_ablate(config, io, out_dir):
         runs = [(case, replace(cfg, seed=seed, weights=replace(
                     cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
                 for case in ablate.cases for seed in ablate.seeds]
+    # each run draws its own anchors; the largest draw is checked before the
+    # first run trains
+    most = max(run_cfg.anchor_count for _, run_cfg in runs)
+    if most > len(train_split):
+        raise CliError(f"requested {most} anchors from {len(train_split)} pairs")
     lines = [f"{column},seed,te_mean,te_std"]
     te_by_label = {}
-    reports = sweep([run_cfg for _, run_cfg in runs], train_split, test_split)
-    for (label, _), (run_cfg, report) in zip(runs, reports):
+    for label, run_cfg in runs:
+        report = train(run_cfg, train_split, test_split)
         lines.append(f"{label},{run_cfg.seed},{format_float(report.te_mean)},"
                      f"{format_float(report.te_std)}")
         te_by_label.setdefault(label, []).append(report.te_mean)

@@ -157,19 +157,30 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
 def load_dataset(directory, prefix: str) -> PairedDataset:
     """Read what save_dataset wrote; D is the number of x columns.
 
-    A .meta file without its [dataset] section, or without an entry that
-    save_dataset writes and this reads, raises ValueError naming it.
+    A .meta file without its [dataset] section, without an entry that
+    save_dataset writes and this reads, or with an entry that does not parse,
+    raises ValueError naming the file and the entry; so does a CSV whose row
+    count is not the .meta's num_samples.
     """
     meta_path = os.path.join(directory, f"{prefix}.meta")
     fields = configio.load(meta_path).get("dataset")
     if fields is None:
         raise ValueError(f"{meta_path}: missing [dataset] section")
-    for key in ("seed", "t_mode", "t", "permutation"):
+    for key in ("seed", "t_mode", "t", "permutation", "num_samples"):
         if key not in fields:
             raise ValueError(f"{meta_path}: missing [dataset] entry {key!r}")
+
+    def parse(key, parser):
+        try:
+            return parser(fields[key])
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: [dataset] {key} = {fields[key]!r}: "
+                             f"{exc}") from None
+
     t_mode = fields["t_mode"]
     per_sample = t_mode == "per-sample"
-    perm = configio.parse_matrix(fields["permutation"])
+    perm = parse("permutation", configio.parse_matrix)
+    num_samples = parse("num_samples", int)
     path = os.path.join(directory, f"{prefix}.csv")
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
@@ -178,7 +189,10 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
     if header != expected:
         raise ValueError(f"{path}: header {','.join(header)} is not {','.join(expected)}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
+    if data.shape[0] != num_samples:
+        raise ValueError(f"{path}: {data.shape[0]} rows, but {meta_path} records "
+                         f"num_samples = {num_samples}")
     x, y = data[:, :d], data[:, d:2 * d]
-    t = data[:, 2 * d] if per_sample else float(fields["t"])
-    seed = None if fields["seed"] == "None" else int(fields["seed"])
+    t = data[:, 2 * d] if per_sample else parse("t", float)
+    seed = None if fields["seed"] == "None" else parse("seed", int)
     return PairedDataset(x=x, y=y, t=t, permutation=perm, t_mode=t_mode, seed=seed)

@@ -1,15 +1,15 @@
-"""Alternating adversarial training of the transfer map, plus evaluation and
-a sweep that trains a list of configs in turn.
+"""Alternating adversarial training of the transfer map, and its evaluation.
 
-One iteration draws independent unpaired minibatches, takes the configured
-number of discriminator steps, then one combined generator+reconstructor
-step on the weighted total loss.  Each step runs in a helper that returns
-its losses as floats, so a step's graph and bindings live only within the
-step, and the next step is built with neither held.  Everything is
-seeded through a single SeedSequence so identical configs and data give
+train() owns a run.  It draws the run's anchors from the training split with
+config.seed, and keeps the three networks, and their Adam states, in Networks
+records whose field names are the checkpoint names.  One iteration draws
+independent unpaired minibatches, takes the configured number of
+discriminator steps, then one combined generator+reconstructor step on the
+weighted total loss.  Each step runs in a helper that returns its losses as
+floats, so a step's graph and bindings live only within the step.  Every
+draw is seeded through config.seed, so identical configs and data give
 bit-identical traces.  A config names the networks' hidden widths alone:
-train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the
-dimension D of the data.
+train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the data.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .nets import (MlpModel, adam_init, adam_step, bind, init_mlp,
-                   save_checkpoint)
+from .nets import MlpModel, adam_init, adam_step, bind, init_mlp, save_checkpoint
 from .objective import (SPARSITY_MODES, AnchorSet, LossWeights, anchor_loss, gan_losses,
                         inv_loss, sparsity_loss)
 from .sparsity import ProbeSpec
@@ -31,11 +31,26 @@ from .synthdata import PairedDataset, select_anchors
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss went non-finite; carries the last-good checkpoint paths."""
+    """A loss went non-finite."""
 
-    def __init__(self, message, checkpoints=None):
-        super().__init__(message)
-        self.checkpoints = checkpoints or {}
+
+class Networks(NamedTuple):
+    """One item per network of a run (a model, or its Adam state); each
+    field name is the name of that network's checkpoint."""
+    generator: object
+    discriminator: object
+    reconstructor: object
+
+    @classmethod
+    def files(cls, prefix: str = "") -> list[str]:
+        """The checkpoint file names, in field order."""
+        return [f"{prefix}{name}.ckpt" for name in cls._fields]
+
+    def save(self, out_dir, prefix: str = "") -> None:
+        """Write each model to out_dir, under its name in files(prefix)."""
+        os.makedirs(out_dir, exist_ok=True)
+        for model, name in zip(self, self.files(prefix)):
+            save_checkpoint(model, os.path.join(out_dir, name))
 
 
 @dataclass
@@ -126,30 +141,31 @@ def translation_error(generator: MlpModel, test: PairedDataset) -> tuple[float, 
 
 def _init_models(config: TrainConfig, d: int):
     seeds = np.random.SeedSequence(config.seed).spawn(5)
-    gen = init_mlp((d, *config.gen_hidden, d), seeds[0])
-    disc = init_mlp((d, *config.disc_hidden, 1), seeds[1])
-    rec = init_mlp((d, *config.rec_hidden, d), seeds[2])
+    models = Networks(init_mlp((d, *config.gen_hidden, d), seeds[0]),
+                      init_mlp((d, *config.disc_hidden, 1), seeds[1]),
+                      init_mlp((d, *config.rec_hidden, d), seeds[2]))
     batch_rng = np.random.default_rng(seeds[3])
     probe_rng = np.random.default_rng(seeds[4])
-    return gen, disc, rec, batch_rng, probe_rng
+    return models, batch_rng, probe_rng
 
 
-def _disc_step(config: TrainConfig, gen: MlpModel, disc: MlpModel, state, xb, yb) -> float:
+def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) -> float:
     """One discriminator step; returns its loss, after the update when it is
     finite and with nothing updated when it is not.  The fake batch is
     detached: no gradient path into the generator is needed."""
-    gen_b, disc_b = bind(gen, frozen=True), bind(disc)
+    disc = models.discriminator
+    gen_b, disc_b = bind(models.generator, frozen=True), bind(disc)
     loss, _ = gan_losses(gen_b, disc_b, xb, yb, r1_weight=config.r1_weight,
                          detach_generator=True)
     value = float(loss.value[0, 0])
     if np.isfinite(value):
         ad.backward(loss)
-        adam_step(disc, disc_b.gradients(), state)
+        adam_step(disc, disc_b.gradients(), states.discriminator)
     return value
 
 
-def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
-                    probe_rng) -> dict:
+def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
+                    anchors: AnchorSet, probe_rng) -> dict:
     """One generator + reconstructor step on the combined objective
     gan + w_anchor * anchor + w_sparsity * sparsity + w_inv * inv, the terms
     added in that order; returns the trace's gen, anchor, sparsity, inv and
@@ -159,7 +175,7 @@ def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
     The discriminator is frozen, and g(x) is built once and shared by the
     adversarial, round-trip and sparsity terms.
     """
-    (gen, disc, rec), (gen_state, rec_state), w = models, states, config.weights
+    (gen, disc, rec), w = models, config.weights
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
     _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
@@ -176,76 +192,60 @@ def _generator_step(config: TrainConfig, models, states, xb, anchors: AnchorSet,
               for k, node in {"gen": gen_part, **terms, "total": total}.items()}
     if np.isfinite(losses["total"]):
         ad.backward(total)
-        adam_step(gen, gen_b.gradients(), gen_state)
+        adam_step(gen, gen_b.gradients(), states.generator)
         if w.inv > 0:
-            adam_step(rec, rec_b.gradients(), rec_state)
+            adam_step(rec, rec_b.gradients(), states.reconstructor)
     return losses
 
 
-def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
+def train(config: TrainConfig, train_data: PairedDataset,
           test_data: PairedDataset | None = None, out_dir=None) -> RunReport:
     """Run the full alternating loop; returns its RunReport.
 
-    The data's dimension D sizes the networks.  A probe mask wider than D
-    is rejected before any model or out_dir exists.  Aborts with
-    TrainingDiverged on a non-finite loss, leaving last-good checkpoints in
-    out_dir when one is given.  With zero iterations the freshly
-    initialized models are evaluated as-is.
+    The data's dimension D sizes the networks.  A probe mask wider than D,
+    or more anchors than the training split holds, is rejected before any
+    model or out_dir exists.  Aborts with TrainingDiverged on a non-finite
+    loss, leaving in out_dir, when one is given, the models as they were at
+    the start of the failing iteration, as last_good_{name}.ckpt.  With zero
+    iterations the freshly initialized models are evaluated as-is.
     """
     d = train_data.x.shape[1]
     if config.probe.mask_size > d:
         raise ValueError(f"probe.mask_size = {config.probe.mask_size} exceeds the "
                          f"data dimension D = {d}")
-    if config.weights.anchor > 0 and anchors.size < config.anchor_count:
-        raise ValueError(f"config expects {config.anchor_count} anchors, got {anchors.size}")
-    gen, disc, rec, batch_rng, probe_rng = _init_models(config, d)
-    gen_state = adam_init(gen, config.learning_rate, config.beta1, config.beta2,
-                          config.epsilon)
-    disc_state = adam_init(disc, config.learning_rate, config.beta1, config.beta2,
-                           config.epsilon)
-    rec_state = adam_init(rec, config.learning_rate, config.beta1, config.beta2,
-                          config.epsilon)
+    anchors = select_anchors(train_data, config.anchor_count, config.seed)
+    models, batch_rng, probe_rng = _init_models(config, d)
+    states = Networks(*(adam_init(model, config.learning_rate, config.beta1,
+                                  config.beta2, config.epsilon) for model in models))
     x_all, y_all = train_data.x, train_data.y
     n = len(train_data)
     names = ("disc", "gen", "anchor", "sparsity", "inv", "total")
     trace = {k: np.zeros(config.iterations) for k in names}
     diagnostics = []
-    last_good = None
     start = time.perf_counter()
 
-    def snapshot():
-        return (gen.copy(), disc.copy(), rec.copy())
-
     def abort(iteration, reason):
-        checkpoints = {}
-        if out_dir is not None and last_good is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            for name, model in zip(("generator", "discriminator", "reconstructor"),
-                                   last_good):
-                path = os.path.join(out_dir, f"last_good_{name}.ckpt")
-                save_checkpoint(model, path)
-                checkpoints[name] = path
-        raise TrainingDiverged(
-            f"non-finite {reason} loss at iteration {iteration}", checkpoints)
+        if out_dir is not None:
+            last_good.save(out_dir, "last_good_")
+        raise TrainingDiverged(f"non-finite {reason} loss at iteration {iteration}")
 
     # a diverging step overflows on its way to a non-finite loss; the
     # finite checks report that in one line, which numpy's warnings would bury
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(config.iterations):
-            last_good = snapshot()
+            last_good = Networks(*(model.copy() for model in models))
             # discriminator step(s), fresh unpaired minibatches each
             for _ in range(config.disc_steps_per_gen_step):
                 xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
                 yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
-                trace["disc"][it] = _disc_step(config, gen, disc, disc_state, xb, yb)
+                trace["disc"][it] = _disc_step(config, models, states, xb, yb)
                 if not np.isfinite(trace["disc"][it]):
                     abort(it, "discriminator")
 
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
             # the step scores no real batch, but its draw keeps batch_rng's stream
             batch_rng.integers(0, n, config.batch_size)
-            losses = _generator_step(config, (gen, disc, rec), (gen_state, rec_state), xb,
-                                     anchors, probe_rng)
+            losses = _generator_step(config, models, states, xb, anchors, probe_rng)
             if not np.isfinite(losses["total"]):
                 abort(it, "generator")
             for key, value in losses.items():
@@ -254,29 +254,14 @@ def train(config: TrainConfig, train_data: PairedDataset, anchors: AnchorSet,
             if test_data is not None and config.diag_interval > 0 and (
                     it % config.diag_interval == 0 or it == config.iterations - 1):
                 k = min(config.diag_points, len(test_data))
-                moved = gen.apply(test_data.x[:k].T).T
+                moved = models.generator.apply(test_data.x[:k].T).T
                 diagnostics.append((it, energy_distance(moved, test_data.y[:k])))
 
     wall = time.perf_counter() - start
     te_mean = te_std = None
     if test_data is not None:
-        te_mean, te_std = translation_error(gen, test_data)
+        te_mean, te_std = translation_error(models.generator, test_data)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_checkpoint(gen, os.path.join(out_dir, "generator.ckpt"))
-        save_checkpoint(disc, os.path.join(out_dir, "discriminator.ckpt"))
-        save_checkpoint(rec, os.path.join(out_dir, "reconstructor.ckpt"))
-    report = RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,
-                       te_std=te_std, wall_time=wall)
-    return report
-
-
-def sweep(configs, train_data: PairedDataset, test_data: PairedDataset):
-    """Train each config in turn; yields (config, RunReport) as runs finish.
-
-    Each run draws its own config.anchor_count anchors with its own
-    config.seed, so a seed varies both the networks and the anchor draw.
-    """
-    for config in configs:
-        anchors = select_anchors(train_data, config.anchor_count, config.seed)
-        yield config, train(config, train_data, anchors, test_data)
+        models.save(out_dir)
+    return RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,
+                     te_std=te_std, wall_time=wall)

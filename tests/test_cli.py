@@ -1,6 +1,7 @@
 """CLI verbs end to end: reproducible training, manifest replay, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import anchordt
-from anchordt import cli, configio, manifest, nets, sparsity, synthdata, trainer
+from anchordt import cli, configio, manifest, nets, sparsity, synthdata
 
 
 @pytest.fixture(scope="module")
@@ -191,18 +192,32 @@ def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
 ])
 def test_bad_ablation_exits_2_before_any_training(data_dir, tmp_path, monkeypatch,
                                                   capsys, override, message):
-    monkeypatch.setattr(trainer, "train", pytest.fail)
+    monkeypatch.setattr(cli, "train", pytest.fail)
     code = cli.main(["ablate", "--out-dir", str(tmp_path), "--data-dir", str(data_dir),
                      "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
 
 
+def test_anchor_sweep_beyond_the_data_exits_2_before_any_training(data_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+    # the 400-pair fixture; the count-1 runs come first in the sweep
+    monkeypatch.setattr(cli, "train", pytest.fail)
+    code = cli.main(["ablate", "--out-dir", str(tmp_path / "out"), "--data-dir",
+                     str(data_dir), "--override", "ablate.anchor_sweep=1,500",
+                     "--override", "ablate.seeds=0,1"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "anchordt ablate: error: requested 500 anchors from 400 pairs\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["seeds", "cases"])
 def test_empty_ablation_list_exits_2_before_any_training(data_dir, tmp_path, monkeypatch,
                                                          capsys, field):
     # an empty list can only come from a config file: --override needs a value
-    monkeypatch.setattr(trainer, "train", pytest.fail)
+    monkeypatch.setattr(cli, "train", pytest.fail)
     (tmp_path / "run.cfg").write_text(f"[ablate]\n{field} =\n")
     code = cli.main(["ablate", "--out-dir", str(tmp_path / "out"), "--data-dir",
                      str(data_dir), "--config", str(tmp_path / "run.cfg")])
@@ -371,6 +386,29 @@ def test_damaged_meta_exits_2_naming_the_file(data_dir, checkpoint, tmp_path, ca
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.endswith(f"{prefix}.meta: missing [dataset] entry 't_mode'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    # the 64-pair test split of the fixture, cut to its first 10 rows
+    ("test.csv", lambda text: "".join(text.splitlines(keepends=True)[:11]),
+     "test.csv: 10 rows, but {meta} records num_samples = 64"),
+    ("test.meta", lambda text: re.sub(r"\nt = \S+", "\nt = abc", text),
+     "test.meta: [dataset] t = 'abc': could not convert string to float: 'abc'"),
+])
+def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoint,
+                                                             tmp_path, capsys, name,
+                                                             edit, message):
+    damaged = tmp_path / "data"
+    damaged.mkdir()
+    for entry in ("test.csv", "test.meta"):
+        text = (data_dir / entry).read_text()
+        (damaged / entry).write_text(edit(text) if entry == name else text)
+    argv = fill(VERB_ARGS["eval"], data=damaged, ckpt=checkpoint)
+    assert cli.main(["eval", "--out-dir", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{damaged / name}" in err
+    assert message.format(meta=damaged / "test.meta") in err
     assert not (tmp_path / "out").exists()
 
 

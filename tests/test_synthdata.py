@@ -221,10 +221,22 @@ class TestFileRoundTrip:
         ("t_mode = per-dataset\n", "", "missing [dataset] entry 't_mode'"),
         ("permutation = 0,1;1,0\n", "", "missing [dataset] entry 'permutation'"),
         ("[dataset]", "[datset]", "missing [dataset] section"),
+        ("num_samples = 3\n", "", "missing [dataset] entry 'num_samples'"),
+        ("t = 0.5\n", "t = abc\n",
+         "[dataset] t = 'abc': could not convert string to float: 'abc'"),
+        ("seed = 29\n", "seed = 2.9\n",
+         "[dataset] seed = '2.9': invalid literal for int() with base 10: '2.9'"),
+        ("permutation = 0,1;1,0\n", "permutation = 0,1;x,0\n",
+         "[dataset] permutation = '0,1;x,0': could not convert string to float: 'x'"),
+        ("num_samples = 3\n", "num_samples = three\n",
+         "[dataset] num_samples = 'three': invalid literal for int() with base 10: "
+         "'three'"),
     ])
     def test_damaged_meta_is_rejected_naming_what_is_missing(self, tmp_path, old, new,
                                                              message):
-        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=29))
+        # t_min = t_max pins the t line
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=29,
+                                                  t_min=0.5, t_max=0.5))
         synthdata.save_dataset(train, tmp_path, "train")
         path = tmp_path / "train.meta"
         text = path.read_text()
@@ -233,3 +245,13 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError) as info:
             synthdata.load_dataset(tmp_path, "train")
         assert str(info.value) == f"{path}: {message}"
+
+    def test_row_count_other_than_num_samples_is_rejected(self, tmp_path):
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=30))
+        synthdata.save_dataset(train, tmp_path, "train")
+        path = tmp_path / "train.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        with pytest.raises(ValueError) as info:
+            synthdata.load_dataset(tmp_path, "train")
+        assert str(info.value) == (f"{path}: 2 rows, but {tmp_path / 'train.meta'} "
+                                   "records num_samples = 3")

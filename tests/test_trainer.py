@@ -1,8 +1,8 @@
-"""The training sweep, the generator step's weighted total, the lifetime of
-a step's graph, and the checks train() makes before its first step."""
+"""The anchors train() draws, the generator step's weighted total, the
+lifetime of a step's graph, and the checks train() makes before its first
+step."""
 
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,18 +20,32 @@ def splits():
     return generate(SynthConfig(num_train=200, num_test=32, seed=1))
 
 
-def test_sweep_draws_each_runs_anchors_with_its_own_count_and_seed(splits):
+def test_train_scores_the_anchors_drawn_with_its_count_and_seed(splits, monkeypatch):
     train_split, test_split = splits
-    base = TrainConfig(iterations=2, batch_size=16, diag_interval=0)
-    configs = [replace(base, anchor_count=count, seed=seed)
-               for count in (1, 3) for seed in (0, 1)]
-    swept = list(trainer.sweep(configs, train_split, test_split))
-    assert [cfg for cfg, _ in swept] == configs
-    for cfg, report in swept:
-        anchors = select_anchors(train_split, cfg.anchor_count, cfg.seed)
-        alone = trainer.train(cfg, train_split, anchors, test_split)
-        assert (report.te_mean, report.te_std) == (alone.te_mean, alone.te_std)
-    assert len({report.te_mean for _, report in swept}) == len(configs)
+    scored = []
+    original = trainer.anchor_loss
+
+    def recording(gen_b, anchors):
+        scored.append(anchors)
+        return original(gen_b, anchors)
+
+    monkeypatch.setattr(trainer, "anchor_loss", recording)
+    draws = set()
+    for count in (1, 3):
+        for seed in (0, 1):
+            cfg = TrainConfig(anchor_count=count, seed=seed, iterations=2, batch_size=16,
+                              diag_interval=0)
+            trainer.train(cfg, train_split, test_split)
+            want = select_anchors(train_split, count, seed)
+            # one anchor term a generator step, each on the same draw
+            assert len(scored) == 2
+            for anchors in scored:
+                assert anchors.x.shape == (2, count)
+                assert anchors.x.tobytes() == want.x.tobytes()
+                assert anchors.y.tobytes() == want.y.tobytes()
+            draws.add(want.x.tobytes())
+            scored.clear()
+    assert len(draws) == 4
 
 
 @pytest.mark.parametrize("anchor, sparsity, inv", [
@@ -40,8 +54,7 @@ def test_traced_total_is_the_weighted_sum_of_the_terms(splits, anchor, sparsity,
     train_split, test_split = splits
     weights = LossWeights(anchor=anchor, sparsity=sparsity, inv=inv)
     cfg = TrainConfig(weights=weights, iterations=3, batch_size=16, diag_interval=0)
-    losses = trainer.train(cfg, train_split, select_anchors(train_split, 1, 0),
-                           test_split).losses
+    losses = trainer.train(cfg, train_split, test_split).losses
     expected = losses["gen"]
     # gan + anchor + sparsity + inv, each weighted, in that order
     for name in ("anchor", "sparsity", "inv"):
@@ -65,7 +78,7 @@ def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
         return original(binding, x)
 
     monkeypatch.setattr(nets.MlpBinding, "__call__", counted)
-    trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
+    trainer.train(cfg, train_split, test_split)
     # the discriminator step scores a real and a fake batch, the generator
     # step the fake batch alone
     assert passes.count((2, *cfg.disc_hidden, 1)) == 3
@@ -86,7 +99,7 @@ def test_no_earlier_steps_graph_is_alive_when_a_step_runs_backward(splits, monke
         return original(root)
 
     monkeypatch.setattr(ad, "backward", recording)
-    trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split)
+    trainer.train(cfg, train_split, test_split)
     # a discriminator and a generator step per iteration
     assert len(roots) == 6
 
@@ -96,7 +109,7 @@ def test_a_masked_fd_generator_steps_graph_holds_under_8_mb(monkeypatch):
     # excluded, at the default batch and widths: 12.5 MB while each leaky
     # dense node kept a float64 derivative
     cfg = TrainConfig(sparsity_mode="masked-fd")
-    gen, disc, rec, _, probe_rng = trainer._init_models(cfg, 2)
+    models, _, probe_rng = trainer._init_models(cfg, 2)
     rng = np.random.default_rng(0)
     anchors = AnchorSet(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
     roots = []
@@ -107,8 +120,9 @@ def test_a_masked_fd_generator_steps_graph_holds_under_8_mb(monkeypatch):
         return original(root)
 
     monkeypatch.setattr(ad, "backward", recording)
-    trainer._generator_step(cfg, (gen, disc, rec), (nets.adam_init(gen), nets.adam_init(rec)),
-                            rng.standard_normal((2, cfg.batch_size)), anchors, probe_rng)
+    states = trainer.Networks(*(nets.adam_init(model) for model in models))
+    trainer._generator_step(cfg, models, states, rng.standard_normal((2, cfg.batch_size)),
+                            anchors, probe_rng)
     held = 0
     for node in ad.topo_order(roots[0]):
         if node.kind != "parameter":
@@ -124,8 +138,16 @@ def test_data_dimension_is_checked_before_the_first_step(splits, tmp_path, monke
     cfg = TrainConfig(iterations=1, batch_size=4, probe=ProbeSpec(3))
     with pytest.raises(ValueError, match="probe.mask_size = 3 exceeds the data "
                                          "dimension D = 2"):
-        trainer.train(cfg, train_split, select_anchors(train_split, 1, 0), test_split,
-                      tmp_path / "out")
+        trainer.train(cfg, train_split, test_split, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_anchor_count_is_checked_before_the_first_step(splits, tmp_path, monkeypatch):
+    train_split, test_split = splits
+    monkeypatch.setattr(trainer, "_init_models", pytest.fail)
+    cfg = TrainConfig(iterations=1, batch_size=4, anchor_count=201)
+    with pytest.raises(ValueError, match="requested 201 anchors from 200 pairs"):
+        trainer.train(cfg, train_split, test_split, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -137,7 +159,7 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
                          permutation=np.eye(3)[::-1])
     cfg = TrainConfig(iterations=1, batch_size=8, sparsity_mode=mode,
                       probe=ProbeSpec(3, probes_per_sample=2))
-    trainer.train(cfg, data, select_anchors(data, 1, 0), data, tmp_path)
+    trainer.train(cfg, data, data, tmp_path)
     for name, sizes in (("generator", (3, 32, 32, 3)), ("discriminator", (3, 64, 64, 1)),
                         ("reconstructor", (3, 32, 32, 3))):
         model = nets.load_checkpoint(tmp_path / f"{name}.ckpt")

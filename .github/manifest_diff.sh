@@ -9,9 +9,10 @@
 # and 2 at seeds 0 and 1 (each trains its four runs one after another in one
 # process, where state leaked from one run into the next would show, and each
 # run draws its own anchors), mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
-# a small probe-study and a sparsity-check of the two-entry swap support
-# {(0, 1), (1, 0)}, which passes, from the sources of each checkout; so every
-# verb runs, and plot and probe-study are the verbs that write SVGs.  For
+# a small probe-study with its exact overlay (study_exact.csv) and a
+# sparsity-check of the two-entry swap support {(0, 1), (1, 0)}, which
+# passes, from the sources of each checkout; so every verb runs, and plot and
+# probe-study are the verbs that write SVGs.  For
 # each run it compares the [checksums] section of manifest.txt (the artifact
 # bytes) apart from the rest, the config echo, with the output paths replaced
 # by OUT, prints the diff of whichever part differs and one line such as
@@ -45,7 +46,8 @@ runs() {
         --override mpa_check.seed=13 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
         --override probe_study.dimension=50 --override probe_study.num_matrices=2 \
-        --override probe_study.mc_samples=50 > /dev/null
+        --override probe_study.mc_samples=50 --override probe_study.exact_overlay=true \
+        > /dev/null
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null

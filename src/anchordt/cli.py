@@ -180,7 +180,7 @@ def cmd_probe_study(config, io, out_dir):
         overlay_rng = np.random.default_rng(cfg.seed + 1)
         j = sparsity.random_sparse_jacobian(cfg.dimension, cfg.row_support, overlay_rng)
         lines = ["S,q_exact,rel_bias_exact"]
-        l0 = np.count_nonzero(j)
+        l0 = int(j.row_support_sizes().sum())
         for s in cfg.mask_sizes:
             q = sparsity.q_hypergeometric(j, s)
             lines.append(f"{s},{format_float(q)},{format_float((q - l0) / l0)}")

@@ -20,6 +20,10 @@ Three layers of machinery live here:
   T is the largest row-support size.  ``probe_bias_variance_study``
   reports that factor as ``lower_bound_factor`` beside the sketch's bias,
   and ``q_hypergeometric`` gives the sketch's expectation in closed form.
+  The sketch reads J as a ``SparseJacobian``, its nonzeros alone in column
+  order; ``random_sparse_jacobian`` draws one in that form, and a dense
+  matrix is built only by ``SparseJacobian.dense`` for a caller that needs
+  one, so a study at D = 1000 holds no D x D matrix.
   Probes come in (D, count) blocks, one probe a column: ``draw_probe``
   draws the whole mask block first, then the whole Gaussian block.  D is
   the data's dimension, which the caller passes; a ``ProbeSpec`` holds S
@@ -47,8 +51,9 @@ from . import autodiff as ad
 from .nets import HIDDEN_SLOPE, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-# float64 elements in each per-block buffer of q_probe_samples (128 KB);
-# larger blocks measured no faster at D = 1000 and raise peak memory
+# float64 elements in each per-block buffer of q_probe_samples (128 KB), and
+# the column block of random_mask's selection; larger blocks measured no
+# faster at D = 1000 and raise peak memory
 PROBE_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -105,12 +110,17 @@ def random_mask(dimension: int, size: int, rng: np.random.Generator,
 
     Each column keeps the S smallest of D iid uniform keys.  argpartition
     picks exactly S indices a column, so ties between keys cannot change
-    the subset size.
+    the subset size.  The keys are one draw; the selection runs over blocks
+    of columns, so no (D, count) index array is built.
     """
     keys = rng.random((dimension, count))
     mask = np.zeros((dimension, count), dtype=bool)
-    np.put_along_axis(mask, np.argpartition(keys, size - 1, axis=0)[:size],
-                      True, axis=0)
+    block = max(1, PROBE_BLOCK_ELEMENTS // dimension)
+    for lo in range(0, count, block):
+        np.put_along_axis(
+            mask[:, lo:lo + block],
+            np.argpartition(keys[:, lo:lo + block], size - 1, axis=0)[:size],
+            True, axis=0)
     return mask
 
 
@@ -225,7 +235,37 @@ def jacobian_graph(out: ad.Node) -> ad.Node:
 # randomized l0 sketch q(J) = (D/S) E ||J z||_0
 # ---------------------------------------------------------------------------
 
-def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
+@dataclass
+class SparseJacobian:
+    """A D x D matrix as its nonzeros, in column order with rows ascending
+    within a column: the order in which ``q_probe_samples`` sums J z."""
+    dimension: int
+    rows: np.ndarray      # int64 (nnz,)
+    cols: np.ndarray      # int64 (nnz,), ascending
+    values: np.ndarray    # float64 (nnz,), no exact zeros
+
+    @classmethod
+    def from_dense(cls, j) -> "SparseJacobian":
+        j = np.asarray(j, dtype=np.float64)
+        d = j.shape[0]
+        flat = np.flatnonzero(j != 0)
+        flat = flat[np.argsort(flat % d, kind="stable")]
+        rows, cols = np.divmod(flat, d)
+        return cls(dimension=d, rows=rows, cols=cols, values=j.ravel()[flat])
+
+    def dense(self) -> np.ndarray:
+        j = np.zeros((self.dimension, self.dimension))
+        j[self.rows, self.cols] = self.values
+        return j
+
+    def row_support_sizes(self, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> np.ndarray:
+        """T_d, the count of entries of row d above ``zero_threshold`` in
+        absolute value, for every row d."""
+        return np.bincount(self.rows[np.abs(self.values) > zero_threshold],
+                           minlength=self.dimension)
+
+
+def q_probe_samples(j: SparseJacobian, mask_size: int, num_probes: int,
                     rng: np.random.Generator,
                     zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> np.ndarray:
     """num_probes independent draws of (D/S) ||J z||_0.
@@ -233,19 +273,14 @@ def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
     Consumes the same draws, in the same order, as num_probes count-1
     ``draw_probe`` calls in sequence: D uniform mask keys, then D Gaussian
     entries, per probe.  The probes are scored in blocks: one argpartition
-    picks a block's masks, and J z is summed over J's nonzeros alone, in
-    the masked columns, with one bincount per block.
+    picks a block's masks, and J z is summed over the record's nonzeros in
+    the masked columns alone, in column order, with one bincount per block.
     """
-    j = np.asarray(j, dtype=np.float64)
-    d = j.shape[0]
+    d = j.dimension
     if not 1 <= mask_size <= d:
         raise ValueError(f"mask size {mask_size} not in [1, {d}]")
-    # J's nonzeros in column order, rows ascending within a column
-    flat = np.flatnonzero(j != 0)
-    flat = flat[np.argsort(flat % d, kind="stable")]
-    rows, cols = np.divmod(flat, d)
-    entries = j.ravel()[flat]
-    col_len = np.bincount(cols, minlength=d)
+    rows, entries = j.rows, j.values
+    col_len = np.bincount(j.cols, minlength=d)
     col_start = np.cumsum(col_len) - col_len
     # A probe takes D floats of each (block, D) buffer and about S nnz(J) / D
     # gathered products; a block holds about PROBE_BLOCK_ELEMENTS of either.
@@ -276,19 +311,18 @@ def q_probe_samples(j: np.ndarray, mask_size: int, num_probes: int,
     return vals
 
 
-def q_hypergeometric(j, mask_size: int,
+def q_hypergeometric(j: SparseJacobian, mask_size: int,
                      zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> float:
     """Closed form q(J) = (D/S) sum_d (1 - C(D-T_d, S)/C(D, S)), at any D.
 
     With Gaussian entries on the mask, (J z)_d is nonzero almost surely
-    exactly when the mask hits row d's support, of size T_d.
+    exactly when the mask hits row d's support, of size T_d: the record's
+    entries in row d above ``zero_threshold``.
     """
-    j = np.asarray(j, dtype=np.float64)
-    d = j.shape[0]
-    t_sizes = (np.abs(j) > zero_threshold).sum(axis=1)
+    d = j.dimension
     total = math.comb(d, mask_size)
     acc = 0.0
-    for t in t_sizes:
+    for t in j.row_support_sizes(zero_threshold):
         miss = math.comb(d - int(t), mask_size) if d - int(t) >= mask_size else 0
         acc += 1.0 - miss / total
     return (d / mask_size) * acc
@@ -334,16 +368,21 @@ def check_structural_sparsity(pattern: SupportPattern) -> StructuralSparsityResu
 # ---------------------------------------------------------------------------
 
 def random_sparse_jacobian(dimension: int, row_support: int,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: np.random.Generator) -> SparseJacobian:
     """Uniform size-T support per row, standard-normal nonzero entries.
 
-    The D row supports are one mask block, transposed; its entries are
-    filled row by row from one Gaussian draw.
+    The D row supports are one mask block, column i holding row i's; its
+    entries are filled row by row from one Gaussian draw, then put in
+    column order.  An entry drawn as exactly 0.0 is left out, as
+    ``SparseJacobian.from_dense`` of the filled matrix would leave it.
     """
-    support = random_mask(dimension, row_support, rng, dimension).T
-    j = np.zeros((dimension, dimension))
-    j[support] = rng.standard_normal(dimension * row_support)
-    return j
+    support = random_mask(dimension, row_support, rng, dimension)
+    rows, cols = np.nonzero(support.T)
+    values = rng.standard_normal(dimension * row_support)
+    order = np.argsort(cols, kind="stable")
+    order = order[values[order] != 0]
+    return SparseJacobian(dimension=dimension, rows=rows[order], cols=cols[order],
+                          values=values[order])
 
 
 @dataclass
@@ -390,7 +429,7 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
             raise ValueError(f"mask_sizes entry {s} not in [1, dimension = {dimension}]")
     mats = [random_sparse_jacobian(dimension, row_support, rng)
             for _ in range(num_matrices)]
-    l0s = np.array([np.count_nonzero(np.abs(m) > zero_threshold) for m in mats])
+    l0s = np.array([m.row_support_sizes(zero_threshold).sum() for m in mats])
     rows = []
     for s in mask_sizes:
         q_hats = np.empty(num_matrices)

@@ -154,13 +154,33 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
     return [csv_name, meta_name]
 
 
+def _bad_csv_line(path, width: int) -> str | None:
+    """The message "<path>, line <k>: ..." for the first data line of a CSV
+    that has other than ``width`` fields or a field that is not a number,
+    the header being line 1; None when every line parses."""
+    with open(path, "r", encoding="ascii") as fh:
+        for k, line in enumerate(fh, start=1):
+            if k == 1 or not line.strip():
+                continue
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != width:
+                return f"{path}, line {k}: {len(fields)} fields, the header has {width}"
+            for field in fields:
+                try:
+                    float(field)
+                except ValueError:
+                    return f"{path}, line {k}: {field!r} is not a number"
+    return None
+
+
 def load_dataset(directory, prefix: str) -> PairedDataset:
     """Read what save_dataset wrote; D is the number of x columns.
 
     A .meta file without its [dataset] section, without an entry that
     save_dataset writes and this reads, or with an entry that does not parse,
     raises ValueError naming the file and the entry; so does a CSV whose row
-    count is not the .meta's num_samples.
+    count is not the .meta's num_samples, and a CSV row that does not parse
+    names the file and its line.
     """
     meta_path = os.path.join(directory, f"{prefix}.meta")
     fields = configio.load(meta_path).get("dataset")
@@ -188,7 +208,10 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
     expected = _csv_header(d, per_sample)
     if header != expected:
         raise ValueError(f"{path}: header {','.join(header)} is not {','.join(expected)}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
+    except ValueError as exc:
+        raise ValueError(_bad_csv_line(path, len(header)) or f"{path}: {exc}") from None
     if data.shape[0] != num_samples:
         raise ValueError(f"{path}: {data.shape[0]} rows, but {meta_path} records "
                          f"num_samples = {num_samples}")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,10 @@ from anchordt import autodiff as ad
 from anchordt import nets, sparsity
 from rebuild_gradcheck import rebuild_gradcheck
 from reference_pass import jacobian_sweep, preactivations
+
+
+def sparse(j) -> sparsity.SparseJacobian:
+    return sparsity.SparseJacobian.from_dense(j)
 
 
 def linear_model(matrix: np.ndarray) -> nets.MlpModel:
@@ -252,23 +257,23 @@ class TestQEstimate:
     def test_identity_gives_exactly_d_per_probe(self):
         d = 7
         rng = np.random.default_rng(11)
-        samples = sparsity.q_probe_samples(np.eye(d), 3, 200, rng)
+        samples = sparsity.q_probe_samples(sparse(np.eye(d)), 3, 200, rng)
         np.testing.assert_array_equal(samples, np.full(200, float(d)))
 
     @pytest.mark.parametrize("size", [0, 5])
     def test_mask_size_outside_one_to_d_rejected(self, size):
         with pytest.raises(ValueError, match=rf"mask size {size} not in \[1, 4\]"):
-            sparsity.q_probe_samples(np.eye(4), size, 10, np.random.default_rng(0))
+            sparsity.q_probe_samples(sparse(np.eye(4)), size, 10, np.random.default_rng(0))
 
     def test_zero_matrix(self):
-        samples = sparsity.q_probe_samples(np.zeros((5, 5)), 2, 100,
+        samples = sparsity.q_probe_samples(sparse(np.zeros((5, 5))), 2, 100,
                                            np.random.default_rng(0), 1e-9)
         assert samples.mean() == 0.0
 
     def test_structured_d4_monte_carlo_hits_20_over_3(self):
         j = structured_d4_matrix()
         rng = np.random.default_rng(3)
-        samples = sparsity.q_probe_samples(j, 2, 4000, rng)
+        samples = sparsity.q_probe_samples(sparse(j), 2, 4000, rng)
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - 20.0 / 3.0) < 3 * se + 1e-12
 
@@ -293,7 +298,7 @@ def assert_same_samples_and_stream(j, mask_size, num_probes,
                                    zero_threshold=sparsity.DEFAULT_ZERO_THRESHOLD):
     ref_rng, rng = np.random.default_rng(29), np.random.default_rng(29)
     expected = per_probe_q_samples(j, mask_size, num_probes, ref_rng, zero_threshold)
-    got = sparsity.q_probe_samples(j, mask_size, num_probes, rng, zero_threshold)
+    got = sparsity.q_probe_samples(sparse(j), mask_size, num_probes, rng, zero_threshold)
     assert got.tobytes() == expected.tobytes()
     assert rng.random() == ref_rng.random()
 
@@ -339,9 +344,86 @@ class TestBlockedProbeSketch:
     @pytest.mark.parametrize("mask_size", [1, 50, 1000])
     def test_matches_per_probe_loop_at_d1000(self, row_support, mask_size):
         d = 1000
-        j = sparsity.random_sparse_jacobian(d, row_support, np.random.default_rng(37))
+        j = sparsity.random_sparse_jacobian(d, row_support, np.random.default_rng(37)).dense()
         block = sparsity.PROBE_BLOCK_ELEMENTS // d
         assert_same_samples_and_stream(j, mask_size, 2 * block + 7)
+
+
+def dense_random_sparse_jacobian(dimension, row_support, rng):
+    """The dense construction random_sparse_jacobian's record must match: the
+    mask block transposed, its rows filled in turn from one Gaussian draw."""
+    support = sparsity.random_mask(dimension, row_support, rng, dimension).T
+    j = np.zeros((dimension, dimension))
+    j[support] = rng.standard_normal(dimension * row_support)
+    return j
+
+
+class ZeroingRng:
+    """A generator whose Gaussian draws have every third entry set to 0.0."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, *args):
+        return self.rng.random(*args)
+
+    def standard_normal(self, *args):
+        values = self.rng.standard_normal(*args)
+        values[::3] = 0.0
+        return values
+
+
+def assert_same_record(got, expected):
+    assert got.dimension == expected.dimension
+    for field in ("rows", "cols", "values"):
+        assert getattr(got, field).dtype == getattr(expected, field).dtype
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+
+
+class TestSparseJacobian:
+    @pytest.mark.parametrize("d, t", [(1, 1), (7, 1), (7, 3), (7, 7), (1000, 10)])
+    def test_random_record_is_the_dense_construction(self, d, t):
+        ref_rng, rng = np.random.default_rng(59), np.random.default_rng(59)
+        expected = dense_random_sparse_jacobian(d, t, ref_rng)
+        got = sparsity.random_sparse_jacobian(d, t, rng)
+        assert got.dense().tobytes() == expected.tobytes()
+        assert_same_record(got, sparsity.SparseJacobian.from_dense(expected))
+        assert rng.random() == ref_rng.random()
+
+    def test_entries_drawn_as_zero_are_left_out(self):
+        expected = dense_random_sparse_jacobian(7, 3, ZeroingRng(61))
+        got = sparsity.random_sparse_jacobian(7, 3, ZeroingRng(61))
+        assert got.values.size == np.count_nonzero(expected) == 14
+        assert_same_record(got, sparsity.SparseJacobian.from_dense(expected))
+
+    @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
+    def test_from_dense_round_trips(self, kind):
+        j = small_sketch_matrix(kind)
+        record = sparsity.SparseJacobian.from_dense(j)
+        assert record.dense().tobytes() == j.tobytes()
+        # column order, rows ascending within a column
+        assert (np.lexsort((record.rows, record.cols)) == np.arange(record.rows.size)).all()
+
+    def test_row_support_sizes_count_entries_above_the_threshold(self):
+        j = small_sketch_matrix("threshold")
+        record = sparsity.SparseJacobian.from_dense(j)
+        for threshold in (sparsity.DEFAULT_ZERO_THRESHOLD, 0.0):
+            np.testing.assert_array_equal(record.row_support_sizes(threshold),
+                                          (np.abs(j) > threshold).sum(axis=1))
+
+
+def test_study_at_d1000_holds_no_dense_matrix():
+    # one dense 1000 x 1000 float matrix is 7.6 MiB and the study draws 8; what
+    # remains is random_mask's transient (D, D) key block
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        sparsity.probe_bias_variance_study(1000, 10, [1, 50], 8, 2, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 class TestQExactEnumeration:
@@ -363,7 +445,7 @@ class TestQExactEnumeration:
             d = int(rng.integers(2, 9))
             j = sparsity.random_sparse_jacobian(d, int(rng.integers(1, d + 1)), rng)
             for s in range(1, d + 1):
-                enum = q_exact_enumeration(j, s)
+                enum = q_exact_enumeration(j.dense(), s)
                 closed = sparsity.q_hypergeometric(j, s)
                 assert enum == pytest.approx(closed, abs=1e-9)
 
@@ -388,7 +470,7 @@ class TestSandwichBound:
         rng = np.random.default_rng(23)
         j = sparsity.random_sparse_jacobian(1000, 10, rng)
         q = sparsity.q_hypergeometric(j, 5)
-        verdict = check_sandwich_bound(j, 5, q)
+        verdict = check_sandwich_bound(j.dense(), 5, q)
         assert verdict.holds
         assert verdict.lower <= q <= verdict.upper
 
@@ -397,7 +479,7 @@ class TestSandwichBound:
         for _ in range(40):
             d = int(rng.integers(1, 9))
             t = int(rng.integers(1, d + 1))
-            j = sparsity.random_sparse_jacobian(d, t, rng)
+            j = sparsity.random_sparse_jacobian(d, t, rng).dense()
             for s in range(1, d + 1):
                 q = q_exact_enumeration(j, s)
                 assert check_sandwich_bound(j, s, q).holds
@@ -511,7 +593,7 @@ class TestBiasVarianceStudy:
         assert len(lines) == 3
 
     def test_random_sparse_jacobian_rows_have_exactly_t_nonzeros(self):
-        j = sparsity.random_sparse_jacobian(40, 7, np.random.default_rng(5))
+        j = sparsity.random_sparse_jacobian(40, 7, np.random.default_rng(5)).dense()
         assert (np.count_nonzero(j, axis=1) == 7).all()
 
     def test_rejects_bad_parameters(self):

@@ -246,6 +246,23 @@ class TestFileRoundTrip:
             synthdata.load_dataset(tmp_path, "train")
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda row: row.rpartition(",")[0], "3 fields, the header has 4"),
+        (lambda row: row.rpartition(",")[0] + ",abc", "'abc' is not a number"),
+    ])
+    def test_bad_csv_row_is_rejected_naming_the_file_and_line(self, tmp_path, damage,
+                                                              message):
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=31))
+        synthdata.save_dataset(train, tmp_path, "train")
+        path = tmp_path / "train.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = damage(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            synthdata.load_dataset(tmp_path, "train")
+        # the header is line 1, so the second data row is line 3
+        assert str(info.value) == f"{path}, line 3: {message}"
+
     def test_row_count_other_than_num_samples_is_rejected(self, tmp_path):
         train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=30))
         synthdata.save_dataset(train, tmp_path, "train")

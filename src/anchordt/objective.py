@@ -149,8 +149,10 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     masked-fd: batch mean of ||(g(x + delta*z) - g(x)) / delta||_1, g(x)
     that pass, with a fresh sparse Gaussian probe per sample, averaged over
     spec.probes_per_sample rounds.  Every probe comes from one
-    ``draw_probe`` block of N * probes_per_sample columns; round r takes
-    columns r*N .. r*N + N - 1.  Needs ``rng``.
+    ``draw_probe`` block of N * probes_per_sample probes: its index block,
+    then its Gaussian block, S draws a probe of each, spread into the dense
+    (D, N * probes_per_sample) ``probe`` block; round r takes columns
+    r*N .. r*N + N - 1.  Needs ``rng``.
     """
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape

@@ -23,14 +23,16 @@ Three layers of machinery live here:
   The sketch reads J as a ``SparseJacobian``, its nonzeros alone in column
   order; ``random_sparse_jacobian`` draws one in that form, and a dense
   matrix is built only by ``SparseJacobian.dense`` for a caller that needs
-  one, so a study at D = 1000 holds no D x D matrix.
-  Probes come in (D, count) blocks, one probe a column: ``draw_probe``
-  draws the whole mask block first, then the whole Gaussian block.  D is
-  the data's dimension, which the caller passes; a ``ProbeSpec`` holds S
-  and the probe's scale and count alone.
-  ``q_probe_samples`` keeps a different stream contract: it consumes the
-  same draws as count-1 ``draw_probe`` calls in sequence, D mask keys then
-  D Gaussian entries a probe, and scores the probes in blocks;
+  one, so a study holds no D x D array at any D.
+  Every subset, a probe's mask or a matrix's row support, comes from
+  ``random_mask``: Floyd's sampler, S integer draws a subset, so drawing a
+  probe costs O(S) and a row support O(T), never O(D).  Probes come in
+  blocks of count, one probe a row of S ascending indices: ``draw_probe``
+  draws the whole index block first, then one (count, S) Gaussian block.
+  D is the data's dimension, which the caller passes; a ``ProbeSpec``
+  holds S and the probe's scale and count alone.  ``q_probe_samples``
+  makes one ``draw_probe`` call for all its probes and scores that call's
+  index form in blocks, so its stream does not depend on the block size;
 * the structural-sparsity test on a support pattern: every input coordinate
   k must own a set of output rows whose supports intersect exactly in {k}.
 
@@ -51,9 +53,10 @@ from . import autodiff as ad
 from .nets import HIDDEN_SLOPE, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-# float64 elements in each per-block buffer of q_probe_samples (128 KB), and
-# the column block of random_mask's selection; larger blocks measured no
-# faster at D = 1000 and raise peak memory
+# float64 elements in each per-block buffer of q_probe_samples (128 KB): a
+# block of probes is scored with one bincount of block * D bins; larger blocks
+# measured no faster at D = 1000 and raise peak memory.  The probes are drawn
+# before any block is scored, so the block size leaves the stream alone.
 PROBE_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -77,8 +80,28 @@ class ProbeSpec:
 
 @dataclass
 class ProbeSample:
-    mask: np.ndarray      # bool (D, count), exactly S True entries a column
-    probe: np.ndarray     # standard normal entries on the mask, zero off it
+    """count probes in index form, one probe a row: its S mask coordinates,
+    ascending, and the standard normal entry at each of them."""
+    dimension: int
+    index: np.ndarray     # int64 (count, S), strictly ascending a row
+    entries: np.ndarray   # float64 (count, S)
+
+    def _spread(self, values, dtype) -> np.ndarray:
+        """(D, count) block holding ``values`` on each probe's mask, column c
+        probe c, and zero off it."""
+        out = np.zeros((self.dimension, self.index.shape[0]), dtype=dtype)
+        out[self.index, np.arange(self.index.shape[0])[:, None]] = values
+        return out
+
+    @property
+    def mask(self) -> np.ndarray:
+        """bool (D, count), exactly S True entries a column."""
+        return self._spread(True, bool)
+
+    @property
+    def probe(self) -> np.ndarray:
+        """float64 (D, count): the entries on the mask, zero off it."""
+        return self._spread(self.entries, np.float64)
 
 
 @dataclass
@@ -106,37 +129,39 @@ class SupportPattern:
 
 def random_mask(dimension: int, size: int, rng: np.random.Generator,
                 count: int = 1) -> np.ndarray:
-    """(D, count) bool block whose columns are uniform size-S subsets of [D].
+    """(count, S) int64 block whose rows are uniform size-S subsets of [D],
+    each in ascending order.
 
-    Each column keeps the S smallest of D iid uniform keys.  argpartition
-    picks exactly S indices a column, so ties between keys cannot change
-    the subset size.  The keys are one draw; the selection runs over blocks
-    of columns, so no (D, count) index array is built.
+    Floyd's sampler, run on all count rows at once: for j = D-S, ..., D-1 it
+    draws one rng.integers(0, j + 1, size=count) and each row takes its
+    draw, or j where the draw repeats an index that row already holds.  That
+    is S integer draws a subset and no O(D) array; the repeat test compares
+    each draw with the row's earlier picks, O(S^2) a row.
     """
-    keys = rng.random((dimension, count))
-    mask = np.zeros((dimension, count), dtype=bool)
-    block = max(1, PROBE_BLOCK_ELEMENTS // dimension)
-    for lo in range(0, count, block):
-        np.put_along_axis(
-            mask[:, lo:lo + block],
-            np.argpartition(keys[:, lo:lo + block], size - 1, axis=0)[:size],
-            True, axis=0)
-    return mask
+    if not 1 <= size <= dimension:
+        raise ValueError(f"mask size {size} not in [1, {dimension}]")
+    picks = np.empty((size, count), dtype=np.int64)
+    for r, j in enumerate(range(dimension - size, dimension)):
+        t = rng.integers(0, j + 1, size=count)
+        picks[r] = np.where((picks[:r] == t).any(axis=0), j, t)
+    return np.sort(picks.T, axis=1)
 
 
 def draw_probe(spec: ProbeSpec, dimension: int, rng: np.random.Generator,
                count: int = 1) -> ProbeSample:
-    """count sparse Gaussian probes in R^dimension as (D, count) blocks, one
-    probe a column.
+    """count sparse Gaussian probes in R^dimension, one probe a row of the
+    index form; ``mask`` and ``probe`` give them as (D, count) blocks.
 
-    Each column is a uniform mask of S <= D coordinates times N(0, I).  The
-    whole mask block is drawn first, then the whole Gaussian block, so masks
-    and entries are independent and the stream is reproducible; the stream
-    depends on count, so one block of n probes is not n single draws.
+    Each probe is a uniform mask of S <= D coordinates times N(0, I).  The
+    whole (count, S) index block is drawn first, then one (count, S) Gaussian
+    block, whose row c fills probe c's coordinates in ascending order, so
+    masks and entries are independent and the stream is reproducible.  The
+    draw costs O(count S), whatever D; the stream depends on count, so one
+    block of n probes is not n single draws.
     """
-    mask = random_mask(dimension, spec.mask_size, rng, count)
-    eps = rng.standard_normal((dimension, count))
-    return ProbeSample(mask=mask, probe=np.where(mask, eps, 0.0))
+    index = random_mask(dimension, spec.mask_size, rng, count)
+    return ProbeSample(dimension=dimension, index=index,
+                       entries=rng.standard_normal((count, spec.mask_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +295,35 @@ def q_probe_samples(j: SparseJacobian, mask_size: int, num_probes: int,
                     zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> np.ndarray:
     """num_probes independent draws of (D/S) ||J z||_0.
 
-    Consumes the same draws, in the same order, as num_probes count-1
-    ``draw_probe`` calls in sequence: D uniform mask keys, then D Gaussian
-    entries, per probe.  The probes are scored in blocks: one argpartition
-    picks a block's masks, and J z is summed over the record's nonzeros in
-    the masked columns alone, in column order, with one bincount per block.
+    Consumes exactly what one ``draw_probe(ProbeSpec(S), D, rng,
+    num_probes)`` call consumes, and scores that call's index form in
+    blocks: J z is summed over the record's nonzeros in the masked columns
+    alone, in column order, with one bincount per block.  Every probe is
+    drawn before the first block is scored, so the block size cannot change
+    the stream.
     """
     d = j.dimension
     if not 1 <= mask_size <= d:
         raise ValueError(f"mask size {mask_size} not in [1, {d}]")
+    probes = draw_probe(ProbeSpec(mask_size), d, rng, num_probes)
     rows, entries = j.rows, j.values
     col_len = np.bincount(j.cols, minlength=d)
     col_start = np.cumsum(col_len) - col_len
-    # A probe takes D floats of each (block, D) buffer and about S nnz(J) / D
+    # A probe takes D bins of the block's bincount and about S nnz(J) / D
     # gathered products; a block holds about PROBE_BLOCK_ELEMENTS of either.
     per_probe = max(d, mask_size * entries.size // d)
     block = max(1, min(num_probes, PROBE_BLOCK_ELEMENTS // per_probe))
-    keys = np.empty((block, d))
-    eps = np.empty((block, d))
     vals = np.empty(num_probes)
     for lo in range(0, num_probes, block):
-        n = min(block, num_probes - lo)
-        for b in range(n):
-            rng.random(out=keys[b])
-            rng.standard_normal(out=eps[b])
         # columns ascending: J z is summed in column order
-        masked = np.sort(np.argpartition(keys[:n], mask_size - 1, axis=1)[:, :mask_size],
-                         axis=1)
+        masked = probes.index[lo:lo + block]
+        n = masked.shape[0]
         lens = col_len[masked].ravel()
         # positions of every masked column's nonzeros in the column-sorted list
         at = np.repeat(col_start[masked].ravel() - (np.cumsum(lens) - lens), lens)
         at += np.arange(at.size)
         products = entries[at]
-        products *= np.repeat(np.take_along_axis(eps[:n], masked, axis=1).ravel(), lens)
+        products *= np.repeat(probes.entries[lo:lo + block].ravel(), lens)
         bins = np.repeat(np.arange(0, n * d, d), lens.reshape(n, mask_size).sum(axis=1))
         bins += rows[at]
         jz = np.bincount(bins, weights=products, minlength=n * d)
@@ -321,10 +342,14 @@ def q_hypergeometric(j: SparseJacobian, mask_size: int,
     """
     d = j.dimension
     total = math.comb(d, mask_size)
+    sizes, which = np.unique(j.row_support_sizes(zero_threshold), return_inverse=True)
+    terms = [1.0 - (math.comb(d - t, mask_size) if d - t >= mask_size else 0) / total
+             for t in sizes.tolist()]
+    # one comb a distinct support size; the terms are summed in row order,
+    # one at a time, so the result keeps the per-row loop's bits
     acc = 0.0
-    for t in j.row_support_sizes(zero_threshold):
-        miss = math.comb(d - int(t), mask_size) if d - int(t) >= mask_size else 0
-        acc += 1.0 - miss / total
+    for k in which.tolist():
+        acc += terms[k]
     return (d / mask_size) * acc
 
 
@@ -371,18 +396,19 @@ def random_sparse_jacobian(dimension: int, row_support: int,
                            rng: np.random.Generator) -> SparseJacobian:
     """Uniform size-T support per row, standard-normal nonzero entries.
 
-    The D row supports are one mask block, column i holding row i's; its
-    entries are filled row by row from one Gaussian draw, then put in
-    column order.  An entry drawn as exactly 0.0 is left out, as
-    ``SparseJacobian.from_dense`` of the filled matrix would leave it.
+    The D row supports are one (D, T) ``random_mask`` index block, row i
+    holding row i's columns in ascending order; then D T Gaussians fill the
+    supports row by row, and the entries are put in column order.  That is
+    O(D T) draws and memory: no D x D array is built.  An entry drawn as
+    exactly 0.0 is left out, as ``SparseJacobian.from_dense`` of the filled
+    matrix would leave it.
     """
-    support = random_mask(dimension, row_support, rng, dimension)
-    rows, cols = np.nonzero(support.T)
+    cols = random_mask(dimension, row_support, rng, dimension).ravel()
     values = rng.standard_normal(dimension * row_support)
     order = np.argsort(cols, kind="stable")
     order = order[values[order] != 0]
-    return SparseJacobian(dimension=dimension, rows=rows[order], cols=cols[order],
-                          values=values[order])
+    return SparseJacobian(dimension=dimension, rows=order // row_support,
+                          cols=cols[order], values=values[order])
 
 
 @dataclass

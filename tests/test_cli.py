@@ -500,6 +500,16 @@ def test_probe_study_exact_overlay_rows_are_the_closed_form(tmp_path):
     assert "study_exact.csv" in checksums
 
 
+def test_committed_probe_study_at_d10000_replays(tmp_path):
+    # results/ holds the study at D = 10^4 and 10^5; the smaller one replays
+    # in about a second, and a change to the probe or support stream shows here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results",
+                        "probe-study-d10000", manifest.MANIFEST_NAME)
+    result = manifest.replay_manifest(path, tmp_path / "replay")
+    assert set(result) == {"bias.svg", "study.csv", "study_exact.csv", "variance.svg"}
+    assert all(old == new for old, new in result.values())
+
+
 @pytest.mark.parametrize("line, replacement", [
     ("output_activation = identity", "output_activation = tanh"),
     ("hidden_slope = 0.20000000000000001", "hidden_slope = 0.5"),

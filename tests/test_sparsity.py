@@ -211,10 +211,12 @@ class TestProbes:
         spec = sparsity.ProbeSpec(mask_size=6)
         probe = sparsity.draw_probe(spec, 6, np.random.default_rng(0))
         assert probe.mask.all()
-        # a same-seed rng replays the mask keys, then the Gaussian entries
+        # a same-seed rng replays the sampler's six integer draws, then the
+        # Gaussian entries, which fill coordinates 0..5 in order
         rng = np.random.default_rng(0)
-        rng.random((6, 1))
-        np.testing.assert_array_equal(probe.probe, rng.standard_normal((6, 1)))
+        for j in range(6):
+            rng.integers(0, j + 1, size=1)
+        assert probe.probe.tobytes() == rng.standard_normal((1, 6)).T.tobytes()
 
     def test_single_coordinate_uniform_chi2_at_1pct(self):
         d, draws = 5, 100000
@@ -242,9 +244,16 @@ class TestProbes:
 
     @pytest.mark.parametrize("size", [1, 6])
     def test_every_block_column_has_exactly_s_entries(self, size):
-        mask = sparsity.random_mask(6, size, np.random.default_rng(3), 500)
-        assert mask.shape == (6, 500)
+        probes = sparsity.draw_probe(sparsity.ProbeSpec(size), 6,
+                                     np.random.default_rng(3), 500)
+        assert probes.index.shape == probes.entries.shape == (500, size)
+        mask = probes.mask
+        assert mask.shape == probes.probe.shape == (6, 500)
         assert (mask.sum(axis=0) == size).all()
+        # row c of the index form is column c of the mask, ascending
+        rows, cols = np.nonzero(mask.T)
+        assert (cols.reshape(500, size) == probes.index).all()
+        assert (probes.probe[probes.index.T, np.arange(500)] == probes.entries.T).all()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -280,16 +289,16 @@ class TestQEstimate:
 
 def per_probe_q_samples(j, mask_size, num_probes, rng,
                         zero_threshold=sparsity.DEFAULT_ZERO_THRESHOLD):
-    """The reference for q_probe_samples: one count-1 draw_probe call a probe,
-    J z from a gather of the masked columns."""
+    """The reference for q_probe_samples: one draw_probe block of num_probes
+    columns, each probe's J z from a dense gather of its masked columns."""
     j = np.asarray(j, dtype=np.float64)
     d = j.shape[0]
-    spec = sparsity.ProbeSpec(mask_size=mask_size)
+    p = sparsity.draw_probe(sparsity.ProbeSpec(mask_size=mask_size), d, rng, num_probes)
+    mask, probe = p.mask, p.probe
     vals = np.empty(num_probes)
     for i in range(num_probes):
-        p = sparsity.draw_probe(spec, d, rng)
-        idx = np.flatnonzero(p.mask)
-        col = j[:, idx] @ p.probe[idx, 0]
+        idx = np.flatnonzero(mask[:, i])
+        col = j[:, idx] @ probe[idx, i]
         vals[i] = (d / mask_size) * np.count_nonzero(np.abs(col) > zero_threshold)
     return vals
 
@@ -319,8 +328,9 @@ def small_sketch_matrix(kind, d=6):
 
 
 class TestBlockedProbeSketch:
-    """q_probe_samples scores probes in blocks; it must give the per-probe
-    loop's values bit for bit and leave the rng where that loop leaves it."""
+    """q_probe_samples scores probes in blocks; it must give the dense
+    gather's values bit for bit and leave the rng where one draw_probe call
+    leaves it, whatever the block size: blocking cannot change the stream."""
 
     @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
     @pytest.mark.parametrize("mask_size", [1, 2, 6])
@@ -350,11 +360,13 @@ class TestBlockedProbeSketch:
 
 
 def dense_random_sparse_jacobian(dimension, row_support, rng):
-    """The dense construction random_sparse_jacobian's record must match: the
-    mask block transposed, its rows filled in turn from one Gaussian draw."""
-    support = sparsity.random_mask(dimension, row_support, rng, dimension).T
+    """The dense construction random_sparse_jacobian's record must match: row
+    i's support is row i of one (D, T) random_mask block, and the rows are
+    filled in turn, columns ascending, from one Gaussian draw."""
+    support = sparsity.random_mask(dimension, row_support, rng, dimension)
     j = np.zeros((dimension, dimension))
-    j[support] = rng.standard_normal(dimension * row_support)
+    j[np.arange(dimension)[:, None], support] = (
+        rng.standard_normal(dimension * row_support).reshape(dimension, row_support))
     return j
 
 
@@ -364,8 +376,8 @@ class ZeroingRng:
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
-    def random(self, *args):
-        return self.rng.random(*args)
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
 
     def standard_normal(self, *args):
         values = self.rng.standard_normal(*args)
@@ -412,18 +424,30 @@ class TestSparseJacobian:
                                           (np.abs(j) > threshold).sum(axis=1))
 
 
-def test_study_at_d1000_holds_no_dense_matrix():
-    # one dense 1000 x 1000 float matrix is 7.6 MiB and the study draws 8; what
-    # remains is random_mask's transient (D, D) key block
+def study_peak_bytes(dimension, num_matrices, mc_samples):
+    """tracemalloc's peak over a study at T = 10, S in {1, 50}."""
     rng = np.random.default_rng(0)
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        sparsity.probe_bias_variance_study(1000, 10, [1, 50], 8, 2, rng)
-        peak = tracemalloc.get_traced_memory()[1]
+        sparsity.probe_bias_variance_study(dimension, 10, [1, 50], num_matrices,
+                                           mc_samples, rng)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+
+
+def test_study_at_d1000_holds_no_dense_matrix():
+    # one dense 1000 x 1000 float matrix is 7.6 MiB and the study draws 8; the
+    # 8 records hold 80,000 nonzeros, and no draw builds an O(D) array a probe
+    # or an O(D^2) one a matrix
+    assert study_peak_bytes(1000, 8, 2) < 4 * 2 ** 20
+
+
+def test_study_at_d10000_holds_no_dense_matrix():
+    # one dense 10^4 x 10^4 float matrix is 763 MiB; the record's 10^5
+    # nonzeros and the bincount over one probe's D rows are what remain
+    assert study_peak_bytes(10_000, 1, 50) < 8 * 2 ** 20
 
 
 class TestQExactEnumeration:
@@ -438,6 +462,20 @@ class TestQExactEnumeration:
     def test_full_3x3_single_mask(self):
         j = np.ones((3, 3))
         assert q_exact_enumeration(j, 1) == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("d, density", [(8, 0.4), (200, 0.05), (1000, 0.01)])
+    def test_closed_form_keeps_the_per_row_loops_bits(self, d, density):
+        # row supports of many sizes, some rows empty and some full
+        rng = np.random.default_rng(71)
+        j = np.where(rng.random((d, d)) < density, rng.standard_normal((d, d)), 0.0)
+        j[0], j[-1] = 0.0, 1.0
+        record = sparse(j)
+        for s in sorted({1, 2, d // 2, d - 1, d}):
+            acc = 0.0
+            for t in record.row_support_sizes():
+                miss = math.comb(d - int(t), s) if d - int(t) >= s else 0
+                acc += 1.0 - miss / math.comb(d, s)
+            assert sparsity.q_hypergeometric(record, s) == (d / s) * acc
 
     def test_matches_hypergeometric_closed_form(self):
         rng = np.random.default_rng(19)
@@ -622,9 +660,73 @@ class TestBiasVarianceStudy:
 
 def test_random_mask_covers_all_subsets():
     # every C(4,2)=6 mask shows up with roughly uniform frequency
-    mask = sparsity.random_mask(4, 2, np.random.default_rng(53), 12000)
-    _, counts = np.unique(mask.T, axis=0, return_counts=True)
+    index = sparsity.random_mask(4, 2, np.random.default_rng(53), 12000)
+    _, counts = np.unique(index, axis=0, return_counts=True)
     assert len(counts) == math.comb(4, 2)
     expected = 12000 / 6
     chi2 = (((counts - expected) ** 2) / expected).sum()
     assert chi2 < scipy_stats.chi2.ppf(0.999, 5)
+
+
+def floyd_rows(dimension, size, rng, count):
+    """The sampler's contract, one row at a time: round j = D-S, ..., D-1
+    draws rng.integers(0, j + 1, size=count), and each row takes its draw,
+    or j if it holds that draw already."""
+    draws = [rng.integers(0, j + 1, size=count) for j in range(dimension - size, dimension)]
+    rows = []
+    for c in range(count):
+        chosen = set()
+        for j, t in zip(range(dimension - size, dimension), draws):
+            chosen.add(j if int(t[c]) in chosen else int(t[c]))
+        rows.append(sorted(chosen))
+    return np.array(rows, dtype=np.int64).reshape(count, size)
+
+
+def assert_ascending_subsets(index, dimension, size, count):
+    assert index.shape == (count, size) and index.dtype == np.int64
+    assert (np.diff(index, axis=1) > 0).all()
+    if count:
+        assert index.min() >= 0 and index.max() < dimension
+
+
+class TestFloydSampler:
+    @pytest.mark.parametrize("d, s", [(1, 1), (6, 1), (6, 3), (6, 5), (6, 6), (50, 7)])
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    def test_rows_replay_the_scalar_algorithm(self, d, s, count):
+        ref_rng, rng = np.random.default_rng(67), np.random.default_rng(67)
+        expected = floyd_rows(d, s, ref_rng, count)
+        got = sparsity.random_mask(d, s, rng, count)
+        assert_ascending_subsets(got, d, s, count)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_all_twenty_subsets_uniform_chi2(self):
+        draws = 40000
+        index = sparsity.random_mask(6, 3, np.random.default_rng(73), draws)
+        assert_ascending_subsets(index, 6, 3, draws)
+        subsets, counts = np.unique(index, axis=0, return_counts=True)
+        assert [tuple(r) for r in subsets.tolist()] == list(itertools.combinations(range(6), 3))
+        expected = draws / math.comb(6, 3)
+        chi2 = (((counts - expected) ** 2) / expected).sum()
+        assert chi2 < scipy_stats.chi2.ppf(0.999, math.comb(6, 3) - 1)
+
+    @pytest.mark.parametrize("d", [2, 9, 1000])
+    def test_edge_sizes(self, d):
+        rng = np.random.default_rng(79)
+        one = sparsity.random_mask(d, 1, rng, 300)
+        assert_ascending_subsets(one, d, 1, 300)
+        assert_ascending_subsets(sparsity.random_mask(d, d - 1, rng, 30), d, d - 1, 30)
+        full = sparsity.random_mask(d, d, rng, 5)
+        assert (full == np.arange(d)).all()
+        empty = sparsity.random_mask(d, 1, rng, 0)
+        assert_ascending_subsets(empty, d, 1, 0)
+
+    def test_size_one_is_one_integer_draw(self):
+        got = sparsity.random_mask(9, 1, np.random.default_rng(83), 1000)
+        expected = np.random.default_rng(83).integers(0, 9, size=1000)
+        assert got.ravel().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_size_outside_one_to_d_rejected(self, size):
+        with pytest.raises(ValueError, match=rf"mask size {size} not in \[1, 4\]"):
+            sparsity.random_mask(4, size, np.random.default_rng(0), 3)

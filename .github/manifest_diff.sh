@@ -16,7 +16,11 @@
 # each run it compares the [checksums] section of manifest.txt (the artifact
 # bytes) apart from the rest, the config echo, with the output paths replaced
 # by OUT, prints the diff of whichever part differs and one line such as
-# "train: checksums identical, config echo differs".  Exits non-zero when any
+# "train: checksums identical, config echo differs".  Then it trains the head
+# tree for 20 iterations on the base tree's gen-data output, so a dataset
+# written by the base commit must still load, compares that run's
+# [checksums] with the base train run's and prints "cross-data: checksums
+# identical" or "cross-data: checksums differs".  Exits non-zero when any
 # part of any manifest differs.
 set -eu
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
@@ -75,5 +79,14 @@ for run in data train eval plot fd r1 ablate sweep mpa probe support; do
     done
     echo "$run:${verdict#,}"
 done
+PYTHONPATH="$2/src" python -m anchordt train --data-dir "$work/base/data" \
+    --out-dir "$work/cross" --override train.iterations=20 > /dev/null
+sed -n '/^\[checksums\]$/,$p' "$work/cross/manifest.txt" > "$work/cross.checksums"
+if diff "$work/train.checksums.base" "$work/cross.checksums"; then
+    echo "cross-data: checksums identical"
+else
+    echo "cross-data: checksums differs"
+    status=1
+fi
 rm -rf "$work"
 exit $status

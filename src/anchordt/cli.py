@@ -61,7 +61,7 @@ def cmd_gen_data(config, io, out_dir):
     artifacts = save_dataset(train_split, out_dir, "train")
     artifacts += save_dataset(test_split, out_dir, "test")
     print(f"gen-data: {len(train_split)} train / {len(test_split)} test pairs, "
-          f"t_mode={cfg.t_mode}, seed={cfg.seed}")
+          f"t={train_split.t:.4f}, seed={cfg.seed}")
     return artifacts, configio.echo(cfg, "data"), cfg.seed, None
 
 
@@ -117,7 +117,7 @@ class PlotConfig:
 
     def __post_init__(self):
         if self.max_points < 1:
-            raise ValueError("max_points must be positive")
+            raise ValueError(f"max_points = {self.max_points} must be positive")
 
 
 def cmd_plot(config, io, out_dir):

@@ -25,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Malformed config text or unusable values."""
@@ -93,14 +91,6 @@ def format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def format_matrix(a) -> str:
-    return ";".join(",".join(map(format_float, row)) for row in a)
-
-
-def parse_matrix(raw: str) -> np.ndarray:
-    return np.array([_split(row, float) for row in raw.split(";")])
-
-
 # field type -> (parse the text of a value, format a value as text)
 _CODECS = {
     int: (int, str),
@@ -111,7 +101,6 @@ _CODECS = {
     bool: (_parse_bool, lambda v: str(v).lower()),
     tuple[int, ...]: (lambda raw: _split(raw, int), lambda v: ",".join(map(str, v))),
     tuple[str, ...]: (lambda raw: _split(raw, str), ",".join),
-    np.ndarray: (parse_matrix, format_matrix),
 }
 
 

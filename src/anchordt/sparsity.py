@@ -75,7 +75,8 @@ class ProbeSpec:
             raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
                              "must be positive")
         if self.probes_per_sample < 1:
-            raise ValueError("probes per sample must be >= 1")
+            raise ValueError(f"probes_per_sample = {self.probes_per_sample} "
+                             "must be at least 1")
 
 
 @dataclass
@@ -442,8 +443,9 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
     the bias is relative to the true nonzero count.  Every parameter is
     checked before the first draw.
     """
-    if min(dimension, num_matrices) < 1:
-        raise ValueError("dimension and num_matrices must be positive")
+    for name, value in (("dimension", dimension), ("num_matrices", num_matrices)):
+        if value < 1:
+            raise ValueError(f"{name} = {value} must be positive")
     if mc_samples < 2:
         raise ValueError(f"mc_samples = {mc_samples} must be at least 2")
     if not 1 <= row_support <= dimension:

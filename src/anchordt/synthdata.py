@@ -1,17 +1,17 @@
 """The 2D benchmark dataset: a cosine-warped permutation of a skewed box.
 
 Target points y have y1 ~ Unif[-1,1] and y2 ~ Unif[-1,1] + 0.5*y1; source
-points are x = t*cos(A y) + A y (cos elementwise), where A is a non-identity
-permutation and the warp amplitude t is drawn once per dataset from
-Unif[0.3, 0.5] (or per sample, for sensitivity runs).  The y -> x direction
-is the inverse of the map being learned, and since |t| < 1 it is
+points are x = t*cos(A y) + A y (cos elementwise), where A is the swap of
+the two coordinates and the warp amplitude t is drawn once per dataset from
+Unif[0.3, 0.5], so every pair follows one deterministic map.  The y -> x
+direction is the inverse of the map being learned, and since |t| < 1 it is
 injective, so every generated pair is a valid aligned example.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +21,21 @@ from .objective import AnchorSet
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-T_MODES = ("per-dataset", "per-sample")
-
 
 @dataclass
 class SynthConfig:
     num_train: int = 27000
     num_test: int = 3000
     seed: int = 0
-    permutation: np.ndarray = field(default_factory=lambda: SWAP.copy())
-    t_mode: str = "per-dataset"
     t_min: float = 0.3
     t_max: float = 0.5
 
     def __post_init__(self):
-        self.permutation = np.asarray(self.permutation, dtype=np.float64)
-        a = self.permutation
-        if a.shape != (2, 2) or not _is_permutation(a) or np.array_equal(a, np.eye(2)):
-            raise ValueError("permutation must be a non-identity 2x2 permutation matrix")
-        if self.num_train < 1 or self.num_test < 1:
-            raise ValueError("sample counts must be positive")
+        for name in ("num_train", "num_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed} must be >= 0")
-        if self.t_mode not in T_MODES:
-            raise ValueError(f"t_mode must be one of {T_MODES}")
         for name in ("t_min", "t_max"):
             # |t| < 1 keeps the warp injective; NaN and infinities fail it too
             if not -1 < getattr(self, name) < 1:
@@ -53,20 +44,15 @@ class SynthConfig:
             raise ValueError(f"t_min = {self.t_min} exceeds t_max = {self.t_max}")
 
 
-def _is_permutation(a: np.ndarray) -> bool:
-    return (np.isin(a, (0.0, 1.0)).all()
-            and (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all())
-
-
-def warp(y: np.ndarray, t, permutation: np.ndarray = SWAP) -> np.ndarray:
+def warp(y: np.ndarray, t: float, permutation: np.ndarray = SWAP) -> np.ndarray:
     """The y -> x direction: t*cos(A y) + A y, rows are samples.
 
-    ``t`` is a scalar or an (N,) array (per-sample mode).
+    The amplitude ``t`` is one scalar for every row.  ``permutation`` is the
+    (D, D) matrix A, the 2D swap by default; datasets of other D pass their own.
     """
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     ay = y @ np.asarray(permutation, dtype=np.float64).T
-    t_col = np.asarray(t, dtype=np.float64).reshape(-1, 1) if np.ndim(t) else t
-    return t_col * np.cos(ay) + ay
+    return t * np.cos(ay) + ay
 
 
 @dataclass
@@ -74,39 +60,30 @@ class PairedDataset:
     """Aligned (x_i, y_i) rows; alignment is for evaluation and anchors only."""
     x: np.ndarray                 # (N, D)
     y: np.ndarray                 # (N, D)
-    t: float | np.ndarray         # scalar, or (N,) in per-sample mode
-    permutation: np.ndarray
-    t_mode: str = "per-dataset"
+    t: float                      # the warp amplitude, shared by every row
     seed: int | None = None
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
-def _make_split(n: int, t, cfg: SynthConfig, rng: np.random.Generator) -> PairedDataset:
+def _make_split(n: int, t: float, seed: int, rng: np.random.Generator) -> PairedDataset:
     y1 = rng.uniform(-1.0, 1.0, size=n)
     y2 = rng.uniform(-1.0, 1.0, size=n) + 0.5 * y1
     y = np.column_stack([y1, y2])
-    if cfg.t_mode == "per-sample":
-        t = rng.uniform(cfg.t_min, cfg.t_max, size=n)
-    x = warp(y, t, cfg.permutation)
-    return PairedDataset(x=x, y=y, t=t, permutation=cfg.permutation.copy(),
-                         t_mode=cfg.t_mode, seed=cfg.seed)
+    return PairedDataset(x=warp(y, t), y=y, t=t, seed=seed)
 
 
 def generate(config: SynthConfig) -> tuple[PairedDataset, PairedDataset]:
     """(train, test) splits; deterministic given config.seed.
 
-    Draw order: the shared warp amplitude t (per-dataset mode), then the
-    train split, then the test split.  In per-sample mode each split draws
-    its own t values after its y values.
+    Draw order: the warp amplitude t, which both splits share, then the
+    train split, then the test split.
     """
     rng = np.random.default_rng(config.seed)
-    t = None
-    if config.t_mode == "per-dataset":
-        t = float(rng.uniform(config.t_min, config.t_max))
-    train = _make_split(config.num_train, t, config, rng)
-    test = _make_split(config.num_test, t, config, rng)
+    t = float(rng.uniform(config.t_min, config.t_max))
+    train = _make_split(config.num_train, t, config.seed, rng)
+    test = _make_split(config.num_test, t, config.seed, rng)
     return train, test
 
 
@@ -125,30 +102,24 @@ def select_anchors(train: PairedDataset, count: int, seed: int) -> AnchorSet:
 # file I/O: CSV rows of aligned pairs plus a key=value metadata sidecar
 # ---------------------------------------------------------------------------
 
-def _csv_header(d: int, per_sample: bool) -> list[str]:
-    names = [f"x{k}" for k in range(1, d + 1)] + [f"y{k}" for k in range(1, d + 1)]
-    return names + ["t"] if per_sample else names
+def _csv_header(d: int) -> list[str]:
+    return [f"x{k}" for k in range(1, d + 1)] + [f"y{k}" for k in range(1, d + 1)]
 
 
 def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
     """Write {prefix}.csv and {prefix}.meta into directory; returns filenames.
 
-    The CSV has columns x1..xD,y1..yD.  Per-dataset mode stores t in the
-    sidecar; per-sample mode appends a t column instead.
+    The CSV has columns x1..xD,y1..yD.  The .meta's [dataset] section holds
+    seed, t and num_samples.
     """
     os.makedirs(directory, exist_ok=True)
-    per_sample = dataset.t_mode == "per-sample"
     csv_name, meta_name = f"{prefix}.csv", f"{prefix}.meta"
-    columns = [dataset.x, dataset.y]
-    if per_sample:
-        columns.append(np.asarray(dataset.t).reshape(-1, 1))
-    lines = [",".join(_csv_header(dataset.x.shape[1], per_sample))]
-    lines += [",".join(map(format_float, row)) for row in np.hstack(columns)]
+    lines = [",".join(_csv_header(dataset.x.shape[1]))]
+    rows = np.hstack([dataset.x, dataset.y])
+    lines += [",".join(map(format_float, row)) for row in rows]
     with open(os.path.join(directory, csv_name), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    meta = {"seed": str(dataset.seed), "t_mode": dataset.t_mode,
-            "t": "per-sample" if per_sample else format_float(dataset.t),
-            "permutation": configio.format_matrix(dataset.permutation),
+    meta = {"seed": str(dataset.seed), "t": format_float(dataset.t),
             "num_samples": str(len(dataset))}
     configio.save({"dataset": meta}, os.path.join(directory, meta_name))
     return [csv_name, meta_name]
@@ -176,17 +147,20 @@ def _bad_csv_line(path, width: int) -> str | None:
 def load_dataset(directory, prefix: str) -> PairedDataset:
     """Read what save_dataset wrote; D is the number of x columns.
 
-    A .meta file without its [dataset] section, without an entry that
-    save_dataset writes and this reads, or with an entry that does not parse,
+    Of the .meta's [dataset] section this reads seed, t and num_samples and
+    ignores any other entry, such as the warp mode and permutation matrix
+    that older datasets also record.  A .meta file without its [dataset]
+    section or one of those three entries, or with one that does not parse,
     raises ValueError naming the file and the entry; so does a CSV whose row
-    count is not the .meta's num_samples, and a CSV row that does not parse
-    names the file and its line.
+    count is not the .meta's num_samples.  A CSV whose header is not
+    x1..xD,y1..yD, as in older datasets with a t column, names the file, and
+    a CSV row that does not parse names the file and its line.
     """
     meta_path = os.path.join(directory, f"{prefix}.meta")
     fields = configio.load(meta_path).get("dataset")
     if fields is None:
         raise ValueError(f"{meta_path}: missing [dataset] section")
-    for key in ("seed", "t_mode", "t", "permutation", "num_samples"):
+    for key in ("seed", "t", "num_samples"):
         if key not in fields:
             raise ValueError(f"{meta_path}: missing [dataset] entry {key!r}")
 
@@ -197,15 +171,12 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
             raise ValueError(f"{meta_path}: [dataset] {key} = {fields[key]!r}: "
                              f"{exc}") from None
 
-    t_mode = fields["t_mode"]
-    per_sample = t_mode == "per-sample"
-    perm = parse("permutation", configio.parse_matrix)
     num_samples = parse("num_samples", int)
     path = os.path.join(directory, f"{prefix}.csv")
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
     d = sum(name.startswith("x") for name in header)
-    expected = _csv_header(d, per_sample)
+    expected = _csv_header(d)
     if header != expected:
         raise ValueError(f"{path}: header {','.join(header)} is not {','.join(expected)}")
     try:
@@ -216,6 +187,5 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
         raise ValueError(f"{path}: {data.shape[0]} rows, but {meta_path} records "
                          f"num_samples = {num_samples}")
     x, y = data[:, :d], data[:, d:2 * d]
-    t = data[:, 2 * d] if per_sample else parse("t", float)
     seed = None if fields["seed"] == "None" else parse("seed", int)
-    return PairedDataset(x=x, y=y, t=t, permutation=perm, t_mode=t_mode, seed=seed)
+    return PairedDataset(x=x, y=y, t=parse("t", float), seed=seed)

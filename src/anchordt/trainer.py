@@ -76,12 +76,14 @@ class TrainConfig:
     diag_points: int = 512
 
     def __post_init__(self):
-        if min(self.batch_size, self.disc_steps_per_gen_step) < 1:
-            raise ValueError("batch size and disc steps must be positive")
-        if self.iterations < 0 or self.anchor_count < 0:
-            raise ValueError("iterations and anchor count must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed} must be >= 0")
+        # each written so that NaN fails it too; diag_interval = 0 turns the
+        # diagnostics off
+        for name in ("batch_size", "disc_steps_per_gen_step", "learning_rate", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
+        for name in ("iterations", "anchor_count", "seed", "r1_weight", "diag_interval"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
         if self.weights.anchor > 0 and self.anchor_count < 1:
             raise ValueError("weights.anchor > 0 needs anchor_count >= 1")
         if self.sparsity_mode not in SPARSITY_MODES:
@@ -90,17 +92,9 @@ class TrainConfig:
         for name in ("gen_hidden", "disc_hidden", "rec_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} = {getattr(self, name)}: widths must be positive")
-        # each written so that NaN fails it too
-        for name in ("learning_rate", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} = {getattr(self, name)!r} not in [0, 1)")
-        if not self.r1_weight >= 0:
-            raise ValueError(f"r1_weight = {self.r1_weight!r} must be >= 0")
-        if self.diag_interval < 0:   # 0 turns the diagnostics off
-            raise ValueError(f"diag_interval = {self.diag_interval} must be >= 0")
         if self.diag_points < 1:
             raise ValueError(f"diag_points = {self.diag_points} must be at least 1")
 

@@ -57,7 +57,7 @@ def test_train_reads_a_three_dimensional_dataset_from_files(tmp_path):
     for prefix, n in (("train", 40), ("test", 8)):
         y = rng.uniform(-1.0, 1.0, (n, 3))
         synthdata.save_dataset(synthdata.PairedDataset(
-            x=synthdata.warp(y, 0.4, perm), y=y, t=0.4, permutation=perm),
+            x=synthdata.warp(y, 0.4, perm), y=y, t=0.4),
             tmp_path / "data", prefix)
     assert cli.main(["train", "--out-dir", str(tmp_path / "run"),
                      "--data-dir", str(tmp_path / "data"),
@@ -123,11 +123,20 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("ablate", ["ablate.seeds=0,-2"], "seeds entry -2 must be >= 0"),
     ("ablate", ["train.seed=-1"], "seed = -1 must be >= 0"),
     ("mpa-check", ["mpa_check.seed=-1"], "seed = -1 must be >= 0"),
+    # the per-sample warp and the permutation matrix are no longer options
+    ("gen-data", ["data.t_mode=per-sample"], "[data] unknown key 't_mode'"),
+    ("gen-data", ["data.permutation=0,1;1,0"], "[data] unknown key 'permutation'"),
+    ("gen-data", ["data.num_train=0"], "num_train = 0 must be positive"),
+    ("gen-data", ["data.num_test=-1"], "num_test = -1 must be positive"),
+    ("train", ["probe.probes_per_sample=0"], "probes_per_sample = 0 must be at least 1"),
+    ("probe-study", ["probe_study.dimension=0"], "dimension = 0 must be positive"),
+    ("probe-study", ["probe_study.num_matrices=0"], "num_matrices = 0 must be positive"),
+    ("plot", ["plot.max_points=0"], "max_points = 0 must be positive"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
     argv = [verb, "--out-dir", str(tmp_path / "out")]
-    if verb in ("train", "ablate"):
+    if verb in ("train", "ablate", "plot"):
         argv += ["--data-dir", str(data_dir)]
     for item in overrides:
         argv += ["--override", item]
@@ -168,6 +177,35 @@ def test_divergence_exits_2_leaving_the_last_good_models(data_dir, tmp_path, cap
         for got, want in zip(saved.weights + saved.biases,
                              initial.weights + initial.biases):
             assert got.tobytes() == want.tobytes()
+
+
+def test_manifest_recording_t_mode_and_permutation_no_longer_replays(tmp_path):
+    # a gen-data manifest from before t_mode and permutation were removed
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path / "run"),
+                     *VERB_ARGS["gen-data"]]) == 0
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    assert "\nt_min = " in text
+    (tmp_path / "old.txt").write_text(text.replace(
+        "\nt_min = ", "\npermutation = 0,1;1,0\nt_mode = per-dataset\nt_min = "))
+    # the old echo records permutation first, so it is the key named
+    with pytest.raises(configio.ConfigError, match="unknown key 'permutation'"):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_dataset_with_the_older_meta_entries_trains_identically(data_dir, tmp_path):
+    # older .meta files also record t_mode and permutation; train ignores them
+    older = tmp_path / "older"
+    older.mkdir()
+    for name in os.listdir(data_dir):
+        text = (data_dir / name).read_text()
+        if name.endswith(".meta"):
+            assert "\nt = " in text and "\nnum_samples = " in text
+            text = text.replace("\nt = ", "\nt_mode = per-dataset\nt = ").replace(
+                "\nnum_samples = ", "\npermutation = 0,1;1,0\nnum_samples = ")
+        (older / name).write_text(text)
+    expected = train(data_dir, tmp_path / "a", "exact-jacobian-l1")[3]
+    assert train(older, tmp_path / "b", "exact-jacobian-l1")[3] == expected
 
 
 def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
@@ -380,12 +418,12 @@ def test_damaged_meta_exits_2_naming_the_file(data_dir, checkpoint, tmp_path, ca
         text = (data_dir / name).read_text()
         if name == f"{prefix}.meta":
             text = "".join(ln for ln in text.splitlines(keepends=True)
-                           if not ln.startswith("t_mode = "))
+                           if not ln.startswith("seed = "))
         (damaged / name).write_text(text)
     argv = fill(VERB_ARGS[verb], data=damaged, ckpt=checkpoint)
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 2
     err = capsys.readouterr().err
-    assert err.endswith(f"{prefix}.meta: missing [dataset] entry 't_mode'\n")
+    assert err.endswith(f"{prefix}.meta: missing [dataset] entry 'seed'\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,5 @@
 """Typed configs read from and echoed to config-file sections."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from anchordt import configio
 from anchordt.objective import SPARSITY_MODES, LossWeights
 from anchordt.sparsity import ProbeSpec
-from anchordt.synthdata import T_MODES, SynthConfig
+from anchordt.synthdata import SynthConfig
 from anchordt.trainer import TrainConfig
 
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -50,17 +49,13 @@ def test_train_config_round_trips_through_its_echo(cfg):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 2**63),
-       st.sampled_from(T_MODES), amplitude, amplitude)
-def test_synth_config_round_trips_through_its_echo(n_train, n_test, seed, t_mode,
-                                                   t_a, t_b):
+       amplitude, amplitude)
+def test_synth_config_round_trips_through_its_echo(n_train, n_test, seed, t_a, t_b):
     t_min, t_max = sorted((t_a, t_b))
-    cfg = SynthConfig(num_train=n_train, num_test=n_test, seed=seed, t_mode=t_mode,
+    cfg = SynthConfig(num_train=n_train, num_test=n_test, seed=seed,
                       t_min=t_min, t_max=t_max)
     sections = through_text(configio.echo(cfg, "data"))
-    back = configio.read(SynthConfig(), sections, "data")
-    # the permutation matrix defeats ==, so compare the echoes
-    assert configio.echo(back, "data") == configio.echo(cfg, "data")
-    assert np.array_equal(back.permutation, cfg.permutation)
+    assert configio.read(SynthConfig(), sections, "data") == cfg
 
 
 def test_absent_keys_keep_the_base_values_and_nested_sections_apply():

@@ -1,5 +1,7 @@
 """Dataset generation, anchors, and CSV round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from anchordt.synthdata import SWAP, PairedDataset, SynthConfig
 
 def pair_residual(ds: PairedDataset) -> float:
     """Max |x - (t*cos(Ay) + Ay)| over the dataset; 0 up to float noise."""
-    return np.abs(ds.x - synthdata.warp(ds.y, ds.t, ds.permutation)).max()
+    return np.abs(ds.x - synthdata.warp(ds.y, ds.t)).max()
 
 
 class TestWarp:
@@ -72,22 +74,6 @@ class TestGenerate:
         ratio = dx / dy
         assert ratio.min() >= (1 - train.t) - 1e-9
 
-    def test_per_sample_mode(self):
-        train, test = synthdata.generate(SynthConfig(num_train=200, num_test=40,
-                                                     seed=9, t_mode="per-sample"))
-        assert train.t.shape == (200,)
-        assert (train.t >= 0.3).all() and (train.t <= 0.5).all()
-        assert pair_residual(train) <= 1e-12
-        assert pair_residual(test) <= 1e-12
-
-    def test_identity_permutation_rejected(self):
-        with pytest.raises(ValueError, match="permutation"):
-            SynthConfig(permutation=np.eye(2))
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError, match="permutation"):
-            SynthConfig(permutation=np.array([[0.0, 2.0], [1.0, 0.0]]))
-
     @pytest.mark.parametrize("name, value", [
         ("t_min", float("nan")), ("t_max", float("nan")), ("t_min", -float("inf")),
         ("t_max", float("inf")), ("t_min", -1.0), ("t_max", 1.0), ("t_max", 1.5),
@@ -109,7 +95,7 @@ class TestAnchors:
                                                   seed=11))
         anchors = synthdata.select_anchors(train, 5, seed=0)
         assert anchors.size == 5
-        recon = synthdata.warp(anchors.y.T, train.t, train.permutation)
+        recon = synthdata.warp(anchors.y.T, train.t)
         np.testing.assert_allclose(anchors.x.T, recon, atol=1e-12)
 
     def test_single_anchor(self):
@@ -148,17 +134,7 @@ class TestFileRoundTrip:
         loaded = synthdata.load_dataset(tmp_path, "train")
         np.testing.assert_array_equal(loaded.x, train.x)
         np.testing.assert_array_equal(loaded.y, train.y)
-        assert loaded.t == train.t
-        assert loaded.t_mode == train.t_mode
-        np.testing.assert_array_equal(loaded.permutation, train.permutation)
-
-    def test_per_sample_round_trip(self, tmp_path):
-        train, _ = synthdata.generate(SynthConfig(num_train=30, num_test=10,
-                                                  seed=22, t_mode="per-sample"))
-        synthdata.save_dataset(train, tmp_path, "train")
-        loaded = synthdata.load_dataset(tmp_path, "train")
-        np.testing.assert_array_equal(loaded.t, train.t)
-        assert pair_residual(loaded) <= 1e-12
+        assert (loaded.t, loaded.seed) == (train.t, 21)
 
     def test_save_is_deterministic(self, tmp_path):
         train, _ = synthdata.generate(SynthConfig(num_train=25, num_test=10,
@@ -169,13 +145,6 @@ class TestFileRoundTrip:
         assert (d1 / "train.csv").read_bytes() == (d2 / "train.csv").read_bytes()
         assert (d1 / "train.meta").read_bytes() == (d2 / "train.meta").read_bytes()
 
-    def test_meta_permutation_line(self, tmp_path):
-        # rows split by ';', entries by ',', as the config codec writes arrays
-        train, _ = synthdata.generate(SynthConfig(num_train=5, num_test=10,
-                                                  seed=25))
-        synthdata.save_dataset(train, tmp_path, "train")
-        assert "permutation = 0,1;1,0" in (tmp_path / "train.meta").read_text().splitlines()
-
     def test_csv_header(self, tmp_path):
         train, _ = synthdata.generate(SynthConfig(num_train=5, num_test=10,
                                                   seed=24))
@@ -184,23 +153,40 @@ class TestFileRoundTrip:
         assert lines[0] == "x1,x2,y1,y2"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("t_mode", ["per-dataset", "per-sample"])
-    def test_three_dimensional_round_trip(self, tmp_path, t_mode):
+    def test_three_dimensional_round_trip(self, tmp_path):
         rng = np.random.default_rng(26)
         y = rng.uniform(-1.0, 1.0, (7, 3))
-        perm = np.eye(3)[[2, 0, 1]]
-        t = rng.uniform(0.3, 0.5, 7) if t_mode == "per-sample" else 0.4
-        ds = PairedDataset(x=synthdata.warp(y, t, perm), y=y, t=t, permutation=perm,
-                           t_mode=t_mode, seed=26)
+        ds = PairedDataset(x=synthdata.warp(y, 0.4, np.eye(3)[[2, 0, 1]]), y=y, t=0.4,
+                           seed=26)
         synthdata.save_dataset(ds, tmp_path, "train")
         header = (tmp_path / "train.csv").read_text().splitlines()[0]
-        assert header == "x1,x2,x3,y1,y2,y3" + (",t" if t_mode == "per-sample" else "")
+        assert header == "x1,x2,x3,y1,y2,y3"
         loaded = synthdata.load_dataset(tmp_path, "train")
         np.testing.assert_array_equal(loaded.x, ds.x)
         np.testing.assert_array_equal(loaded.y, ds.y)
-        np.testing.assert_array_equal(loaded.t, ds.t)
-        np.testing.assert_array_equal(loaded.permutation, perm)
-        assert (loaded.t_mode, loaded.seed) == (t_mode, 26)
+        assert (loaded.t, loaded.seed) == (0.4, 26)
+
+    def test_meta_holds_seed_t_and_num_samples(self, tmp_path):
+        # t_min = t_max pins the t line
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=25,
+                                                  t_min=0.5, t_max=0.5))
+        synthdata.save_dataset(train, tmp_path, "train")
+        assert (tmp_path / "train.meta").read_text() == \
+            "[dataset]\nseed = 25\nt = 0.5\nnum_samples = 3\n"
+
+    def test_per_sample_dataset_is_rejected_naming_its_csv(self, tmp_path):
+        # an older per-sample dataset: a t column in the CSV, "t = per-sample"
+        train, _ = synthdata.generate(SynthConfig(num_train=3, num_test=1, seed=33))
+        synthdata.save_dataset(train, tmp_path, "train")
+        path = tmp_path / "train.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line + (",t" if k == 0 else ",0.4")
+                                  for k, line in enumerate(lines)) + "\n")
+        meta = tmp_path / "train.meta"
+        meta.write_text(re.sub(r"\nt = \S+", "\nt = per-sample", meta.read_text()))
+        with pytest.raises(ValueError) as info:
+            synthdata.load_dataset(tmp_path, "train")
+        assert str(info.value) == f"{path}: header x1,x2,y1,y2,t is not x1,x2,y1,y2"
 
     def test_single_row_loads_as_one_sample(self, tmp_path):
         train, _ = synthdata.generate(SynthConfig(num_train=1, num_test=1, seed=27))
@@ -218,16 +204,12 @@ class TestFileRoundTrip:
             synthdata.load_dataset(tmp_path, "train")
 
     @pytest.mark.parametrize("old, new, message", [
-        ("t_mode = per-dataset\n", "", "missing [dataset] entry 't_mode'"),
-        ("permutation = 0,1;1,0\n", "", "missing [dataset] entry 'permutation'"),
         ("[dataset]", "[datset]", "missing [dataset] section"),
         ("num_samples = 3\n", "", "missing [dataset] entry 'num_samples'"),
         ("t = 0.5\n", "t = abc\n",
          "[dataset] t = 'abc': could not convert string to float: 'abc'"),
         ("seed = 29\n", "seed = 2.9\n",
          "[dataset] seed = '2.9': invalid literal for int() with base 10: '2.9'"),
-        ("permutation = 0,1;1,0\n", "permutation = 0,1;x,0\n",
-         "[dataset] permutation = '0,1;x,0': could not convert string to float: 'x'"),
         ("num_samples = 3\n", "num_samples = three\n",
          "[dataset] num_samples = 'three': invalid literal for int() with base 10: "
          "'three'"),

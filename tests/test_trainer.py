@@ -155,8 +155,7 @@ def test_anchor_count_is_checked_before_the_first_step(splits, tmp_path, monkeyp
 def test_the_data_sets_every_network_dimension(tmp_path, mode):
     rng = np.random.default_rng(5)
     y = rng.uniform(-1.0, 1.0, (40, 3))
-    data = PairedDataset(x=y[:, ::-1] + 0.1 * np.cos(y), y=y, t=0.1,
-                         permutation=np.eye(3)[::-1])
+    data = PairedDataset(x=y[:, ::-1] + 0.1 * np.cos(y), y=y, t=0.1)
     cfg = TrainConfig(iterations=1, batch_size=8, sparsity_mode=mode,
                       probe=ProbeSpec(3, probes_per_sample=2))
     trainer.train(cfg, data, data, tmp_path)
@@ -170,10 +169,10 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"gen_hidden": (0,)}, r"gen_hidden = \(0,\): widths must be positive"),
     ({"disc_hidden": (64, 0)}, r"disc_hidden = \(64, 0\)"),
     ({"rec_hidden": (-1, 32)}, r"rec_hidden = \(-1, 32\)"),
-    ({"batch_size": 0}, "batch size and disc steps must be positive"),
-    ({"iterations": -1}, "iterations and anchor count must be >= 0"),
+    ({"batch_size": 0}, "batch_size = 0 must be positive"),
+    ({"iterations": -1}, "iterations = -1 must be >= 0"),
     ({"sparsity_mode": "l1"}, "sparsity_mode 'l1'"),
-    ({"disc_steps_per_gen_step": 0}, "batch size and disc steps must be positive"),
+    ({"disc_steps_per_gen_step": 0}, "disc_steps_per_gen_step = 0 must be positive"),
     ({"anchor_count": 0}, "weights.anchor > 0 needs anchor_count >= 1"),
     ({"learning_rate": 0.0}, "learning_rate = 0.0 must be positive"),
     ({"learning_rate": -1.0}, "learning_rate = -1.0 must be positive"),
@@ -186,6 +185,7 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"beta2": 1.5}, r"beta2 = 1.5 not in \[0, 1\)"),
     ({"epsilon": 0.0}, "epsilon = 0.0 must be positive"),
     ({"diag_interval": -3}, "diag_interval = -3 must be >= 0"),
+    ({"anchor_count": -1}, "anchor_count = -1 must be >= 0"),
 ])
 def test_inconsistent_config_is_rejected_naming_the_field(change, message):
     with pytest.raises(ValueError, match=message):

@@ -4,7 +4,10 @@
 # Runs gen-data, a 20-iteration default train, an eval of that train's
 # generator.ckpt (so checkpoint loading is compared too), a plot with that
 # checkpoint as a panel, an 8-iteration masked-fd train, a 20-iteration train
-# with the R1 penalty on, a 5-iteration ablate grid of the full and neither
+# with the R1 penalty on, a 10-iteration train with 3 anchors and 2
+# discriminator steps an iteration (the anchor pass at N > 1 takes the BLAS
+# product, and the discriminator's vector is updated twice an iteration), a
+# 5-iteration ablate grid of the full and neither
 # cases at seeds 0 and 1 and a 5-iteration ablate anchor sweep of counts 1
 # and 2 at seeds 0 and 1 (each trains its four runs one after another in one
 # process, where state leaked from one run into the next would show, and each
@@ -40,6 +43,9 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
         --override train.iterations=20 --override train.r1_weight=1 \
         --override train.batch_size=128 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/multi" \
+        --override train.anchor_count=3 --override train.disc_steps_per_gen_step=2 \
+        --override train.iterations=10 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/ablate" \
         --override ablate.cases=full,neither --override ablate.seeds=0,1 \
         --override train.iterations=5 > /dev/null
@@ -55,7 +61,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 ablate sweep mpa probe support; do
+    for run in data train eval plot fd r1 multi ablate sweep mpa probe support; do
         # [checksums] is the manifest's last section
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
@@ -65,7 +71,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 ablate sweep mpa probe support; do
+for run in data train eval plot fd r1 multi ablate sweep mpa probe support; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -18,6 +18,14 @@ derivative is 1, and its meta is None.
 backward releases each node's adjoint once it has reached the node's
 parents, so only the adjoints still to propagate are alive at once;
 parameter gradients, the root's adjoint and every value are kept.
+The matmul and dense backprops take every product from one helper, which
+computes a product of inner dimension 1, an outer product, as
+``np.multiply``: the discriminator's one-logit layer backprops its input
+adjoint that way, as does a one-point pass its weight gradient.  Its values
+are those of ``@``, NaN and inf included, except that a product of a -0.0
+keeps its sign, where BLAS, summing from +0.0, returns +0.0; sharing the
+helper keeps a dense node's adjoints bit-equal to those of the primitive
+ops it fuses.
 softplus(a) = log(1 + e^a) is the GAN losses' one nonlinearity on the
 discriminator's logits.  leaky-relu, tanh and sigmoid are ops of their
 own as well, sharing one backprop through ``ACTIVATIONS``, and clip and log
@@ -84,12 +92,14 @@ def input_node(value, what: str = "input") -> Node:
 
 
 def parameter(value, what: str = "parameter") -> Node:
-    """Trainable leaf; shares storage with the caller's array (no copy)."""
+    """Trainable leaf; shares storage with the caller's array (no copy).
+
+    The caller checks that the values are finite: ``nets.MlpBinding`` does
+    so once for a whole network.
+    """
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise GraphError(f"{what}: parameters must be matrices")
-    if not np.isfinite(arr).all():
-        raise GraphError(f"{what}: non-finite entries")
     return Node("parameter", (), arr)
 
 
@@ -120,9 +130,18 @@ def _leaky(x, slope):
 def leaky_derivative(mask, slope):
     """The leaky derivative from its mask ``a >= 0``: 1 where the mask is
     True and ``slope`` elsewhere, one float array built in place."""
-    deriv = mask * (1.0 - slope)
+    deriv = mask.astype(np.float64)
+    deriv *= 1.0 - slope
     deriv += slope
     return deriv
+
+
+def _product(a, b):
+    """``a @ b``, an outer product (inner dimension 1) as ``np.multiply``,
+    which keeps the sign of a zero product (see the module docstring)."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b)
+    return a @ b
 
 
 # Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
@@ -201,8 +220,8 @@ def _grad_dense(node, wanted):
     if node.meta is not None:
         # in place: the adjoint is this node's alone (see backward)
         ga *= leaky_derivative(*node.meta)
-    return (ga @ h.value.T if wanted[0] else None,
-            w.value.T @ ga if wanted[1] else None,
+    return (_product(ga, h.value.T) if wanted[0] else None,
+            _product(w.value.T, ga) if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)
 
 
@@ -214,8 +233,8 @@ def matmul(a: Node, b: Node) -> Node:
 
 def _grad_matmul(node, wanted):
     a, b = node.parents
-    return (node.grad @ b.value.T if wanted[0] else None,
-            a.value.T @ node.grad if wanted[1] else None)
+    return (_product(node.grad, b.value.T) if wanted[0] else None,
+            _product(a.value.T, node.grad) if wanted[1] else None)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -342,21 +361,30 @@ _OPS = {
 
 def topo_order(root: Node) -> list[Node]:
     """Parents-before-children order of root's subgraph (iterative DFS)."""
-    order, seen = [], set()
+    return _order_and_needs(root)[0]
+
+
+def _order_and_needs(root: Node):
+    """topo_order(root), and the set of its nodes that are parameters or
+    have one among their ancestors, the nodes an adjoint must reach, found
+    in the same pass."""
+    order, needs, seen = [], set(), set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
+            if node.kind == "parameter" or any(p in needs for p in node.parents):
+                needs.add(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
-    return order
+    return order, needs
 
 
 def backward(root: Node) -> dict[Node, np.ndarray]:
@@ -378,15 +406,14 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     """
     if root.value.shape != (1, 1):
         raise GraphError(f"backward: root must be scalar, got shape {root.value.shape}")
-    order = topo_order(root)
-    needs = {}
+    order, needs = _order_and_needs(root)
+    params = []
     for node in order:
         node.grad = None
-        needs[id(node)] = node.kind == "parameter" or any(
-            needs[id(p)] for p in node.parents)
+        if node.kind == "parameter":
+            params.append(node)
     root.grad = np.ones((1, 1))
-    params = [n for n in order if n.kind == "parameter"]
-    if not needs[id(root)]:
+    if root not in needs:
         for p in params:
             p.grad = np.zeros_like(p.value)
         return {p: p.grad for p in params}
@@ -395,7 +422,7 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         if node.grad is None or not node.parents:
             continue
         backprop = _OPS[node.kind]
-        wanted = tuple(needs[id(p)] for p in node.parents)
+        wanted = tuple(p in needs for p in node.parents)
         handed_on = False
         for parent, contrib in zip(node.parents, backprop(node, wanted)):
             if contrib is None:

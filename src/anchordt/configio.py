@@ -112,16 +112,17 @@ def _fields(cls) -> list[tuple[str, type]]:
 def read(base, sections, name: str):
     """``base`` with the entries of section ``name`` applied, field by field.
 
-    Raises ConfigError for a key that names no field or a value its field's
-    type cannot parse; the dataclass's own checks raise ValueError.
+    Raises ConfigError for the keys that name no field, every one of them
+    in one error, or a value its field's type cannot parse; the dataclass's
+    own checks raise ValueError.
     """
     entries = sections.get(name, {})
     fields = _fields(type(base))
     known = [key for key, kind in fields if not dataclasses.is_dataclass(kind)]
-    for key in entries:   # named before any nested section is read
-        if key not in known:
-            raise ConfigError(f"[{name}] unknown key {key!r}; "
-                              f"known keys: {', '.join(known)}")
+    unknown = [f"unknown key {key!r}" for key in entries if key not in known]
+    if unknown:   # all named at once, before any nested section is read
+        raise ConfigError(f"[{name}] {', '.join(unknown)}; "
+                          f"known keys: {', '.join(known)}")
     changes = {}
     for key, kind in fields:
         if dataclasses.is_dataclass(kind):

@@ -13,11 +13,18 @@ pass (``MlpBinding``) give the same bits.  The graph pass builds one
 output node of a pass carries the pass's Jacobian, which
 ``sparsity.jacobian_graph`` reads from it.
 Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
-(gradients, Adam moments), as ``param_order`` spells out.
+(gradients, Adam moments), as ``param_order`` spells out.  A network holds
+them as one flat float64 vector in that order, ``MlpModel.flat``, and its
+``weights`` and ``biases`` are views of it: every way a model is made
+(``init_mlp``, ``MlpModel.copy``, ``load_checkpoint``, the constructor)
+builds the vector, so ``adam_step`` updates a network as one vector with
+flat moments, a copy is one array copy, and a binding checks one array for
+non-finite entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +45,41 @@ def param_order(weights, biases) -> list:
     return [p for pair in zip(weights, biases) for p in pair]
 
 
+def _views(flat, shapes) -> list[np.ndarray]:
+    """Consecutive views of the vector ``flat``, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 @dataclass(frozen=True)
 class MlpModel:
-    """Frozen fields; the weight and bias arrays are updated in place."""
+    """Frozen fields; the parameters are updated in place.
+
+    The constructor copies the given weights and biases into ``flat``, one
+    float64 vector in ``param_order``, and keeps views of it in their place,
+    so writing to a weight or bias writes to ``flat`` and the other way round.
+    """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        params = [np.asarray(p) for p in param_order(self.weights, self.biases)]
+        self._adopt(np.concatenate(params, axis=None, dtype=np.float64),
+                    [p.shape for p in params])
+
+    def _adopt(self, flat, shapes):
+        """Hold ``flat``, with weights and biases the views of the shapes."""
+        views = _views(flat, shapes)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weights", views[0::2])
+        object.__setattr__(self, "biases", views[1::2])
 
     @property
     def input_dim(self) -> int:
@@ -55,11 +90,12 @@ class MlpModel:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        """One copy of ``flat``, with views of it; no per-array copies."""
+        model = object.__new__(MlpModel)
+        object.__setattr__(model, "layer_sizes", self.layer_sizes)
+        model._adopt(self.flat.copy(),
+                     [p.shape for p in param_order(self.weights, self.biases)])
+        return model
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass on a (D, N) column batch."""
@@ -116,9 +152,21 @@ class MlpBinding:
     def __init__(self, model: MlpModel, frozen: bool = False):
         self.model = model
         self.frozen = frozen
-        wrap = ad.input_node if frozen else ad.parameter
-        self.weight_nodes = [wrap(w, f"W{i}") for i, w in enumerate(model.weights)]
-        self.bias_nodes = [wrap(b, f"b{i}") for i, b in enumerate(model.biases)]
+        # one finite check of the flat vector stands for a check an array,
+        # which ad.input_node would make; a failure names the first array
+        if not np.isfinite(model.flat).all():
+            for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+                for name, p in ((f"W{i}", w), (f"b{i}", b)):
+                    if not np.isfinite(p).all():
+                        raise ad.GraphError(f"{name}: non-finite entries")
+        if frozen:
+            self.weight_nodes = [ad.Node("input", (), w) for w in model.weights]
+            self.bias_nodes = [ad.Node("input", (), b) for b in model.biases]
+        else:
+            self.weight_nodes = [ad.parameter(w, f"W{i}")
+                                 for i, w in enumerate(model.weights)]
+            self.bias_nodes = [ad.parameter(b, f"b{i}")
+                               for i, b in enumerate(model.biases)]
 
     @property
     def param_nodes(self) -> list[ad.Node]:
@@ -147,10 +195,18 @@ def bind(model: MlpModel, frozen: bool = False) -> MlpBinding:
 
 @dataclass
 class AdamState:
+    """Adam's settings, its step count and its moments.
+
+    ``m`` and ``v``, the first and second moments, are flat vectors laid out
+    as the model's ``flat``; ``first_moment`` and ``second_moment`` list
+    views of them, one per array in [W0, b0, W1, b1, ...] order.
+    """
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
     step_count: int = 0
@@ -158,11 +214,11 @@ class AdamState:
 
 def adam_init(model: MlpModel, learning_rate: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    shapes = param_order(model.weights, model.biases)
+    shapes = [p.shape for p in param_order(model.weights, model.biases)]
+    m, v = np.zeros_like(model.flat), np.zeros_like(model.flat)
     return AdamState(
         learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        first_moment=[np.zeros_like(p) for p in shapes],
-        second_moment=[np.zeros_like(p) for p in shapes],
+        m=m, v=v, first_moment=_views(m, shapes), second_moment=_views(v, shapes),
     )
 
 
@@ -170,7 +226,9 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], state: AdamState):
     """Bias-corrected Adam update, applied in place to the model's arrays.
 
     ``gradients`` must be in [W0, b0, W1, b1, ...] order, matching
-    MlpBinding.gradients().
+    MlpBinding.gradients().  They are concatenated once, and the update runs
+    on the model's flat vector with the flat moments: element by element the
+    arithmetic of a per-array update, so the same bits.
     """
     params = param_order(model.weights, model.biases)
     if len(gradients) != len(params):
@@ -178,17 +236,18 @@ def adam_step(model: MlpModel, gradients: list[np.ndarray], state: AdamState):
     for p, g in zip(params, gradients):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    g = np.concatenate(gradients, axis=None)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, gradients, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g ** 2
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v, flat = state.m, state.v, model.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g ** 2
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return model, state
 
 
@@ -242,10 +301,10 @@ def load_checkpoint(path) -> MlpModel:
     if len(sizes) < 2 or min(sizes) < 1:
         raise ValueError(f"{path}: layer_sizes = {fields['layer_sizes']}; "
                          "needs at least two positive sizes")
-    model = MlpModel(layer_sizes=sizes, weights=[], biases=[])
+    weights, biases = [], []
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         w = numbers(f"W{i}", float, count=n_out * n_in)
         b = numbers(f"b{i}", float, count=n_out)
-        model.weights.append(np.array(w, dtype=np.float64).reshape(n_out, n_in))
-        model.biases.append(np.array(b, dtype=np.float64).reshape(n_out, 1))
-    return model
+        weights.append(np.array(w, dtype=np.float64).reshape(n_out, n_in))
+        biases.append(np.array(b, dtype=np.float64).reshape(n_out, 1))
+    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)

@@ -12,6 +12,7 @@ derivatives from them with ``autodiff.leaky_derivative``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class LossWeights:
         for name in ("anchor", "sparsity", "inv"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
 
 
 @dataclass

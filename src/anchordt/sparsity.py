@@ -74,6 +74,9 @@ class ProbeSpec:
         if not self.perturbation_scale > 0:   # NaN fails it too
             raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
                              "must be positive")
+        if not math.isfinite(self.perturbation_scale):
+            raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
+                             "must be finite")
         if self.probes_per_sample < 1:
             raise ValueError(f"probes_per_sample = {self.probes_per_sample} "
                              "must be at least 1")
@@ -230,7 +233,7 @@ def batched_jvp_graph(out: ad.Node, directions: np.ndarray) -> ad.Node:
 
     Propagates the directions through the layer linearizations with the
     pass's activation derivatives frozen as constants, each rebuilt from
-    its layer's mask, tiled k times first when k > 1, so the graph keeps one
+    its layer's mask, then tiled k times when k > 1, so the graph keeps one
     float derivative a layer, at the width of the directions.  The result
     is linear in the weights of each layer and differentiable w.r.t. them:
     backward through it yields a valid a.e. subgradient of any function of
@@ -241,10 +244,9 @@ def batched_jvp_graph(out: ad.Node, directions: np.ndarray) -> ad.Node:
     for w_node, leaky in _pass_layers(out):
         v = ad.matmul(w_node, v)
         if leaky is not None:
-            mask, slope = leaky
+            deriv = ad.leaky_derivative(*leaky)
             if reps > 1:
-                mask = np.tile(mask, (1, reps))
-            deriv = ad.leaky_derivative(mask, slope)
+                deriv = np.tile(deriv, (1, reps))
             v = ad.elementwise_mul(v, ad.input_node(deriv, "activation-derivative"))
     return v
 
@@ -254,7 +256,7 @@ def jacobian_graph(out: ad.Node) -> ad.Node:
     ``out``, as one (out, D N) node whose column k N + n is J(x_n) e_k: one
     widened JVP sweep carries all D directions."""
     d, n = _pass_layers(out)[0][0].shape[1], out.shape[1]
-    return batched_jvp_graph(out, np.kron(np.eye(d), np.ones((1, n))))
+    return batched_jvp_graph(out, np.repeat(np.eye(d), n, axis=1))
 
 
 # ---------------------------------------------------------------------------

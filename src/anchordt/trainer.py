@@ -14,6 +14,7 @@ train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the data.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -84,6 +85,9 @@ class TrainConfig:
         for name in ("iterations", "anchor_count", "seed", "r1_weight", "diag_interval"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
+        for name in ("learning_rate", "epsilon", "r1_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
         if self.weights.anchor > 0 and self.anchor_count < 1:
             raise ValueError("weights.anchor > 0 needs anchor_count >= 1")
         if self.sparsity_mode not in SPARSITY_MODES:

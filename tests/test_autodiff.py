@@ -374,3 +374,25 @@ class TestDense:
         w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
         with pytest.raises(ad.GraphError, match=r"slope .* not in \[0, 1\]"):
             ad.dense(w, h, b, "leaky-relu", slope)
+
+
+class TestOuterProduct:
+    @pytest.mark.parametrize("m, n", [(1, 1), (64, 1), (1, 9), (7, 5)])
+    def test_equals_matmul_on_signed_zeros_nan_and_inf(self, m, n):
+        # every product of inner dimension 1 in backward is np.multiply
+        rng = np.random.default_rng(m * 10 + n)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+        a = rng.choice(specials, size=(m, 1))
+        b = rng.choice(specials, size=(1, n))
+        a[0, 0], b[0, -1] = -0.0, np.inf   # -0 * inf, and a -0 factor
+        with np.errstate(invalid="ignore"):
+            product, reference, signed = ad._product(a, b), a @ b, np.multiply(a, b)
+        assert product.shape == reference.shape == (m, n)
+        np.testing.assert_array_equal(product, reference)   # NaN where @ has NaN
+        # the sign of a zero product is its factors', where BLAS gives +0.0
+        assert bits(product) == bits(signed)
+
+    def test_inner_dimension_above_one_is_matmul(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((3, 2)), rng.standard_normal((2, 4))
+        assert bits(ad._product(a, b)) == bits(a @ b)

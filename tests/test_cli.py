@@ -132,6 +132,15 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("probe-study", ["probe_study.dimension=0"], "dimension = 0 must be positive"),
     ("probe-study", ["probe_study.num_matrices=0"], "num_matrices = 0 must be positive"),
     ("plot", ["plot.max_points=0"], "max_points = 0 must be positive"),
+    # an infinite value is rejected by field before training, as NaN is
+    ("train", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
+    ("train", ["train.epsilon=inf"], "epsilon = inf must be finite"),
+    ("train", ["train.r1_weight=inf"], "r1_weight = inf must be finite"),
+    ("train", ["weights.anchor=inf"], "anchor = inf must be finite"),
+    ("train", ["weights.sparsity=inf"], "sparsity = inf must be finite"),
+    ("train", ["weights.inv=inf"], "inv = inf must be finite"),
+    ("train", ["probe.perturbation_scale=inf"], "perturbation_scale = inf must be finite"),
+    ("ablate", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -187,8 +196,9 @@ def test_manifest_recording_t_mode_and_permutation_no_longer_replays(tmp_path):
     assert "\nt_min = " in text
     (tmp_path / "old.txt").write_text(text.replace(
         "\nt_min = ", "\npermutation = 0,1;1,0\nt_mode = per-dataset\nt_min = "))
-    # the old echo records permutation first, so it is the key named
-    with pytest.raises(configio.ConfigError, match="unknown key 'permutation'"):
+    # both stale keys are named in one error, in the order the echo gives them
+    with pytest.raises(configio.ConfigError,
+                       match=r"\[data\] unknown key 'permutation', unknown key 't_mode'; "):
         manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
     assert not (tmp_path / "replay").exists()
 

@@ -76,6 +76,11 @@ def test_absent_keys_keep_the_base_values_and_nested_sections_apply():
     ({"train": {"disc_sizes": "2,64,64,1"}, "probe": {"dimension": "2"}},
      "[train] unknown key 'disc_sizes'"),
     ({"train": {"clamp_eps": "1e-07"}}, "[train] unknown key 'clamp_eps'"),
+    # every unknown key of a section in one error, in the order given; one
+    # unknown key reads as it always has
+    ({"train": {"iteration": "2"}}, "[train] unknown key 'iteration'; known keys: "),
+    ({"train": {"iteration": "2", "seed": "1", "clamp_eps": "1"}},
+     "[train] unknown key 'iteration', unknown key 'clamp_eps'; known keys: "),
 ])
 def test_unknown_key_or_unparsable_value_is_named(sections, message):
     with pytest.raises(configio.ConfigError) as info:

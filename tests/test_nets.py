@@ -29,6 +29,28 @@ def hand_adam(w0, grads, lr, b1, b2, eps):
     return w
 
 
+def per_array_adam(params, gradients, first, second, t, lr, b1, b2, eps):
+    """The per-array update loop adam_step ran before parameters were flat:
+    the reference the flat update must equal bit for bit."""
+    for p, g, m, v in zip(params, gradients, first, second):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g ** 2
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def assert_views_of_flat(model: nets.MlpModel):
+    """Every weight and bias is a view of model.flat, laid out in param_order."""
+    params = nets.param_order(model.weights, model.biases)
+    assert model.flat.dtype == np.float64 and model.flat.ndim == 1
+    assert all(p.base is model.flat for p in params)
+    assert np.concatenate(params, axis=None).tobytes() == model.flat.tobytes()
+    assert model.flat.size == sum(p.size for p in params)
+
+
 class TestInit:
     def test_parameter_count(self):
         model = nets.init_mlp((2, 32, 2), seed=7)
@@ -176,6 +198,95 @@ class TestAdam:
             nets.adam_step(model, [np.ones((2, 2)), np.zeros((1, 1))], state)
         with pytest.raises(ValueError, match="gradients"):
             nets.adam_step(model, [np.ones((1, 1))], state)
+
+
+class TestFlatParameters:
+    def write_through(self, model):
+        # a write to a view shows in flat, and a binding made before sees it
+        binding = nets.bind(model)
+        model.weights[-1][0, 0] = 0.625
+        model.flat[-1] = -1.5
+        last_w = model.flat.size - model.biases[-1].size - model.weights[-1].size
+        assert model.flat[last_w] == 0.625
+        assert binding.weight_nodes[-1].value[0, 0] == 0.625
+        assert binding.bias_nodes[-1].value[-1, 0] == -1.5
+
+    def test_init_mlp(self):
+        model = nets.init_mlp((3, 5, 4, 2), seed=1)
+        assert_views_of_flat(model)
+        self.write_through(model)
+
+    def test_copy_is_its_own_vector(self):
+        model = nets.init_mlp((3, 5, 2), seed=1)
+        twin = model.copy()
+        assert_views_of_flat(twin)
+        assert not np.shares_memory(twin.flat, model.flat)
+        assert twin.layer_sizes == model.layer_sizes
+        assert twin.flat.tobytes() == model.flat.tobytes()
+        self.write_through(twin)
+        assert model.weights[-1][0, 0] != 0.625
+
+    def test_load_checkpoint(self, tmp_path):
+        nets.save_checkpoint(nets.init_mlp((2, 4, 1), seed=2), tmp_path / "m.ckpt")
+        model = nets.load_checkpoint(tmp_path / "m.ckpt")
+        assert_views_of_flat(model)
+        self.write_through(model)
+
+    def test_direct_construction_copies_into_the_vector(self):
+        w0, b0 = np.arange(6.0).reshape(3, 2), np.ones((3, 1))
+        w1, b1 = np.array([[1, 2, 3]]), np.zeros((1, 1))   # an int array too
+        model = nets.MlpModel(layer_sizes=(2, 3, 1), weights=[w0, w1], biases=[b0, b1])
+        assert_views_of_flat(model)
+        assert model.flat.tolist() == [0, 1, 2, 3, 4, 5, 1, 1, 1, 1, 2, 3, 0]
+        self.write_through(model)
+        assert w1[0, 0] == 1 and b1[0, 0] == 0.0   # the caller's arrays are left alone
+
+    def test_adam_step_updates_the_vector_a_binding_reads(self):
+        model = nets.init_mlp((2, 4, 2), seed=3)
+        state = nets.adam_init(model, learning_rate=0.1)
+        binding = nets.bind(model)
+        before = model.flat.copy()
+        grads = [np.ones_like(p) for p in nets.param_order(model.weights, model.biases)]
+        nets.adam_step(model, grads, state)
+        assert_views_of_flat(model)
+        assert (model.flat < before).all()
+        for node, p in zip(binding.param_nodes,
+                           nets.param_order(model.weights, model.biases)):
+            assert node.value is p
+        for moments, flat in ((state.first_moment, state.m),
+                              (state.second_moment, state.v)):
+            assert all(mo.base is flat for mo in moments)
+            assert np.concatenate(moments, axis=None).tobytes() == flat.tobytes()
+
+    def test_a_binding_names_the_first_non_finite_array(self):
+        model = nets.init_mlp((2, 4, 2), seed=0)
+        model.biases[1][1, 0] = np.inf
+        model.weights[1][0, 0] = np.nan
+        for frozen in (False, True):
+            with pytest.raises(ad.GraphError, match="^W1: non-finite entries$"):
+                nets.bind(model, frozen=frozen)
+
+    @given(sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           steps=st.integers(1, 6), lr=st.floats(1e-4, 1.0),
+           b1=st.floats(0.0, 0.99), b2=st.floats(0.0, 0.9999), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flat_adam_equals_the_per_array_loop(self, sizes, steps, lr, b1, b2, data):
+        model = nets.init_mlp(sizes, seed=len(sizes))
+        state = nets.adam_init(model, learning_rate=lr, beta1=b1, beta2=b2)
+        params = [p.copy() for p in nets.param_order(model.weights, model.biases)]
+        first = [np.zeros_like(p) for p in params]
+        second = [np.zeros_like(p) for p in params]
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+        for t in range(1, steps + 1):
+            grads = [np.array(data.draw(st.lists(values, min_size=p.size, max_size=p.size)),
+                              dtype=np.float64).reshape(p.shape) for p in params]
+            nets.adam_step(model, grads, state)
+            per_array_adam(params, grads, first, second, t, lr, b1, b2, state.epsilon)
+        assert state.step_count == steps
+        flat_params = nets.param_order(model.weights, model.biases)
+        for got, want in zip(flat_params + state.first_moment + state.second_moment,
+                             params + first + second):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

@@ -7,11 +7,13 @@
 # with the R1 penalty on, a 10-iteration train with 3 anchors and 2
 # discriminator steps an iteration (the anchor pass at N > 1 takes the BLAS
 # product, and the discriminator's vector is updated twice an iteration), a
-# 5-iteration ablate grid of the full and neither
-# cases at seeds 0 and 1 and a 5-iteration ablate anchor sweep of counts 1
-# and 2 at seeds 0 and 1 (each trains its four runs one after another in one
-# process, where state leaked from one run into the next would show, and each
-# run draws its own anchors), mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
+# 5-iteration ablate grid of the full and neither cases at seeds 0 and 1 and
+# a 5-iteration crossed grid, "sweep", of the full and no-anchor cases at
+# anchor counts 1 and 2 and seed 0 (each trains its four runs one after
+# another in one process, where state leaked from one run into the next would
+# show, and each run draws its own anchors; a tree whose ablate has no
+# anchor_counts key fails the sweep, which then reads as differing),
+# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
 # a small probe-study with its exact overlay (study_exact.csv) and a
 # sparsity-check of the two-entry swap support {(0, 1), (1, 0)}, which
 # passes, from the sources of each checkout; so every verb runs, and plot and
@@ -50,8 +52,8 @@ runs() {
         --override ablate.cases=full,neither --override ablate.seeds=0,1 \
         --override train.iterations=5 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/sweep" \
-        --override ablate.anchor_sweep=1,2 --override ablate.seeds=0,1 \
-        --override train.iterations=5 > /dev/null
+        --override ablate.cases=full,no-anchor --override ablate.anchor_counts=1,2 \
+        --override ablate.seeds=0 --override train.iterations=5 > /dev/null || true
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
@@ -62,8 +64,9 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
     for run in data train eval plot fd r1 multi ablate sweep mpa probe support; do
-        # [checksums] is the manifest's last section
-        sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest"
+        # [checksums] is the manifest's last section; a run that failed left
+        # no manifest, and compares as an empty one
+        sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
         sed -n '/^\[checksums\]$/,$p' "$work/manifest" > "$work/$run.checksums.$2"
         sed '/^\[checksums\]$/,$d' "$work/manifest" > "$work/$run.echo.$2"
     done

@@ -216,9 +216,7 @@ def _mpa_checks(n, seed, eps):
     uniform = lambda rng, k: rng.uniform(0.0, 1.0, k)
     expo = lambda rng, k: rng.exponential(1.0, k)
     rows = []
-
-    def add(name, metric, value, threshold, ok):
-        rows.append((name, metric, value, threshold, ok))
+    add = lambda *row: rows.append(row)   # (name, metric, value, threshold, ok)
 
     reflect = mpa.reflection_mpa(mu)
     ks = mpa.pushforward_ks_check(gauss, reflect, n, seed)
@@ -292,6 +290,8 @@ class MpaCheckConfig:
             raise ValueError(f"seed = {self.seed} must be >= 0")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance = {self.tolerance} must be positive")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance = {self.tolerance} must be finite")
 
 
 def cmd_mpa_check(config, io, out_dir):
@@ -300,15 +300,13 @@ def cmd_mpa_check(config, io, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = ["check,metric,value,threshold,pass"]
     width = max(len(r[0]) for r in rows)
-    all_ok = True
     for name, metric, value, threshold, ok in rows:
         lines.append(f"{name},{metric},{format_float(float(value))},{threshold},{ok}")
         status = "PASS" if ok else "FAIL"
         print(f"mpa-check: {name:<{width}}  {metric:<28} "
               f"{float(value):12.6g}  [{status}]")
-        all_ok = all_ok and ok
     artifacts = [_write_lines(out_dir, "mpa_report.csv", lines)]
-    failure = None if all_ok else "one or more checks failed"
+    failure = None if all(r[4] for r in rows) else "one or more checks failed"
     return artifacts, configio.echo(cfg, "mpa_check"), cfg.seed, failure
 
 
@@ -366,11 +364,11 @@ ABLATION_CASES = {"full": (), "no-anchor": ("anchor",), "no-sparsity": ("sparsit
 
 @dataclass
 class AblateConfig:
-    """Either the case grid (cases x seeds) or, when anchor_sweep is set, the
-    anchor-count sweep (anchor_sweep x seeds) at the base loss weights."""
+    """The grid cases x anchor_counts x seeds; no anchor_counts means
+    [train] anchor_count alone."""
     cases: tuple[str, ...] = tuple(ABLATION_CASES)
     seeds: tuple[int, ...] = (0, 1, 2)
-    anchor_sweep: tuple[int, ...] = ()
+    anchor_counts: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("cases", "seeds"):
@@ -388,38 +386,33 @@ def cmd_ablate(config, io, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
     ablate = configio.read(AblateConfig(), config, "ablate")
     train_split, test_split = _load_splits(io.data_dir, "train", "test")
-    if ablate.anchor_sweep:
-        name, column = "anchor_sweep.csv", "anchor_count"
-        runs = [(count, replace(cfg, anchor_count=count, seed=seed))
-                for count in ablate.anchor_sweep for seed in ablate.seeds]
-    else:
-        name, column = "ablation.csv", "case"
-        runs = [(case, replace(cfg, seed=seed, weights=replace(
-                    cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
-                for case in ablate.cases for seed in ablate.seeds]
-    # each run draws its own anchors; the largest draw is checked before the
-    # first run trains
+    # one run per (case, anchor count, seed), in that order; every run's
+    # config and the largest anchor draw are checked before the first trains
+    runs = [(case, replace(cfg, anchor_count=count, seed=seed, weights=replace(
+                cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
+            for case in ablate.cases
+            for count in ablate.anchor_counts or (cfg.anchor_count,)
+            for seed in ablate.seeds]
     most = max(run_cfg.anchor_count for _, run_cfg in runs)
     if most > len(train_split):
         raise CliError(f"requested {most} anchors from {len(train_split)} pairs")
-    lines = [f"{column},seed,te_mean,te_std"]
-    te_by_label = {}
-    for label, run_cfg in runs:
+    lines, te_by_cell = ["case,anchor_count,seed,te_mean,te_std"], {}
+    for case, run_cfg in runs:
         report = train(run_cfg, train_split, test_split)
-        lines.append(f"{label},{run_cfg.seed},{format_float(report.te_mean)},"
+        cell = f"{case},{run_cfg.anchor_count}"
+        lines.append(f"{cell},{run_cfg.seed},{format_float(report.te_mean)},"
                      f"{format_float(report.te_std)}")
-        te_by_label.setdefault(label, []).append(report.te_mean)
-        print(f"ablate: {column}={label} seed={run_cfg.seed} TE={report.te_mean:.4f}")
+        te_by_cell.setdefault(cell, []).append(report.te_mean)
+        print(f"ablate: case={case} anchor_count={run_cfg.anchor_count} "
+              f"seed={run_cfg.seed} TE={report.te_mean:.4f}")
     # made after the runs: the first one checks the config against the data
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = [_write_lines(out_dir, name, lines)]
-    if not ablate.anchor_sweep:
-        medians = {case: float(np.median(tes)) for case, tes in te_by_label.items()}
-        summary = [f"{case},{format_float(med)}" for case, med in medians.items()]
-        artifacts.append(_write_lines(out_dir, "ablation_summary.csv",
-                                      ["case,median_te"] + summary))
-        for case, med in medians.items():
-            print(f"ablate: median TE [{case}] = {med:.4f}")
+    summary = ["case,anchor_count,median_te"]
+    for cell, tes in te_by_cell.items():
+        summary.append(f"{cell},{format_float(float(np.median(tes)))}")
+        print(f"ablate: median TE [{cell}] = {np.median(tes):.4f}")
+    artifacts = [_write_lines(out_dir, "ablation.csv", lines),
+                 _write_lines(out_dir, "ablation_summary.csv", summary)]
     sections = {**configio.echo(cfg, "train"), **configio.echo(ablate, "ablate")}
     return artifacts, sections, cfg.seed, None
 
@@ -449,7 +442,7 @@ VERBS = {
     "sparsity-check": Verb(cmd_sparsity_check,
                            "check structural sparsity of a support-pattern file",
                            ("io", "sparsity_check"), ("support_file",)),
-    "ablate": Verb(cmd_ablate, "ablation grid or anchor-count sweep over seeds",
+    "ablate": Verb(cmd_ablate, "ablation grid: cases x anchor counts x seeds",
                    ("train", "weights", "probe", "io", "ablate"), ("data_dir",)),
 }
 

@@ -72,6 +72,23 @@ def save(sections, path):
         fh.write(serialize(sections))
 
 
+def parse_entries(path, sections, name: str, parsers: dict) -> dict:
+    """{key: parser(value)} for each key of ``parsers`` in section ``name`` of
+    ``sections``, loaded from the file at path; a missing section or entry, or
+    a value its parser rejects, raises ConfigError naming the file and entry."""
+    entries = sections.get(name)
+    if entries is None:
+        raise ConfigError(f"{path}: missing [{name}] section")
+    values = {}
+    for key, parser in parsers.items():
+        if key not in entries:
+            raise ConfigError(f"{path}: missing [{name}] entry {key!r}")
+        try:
+            values[key] = parser(entries[key])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{name}] {key} = {entries[key]!r}: {exc}") from None
+    return values
+
 
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()

@@ -31,25 +31,22 @@ def write_manifest(out_dir, command: str, config_sections, seed,
     sections = {"manifest": {"command": command, "seed": str(seed)}}
     for name, entries in config_sections.items():
         sections[f"config.{name}"] = dict(entries)
-    checksums = {}
-    for name in sorted(artifact_names):
-        checksums[name] = sha256_file(os.path.join(out_dir, name))
-    sections["checksums"] = checksums
+    sections["checksums"] = {name: sha256_file(os.path.join(out_dir, name))
+                             for name in sorted(artifact_names)}
     path = os.path.join(out_dir, MANIFEST_NAME)
     configio.save(sections, path)
     return path
 
 
 def read_manifest(path):
+    """(command, seed, config sections, checksums) of a manifest.txt; a
+    damaged [manifest] section raises ConfigError naming the file and entry."""
     sections = configio.load(path)
-    if "manifest" not in sections:
-        raise ValueError(f"{path}: missing [manifest] section")
-    command = sections["manifest"]["command"]
-    seed = int(sections["manifest"]["seed"])
+    fields = configio.parse_entries(path, sections, "manifest", {"command": str, "seed": int})
     config = {name[len("config."):]: dict(entries)
               for name, entries in sections.items() if name.startswith("config.")}
     checksums = dict(sections.get("checksums", {}))
-    return command, seed, config, checksums
+    return fields["command"], fields["seed"], config, checksums
 
 
 def replay_manifest(manifest_path, out_dir) -> dict:
@@ -61,8 +58,5 @@ def replay_manifest(manifest_path, out_dir) -> dict:
     from . import cli
     command, _, config, recorded = read_manifest(manifest_path)
     cli.dispatch_from_config(command, config, out_dir)
-    result = {}
-    for name, checksum in recorded.items():
-        replayed = sha256_file(os.path.join(out_dir, name))
-        result[name] = (checksum, replayed)
-    return result
+    return {name: (checksum, sha256_file(os.path.join(out_dir, name)))
+            for name, checksum in recorded.items()}

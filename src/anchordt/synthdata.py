@@ -156,22 +156,6 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
     x1..xD,y1..yD, as in older datasets with a t column, names the file, and
     a CSV row that does not parse names the file and its line.
     """
-    meta_path = os.path.join(directory, f"{prefix}.meta")
-    fields = configio.load(meta_path).get("dataset")
-    if fields is None:
-        raise ValueError(f"{meta_path}: missing [dataset] section")
-    for key in ("seed", "t", "num_samples"):
-        if key not in fields:
-            raise ValueError(f"{meta_path}: missing [dataset] entry {key!r}")
-
-    def parse(key, parser):
-        try:
-            return parser(fields[key])
-        except ValueError as exc:
-            raise ValueError(f"{meta_path}: [dataset] {key} = {fields[key]!r}: "
-                             f"{exc}") from None
-
-    num_samples = parse("num_samples", int)
     path = os.path.join(directory, f"{prefix}.csv")
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
@@ -179,13 +163,16 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
     expected = _csv_header(d)
     if header != expected:
         raise ValueError(f"{path}: header {','.join(header)} is not {','.join(expected)}")
+    meta_path = os.path.join(directory, f"{prefix}.meta")
+    meta = configio.parse_entries(meta_path, configio.load(meta_path), "dataset", {
+        "seed": lambda raw: None if raw == "None" else int(raw), "t": float,
+        "num_samples": int})
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
     except ValueError as exc:
         raise ValueError(_bad_csv_line(path, len(header)) or f"{path}: {exc}") from None
-    if data.shape[0] != num_samples:
+    if data.shape[0] != meta["num_samples"]:
         raise ValueError(f"{path}: {data.shape[0]} rows, but {meta_path} records "
-                         f"num_samples = {num_samples}")
+                         f"num_samples = {meta['num_samples']}")
     x, y = data[:, :d], data[:, d:2 * d]
-    seed = None if fields["seed"] == "None" else parse("seed", int)
-    return PairedDataset(x=x, y=y, t=parse("t", float), seed=seed)
+    return PairedDataset(x=x, y=y, t=meta["t"], seed=meta["seed"])

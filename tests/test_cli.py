@@ -141,6 +141,8 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("train", ["weights.inv=inf"], "inv = inf must be finite"),
     ("train", ["probe.perturbation_scale=inf"], "perturbation_scale = inf must be finite"),
     ("ablate", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
+    # every sample is within an infinite tolerance of itself
+    ("mpa-check", ["mpa_check.tolerance=inf"], "tolerance = inf must be finite"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -236,7 +238,7 @@ def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
 
 @pytest.mark.parametrize("override, message", [
     ("ablate.cases=full,bogus", "unknown ablation case 'bogus'"),
-    ("ablate.anchor_sweep=1,0", "weights.anchor > 0 needs anchor_count >= 1"),
+    ("ablate.anchor_counts=1,0", "weights.anchor > 0 needs anchor_count >= 1"),
 ])
 def test_bad_ablation_exits_2_before_any_training(data_dir, tmp_path, monkeypatch,
                                                   capsys, override, message):
@@ -249,10 +251,10 @@ def test_bad_ablation_exits_2_before_any_training(data_dir, tmp_path, monkeypatc
 
 def test_anchor_sweep_beyond_the_data_exits_2_before_any_training(data_dir, tmp_path,
                                                                   monkeypatch, capsys):
-    # the 400-pair fixture; the count-1 runs come first in the sweep
+    # the 400-pair fixture; the count-1 runs come first in the grid
     monkeypatch.setattr(cli, "train", pytest.fail)
     code = cli.main(["ablate", "--out-dir", str(tmp_path / "out"), "--data-dir",
-                     str(data_dir), "--override", "ablate.anchor_sweep=1,500",
+                     str(data_dir), "--override", "ablate.anchor_counts=1,500",
                      "--override", "ablate.seeds=0,1"])
     assert code == 2
     out, err = capsys.readouterr()
@@ -283,26 +285,71 @@ def test_plot_label_with_markup_gives_well_formed_svg(data_dir, checkpoint, tmp_
     assert titles == ["source x", "target y", "translated (g<1>&b)"]
 
 
-@pytest.mark.parametrize("sweep, artifacts", [
-    (None, {"ablation.csv", "ablation_summary.csv"}),
-    ("1,3", {"anchor_sweep.csv"}),
-])
-def test_ablate_replays_with_every_checksum_equal(data_dir, tmp_path, sweep, artifacts):
-    argv = ["ablate", "--out-dir", str(tmp_path / "run"), "--data-dir", str(data_dir)]
-    overrides = ["train.iterations=2", "train.batch_size=16", "ablate.seeds=0,1",
-                 "ablate.cases=full,neither"]
-    if sweep is not None:
-        overrides.append(f"ablate.anchor_sweep={sweep}")
-    for item in overrides:
+def ablate(data_dir, out_dir, *overrides):
+    argv = ["ablate", "--out-dir", str(out_dir), "--data-dir", str(data_dir)]
+    for item in ("train.iterations=2", "train.batch_size=16", *overrides):
         argv += ["--override", item]
     assert cli.main(argv) == 0
+    return [line.split(",") for line in (out_dir / "ablation.csv").read_text().splitlines()]
+
+
+def test_ablate_replays_with_every_checksum_equal(data_dir, tmp_path):
+    rows = ablate(data_dir, tmp_path / "run", "ablate.cases=full,neither",
+                  "ablate.anchor_counts=1,3", "ablate.seeds=0,1")
+    # one row per (case, anchor count, seed), in that order
+    assert rows[0] == ["case", "anchor_count", "seed", "te_mean", "te_std"]
+    assert [row[:3] for row in rows[1:]] == [
+        [case, count, seed] for case in ("full", "neither") for count in ("1", "3")
+        for seed in ("0", "1")]
+    summary = (tmp_path / "run" / "ablation_summary.csv").read_text().splitlines()
+    assert [line.rpartition(",")[0] for line in summary] == [
+        "case,anchor_count", "full,1", "full,3", "neither,1", "neither,3"]
     path = tmp_path / "run" / manifest.MANIFEST_NAME
-    recorded = manifest.read_manifest(path)[3]
-    assert set(recorded) == artifacts
     result = manifest.replay_manifest(path, tmp_path / "replay")
+    assert set(result) == {"ablation.csv", "ablation_summary.csv"}
     assert all(old == new for old, new in result.values())
-    lines = (tmp_path / "run" / sorted(artifacts)[0]).read_text().splitlines()
-    assert len(lines) == 1 + 2 * 2
+
+
+def test_no_anchor_row_is_the_train_run_without_the_anchor_term(data_dir, tmp_path):
+    [_, row] = ablate(data_dir, tmp_path / "grid", "ablate.cases=no-anchor",
+                      "ablate.anchor_counts=2", "ablate.seeds=1")
+    assert row[:3] == ["no-anchor", "2", "1"]
+    assert cli.main(["train", "--out-dir", str(tmp_path / "train"), "--data-dir",
+                     str(data_dir), "--override", "train.iterations=2",
+                     "--override", "train.batch_size=16", "--override", "train.seed=1",
+                     "--override", "train.anchor_count=2",
+                     "--override", "weights.anchor=0"]) == 0
+    summary = (tmp_path / "train" / "summary.txt").read_text()
+    assert f"\nte_mean = {row[3]}\n" in summary
+
+
+def test_manifest_recording_anchor_sweep_no_longer_replays(data_dir, tmp_path):
+    # an ablate manifest from before anchor_counts replaced anchor_sweep
+    ablate(data_dir, tmp_path / "run", "ablate.cases=full", "ablate.seeds=0")
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    assert "\nanchor_counts = \n" in text
+    (tmp_path / "old.txt").write_text(text.replace("\nanchor_counts = \n",
+                                                   "\nanchor_sweep = \n"))
+    with pytest.raises(configio.ConfigError, match=r"\[ablate\] unknown key 'anchor_sweep'"):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("command = gen-data\n", "", "missing [manifest] entry 'command'"),
+    ("seed = 0\n", "seed = x\n",
+     "[manifest] seed = 'x': invalid literal for int() with base 10: 'x'"),
+], ids=["missing-command", "unparsable-seed"])
+def test_damaged_manifest_section_is_named_with_its_file(tmp_path, old, new, message):
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path / "run"),
+                     *VERB_ARGS["gen-data"]]) == 0
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    assert text.startswith("[manifest]\ncommand = gen-data\nseed = 0\n")
+    (tmp_path / "old.txt").write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError) as info:
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert str(info.value) == f"{tmp_path / 'old.txt'}: {message}"
+    assert not (tmp_path / "replay").exists()
 
 
 def test_import_leaves_scipy_unloaded():

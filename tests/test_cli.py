@@ -293,20 +293,28 @@ def ablate(data_dir, out_dir, *overrides):
     return [line.split(",") for line in (out_dir / "ablation.csv").read_text().splitlines()]
 
 
-def test_ablate_replays_with_every_checksum_equal(data_dir, tmp_path):
+@pytest.mark.parametrize("counts, artifacts", [
+    (None, {"ablation.csv", "ablation_summary.csv"}),
+    ("1,3", {"ablation.csv", "ablation_summary.csv"}),
+])
+def test_ablate_replays_with_every_checksum_equal(data_dir, tmp_path, counts, artifacts):
+    # no anchor_counts runs the grid at train.anchor_count (1) alone
+    overrides = [] if counts is None else [f"ablate.anchor_counts={counts}"]
+    expected = ("1",) if counts is None else tuple(counts.split(","))
     rows = ablate(data_dir, tmp_path / "run", "ablate.cases=full,neither",
-                  "ablate.anchor_counts=1,3", "ablate.seeds=0,1")
+                  "ablate.seeds=0,1", *overrides)
     # one row per (case, anchor count, seed), in that order
     assert rows[0] == ["case", "anchor_count", "seed", "te_mean", "te_std"]
     assert [row[:3] for row in rows[1:]] == [
-        [case, count, seed] for case in ("full", "neither") for count in ("1", "3")
+        [case, count, seed] for case in ("full", "neither") for count in expected
         for seed in ("0", "1")]
     summary = (tmp_path / "run" / "ablation_summary.csv").read_text().splitlines()
-    assert [line.rpartition(",")[0] for line in summary] == [
-        "case,anchor_count", "full,1", "full,3", "neither,1", "neither,3"]
+    assert [line.rpartition(",")[0] for line in summary] == ["case,anchor_count"] + [
+        f"{case},{count}" for case in ("full", "neither") for count in expected]
     path = tmp_path / "run" / manifest.MANIFEST_NAME
+    assert set(manifest.read_manifest(path)[3]) == artifacts
     result = manifest.replay_manifest(path, tmp_path / "replay")
-    assert set(result) == {"ablation.csv", "ablation_summary.csv"}
+    assert set(result) == artifacts
     assert all(old == new for old, new in result.values())
 
 

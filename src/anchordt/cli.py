@@ -376,6 +376,11 @@ class AblateConfig:
                 raise ValueError(f"{name} is empty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds entry {min(self.seeds)} must be >= 0")
+        for name in ("cases", "seeds", "anchor_counts"):
+            entries = getattr(self, name)
+            repeats = [v for i, v in enumerate(entries) if v in entries[:i]]
+            if repeats:
+                raise ValueError(f"{name} entry {repeats[0]!r} is repeated")
         unknown = [c for c in self.cases if c not in ABLATION_CASES]
         if unknown:
             raise ValueError(f"unknown ablation case {unknown[0]!r}; "

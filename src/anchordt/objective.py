@@ -156,6 +156,13 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     then its Gaussian block, S draws a probe of each, spread into the dense
     (D, N * probes_per_sample) ``probe`` block; round r takes columns
     r*N .. r*N + N - 1.  Needs ``rng``.
+
+    The two modes minimize different things.  Where g is linear between x
+    and x + delta*z the quotient is J(x) z, and given the mask M row r of
+    J z is N(0, ||J_{r,M}||_2^2); so masked-fd has the expectation
+    sqrt(2/pi) E_M sum_r ||J_{r,M}||_2, batch-averaged.  At S = 1 that is
+    (sqrt(2/pi)/D) ||J||_1, the exact term times 0.40 at D = 2 and 0.10 at
+    D = 8; at S = D it is sqrt(2/pi) sum_r ||J_r||_2, a row-group norm.
     """
     x_batch = _as_batch(x_batch)
     d, n = x_batch.shape

@@ -20,10 +20,11 @@ Three layers of machinery live here:
   T is the largest row-support size.  ``probe_bias_variance_study``
   reports that factor as ``lower_bound_factor`` beside the sketch's bias,
   and ``q_hypergeometric`` gives the sketch's expectation in closed form.
-  The sketch reads J as a ``SparseJacobian``, its nonzeros alone in column
-  order; ``random_sparse_jacobian`` draws one in that form, and a dense
-  matrix is built only by ``SparseJacobian.dense`` for a caller that needs
-  one, so a study holds no D x D array at any D.
+  The sketch reads J as a ``SparseJacobian``, its nonzeros alone in
+  compressed sparse column form, 12 bytes a nonzero;
+  ``random_sparse_jacobian`` draws one in that form, and a dense matrix is
+  built only by ``SparseJacobian.dense`` for a caller that needs one, so a
+  study holds no D x D array at any D.
   Every subset, a probe's mask or a matrix's row support, comes from
   ``random_mask``: Floyd's sampler, S integer draws a subset, so drawing a
   probe costs O(S) and a row support O(T), never O(D).  Probes come in
@@ -32,7 +33,10 @@ Three layers of machinery live here:
   D is the data's dimension, which the caller passes; a ``ProbeSpec``
   holds S and the probe's scale and count alone.  ``q_probe_samples``
   makes one ``draw_probe`` call for all its probes and scores that call's
-  index form in blocks, so its stream does not depend on the block size;
+  index form in blocks, each in O(products) over sorted (probe, row) keys
+  where D bins a probe would be mostly empty and in O(D) a probe over bins
+  otherwise.  Both sum in column order, so the values keep their bits
+  either way, and neither the layout nor the block size moves the stream;
 * the structural-sparsity test on a support pattern: every input coordinate
   k must own a set of output rows whose supports intersect exactly in {k}.
 
@@ -54,10 +58,16 @@ from .nets import HIDDEN_SLOPE, MlpModel
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 # float64 elements in each per-block buffer of q_probe_samples (128 KB): a
-# block of probes is scored with one bincount of block * D bins; larger blocks
-# measured no faster at D = 1000 and raise peak memory.  The probes are drawn
-# before any block is scored, so the block size leaves the stream alone.
+# block holds about this many bins, or as many gathered products where the
+# sums are taken over sorted keys; larger blocks measured no faster at
+# D = 1000 and raise peak memory.  The probes are drawn before any block is
+# scored, so the block size leaves the stream alone.
 PROBE_BLOCK_ELEMENTS = 1 << 14
+# q_probe_samples sorts a block's (probe, row) keys, O(products), rather than
+# bincount D bins a probe, O(D), when SORT_RATIO times a probe's expected
+# products is below D.  A sort costs about ten bins' worth a product; of 3,
+# 10 and 30, 10 measured fastest at D = 1000, 10^4 and 10^5.
+SORT_RATIO = 10
 
 
 @dataclass
@@ -265,25 +275,34 @@ def jacobian_graph(out: ad.Node) -> ad.Node:
 
 @dataclass
 class SparseJacobian:
-    """A D x D matrix as its nonzeros, in column order with rows ascending
-    within a column: the order in which ``q_probe_samples`` sums J z."""
+    """A D x D matrix in compressed sparse column form, 12 bytes a nonzero:
+    column c's nonzeros are ``rows[col_ptr[c]:col_ptr[c + 1]]``, ascending,
+    with their ``values``.  That is the order in which ``q_probe_samples``
+    sums J z, so one record gives the same bits whichever way it sums."""
     dimension: int
-    rows: np.ndarray      # int64 (nnz,)
-    cols: np.ndarray      # int64 (nnz,), ascending
+    rows: np.ndarray      # int32 (nnz,), ascending within a column
+    col_ptr: np.ndarray   # int64 (D + 1,), from 0 to nnz
     values: np.ndarray    # float64 (nnz,), no exact zeros
+
+    @classmethod
+    def from_columns(cls, dimension: int, rows, cols, values) -> "SparseJacobian":
+        """The record of entries already in column order, rows ascending
+        within a column."""
+        counts = np.bincount(cols, minlength=dimension)
+        return cls(dimension=dimension, rows=np.asarray(rows, dtype=np.int32),
+                   col_ptr=np.concatenate(([0], np.cumsum(counts))), values=values)
 
     @classmethod
     def from_dense(cls, j) -> "SparseJacobian":
         j = np.asarray(j, dtype=np.float64)
-        d = j.shape[0]
-        flat = np.flatnonzero(j != 0)
-        flat = flat[np.argsort(flat % d, kind="stable")]
-        rows, cols = np.divmod(flat, d)
-        return cls(dimension=d, rows=rows, cols=cols, values=j.ravel()[flat])
+        # J's transpose, read row-major, is J in column order, rows ascending
+        flat = np.flatnonzero(j.T != 0)
+        cols, rows = np.divmod(flat, j.shape[0])
+        return cls.from_columns(j.shape[0], rows, cols, j[rows, cols])
 
     def dense(self) -> np.ndarray:
         j = np.zeros((self.dimension, self.dimension))
-        j[self.rows, self.cols] = self.values
+        j[self.rows, np.repeat(np.arange(self.dimension), np.diff(self.col_ptr))] = self.values
         return j
 
     def row_support_sizes(self, zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> np.ndarray:
@@ -293,6 +312,38 @@ class SparseJacobian:
                            minlength=self.dimension)
 
 
+def _sort_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, the permutation that sorts them), equal keys kept in
+    their order: one sort of ``key << bits | position``, where a stable
+    argsort would cost about eight times as much."""
+    bits = max(0, keys.size - 1).bit_length()
+    packed = keys << bits
+    packed |= np.arange(keys.size)
+    packed.sort()
+    return packed >> bits, packed & ((1 << bits) - 1)
+
+
+def _hits_binned(keys, products, n, d, zero_threshold) -> np.ndarray:
+    """Each of n probes' count of rows |J z| above the threshold, from one
+    bincount over n x D bins: O(n D) whatever the products."""
+    jz = np.bincount(keys, weights=products, minlength=n * d)
+    return np.count_nonzero(np.abs(jz, out=jz).reshape(n, d) > zero_threshold, axis=1)
+
+
+def _hits_sorted(keys, products, n, d, zero_threshold) -> np.ndarray:
+    """The same counts in O(products): the keys sorted, with each key's
+    products kept in their order, then one bincount over the distinct keys,
+    so every sum adds the products in the binned sum's order."""
+    keys, order = _sort_keys(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    jz = np.bincount(np.cumsum(first) - 1, weights=products[order])
+    hits = np.concatenate(([0], np.cumsum(np.abs(jz) > zero_threshold)))
+    # probe p's distinct keys are those in [p D, (p + 1) D)
+    bounds = np.searchsorted(keys[first], np.arange(0, (n + 1) * d, d))
+    return hits[bounds[1:]] - hits[bounds[:-1]]
+
+
 def q_probe_samples(j: SparseJacobian, mask_size: int, num_probes: int,
                     rng: np.random.Generator,
                     zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> np.ndarray:
@@ -300,38 +351,41 @@ def q_probe_samples(j: SparseJacobian, mask_size: int, num_probes: int,
 
     Consumes exactly what one ``draw_probe(ProbeSpec(S), D, rng,
     num_probes)`` call consumes, and scores that call's index form in
-    blocks: J z is summed over the record's nonzeros in the masked columns
-    alone, in column order, with one bincount per block.  Every probe is
-    drawn before the first block is scored, so the block size cannot change
-    the stream.
+    blocks: J z is the record's nonzeros in the masked columns alone, each
+    times its probe entry, summed by (probe, row) in column order.  A probe
+    gathers about S nnz(J) / D products; where D bins a probe would be
+    mostly empty (SORT_RATIO times the products below D) the sums are taken
+    over the sorted keys, else over one bincount of block x D bins.  Both
+    add in the same order, so the choice leaves every bit alone; every
+    probe is drawn before the first block is scored, so neither the choice
+    nor the block size can change the stream.
     """
     d = j.dimension
     if not 1 <= mask_size <= d:
         raise ValueError(f"mask size {mask_size} not in [1, {d}]")
     probes = draw_probe(ProbeSpec(mask_size), d, rng, num_probes)
-    rows, entries = j.rows, j.values
-    col_len = np.bincount(j.cols, minlength=d)
-    col_start = np.cumsum(col_len) - col_len
-    # A probe takes D bins of the block's bincount and about S nnz(J) / D
-    # gathered products; a block holds about PROBE_BLOCK_ELEMENTS of either.
-    per_probe = max(d, mask_size * entries.size // d)
+    rows, entries, col_ptr = j.rows, j.values, j.col_ptr
+    products_per_probe = mask_size * entries.size // d
+    if SORT_RATIO * mask_size * entries.size < d * d:
+        hits_of, per_probe = _hits_sorted, max(1, products_per_probe)
+    else:
+        hits_of, per_probe = _hits_binned, max(d, products_per_probe)
     block = max(1, min(num_probes, PROBE_BLOCK_ELEMENTS // per_probe))
     vals = np.empty(num_probes)
     for lo in range(0, num_probes, block):
         # columns ascending: J z is summed in column order
         masked = probes.index[lo:lo + block]
         n = masked.shape[0]
-        lens = col_len[masked].ravel()
-        # positions of every masked column's nonzeros in the column-sorted list
-        at = np.repeat(col_start[masked].ravel() - (np.cumsum(lens) - lens), lens)
+        starts = col_ptr[masked].ravel()
+        lens = col_ptr[masked + 1].ravel() - starts
+        # positions of every masked column's nonzeros in the record
+        at = np.repeat(starts - (np.cumsum(lens) - lens), lens)
         at += np.arange(at.size)
         products = entries[at]
         products *= np.repeat(probes.entries[lo:lo + block].ravel(), lens)
-        bins = np.repeat(np.arange(0, n * d, d), lens.reshape(n, mask_size).sum(axis=1))
-        bins += rows[at]
-        jz = np.bincount(bins, weights=products, minlength=n * d)
-        hits = np.count_nonzero(np.abs(jz, out=jz).reshape(n, d) > zero_threshold, axis=1)
-        vals[lo:lo + n] = (d / mask_size) * hits
+        keys = np.repeat(np.arange(0, n * d, d), lens.reshape(n, mask_size).sum(axis=1))
+        keys += rows[at]
+        vals[lo:lo + n] = (d / mask_size) * hits_of(keys, products, n, d, zero_threshold)
     return vals
 
 
@@ -401,17 +455,19 @@ def random_sparse_jacobian(dimension: int, row_support: int,
 
     The D row supports are one (D, T) ``random_mask`` index block, row i
     holding row i's columns in ascending order; then D T Gaussians fill the
-    supports row by row, and the entries are put in column order.  That is
-    O(D T) draws and memory: no D x D array is built.  An entry drawn as
-    exactly 0.0 is left out, as ``SparseJacobian.from_dense`` of the filled
-    matrix would leave it.
+    supports row by row, and one sort of (column, position) keys puts the
+    entries in column order, rows ascending.  That is O(D T) draws and
+    memory: no D x D array is built.  An entry drawn as exactly 0.0 is left
+    out, as ``SparseJacobian.from_dense`` of the filled matrix would leave
+    it.
     """
     cols = random_mask(dimension, row_support, rng, dimension).ravel()
     values = rng.standard_normal(dimension * row_support)
-    order = np.argsort(cols, kind="stable")
-    order = order[values[order] != 0]
-    return SparseJacobian(dimension=dimension, rows=order // row_support,
-                          cols=cols[order], values=values[order])
+    cols, order = _sort_keys(cols)
+    kept = values[order] != 0
+    order = order[kept]
+    return SparseJacobian.from_columns(dimension, order // row_support, cols[kept],
+                                       values[order])
 
 
 @dataclass

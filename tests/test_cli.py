@@ -143,6 +143,10 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("ablate", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
     # every sample is within an infinite tolerance of itself
     ("mpa-check", ["mpa_check.tolerance=inf"], "tolerance = inf must be finite"),
+    # a repeat would train its run twice and weigh it twice in the median
+    ("ablate", ["ablate.seeds=0,1,1"], "seeds entry 1 is repeated"),
+    ("ablate", ["ablate.anchor_counts=2,1,2"], "anchor_counts entry 2 is repeated"),
+    ("ablate", ["ablate.cases=full,neither,full"], "cases entry 'full' is repeated"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -603,14 +607,24 @@ def test_probe_study_exact_overlay_rows_are_the_closed_form(tmp_path):
     assert "study_exact.csv" in checksums
 
 
-def test_committed_probe_study_at_d10000_replays(tmp_path):
-    # results/ holds the study at D = 10^4 and 10^5; the smaller one replays
-    # in about a second, and a change to the probe or support stream shows here
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "results",
-                        "probe-study-d10000", manifest.MANIFEST_NAME)
+def replay_committed_probe_study(name, tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "results", name,
+                        manifest.MANIFEST_NAME)
     result = manifest.replay_manifest(path, tmp_path / "replay")
     assert set(result) == {"bias.svg", "study.csv", "study_exact.csv", "variance.svg"}
     assert all(old == new for old, new in result.values())
+
+
+def test_committed_probe_study_at_d10000_replays(tmp_path):
+    # results/ holds the study at D = 10^4 and 10^5; this one replays in
+    # about 0.2 s, and a change to the probe or support stream shows here
+    replay_committed_probe_study("probe-study-d10000", tmp_path)
+
+
+def test_committed_probe_study_at_d100000_replays(tmp_path):
+    # about 0.6 s on a 2-vCPU host, 175 MB peak RSS: every probe here is
+    # scored over sorted keys, and the 8 records hold about 98 MiB
+    replay_committed_probe_study("probe-study-d100000", tmp_path)
 
 
 @pytest.mark.parametrize("line, replacement", [

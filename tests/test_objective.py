@@ -1,5 +1,7 @@
 """Analytic values and gradient checks for the four loss terms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,31 @@ class TestSparsityLoss:
                            for _ in range(4096)])
         se = oracle.std(ddof=1) * np.sqrt(1 / 4096 + 1 / (64 * 16))
         assert abs(node.value[0, 0] - oracle.mean()) < 3 * se
+
+    @pytest.mark.parametrize("mask_size", [1, 2, 4])
+    def test_masked_fd_expectation_is_the_masked_row_norm_sum(self, mask_size):
+        # a linear map makes the difference quotient exactly A z, so the
+        # loss estimates sqrt(2/pi) E_M sum_r ||A_{r,M}||_2 over the C(D, S)
+        # equally likely masks M
+        d, n, rounds = 4, 64, 16
+        rng = np.random.default_rng(8)
+        a = np.where(rng.random((d, d)) < 0.6, rng.standard_normal((d, d)), 0.0)
+        masks = [list(m) for m in itertools.combinations(range(d), mask_size)]
+        closed = np.sqrt(2 / np.pi) * np.mean(
+            [np.linalg.norm(a[:, m], axis=1).sum() for m in masks])
+        if mask_size == 1:
+            assert closed == pytest.approx(np.sqrt(2 / np.pi) / d * np.abs(a).sum(),
+                                           rel=1e-12)
+        spec = ProbeSpec(mask_size, perturbation_scale=0.01, probes_per_sample=rounds)
+        x = rng.standard_normal((d, n))
+        node = objective.sparsity_loss(nets.bind(linear_model(a)), x, spec,
+                                       "masked-fd", np.random.default_rng(9))
+        # the loss's own probes give the standard error of its mean
+        probes = draw_probe(spec, d, np.random.default_rng(9), n * rounds).probe
+        terms = np.abs(a @ probes).sum(axis=0)
+        assert node.value[0, 0] == pytest.approx(terms.mean(), rel=1e-9)
+        se = terms.std(ddof=1) / np.sqrt(terms.size)
+        assert abs(node.value[0, 0] - closed) < 4 * se
 
     def test_masked_fd_equals_jacobian_l1_on_a_linear_piece(self):
         # the net is linear between x and x + delta z when no hidden

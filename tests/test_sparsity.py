@@ -327,10 +327,34 @@ def small_sketch_matrix(kind, d=6):
     return j
 
 
+def force_layout(monkeypatch, layout):
+    """Make q_probe_samples sum every block over sorted keys or over D bins
+    a probe: 0 < D^2 always holds, and inf times any product count, even 0
+    (nan), is never below D^2."""
+    monkeypatch.setattr(sparsity, "SORT_RATIO", {"sorted": 0, "binned": math.inf}[layout])
+
+
+def column_loop_q_samples(j: sparsity.SparseJacobian, mask_size, num_probes, rng,
+                          zero_threshold=sparsity.DEFAULT_ZERO_THRESHOLD):
+    """The reference for q_probe_samples on a record too large to make dense:
+    each probe's J z accumulated one masked column at a time, ascending."""
+    d = j.dimension
+    p = sparsity.draw_probe(sparsity.ProbeSpec(mask_size=mask_size), d, rng, num_probes)
+    vals = np.empty(num_probes)
+    for i in range(num_probes):
+        jz = np.zeros(d)
+        for c, z in zip(p.index[i].tolist(), p.entries[i]):
+            lo, hi = j.col_ptr[c], j.col_ptr[c + 1]
+            jz[j.rows[lo:hi]] += j.values[lo:hi] * z
+        vals[i] = (d / mask_size) * np.count_nonzero(np.abs(jz) > zero_threshold)
+    return vals
+
+
 class TestBlockedProbeSketch:
-    """q_probe_samples scores probes in blocks; it must give the dense
-    gather's values bit for bit and leave the rng where one draw_probe call
-    leaves it, whatever the block size: blocking cannot change the stream."""
+    """q_probe_samples scores probes in blocks, summing each over sorted keys
+    or over D bins a probe; it must give the dense gather's values bit for
+    bit and leave the rng where one draw_probe call leaves it, whatever the
+    block size and layout: neither can change the stream."""
 
     @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
     @pytest.mark.parametrize("mask_size", [1, 2, 6])
@@ -357,6 +381,57 @@ class TestBlockedProbeSketch:
         j = sparsity.random_sparse_jacobian(d, row_support, np.random.default_rng(37)).dense()
         block = sparsity.PROBE_BLOCK_ELEMENTS // d
         assert_same_samples_and_stream(j, mask_size, 2 * block + 7)
+
+    # each case above again, under each layout forced
+    @pytest.mark.parametrize("layout", ["sorted", "binned"])
+    @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
+    @pytest.mark.parametrize("mask_size", [1, 2, 6])
+    @pytest.mark.parametrize("num_probes", [0, 1, 3, 4, 10])
+    def test_each_layout_across_block_edges(self, monkeypatch, layout, kind,
+                                            mask_size, num_probes):
+        force_layout(monkeypatch, layout)
+        self.test_matches_per_probe_loop_across_block_edges(monkeypatch, kind,
+                                                            mask_size, num_probes)
+
+    @pytest.mark.parametrize("layout", ["sorted", "binned"])
+    @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
+    @pytest.mark.parametrize("mask_size", [1, 6])
+    @pytest.mark.parametrize("zero_threshold", [sparsity.DEFAULT_ZERO_THRESHOLD, 0.0])
+    def test_each_layout_at_default_block(self, monkeypatch, layout, kind, mask_size,
+                                          zero_threshold):
+        force_layout(monkeypatch, layout)
+        self.test_matches_per_probe_loop_at_default_block(kind, mask_size, zero_threshold)
+
+    @pytest.mark.parametrize("layout", ["sorted", "binned"])
+    @pytest.mark.parametrize("row_support", [1, 10])
+    @pytest.mark.parametrize("mask_size", [1, 50, 1000])
+    def test_each_layout_at_d1000(self, monkeypatch, layout, row_support, mask_size):
+        force_layout(monkeypatch, layout)
+        self.test_matches_per_probe_loop_at_d1000(row_support, mask_size)
+
+    @pytest.mark.parametrize("layout", [None, "sorted", "binned"])
+    @pytest.mark.parametrize("mask_size", [1, 50])
+    def test_empty_columns_at_d10000(self, monkeypatch, layout, mask_size):
+        # columns 0-4999 hold no nonzeros, so about half the S = 1 probes
+        # gather no product; by default the sum is over sorted keys
+        d = 10_000
+        full = sparsity.random_sparse_jacobian(d, 10, np.random.default_rng(43))
+        cut = full.col_ptr[d // 2]
+        j = sparsity.SparseJacobian(
+            dimension=d, rows=full.rows[cut:], values=full.values[cut:],
+            col_ptr=np.concatenate((np.zeros(d // 2, dtype=np.int64),
+                                    full.col_ptr[d // 2:] - cut)))
+        assert np.count_nonzero(np.diff(j.col_ptr)) == d // 2
+        if layout is None:
+            assert sparsity.SORT_RATIO * mask_size * j.values.size < d * d
+        else:
+            force_layout(monkeypatch, layout)
+        ref_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
+        expected = column_loop_q_samples(j, mask_size, 300, ref_rng)
+        got = sparsity.q_probe_samples(j, mask_size, 300, rng)
+        assert got.tobytes() == expected.tobytes()
+        assert (got == 0).any() == (mask_size == 1)
+        assert rng.random() == ref_rng.random()
 
 
 def dense_random_sparse_jacobian(dimension, row_support, rng):
@@ -387,7 +462,7 @@ class ZeroingRng:
 
 def assert_same_record(got, expected):
     assert got.dimension == expected.dimension
-    for field in ("rows", "cols", "values"):
+    for field in ("rows", "col_ptr", "values"):
         assert getattr(got, field).dtype == getattr(expected, field).dtype
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
 
@@ -413,8 +488,10 @@ class TestSparseJacobian:
         j = small_sketch_matrix(kind)
         record = sparsity.SparseJacobian.from_dense(j)
         assert record.dense().tobytes() == j.tobytes()
+        assert record.rows.dtype == np.int32 and record.col_ptr.shape == (7,)
         # column order, rows ascending within a column
-        assert (np.lexsort((record.rows, record.cols)) == np.arange(record.rows.size)).all()
+        cols = np.repeat(np.arange(6), np.diff(record.col_ptr))
+        assert (np.lexsort((record.rows, cols)) == np.arange(record.rows.size)).all()
 
     def test_row_support_sizes_count_entries_above_the_threshold(self):
         j = small_sketch_matrix("threshold")

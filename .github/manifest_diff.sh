@@ -17,10 +17,12 @@
 # a small probe-study with its exact overlay (study_exact.csv) at D = 50,
 # whose probes are summed over D bins each, a second one, "probe5k", at
 # D = 5000 and mask sizes 1 and 2, whose probes are summed over sorted keys,
-# and a sparsity-check of the two-entry swap support {(0, 1), (1, 0)}, which
-# passes, from the sources of each checkout; so every verb runs, and plot and
-# probe-study are the verbs that write SVGs.  For
-# each run it compares the [checksums] section of manifest.txt (the artifact
+# a third one, "probe1k", at D = 1000, mask sizes 10 and 50 and 200 probes
+# a matrix, whose probes are summed over D bins each in several blocks a
+# call, and a sparsity-check of the two-entry swap support {(0, 1), (1, 0)},
+# which passes, from the sources of each checkout; so every verb runs, and
+# plot and probe-study are the verbs that write SVGs.  For each run it
+# compares the [checksums] section of manifest.txt (the artifact
 # bytes) apart from the rest, the config echo, with the output paths replaced
 # by OUT, prints the diff of whichever part differs and one line such as
 # "train: checksums identical, config echo differs".  Then it trains the head
@@ -66,10 +68,14 @@ runs() {
         --override probe_study.dimension=5000 --override probe_study.num_matrices=2 \
         --override probe_study.mc_samples=50 --override probe_study.mask_sizes=1,2 \
         > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe1k" \
+        --override probe_study.dimension=1000 --override probe_study.num_matrices=2 \
+        --override probe_study.mc_samples=200 --override probe_study.mask_sizes=10,50 \
+        > /dev/null
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k support; do
+    for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k probe1k support; do
         # [checksums] is the manifest's last section; a run that failed left
         # no manifest, and compares as an empty one
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
@@ -80,7 +86,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k support; do
+for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k probe1k support; do
     verdict=""
     for part in checksums echo; do
         name=$part

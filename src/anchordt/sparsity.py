@@ -2,14 +2,13 @@
 
 Three layers of machinery live here:
 
-* Jacobians of a network: ``exact_jacobian`` by central differences, for
-  evaluation, and ``batched_jvp_graph``, the in-graph Jacobian-vector
-  products J(x_n) v_n that the training penalties in ``objective`` build
-  on.  It takes the output node of a network pass over the x_n and walks
-  that pass's chain of ``dense`` nodes for each layer's weight node and
-  activation mask, whose derivative it freezes as a constant.  Every
-  network is leaky-relu with an identity output, so this is exact almost
-  everywhere.
+* Jacobians of a network: ``batched_jvp_graph``, the in-graph
+  Jacobian-vector products J(x_n) v_n that the training penalties in
+  ``objective`` build on.  It takes the output node of a network pass over
+  the x_n and walks that pass's chain of ``dense`` nodes for each layer's
+  weight node and activation mask, whose derivative it freezes as a
+  constant.  Every network is leaky-relu with an identity output, so this
+  is exact almost everywhere.
   Along the identity directions, ``jacobian_graph`` holds every point's
   full Jacobian in one sweep; the exact Jacobian l1 term and the
   discriminator's R1 penalty both build on it;
@@ -22,9 +21,12 @@ Three layers of machinery live here:
   and ``q_hypergeometric`` gives the sketch's expectation in closed form.
   The sketch reads J as a ``SparseJacobian``, its nonzeros alone in
   compressed sparse column form, 12 bytes a nonzero;
-  ``random_sparse_jacobian`` draws one in that form, and a dense matrix is
-  built only by ``SparseJacobian.dense`` for a caller that needs one, so a
-  study holds no D x D array at any D.
+  ``random_sparse_jacobian`` draws one in that form, at about twice the
+  record's bytes, and a dense matrix is built only by
+  ``SparseJacobian.dense`` for a caller that needs one.
+  ``probe_bias_variance_study`` draws and probes one matrix at a time,
+  each from its own child stream of the caller's generator, so a study
+  holds one record and no D x D array at any D.
   Every subset, a probe's mask or a matrix's row support, comes from
   ``random_mask``: Floyd's sampler, S integer draws a subset, so drawing a
   probe costs O(S) and a row support O(T), never O(D).  Probes come in
@@ -54,15 +56,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .nets import HIDDEN_SLOPE, MlpModel
+from .nets import HIDDEN_SLOPE
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
-# float64 elements in each per-block buffer of q_probe_samples (128 KB): a
+# float64 elements in each per-block buffer of q_probe_samples (256 KB): a
 # block holds about this many bins, or as many gathered products where the
-# sums are taken over sorted keys; larger blocks measured no faster at
-# D = 1000 and raise peak memory.  The probes are drawn before any block is
-# scored, so the block size leaves the stream alone.
-PROBE_BLOCK_ELEMENTS = 1 << 14
+# sums are taken over sorted keys.  At D = 1000, T = 10 the binned mask sizes
+# (S >= 10) score 1000 bins a probe, so a block holds 32 probes, and each
+# block's fixed overhead is paid 16 times a 500-probe call.  Scoring one
+# matrix at S = 1, 2, 5, 10, 20, 50 took 7.9 ms at 2^14, 7.0 ms at 2^15,
+# 7.3 ms at 2^16 and 9.0 ms at 2^17 elements (2-vCPU Xeon, best of 15);
+# 2^16 also raised the benchmark's peak RSS by 0.7 MB, 2^15 did not.  The
+# probes are drawn before any block is scored, so the block size leaves the
+# stream and the bits alone.
+PROBE_BLOCK_ELEMENTS = 1 << 15
 # q_probe_samples sorts a block's (probe, row) keys, O(products), rather than
 # bincount D bins a probe, O(D), when SORT_RATIO times a probe's expected
 # products is below D.  A sort costs about ten bins' worth a product; of 3,
@@ -182,36 +189,6 @@ def draw_probe(spec: ProbeSpec, dimension: int, rng: np.random.Generator,
 # Jacobian extraction
 # ---------------------------------------------------------------------------
 
-def exact_jacobian(model, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a square map; evaluation only.
-
-    Column d is (g(x + step*e_d) - g(x - step*e_d)) / (2*step).  ``model``
-    is an MlpModel or any callable taking and returning (D, N) column
-    batches.
-    """
-    if isinstance(model, MlpModel):
-        if model.input_dim != model.output_dim:
-            raise ValueError(
-                f"map must be square, got {model.input_dim} -> {model.output_dim}")
-        fn = model.apply
-    else:
-        fn = model
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    d = x.shape[0]
-    # One batched forward over the 2D perturbed points.
-    pts = np.repeat(x, 2 * d, axis=1)
-    for k in range(d):
-        pts[k, k] += step
-        pts[k, d + k] -= step
-    out = np.asarray(fn(pts))
-    if out.shape != pts.shape:
-        raise ValueError(f"map must be square, got output shape {out.shape} "
-                         f"for input shape {pts.shape}")
-    return (out[:, :d] - out[:, d:]) / (2.0 * step)
-
-
 def activation_masks(preacts: list[np.ndarray]) -> list[np.ndarray]:
     """The hidden layers' activation derivatives from a network's
     pre-activation arrays: what a pass's hidden dense nodes rebuild from
@@ -285,20 +262,13 @@ class SparseJacobian:
     values: np.ndarray    # float64 (nnz,), no exact zeros
 
     @classmethod
-    def from_columns(cls, dimension: int, rows, cols, values) -> "SparseJacobian":
-        """The record of entries already in column order, rows ascending
-        within a column."""
-        counts = np.bincount(cols, minlength=dimension)
-        return cls(dimension=dimension, rows=np.asarray(rows, dtype=np.int32),
-                   col_ptr=np.concatenate(([0], np.cumsum(counts))), values=values)
-
-    @classmethod
     def from_dense(cls, j) -> "SparseJacobian":
         j = np.asarray(j, dtype=np.float64)
         # J's transpose, read row-major, is J in column order, rows ascending
         flat = np.flatnonzero(j.T != 0)
         cols, rows = np.divmod(flat, j.shape[0])
-        return cls.from_columns(j.shape[0], rows, cols, j[rows, cols])
+        return cls(dimension=j.shape[0], rows=rows.astype(np.int32),
+                   col_ptr=_col_ptr(cols, j.shape[0]), values=j[rows, cols])
 
     def dense(self) -> np.ndarray:
         j = np.zeros((self.dimension, self.dimension))
@@ -312,15 +282,23 @@ class SparseJacobian:
                            minlength=self.dimension)
 
 
-def _sort_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted keys, the permutation that sorts them), equal keys kept in
-    their order: one sort of ``key << bits | position``, where a stable
-    argsort would cost about eight times as much."""
+def _col_ptr(cols: np.ndarray, dimension: int) -> np.ndarray:
+    """int64 (D + 1,) column pointers of the entries in columns ``cols``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=dimension))))
+
+
+def _sort_keys(keys: np.ndarray) -> np.ndarray:
+    """Sort the int64 ``keys`` in place, equal keys kept in their order, and
+    return the permutation that sorts them: ``keys`` holds ``key << bits |
+    position`` while one in-place sort runs, where a stable argsort would
+    cost about eight times as much."""
     bits = max(0, keys.size - 1).bit_length()
-    packed = keys << bits
-    packed |= np.arange(keys.size)
-    packed.sort()
-    return packed >> bits, packed & ((1 << bits) - 1)
+    keys <<= bits
+    keys |= np.arange(keys.size)
+    keys.sort()
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
+    return order
 
 
 def _hits_binned(keys, products, n, d, zero_threshold) -> np.ndarray:
@@ -334,7 +312,7 @@ def _hits_sorted(keys, products, n, d, zero_threshold) -> np.ndarray:
     """The same counts in O(products): the keys sorted, with each key's
     products kept in their order, then one bincount over the distinct keys,
     so every sum adds the products in the binned sum's order."""
-    keys, order = _sort_keys(keys)
+    order = _sort_keys(keys)
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     jz = np.bincount(np.cumsum(first) - 1, weights=products[order])
@@ -455,19 +433,26 @@ def random_sparse_jacobian(dimension: int, row_support: int,
 
     The D row supports are one (D, T) ``random_mask`` index block, row i
     holding row i's columns in ascending order; then D T Gaussians fill the
-    supports row by row, and one sort of (column, position) keys puts the
-    entries in column order, rows ascending.  That is O(D T) draws and
-    memory: no D x D array is built.  An entry drawn as exactly 0.0 is left
-    out, as ``SparseJacobian.from_dense`` of the filled matrix would leave
-    it.
+    supports row by row.  One in-place sort of packed (column, position)
+    keys gives the permutation that puts the entries in column order, rows
+    ascending.  That is O(D T) draws and memory: no D x D array is built,
+    and the draw peaks at about twice the record it returns.  An entry
+    drawn as exactly 0.0 is left out, as ``SparseJacobian.from_dense`` of
+    the filled matrix would leave it.
     """
     cols = random_mask(dimension, row_support, rng, dimension).ravel()
-    values = rng.standard_normal(dimension * row_support)
-    cols, order = _sort_keys(cols)
-    kept = values[order] != 0
-    order = order[kept]
-    return SparseJacobian.from_columns(dimension, order // row_support, cols[kept],
-                                       values[order])
+    col_ptr = _col_ptr(cols, dimension)
+    order = _sort_keys(cols)
+    del cols
+    # the sort draws nothing, so the Gaussians are the draws after the
+    # supports either way; drawn after it, they are not held while it runs
+    values = rng.standard_normal(order.size)[order]
+    rows = np.floor_divide(order, row_support, out=np.empty(order.size, dtype=np.int32))
+    if np.count_nonzero(values) < values.size:
+        kept = values != 0
+        col_ptr = np.concatenate(([0], np.cumsum(kept)))[col_ptr]
+        rows, values = rows[kept], values[kept]
+    return SparseJacobian(dimension=dimension, rows=rows, col_ptr=col_ptr, values=values)
 
 
 @dataclass
@@ -496,10 +481,12 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
                               zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> StudyResult:
     """Bias and variance of the (D/S)||Jz||_0 sketch across random Jacobians.
 
-    Matrices are generated first, then probed per mask size; the reported
-    variance is that of a single probe (not of the averaged estimate), and
-    the bias is relative to the true nonzero count.  Every parameter is
-    checked before the first draw.
+    One matrix at a time: matrix i draws its record, then its probes at
+    every mask size in turn, all from ``rng.spawn(num_matrices)[i]``, and
+    the record is released before the next matrix is drawn, so the study
+    holds one record at any D.  The reported variance is that of a single
+    probe (not of the averaged estimate), and the bias is relative to the
+    true nonzero count.  Every parameter is checked before the first draw.
     """
     for name, value in (("dimension", dimension), ("num_matrices", num_matrices)):
         if value < 1:
@@ -513,24 +500,26 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
     for s in mask_sizes:
         if not 1 <= s <= dimension:
             raise ValueError(f"mask_sizes entry {s} not in [1, dimension = {dimension}]")
-    mats = [random_sparse_jacobian(dimension, row_support, rng)
-            for _ in range(num_matrices)]
-    l0s = np.array([m.row_support_sizes(zero_threshold).sum() for m in mats])
+    l0s = np.empty(num_matrices)
+    q_hats = np.empty((len(mask_sizes), num_matrices))
+    variances = np.empty((len(mask_sizes), num_matrices))
+    for i, matrix_rng in enumerate(rng.spawn(num_matrices)):
+        m = random_sparse_jacobian(dimension, row_support, matrix_rng)
+        l0s[i] = m.row_support_sizes(zero_threshold).sum()
+        for k, s in enumerate(mask_sizes):
+            samples = q_probe_samples(m, s, mc_samples, matrix_rng, zero_threshold)
+            q_hats[k, i] = samples.mean()
+            variances[k, i] = samples.var(ddof=1)
+        del m
     rows = []
-    for s in mask_sizes:
-        q_hats = np.empty(num_matrices)
-        variances = np.empty(num_matrices)
-        for i, m in enumerate(mats):
-            samples = q_probe_samples(m, s, mc_samples, rng, zero_threshold)
-            q_hats[i] = samples.mean()
-            variances[i] = samples.var(ddof=1)
-        rel_bias = (q_hats - l0s) / l0s
+    for k, s in enumerate(mask_sizes):
+        rel_bias = (q_hats[k] - l0s) / l0s
         if dimension > 1:
             factor = 1.0 - (s - 1) * (row_support - 1) / (2.0 * (dimension - 1))
         else:
             factor = 1.0
         rows.append(StudyRow(mask_size=int(s),
                              mean_rel_bias=float(rel_bias.mean()),
-                             variance=float(variances.mean()),
+                             variance=float(variances[k].mean()),
                              lower_bound_factor=factor))
     return StudyResult(rows=rows)

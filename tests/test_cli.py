@@ -616,14 +616,15 @@ def replay_committed_probe_study(name, tmp_path):
 
 
 def test_committed_probe_study_at_d10000_replays(tmp_path):
-    # results/ holds the study at D = 10^4 and 10^5; this one replays in
-    # about 0.2 s, and a change to the probe or support stream shows here
+    # results/ holds the study at D = 10^4, 10^5 and 10^6; this one replays
+    # in about 0.15 s, and a change to the probe or support stream shows here
     replay_committed_probe_study("probe-study-d10000", tmp_path)
 
 
 def test_committed_probe_study_at_d100000_replays(tmp_path):
-    # about 0.6 s on a 2-vCPU host, 175 MB peak RSS: every probe here is
-    # scored over sorted keys, and the 8 records hold about 98 MiB
+    # about 0.5 s on a 2-vCPU host, and the pytest process peaks at 83 MB
+    # RSS (60 MB without this test): every probe here is scored over sorted
+    # keys, and the study holds one 12 MiB record at a time
     replay_committed_probe_study("probe-study-d100000", tmp_path)
 
 

@@ -12,7 +12,7 @@ from scipy import stats as scipy_stats
 from anchordt import autodiff as ad
 from anchordt import nets, sparsity
 from rebuild_gradcheck import rebuild_gradcheck
-from reference_pass import jacobian_sweep, preactivations
+from reference_pass import central_difference_jacobian, jacobian_sweep, preactivations
 
 
 def sparse(j) -> sparsity.SparseJacobian:
@@ -104,25 +104,28 @@ def structured_d4_matrix(rng=None) -> np.ndarray:
 
 
 class TestExactJacobian:
+    """The tests' finite-difference reference,
+    ``reference_pass.central_difference_jacobian``."""
+
     def test_linear_map_recovered_exactly(self):
         a = np.array([[1.0, -2.0], [0.5, 3.0]])
-        jac = sparsity.exact_jacobian(linear_model(a), np.array([0.3, -0.7]))
+        jac = central_difference_jacobian(linear_model(a), np.array([0.3, -0.7]))
         np.testing.assert_allclose(jac, a, atol=1e-12)
 
     def test_componentwise_square_map(self):
         # g(x) = (x1^2, x2) has Jacobian [[2 x1, 0], [0, 1]]
         fn = lambda pts: np.vstack([pts[0] ** 2, pts[1]])
-        jac = sparsity.exact_jacobian(fn, np.array([1.0, 1.0]), step=1e-4)
+        jac = central_difference_jacobian(fn, np.array([1.0, 1.0]), step=1e-4)
         np.testing.assert_allclose(jac, [[2.0, 0.0], [0.0, 1.0]], atol=1e-6)
 
     def test_identity_model(self):
-        jac = sparsity.exact_jacobian(linear_model(np.eye(3)), np.zeros(3))
+        jac = central_difference_jacobian(linear_model(np.eye(3)), np.zeros(3))
         np.testing.assert_allclose(jac, np.eye(3), atol=1e-12)
 
     def test_non_square_rejected(self):
         model = nets.init_mlp((2, 4, 3), seed=0)
         with pytest.raises(ValueError, match="square"):
-            sparsity.exact_jacobian(model, np.zeros(2))
+            central_difference_jacobian(model, np.zeros(2))
 
 
 class TestAnalyticJacobianGraph:
@@ -140,7 +143,7 @@ class TestAnalyticJacobianGraph:
         x = np.array([0.8, -0.6])
         assert min(np.abs(p).min() for p in preactivations(model, x)) > 1e-3
         node = jacobian_graph(model, x)
-        jac = sparsity.exact_jacobian(model, x, step=1e-5)
+        jac = central_difference_jacobian(model, x, step=1e-5)
         np.testing.assert_allclose(node.value, jac, atol=1e-6)
 
     def test_weight_gradient_of_jacobian_sum_matches_fd(self):
@@ -460,6 +463,25 @@ class ZeroingRng:
         return values
 
 
+def untrimmed_random_sparse_jacobian(dimension, row_support, rng):
+    """The drawer as it stood before its transients were trimmed: the record
+    from a (column, position) key sort and a filter on every draw."""
+    cols = sparsity.random_mask(dimension, row_support, rng, dimension).ravel()
+    values = rng.standard_normal(dimension * row_support)
+    bits = max(0, cols.size - 1).bit_length()
+    packed = cols << bits
+    packed |= np.arange(cols.size)
+    packed.sort()
+    cols, order = packed >> bits, packed & ((1 << bits) - 1)
+    kept = values[order] != 0
+    order = order[kept]
+    return sparsity.SparseJacobian(
+        dimension=dimension, rows=(order // row_support).astype(np.int32),
+        col_ptr=np.concatenate(([0], np.cumsum(np.bincount(cols[kept],
+                                                           minlength=dimension)))),
+        values=values[order])
+
+
 def assert_same_record(got, expected):
     assert got.dimension == expected.dimension
     for field in ("rows", "col_ptr", "values"):
@@ -483,6 +505,31 @@ class TestSparseJacobian:
         assert got.values.size == np.count_nonzero(expected) == 14
         assert_same_record(got, sparsity.SparseJacobian.from_dense(expected))
 
+    @pytest.mark.parametrize("d, t, make_rng", [
+        (1, 1, np.random.default_rng), (7, 3, np.random.default_rng),
+        (1000, 10, np.random.default_rng), (100_000, 10, np.random.default_rng),
+        (7, 3, ZeroingRng), (1000, 10, ZeroingRng), (50, 50, ZeroingRng)])
+    def test_random_record_is_the_untrimmed_drawers(self, d, t, make_rng):
+        ref_rng, rng = make_rng(71), make_rng(71)
+        assert_same_record(sparsity.random_sparse_jacobian(d, t, rng),
+                           untrimmed_random_sparse_jacobian(d, t, ref_rng))
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    def test_draw_at_d1000000_peaks_at_most_two_and_a_half_records(self):
+        # the untrimmed drawer peaked at 4.3 records: the Floyd block, its
+        # sorted copy, the packed keys, the permutation and the filtered
+        # copies, 8 bytes a nonzero each
+        rng = np.random.default_rng(73)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            j = sparsity.random_sparse_jacobian(10 ** 6, 10, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert j.values.size == 10 ** 7
+        assert peak <= 2.5 * record_bytes(j)
+
     @pytest.mark.parametrize("kind", ["eye", "zero", "dense", "threshold"])
     def test_from_dense_round_trips(self, kind):
         j = small_sketch_matrix(kind)
@@ -499,6 +546,10 @@ class TestSparseJacobian:
         for threshold in (sparsity.DEFAULT_ZERO_THRESHOLD, 0.0):
             np.testing.assert_array_equal(record.row_support_sizes(threshold),
                                           (np.abs(j) > threshold).sum(axis=1))
+
+
+def record_bytes(j: sparsity.SparseJacobian) -> int:
+    return j.rows.nbytes + j.col_ptr.nbytes + j.values.nbytes
 
 
 def study_peak_bytes(dimension, num_matrices, mc_samples):
@@ -525,6 +576,14 @@ def test_study_at_d10000_holds_no_dense_matrix():
     # one dense 10^4 x 10^4 float matrix is 763 MiB; the record's 10^5
     # nonzeros and the bincount over one probe's D rows are what remain
     assert study_peak_bytes(10_000, 1, 50) < 8 * 2 ** 20
+
+
+def test_study_holds_one_record_at_a_time():
+    # 4 records at D = 10^5 are 49 MiB, and a study that holds them all
+    # peaks above that; one draw peaks near two records, with the record it
+    # returns, and a record kept while the next is drawn would add a third
+    j = sparsity.random_sparse_jacobian(100_000, 10, np.random.default_rng(0))
+    assert study_peak_bytes(100_000, 4, 2) < 2.5 * record_bytes(j)
 
 
 class TestQExactEnumeration:
@@ -669,17 +728,26 @@ class TestStructuralSparsity:
             sparsity.SupportPattern(dimension=2, index_pairs=frozenset({(0, 2)}))
 
 
+def study_samples(dimension, row_support, mask_sizes, num_matrices, mc_samples, seed):
+    """The study's own draws, by hand: matrix i and then its probes at each
+    mask size in turn, from child stream i of a same-seed rng.  Returns each
+    matrix's nonzero count and {S: that matrix's q_probe_samples}."""
+    out = []
+    for rng in np.random.default_rng(seed).spawn(num_matrices):
+        j = sparsity.random_sparse_jacobian(dimension, row_support, rng)
+        out.append((j.row_support_sizes().sum(),
+                    {s: sparsity.q_probe_samples(j, s, mc_samples, rng) for s in mask_sizes}))
+    return out
+
+
 def study_standard_errors(dimension, row_support, mask_sizes, num_matrices,
                           mc_samples, seed):
     """Per mask size, the standard error of the study's mean relative bias,
-    from the study's own probes: a same-seed rng draws its matrices, then
-    scores them with q_probe_samples in the study's order."""
-    rng = np.random.default_rng(seed)
-    mats = [sparsity.random_sparse_jacobian(dimension, row_support, rng)
-            for _ in range(num_matrices)]
+    from the study's own probes."""
+    mats = study_samples(dimension, row_support, mask_sizes, num_matrices, mc_samples, seed)
     l0 = dimension * row_support
-    return {s: np.mean([sparsity.q_probe_samples(m, s, mc_samples, rng).std(ddof=1)
-                        for m in mats]) / np.sqrt(mc_samples) / l0
+    return {s: np.mean([samples[s].std(ddof=1) for _, samples in mats])
+            / np.sqrt(mc_samples) / l0
             for s in mask_sizes}
 
 
@@ -699,6 +767,19 @@ class TestBiasVarianceStudy:
         for row in result.rows:
             assert row.lower_bound_factor == 1.0
             assert abs(row.mean_rel_bias) < 3 * errors[row.mask_size] + 1e-12
+
+    @pytest.mark.parametrize("num_matrices", [1, 3])
+    def test_each_matrix_draws_from_its_own_child_stream(self, num_matrices):
+        mask_sizes = [1, 3, 12]
+        result = sparsity.probe_bias_variance_study(
+            40, 3, mask_sizes, num_matrices, 30, np.random.default_rng(67))
+        mats = study_samples(40, 3, mask_sizes, num_matrices, 30, 67)
+        for row, s in zip(result.rows, mask_sizes):
+            q_hats = np.array([samples[s].mean() for _, samples in mats])
+            l0s = np.array([l0 for l0, _ in mats], dtype=np.float64)
+            assert row.mean_rel_bias == float(((q_hats - l0s) / l0s).mean())
+            assert row.variance == float(np.mean([samples[s].var(ddof=1)
+                                                  for _, samples in mats]))
 
     def test_csv_schema(self):
         rng = np.random.default_rng(47)

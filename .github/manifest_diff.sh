@@ -7,6 +7,8 @@
 # with the R1 penalty on, a 10-iteration train with 3 anchors and 2
 # discriminator steps an iteration (the anchor pass at N > 1 takes the BLAS
 # product, and the discriminator's vector is updated twice an iteration), a
+# 10-iteration train, "noinv", with weights.inv = 0 (the round-trip term is
+# off, so the reconstructor is never updated), a
 # 5-iteration ablate grid of the full and neither cases at seeds 0 and 1 and
 # a 5-iteration crossed grid, "sweep", of the full and no-anchor cases at
 # anchor counts 1 and 2 and seed 0 (each trains its four runs one after
@@ -52,6 +54,8 @@ runs() {
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/multi" \
         --override train.anchor_count=3 --override train.disc_steps_per_gen_step=2 \
         --override train.iterations=10 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/noinv" \
+        --override train.iterations=10 --override weights.inv=0 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/ablate" \
         --override ablate.cases=full,neither --override ablate.seeds=0,1 \
         --override train.iterations=5 > /dev/null
@@ -75,7 +79,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k probe1k support; do
+    for run in data train eval plot fd r1 multi noinv ablate sweep mpa probe probe5k probe1k support; do
         # [checksums] is the manifest's last section; a run that failed left
         # no manifest, and compares as an empty one
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
@@ -86,7 +90,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 multi ablate sweep mpa probe probe5k probe1k support; do
+for run in data train eval plot fd r1 multi noinv ablate sweep mpa probe probe5k probe1k support; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -7,13 +7,14 @@ identity output, so the discriminator outputs a logit, and the Jacobian
 terms (the exact l1 term, R1) are exact almost everywhere: each goes
 through ``sparsity.jacobian_graph``, which reads the masks and slope held
 by the dense nodes of a pass already built and rebuilds the activation
-derivatives from them with ``autodiff.leaky_derivative``.
+derivatives from them with ``autodiff.leaky_derivative``.  ``TERMS`` is the
+table of the weighted generator terms, one row a ``LossWeights`` field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class LossWeights:
 
     def __post_init__(self):
         # written so that NaN fails it too
-        for name in ("anchor", "sparsity", "inv"):
+        for name in (f.name for f in fields(self)):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
             if not math.isfinite(getattr(self, name)):
@@ -182,3 +183,15 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
         term = ad.abs_sum(ad.subtract(pert, base))
         total = term if total is None else ad.add(total, term)
     return ad.scale(total, 1.0 / (delta * n * spec.probes_per_sample))
+
+
+# The weighted generator terms, in the order the generator step adds them:
+# a row's name is its LossWeights field, and its builder takes the step's
+# pieces by keyword.  Each builder looks its loss up here when called, so a
+# rebound module attribute (a profiler's wrapper) is the one called.
+TERMS = {
+    "anchor": lambda gen, anchors, **_: anchor_loss(gen, anchors),
+    "sparsity": lambda gen, x, fake, probe, mode, rng, **_: sparsity_loss(
+        gen, x, probe, mode, rng, fake=fake),
+    "inv": lambda gen, rec, x, fake, **_: inv_loss(gen, rec, x, fake=fake),
+}

@@ -20,32 +20,18 @@ Three layers of machinery live here:
   reports that factor as ``lower_bound_factor`` beside the sketch's bias,
   and ``q_hypergeometric`` gives the sketch's expectation in closed form.
   The sketch reads J as a ``SparseJacobian``, its nonzeros alone in
-  compressed sparse column form, 12 bytes a nonzero;
-  ``random_sparse_jacobian`` draws one in that form, at about twice the
-  record's bytes, and a dense matrix is built only by
-  ``SparseJacobian.dense`` for a caller that needs one.
-  ``probe_bias_variance_study`` draws and probes one matrix at a time,
-  each from its own child stream of the caller's generator, so a study
-  holds one record and no D x D array at any D.
+  compressed sparse column form, so a study holds no D x D array at any D.
   Every subset, a probe's mask or a matrix's row support, comes from
-  ``random_mask``: Floyd's sampler, S integer draws a subset, so drawing a
-  probe costs O(S) and a row support O(T), never O(D).  Probes come in
-  blocks of count, one probe a row of S ascending indices: ``draw_probe``
-  draws the whole index block first, then one (count, S) Gaussian block.
-  D is the data's dimension, which the caller passes; a ``ProbeSpec``
-  holds S and the probe's scale and count alone.  ``q_probe_samples``
-  makes one ``draw_probe`` call for all its probes and scores that call's
-  index form in blocks, each in O(products) over sorted (probe, row) keys
-  where D bins a probe would be mostly empty and in O(D) a probe over bins
-  otherwise.  Both sum in column order, so the values keep their bits
-  either way, and neither the layout nor the block size moves the stream;
+  ``random_mask`` in O(S) draws, never O(D).  D is the data's dimension,
+  which the caller passes; a ``ProbeSpec`` holds S and the probe's scale
+  and count alone.  ``q_probe_samples`` scores one ``draw_probe`` block of
+  probes, over sorted keys or over bins, with the same bits either way;
 * the structural-sparsity test on a support pattern: every input coordinate
   k must own a set of output rows whose supports intersect exactly in {k}.
 
 Both sparsity penalties, the exact Jacobian l1 term and the masked finite
 differences along ``draw_probe`` probes, are assembled in
-``objective.sparsity_loss``; its masked-FD mode makes one ``draw_probe``
-call per loss, a block holding every sample's probe for every round.
+``objective.sparsity_loss``.
 """
 
 from __future__ import annotations
@@ -497,9 +483,11 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
         raise ValueError(f"row_support = {row_support} not in [1, dimension = {dimension}]")
     if len(mask_sizes) == 0:
         raise ValueError("mask_sizes is empty")
-    for s in mask_sizes:
+    for i, s in enumerate(mask_sizes):
         if not 1 <= s <= dimension:
             raise ValueError(f"mask_sizes entry {s} not in [1, dimension = {dimension}]")
+        if s in mask_sizes[:i]:
+            raise ValueError(f"mask_sizes entry {s} is repeated")
     l0s = np.empty(num_matrices)
     q_hats = np.empty((len(mask_sizes), num_matrices))
     variances = np.empty((len(mask_sizes), num_matrices))
@@ -514,10 +502,7 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
     rows = []
     for k, s in enumerate(mask_sizes):
         rel_bias = (q_hats[k] - l0s) / l0s
-        if dimension > 1:
-            factor = 1.0 - (s - 1) * (row_support - 1) / (2.0 * (dimension - 1))
-        else:
-            factor = 1.0
+        factor = 1.0 - (s - 1) * (row_support - 1) / (2.0 * max(dimension - 1, 1))
         rows.append(StudyRow(mask_size=int(s),
                              mean_rel_bias=float(rel_bias.mean()),
                              variance=float(variances[k].mean()),

@@ -30,15 +30,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .nets import MlpModel, adam_init, adam_step, bind, init_mlp, save_checkpoint
-from .objective import (SPARSITY_MODES, AnchorSet, LossWeights, anchor_loss, gan_losses,
-                        inv_loss, sparsity_loss)
+from .objective import SPARSITY_MODES, TERMS, AnchorSet, LossWeights, gan_losses
 from .sparsity import ProbeSpec
 from .stats import energy_distance
 from .synthdata import PairedDataset, select_anchors
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss went non-finite."""
+    """A loss, or a network's parameters after an update, went non-finite."""
 
 
 class Networks(NamedTuple):
@@ -170,34 +169,30 @@ def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) 
 
 def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
                     anchors: AnchorSet, probe_rng) -> dict:
-    """One generator + reconstructor step on the combined objective
-    gan + w_anchor * anchor + w_sparsity * sparsity + w_inv * inv, the terms
-    added in that order; returns the trace's gen, anchor, sparsity, inv and
-    total losses (0.0 for a term that is off), after the updates when the
-    total is finite and with nothing updated when it is not.
+    """One generator + reconstructor step on the combined objective: the
+    adversarial term plus, in ``objective.TERMS`` order, each row whose weight
+    is positive times that weight; returns the gen, total and built rows'
+    losses, after the updates when the total is finite, with none when not.
 
-    The discriminator is frozen, and g(x) is built once and shared by the
-    adversarial, round-trip and sparsity terms.
+    The discriminator is frozen, g(x) is built once and shared by every term,
+    and the reconstructor is updated when a row took it into the graph.
     """
     (gen, disc, rec), w = models, config.weights
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
     _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
-    # a term is built only when its weight is positive
-    terms = {"anchor": anchor_loss(gen_b, anchors) if w.anchor > 0 else None,
-             "sparsity": sparsity_loss(gen_b, xb, config.probe, config.sparsity_mode,
-                                       probe_rng, fake=fake) if w.sparsity > 0 else None,
-             "inv": inv_loss(gen_b, rec_b, xb, fake=fake) if w.inv > 0 else None}
+    terms = {name: build(gen=gen_b, rec=rec_b, x=xb, fake=fake, anchors=anchors,
+                         probe=config.probe, mode=config.sparsity_mode, rng=probe_rng)
+             for name, build in TERMS.items() if getattr(w, name) > 0}
     total = gen_part
     for name, node in terms.items():
-        if node is not None:
-            total = ad.add(total, ad.scale(node, getattr(w, name)))
-    losses = {k: 0.0 if node is None else float(node.value[0, 0])
+        total = ad.add(total, ad.scale(node, getattr(w, name)))
+    losses = {k: float(node.value[0, 0])
               for k, node in {"gen": gen_part, **terms, "total": total}.items()}
     if np.isfinite(losses["total"]):
         ad.backward(total)
         adam_step(gen, gen_b.gradients(), states.generator)
-        if w.inv > 0:
+        if any(node.grad is not None for node in rec_b.param_nodes):
             adam_step(rec, rec_b.gradients(), states.reconstructor)
     return losses
 
@@ -209,9 +204,10 @@ def train(config: TrainConfig, train_data: PairedDataset,
     The data's dimension D sizes the networks.  A probe mask wider than D,
     or more anchors than the training split holds, is rejected before any
     model or out_dir exists.  Aborts with TrainingDiverged on a non-finite
-    loss, leaving in out_dir, when one is given, the models as they were at
-    the start of the failing iteration, as last_good_{name}.ckpt.  With zero
-    iterations the freshly initialized models are evaluated as-is.
+    loss or updated network, leaving in out_dir, when one is given, the
+    models as they were at the start of the failing iteration, as
+    last_good_{name}.ckpt.  With zero iterations the freshly initialized
+    models are evaluated as-is.
     """
     d = train_data.x.shape[1]
     if config.probe.mask_size > d:
@@ -223,15 +219,23 @@ def train(config: TrainConfig, train_data: PairedDataset,
                                   config.beta2, config.epsilon) for model in models))
     x_all, y_all = train_data.x, train_data.y
     n = len(train_data)
-    names = ("disc", "gen", "anchor", "sparsity", "inv", "total")
-    trace = {k: np.zeros(config.iterations) for k in names}
+    trace = {k: np.zeros(config.iterations) for k in ("disc", "gen", *TERMS, "total")}
     diagnostics = []
     start = time.perf_counter()
 
-    def abort(iteration, reason):
+    def abort(iteration, what):
         if out_dir is not None:
             last_good.save(out_dir, "last_good_")
-        raise TrainingDiverged(f"non-finite {reason} loss at iteration {iteration}")
+        raise TrainingDiverged(f"non-finite {what} at iteration {iteration}")
+
+    def check(iteration, loss, *updated):
+        # a step's loss is named after the first network it updates; a finite
+        # loss can still update a network to non-finite parameters
+        if not np.isfinite(loss):
+            abort(iteration, f"{updated[0]} loss")
+        for name in updated:
+            if not np.isfinite(getattr(models, name).flat).all():
+                abort(iteration, f"{name} parameters")
 
     # a diverging step overflows on its way to a non-finite loss; the
     # finite checks report that in one line, which numpy's warnings would bury
@@ -243,15 +247,13 @@ def train(config: TrainConfig, train_data: PairedDataset,
                 xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
                 yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
                 trace["disc"][it] = _disc_step(config, models, states, xb, yb)
-                if not np.isfinite(trace["disc"][it]):
-                    abort(it, "discriminator")
+                check(it, trace["disc"][it], "discriminator")
 
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
             # the step scores no real batch, but its draw keeps batch_rng's stream
             batch_rng.integers(0, n, config.batch_size)
             losses = _generator_step(config, models, states, xb, anchors, probe_rng)
-            if not np.isfinite(losses["total"]):
-                abort(it, "generator")
+            check(it, losses["total"], "generator", "reconstructor")
             for key, value in losses.items():
                 trace[key][it] = value
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import anchordt
-from anchordt import cli, configio, manifest, nets, sparsity, synthdata
+from anchordt import cli, configio, manifest, nets, objective, sparsity, synthdata
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,10 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("ablate", ["ablate.seeds=0,1,1"], "seeds entry 1 is repeated"),
     ("ablate", ["ablate.anchor_counts=2,1,2"], "anchor_counts entry 2 is repeated"),
     ("ablate", ["ablate.cases=full,neither,full"], "cases entry 'full' is repeated"),
+    # a repeat would write a second row for its mask size, from a later stream position
+    ("probe-study", ["probe_study.mask_sizes=1,1", "probe_study.dimension=20",
+                     "probe_study.row_support=3", "probe_study.num_matrices=2",
+                     "probe_study.mc_samples=10"], "mask_sizes entry 1 is repeated"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -238,6 +242,15 @@ def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
     with pytest.raises(configio.ConfigError, match="unknown key 'gen_sizes'"):
         manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
     assert not (tmp_path / "replay").exists()
+
+
+def test_every_name_an_ablation_case_zeroes_is_a_terms_row():
+    zeroed = [name for names in cli.ABLATION_CASES.values() for name in names]
+    assert zeroed and set(zeroed) <= set(objective.TERMS)
+    # the default grid: four cases at three seeds
+    default = cli.AblateConfig()
+    assert default.cases == ("full", "no-anchor", "no-sparsity", "neither")
+    assert default.seeds == (0, 1, 2)
 
 
 @pytest.mark.parametrize("override, message", [

@@ -1,5 +1,6 @@
 """Analytic values and gradient checks for the four loss terms."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -472,3 +473,7 @@ class TestTotalLoss:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             objective.LossWeights(anchor=-0.1)
+
+    def test_each_weight_names_one_terms_row_in_table_order(self):
+        names = [f.name for f in dataclasses.fields(objective.LossWeights)]
+        assert names == list(objective.TERMS) == ["anchor", "sparsity", "inv"]

@@ -1,14 +1,17 @@
-"""The anchors train() draws, the generator step's weighted total, the
-lifetime of a step's graph, and the checks train() makes before its first
-step."""
+"""The anchors train() draws, the generator step's weighted total and the
+builders it calls, the lifetime of a step's graph, the checks train() makes
+before its first step, and the divergence it reports."""
 
+import copy
+import dataclasses
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from anchordt import autodiff as ad
-from anchordt import nets, trainer
+from anchordt import nets, objective, trainer
 from anchordt.objective import AnchorSet, LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import PairedDataset, SynthConfig, generate, select_anchors
@@ -23,13 +26,13 @@ def splits():
 def test_train_scores_the_anchors_drawn_with_its_count_and_seed(splits, monkeypatch):
     train_split, test_split = splits
     scored = []
-    original = trainer.anchor_loss
+    original = objective.anchor_loss
 
     def recording(gen_b, anchors):
         scored.append(anchors)
         return original(gen_b, anchors)
 
-    monkeypatch.setattr(trainer, "anchor_loss", recording)
+    monkeypatch.setattr(objective, "anchor_loss", recording)
     draws = set()
     for count in (1, 3):
         for seed in (0, 1):
@@ -65,6 +68,48 @@ def test_traced_total_is_the_weighted_sum_of_the_terms(splits, anchor, sparsity,
             assert (losses[name] != 0.0).all()
             expected = expected + weight * losses[name]
     assert losses["total"].tobytes() == expected.tobytes()
+
+
+def count_builder_calls(monkeypatch) -> dict:
+    """Replace each term's loss function with a counting wrapper in every
+    anchordt module that binds it, as a profiler that rebinds module
+    attributes does; returns the counts, by function name."""
+    counts = {}
+    modules = [m for key, m in sys.modules.items()
+               if key == "anchordt" or key.startswith("anchordt.")]
+    for name in ("anchor_loss", "sparsity_loss", "inv_loss"):
+        original, counts[name] = getattr(objective, name), 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return counts
+
+
+@pytest.mark.parametrize("inv", [1.0, 0.0])
+def test_a_generator_step_calls_the_rebound_builder_of_each_weighted_term(monkeypatch,
+                                                                         inv):
+    counts = count_builder_calls(monkeypatch)
+    cfg = TrainConfig(weights=LossWeights(inv=inv), batch_size=16)
+    models, _, probe_rng = trainer._init_models(cfg, 2)
+    states = trainer.Networks(*(nets.adam_init(model) for model in models))
+    rec_flat, rec_state = models.reconstructor.flat.copy(), copy.deepcopy(states.reconstructor)
+    rng = np.random.default_rng(0)
+    anchors = AnchorSet(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
+    trainer._generator_step(cfg, models, states, rng.standard_normal((2, cfg.batch_size)),
+                            anchors, probe_rng)
+    assert counts == {"anchor_loss": 1, "sparsity_loss": 1, "inv_loss": int(inv > 0)}
+    rec_unchanged = (models.reconstructor.flat.tobytes() == rec_flat.tobytes()
+                     and states.reconstructor.m.tobytes() == rec_state.m.tobytes()
+                     and states.reconstructor.v.tobytes() == rec_state.v.tobytes()
+                     and states.reconstructor.step_count == rec_state.step_count)
+    # with inv off no term takes the reconstructor in, so nothing of it moves
+    assert rec_unchanged == (inv == 0.0)
 
 
 def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
@@ -212,3 +257,36 @@ def test_edges_of_the_valid_ranges_are_accepted():
 def test_nested_config_rejects_nan_naming_the_field(cls, change, message):
     with pytest.raises(ValueError, match=message):
         cls(**change)
+
+
+# adam_step's calls, three an iteration: discriminator, generator, reconstructor
+@pytest.mark.parametrize("call, network, iteration", [
+    (4, "discriminator", 1), (5, "generator", 1), (15, "reconstructor", 4)])
+def test_an_update_to_non_finite_parameters_aborts_naming_network_and_iteration(
+        splits, tmp_path, monkeypatch, call, network, iteration):
+    train_split, test_split = splits
+    cfg = TrainConfig(iterations=5, batch_size=64)
+    calls = []
+    original = trainer.adam_step
+
+    def poisoning(model, gradients, state):
+        # the loss was finite; the update leaves an inf behind
+        original(model, gradients, state)
+        calls.append(model)
+        if len(calls) == call:
+            model.flat[0] = np.inf
+        return model, state
+
+    monkeypatch.setattr(trainer, "adam_step", poisoning)
+    with pytest.raises(trainer.TrainingDiverged,
+                       match=f"^non-finite {network} parameters at iteration {iteration}$"):
+        trainer.train(cfg, train_split, test_split, tmp_path / "run")
+    monkeypatch.undo()
+    # the last-good models are a clean run's after `iteration` iterations
+    clean = dataclasses.replace(cfg, iterations=iteration)
+    trainer.train(clean, train_split, test_split, tmp_path / "clean")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+        sorted(trainer.Networks.files("last_good_"))
+    for name in trainer.Networks.files():
+        assert ((tmp_path / "run" / f"last_good_{name}").read_bytes()
+                == (tmp_path / "clean" / name).read_bytes())

@@ -20,12 +20,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Annotated, Callable, NamedTuple
 
 import numpy as np
 
 from . import configio, manifest, mpa, sparsity, svgplot
-from .configio import format_float
+from .configio import (DISTINCT, FINITE, NON_NEGATIVE, NONEMPTY, POSITIVE, Checked,
+                       at_least, format_float)
 from .nets import load_checkpoint
 from .synthdata import SynthConfig, generate, load_dataset, save_dataset
 from .trainer import Networks, TrainConfig, TrainingDiverged, train, translation_error
@@ -112,12 +113,8 @@ def cmd_eval(config, io, out_dir):
 
 
 @dataclass
-class PlotConfig:
-    max_points: int = 1000
-
-    def __post_init__(self):
-        if self.max_points < 1:
-            raise ValueError(f"max_points = {self.max_points} must be positive")
+class PlotConfig(Checked):
+    max_points: Annotated[int, POSITIVE] = 1000
 
 
 def cmd_plot(config, io, out_dir):
@@ -146,18 +143,14 @@ def cmd_plot(config, io, out_dir):
 
 
 @dataclass
-class ProbeStudyConfig:
+class ProbeStudyConfig(Checked):
     dimension: int = 1000
     row_support: int = 10
     mask_sizes: tuple[int, ...] = (1, 2, 5, 10, 20, 50)
     num_matrices: int = 20
     mc_samples: int = 500
-    seed: int = 0
+    seed: Annotated[int, NON_NEGATIVE] = 0
     exact_overlay: bool = False
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed} must be >= 0")
 
 
 def cmd_probe_study(config, io, out_dir):
@@ -277,21 +270,11 @@ def _mpa_checks(n, seed, eps):
 
 
 @dataclass
-class MpaCheckConfig:
-    samples: int = 100000
-    seed: int = 0
-    tolerance: float = 1e-3
-
-    def __post_init__(self):
-        # the fixed-measure probe needs 10,000 samples, the KS checks 1,000
-        if self.samples < 10000:
-            raise ValueError(f"samples = {self.samples} must be at least 10000")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed} must be >= 0")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance = {self.tolerance} must be positive")
-        if not math.isfinite(self.tolerance):
-            raise ValueError(f"tolerance = {self.tolerance} must be finite")
+class MpaCheckConfig(Checked):
+    # the fixed-measure probe needs 10,000 samples, the KS checks 1,000
+    samples: Annotated[int, at_least(10000)] = 100000
+    seed: Annotated[int, NON_NEGATIVE] = 0
+    tolerance: Annotated[float, POSITIVE, FINITE] = 1e-3
 
 
 def cmd_mpa_check(config, io, out_dir):
@@ -311,9 +294,9 @@ def cmd_mpa_check(config, io, out_dir):
 
 
 @dataclass
-class SparsityCheckConfig:
+class SparsityCheckConfig(Checked):
     """``dimension`` is D; by default one more than the largest index read."""
-    dimension: int | None = None
+    dimension: Annotated[int | None, POSITIVE] = None
 
 
 def cmd_sparsity_check(config, io, out_dir):
@@ -363,24 +346,15 @@ ABLATION_CASES = {"full": (), "no-anchor": ("anchor",), "no-sparsity": ("sparsit
 
 
 @dataclass
-class AblateConfig:
+class AblateConfig(Checked):
     """The grid cases x anchor_counts x seeds; no anchor_counts means
     [train] anchor_count alone."""
-    cases: tuple[str, ...] = tuple(ABLATION_CASES)
-    seeds: tuple[int, ...] = (0, 1, 2)
-    anchor_counts: tuple[int, ...] = ()
+    cases: Annotated[tuple[str, ...], NONEMPTY, DISTINCT] = tuple(ABLATION_CASES)
+    seeds: Annotated[tuple[int, ...], NONEMPTY, DISTINCT, NON_NEGATIVE] = (0, 1, 2)
+    anchor_counts: Annotated[tuple[int, ...], DISTINCT, NON_NEGATIVE] = ()
 
     def __post_init__(self):
-        for name in ("cases", "seeds"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} is empty")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds entry {min(self.seeds)} must be >= 0")
-        for name in ("cases", "seeds", "anchor_counts"):
-            entries = getattr(self, name)
-            repeats = [v for i, v in enumerate(entries) if v in entries[:i]]
-            if repeats:
-                raise ValueError(f"{name} entry {repeats[0]!r} is repeated")
+        super().__post_init__()
         unknown = [c for c in self.cases if c not in ABLATION_CASES]
         if unknown:
             raise ValueError(f"unknown ablation case {unknown[0]!r}; "

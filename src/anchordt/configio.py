@@ -18,12 +18,24 @@ manifest replay its run.  A field that is itself a dataclass has its own
 section, named after the field: TrainConfig reads [train], [weights] and
 [probe].  A key that names no field is rejected, so a misspelt key cannot
 leave a default in place.  One table parses and formats values by field type.
+
+A field declares its range in its type, ``batch_size: Annotated[int,
+POSITIVE]``; making a config that subclasses ``Checked`` runs ``check``,
+which raises ValueError reading ``field = value phrase`` (``batch_size = 0
+must be positive``).  On a tuple field a rule tests each entry (NONEMPTY and
+DISTINCT the tuple) and reads ``field entry v phrase`` (``seeds entry -1 must
+be >= 0``), or ``field phrase`` for an empty tuple (``seeds is empty``).
+Every rule's test is False at NaN.  read() puts the section in front:
+``[probe] mask_size = 0 must be at least 1``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import typing
+from typing import Callable, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -121,27 +133,74 @@ _CODECS = {
 }
 
 
-def _fields(cls) -> list[tuple[str, type]]:
-    hints = typing.get_type_hints(cls)
-    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+class Rule(NamedTuple):
+    """A range a field declares: ``test`` is True for a value inside it and
+    False at NaN; ``phrase`` ends the message for a value outside it.  A
+    ``whole`` rule tests a tuple field's value, not its entries."""
+    test: Callable[[object], bool]
+    phrase: str
+    whole: bool = False
+
+
+POSITIVE = Rule(lambda v: v > 0, "must be positive")
+NON_NEGATIVE = Rule(lambda v: v >= 0, "must be >= 0")
+FINITE = Rule(math.isfinite, "must be finite")
+NONEMPTY = Rule(lambda t: isinstance(t, tuple) and len(t) > 0, "is empty", True)
+DISTINCT = Rule(lambda t: isinstance(t, tuple) and len(set(t)) == len(t), "is repeated", True)
+
+
+def at_least(n) -> Rule:
+    return Rule(lambda v: v >= n, f"must be at least {n}")
+
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, type, tuple[Rule, ...]], ...]:
+    """(name, bare type, declared rules) a field, cached: q_probe_samples makes a ProbeSpec."""
+    kinds, hints = typing.get_type_hints(cls), typing.get_type_hints(cls, include_extras=True)
+    return tuple((f.name, kinds[f.name], getattr(hints[f.name], "__metadata__", ()))
+                 for f in dataclasses.fields(cls))
+
+
+def check(cfg) -> None:
+    """Raise ValueError naming the first field of ``cfg`` outside a rule its
+    type declares; a field left None, an optional value unset, has no range."""
+    for name, _, rules in _fields(type(cfg)):
+        value = getattr(cfg, name)
+        for rule in rules if value is not None else ():
+            if isinstance(value, tuple):
+                # a whole rule blames the entry that ends the shortest prefix breaking it
+                for i, v in enumerate(value):
+                    if not rule.test(value[:i + 1] if rule.whole else v):
+                        raise ValueError(f"{name} entry {v!r} {rule.phrase}")
+                if rule.whole and not rule.test(value):   # no entry to blame: ()
+                    raise ValueError(f"{name} {rule.phrase}")
+            elif not rule.test(value):
+                raise ValueError(f"{name} = {value!r} {rule.phrase}")
+
+
+class Checked:
+    """Base of the typed configs: making one checks every declared range.  A
+    config with checks across fields runs them after ``super().__post_init__()``."""
+    def __post_init__(self):
+        check(self)
 
 
 def read(base, sections, name: str):
     """``base`` with the entries of section ``name`` applied, field by field.
 
     Raises ConfigError for the keys that name no field, every one of them
-    in one error, or a value its field's type cannot parse; the dataclass's
-    own checks raise ValueError.
+    in one error, a value its field's type cannot parse, or a value the
+    dataclass's own checks reject, with the section in front.
     """
     entries = sections.get(name, {})
     fields = _fields(type(base))
-    known = [key for key, kind in fields if not dataclasses.is_dataclass(kind)]
+    known = [key for key, kind, _ in fields if not dataclasses.is_dataclass(kind)]
     unknown = [f"unknown key {key!r}" for key in entries if key not in known]
     if unknown:   # all named at once, before any nested section is read
         raise ConfigError(f"[{name}] {', '.join(unknown)}; "
                           f"known keys: {', '.join(known)}")
     changes = {}
-    for key, kind in fields:
+    for key, kind, _ in fields:
         if dataclasses.is_dataclass(kind):
             changes[key] = read(getattr(base, key), sections, key)
         elif key in entries:
@@ -150,13 +209,16 @@ def read(base, sections, name: str):
                 changes[key] = _CODECS[kind][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"[{name}] {key} = {raw!r}: {exc}") from None
-    return dataclasses.replace(base, **changes)
+    try:   # a nested section's error was raised above, naming its section
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def echo(cfg, name: str) -> dict[str, dict[str, str]]:
     """The config-file sections that read() turns back into ``cfg``."""
     sections = {name: {}}
-    for key, kind in _fields(type(cfg)):
+    for key, kind, _ in _fields(type(cfg)):
         value = getattr(cfg, key)
         if dataclasses.is_dataclass(kind):
             sections.update(echo(value, key))

@@ -13,12 +13,13 @@ table of the weighted generator terms, one row a ``LossWeights`` field.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import autodiff as ad
+from .configio import FINITE, NON_NEGATIVE, Checked
 from .nets import MlpBinding
 from .sparsity import ProbeSpec, draw_probe, jacobian_graph
 
@@ -26,18 +27,10 @@ SPARSITY_MODES = ("exact-jacobian-l1", "masked-fd")
 
 
 @dataclass
-class LossWeights:
-    anchor: float = 1.0
-    sparsity: float = 0.1
-    inv: float = 1.0
-
-    def __post_init__(self):
-        # written so that NaN fails it too
-        for name in (f.name for f in fields(self)):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
+class LossWeights(Checked):
+    anchor: Annotated[float, NON_NEGATIVE, FINITE] = 1.0
+    sparsity: Annotated[float, NON_NEGATIVE, FINITE] = 0.1
+    inv: Annotated[float, NON_NEGATIVE, FINITE] = 1.0
 
 
 @dataclass

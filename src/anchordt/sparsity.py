@@ -38,10 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import autodiff as ad
+from .configio import FINITE, POSITIVE, Checked, at_least
 from .nets import HIDDEN_SLOPE
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -64,25 +66,12 @@ SORT_RATIO = 10
 
 
 @dataclass
-class ProbeSpec:
+class ProbeSpec(Checked):
     """Mask size S, scale and count of the masked-FD probes.  D, the data's
     dimension, comes from the caller of ``draw_probe``; S must not exceed it."""
-    mask_size: int
-    perturbation_scale: float = 0.01
-    probes_per_sample: int = 1
-
-    def __post_init__(self):
-        if self.mask_size < 1:
-            raise ValueError(f"mask size {self.mask_size} must be at least 1")
-        if not self.perturbation_scale > 0:   # NaN fails it too
-            raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
-                             "must be positive")
-        if not math.isfinite(self.perturbation_scale):
-            raise ValueError(f"perturbation_scale = {self.perturbation_scale!r} "
-                             "must be finite")
-        if self.probes_per_sample < 1:
-            raise ValueError(f"probes_per_sample = {self.probes_per_sample} "
-                             "must be at least 1")
+    mask_size: Annotated[int, at_least(1)]
+    perturbation_scale: Annotated[float, POSITIVE, FINITE] = 0.01
+    probes_per_sample: Annotated[int, at_least(1)] = 1
 
 
 @dataclass

@@ -12,34 +12,29 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import configio
-from .configio import format_float
+from .configio import NON_NEGATIVE, POSITIVE, Checked, Rule, format_float
 from .objective import AnchorSet
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# |t| < 1 keeps the warp injective
+INJECTIVE = Rule(lambda t: -1 < t < 1, "not in (-1, 1)")
 
 
 @dataclass
-class SynthConfig:
-    num_train: int = 27000
-    num_test: int = 3000
-    seed: int = 0
-    t_min: float = 0.3
-    t_max: float = 0.5
+class SynthConfig(Checked):
+    num_train: Annotated[int, POSITIVE] = 27000
+    num_test: Annotated[int, POSITIVE] = 3000
+    seed: Annotated[int, NON_NEGATIVE] = 0
+    t_min: Annotated[float, INJECTIVE] = 0.3
+    t_max: Annotated[float, INJECTIVE] = 0.5
 
     def __post_init__(self):
-        for name in ("num_train", "num_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)} must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed} must be >= 0")
-        for name in ("t_min", "t_max"):
-            # |t| < 1 keeps the warp injective; NaN and infinities fail it too
-            if not -1 < getattr(self, name) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)!r} not in (-1, 1)")
+        super().__post_init__()
         if self.t_min > self.t_max:
             raise ValueError(f"t_min = {self.t_min} exceeds t_max = {self.t_max}")
 

@@ -20,15 +20,15 @@ masked-fd read 126-129 against 157-158.  Run grids through the ablate verb.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from .configio import FINITE, NON_NEGATIVE, POSITIVE, Checked, Rule, at_least
 from .nets import MlpModel, adam_init, adam_step, bind, init_mlp, save_checkpoint
 from .objective import SPARSITY_MODES, TERMS, AnchorSet, LossWeights, gan_losses
 from .sparsity import ProbeSpec
@@ -59,53 +59,40 @@ class Networks(NamedTuple):
             save_checkpoint(model, os.path.join(out_dir, name))
 
 
+# an Adam moment decay
+DECAY = Rule(lambda b: 0 <= b < 1, "not in [0, 1)")
+
+
 @dataclass
-class TrainConfig:
+class TrainConfig(Checked):
     weights: LossWeights = field(default_factory=LossWeights)
-    anchor_count: int = 1
+    anchor_count: Annotated[int, NON_NEGATIVE] = 1
     sparsity_mode: str = "exact-jacobian-l1"
     probe: ProbeSpec = field(default_factory=lambda: ProbeSpec(1, 0.01, 8))
-    learning_rate: float = 1e-3
-    batch_size: int = 1024
-    iterations: int = 7000
-    disc_steps_per_gen_step: int = 1
-    seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: Annotated[float, POSITIVE, FINITE] = 1e-3
+    batch_size: Annotated[int, POSITIVE] = 1024
+    iterations: Annotated[int, NON_NEGATIVE] = 7000
+    disc_steps_per_gen_step: Annotated[int, POSITIVE] = 1
+    seed: Annotated[int, NON_NEGATIVE] = 0
+    beta1: Annotated[float, DECAY] = 0.9
+    beta2: Annotated[float, DECAY] = 0.999
+    epsilon: Annotated[float, POSITIVE, FINITE] = 1e-8
     # hidden-layer widths; the input and output sizes come from the data
-    gen_hidden: tuple[int, ...] = (32, 32)
-    disc_hidden: tuple[int, ...] = (64, 64)
-    rec_hidden: tuple[int, ...] = (32, 32)
-    r1_weight: float = 0.0
-    diag_interval: int = 500
-    diag_points: int = 512
+    gen_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
+    disc_hidden: Annotated[tuple[int, ...], POSITIVE] = (64, 64)
+    rec_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
+    r1_weight: Annotated[float, NON_NEGATIVE, FINITE] = 0.0
+    # 0 turns the diagnostics off
+    diag_interval: Annotated[int, NON_NEGATIVE] = 500
+    diag_points: Annotated[int, at_least(1)] = 512
 
     def __post_init__(self):
-        # each written so that NaN fails it too; diag_interval = 0 turns the
-        # diagnostics off
-        for name in ("batch_size", "disc_steps_per_gen_step", "learning_rate", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be positive")
-        for name in ("iterations", "anchor_count", "seed", "r1_weight", "diag_interval"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be >= 0")
-        for name in ("learning_rate", "epsilon", "r1_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
+        super().__post_init__()
         if self.weights.anchor > 0 and self.anchor_count < 1:
             raise ValueError("weights.anchor > 0 needs anchor_count >= 1")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ValueError(f"sparsity_mode {self.sparsity_mode!r} is not one of "
                              f"{SPARSITY_MODES}")
-        for name in ("gen_hidden", "disc_hidden", "rec_hidden"):
-            if min(getattr(self, name), default=1) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)}: widths must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} = {getattr(self, name)!r} not in [0, 1)")
-        if self.diag_points < 1:
-            raise ValueError(f"diag_points = {self.diag_points} must be at least 1")
 
 
 @dataclass

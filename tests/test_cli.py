@@ -151,6 +151,13 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     ("probe-study", ["probe_study.mask_sizes=1,1", "probe_study.dimension=20",
                      "probe_study.row_support=3", "probe_study.num_matrices=2",
                      "probe_study.mc_samples=10"], "mask_sizes entry 1 is repeated"),
+    # a nested section's range error names the section and key the user set
+    ("train", ["probe.mask_size=0"], "[probe] mask_size = 0 must be at least 1"),
+    # an [ablate] entry, not the [train] anchor_count each run is made with
+    ("ablate", ["ablate.anchor_counts=-1"], "[ablate] anchor_counts entry -1 must be >= 0"),
+    # the config is read before the support file is opened
+    ("sparsity-check", ["io.support_file=none.csv", "sparsity_check.dimension=0"],
+     "[sparsity_check] dimension = 0 must be positive"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -581,7 +588,7 @@ def test_unknown_io_or_sparsity_check_key_exits_2(data_dir, tmp_path, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("dimension", [None, 0, 5])
+@pytest.mark.parametrize("dimension", [None, 1, 5])
 def test_sparsity_check_config_round_trips_through_its_echo(dimension):
     cfg = cli.SparsityCheckConfig(dimension)
     sections = configio.echo(cfg, "sparsity_check")

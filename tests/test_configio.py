@@ -1,10 +1,13 @@
 """Typed configs read from and echoed to config-file sections."""
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchordt import configio
+from anchordt import cli, configio
 from anchordt.objective import SPARSITY_MODES, LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import SynthConfig
@@ -86,3 +89,60 @@ def test_unknown_key_or_unparsable_value_is_named(sections, message):
     with pytest.raises(configio.ConfigError) as info:
         configio.read(TrainConfig(), sections, "train")
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"train": {"batch_size": "0"}}, "[train] batch_size = 0 must be positive"),
+    ({"weights": {"inv": "inf"}}, "[weights] inv = inf must be finite"),
+    ({"train": {"anchor_count": "0"}}, "[train] weights.anchor > 0 needs anchor_count >= 1"),
+    # a nested section names itself, and is read before its parent is checked
+    ({"train": {"seed": "-1"}, "probe": {"mask_size": "0"}},
+     "[probe] mask_size = 0 must be at least 1"),
+])
+def test_a_value_the_config_rejects_is_named_with_its_section(sections, message):
+    with pytest.raises(configio.ConfigError) as info:
+        configio.read(TrainConfig(), sections, "train")
+    assert str(info.value) == message
+
+
+# each config dataclass a verb reads, made with its defaults
+VERB_CONFIGS = [SynthConfig(), TrainConfig(), LossWeights(), ProbeSpec(1),
+                cli.PlotConfig(), cli.ProbeStudyConfig(), cli.MpaCheckConfig(),
+                cli.SparsityCheckConfig(), cli.AblateConfig()]
+
+
+def declared(cls) -> dict:
+    """field name -> (type, the rules its annotation declares)."""
+    fields = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        annotated = typing.get_origin(hint) is typing.Annotated
+        kind, *rules = typing.get_args(hint) if annotated else (hint,)
+        fields[name] = kind, rules
+    return fields
+
+
+def test_every_checked_config_is_listed():
+    assert {type(cfg) for cfg in VERB_CONFIGS} == set(configio.Checked.__subclasses__())
+
+
+@pytest.mark.parametrize("base", VERB_CONFIGS, ids=lambda cfg: type(cfg).__name__)
+def test_a_float_field_with_a_range_rejects_nan_naming_the_field(base):
+    for name, (kind, rules) in declared(type(base)).items():
+        if kind is not float or not rules:
+            continue
+        bad = [float("nan")]
+        if configio.FINITE in rules:
+            bad += [float("inf"), -float("inf")]
+        for value in bad:
+            with pytest.raises(ValueError, match=rf"^{name} = {value!r} "):
+                dataclasses.replace(base, **{name: value})
+
+
+def test_every_rule_is_false_at_nan():
+    exported = [rule for rule in vars(configio).values() if isinstance(rule, configio.Rule)]
+    assert len(exported) == 5
+    rules = exported + [configio.at_least(1), configio.at_least(-5)]
+    rules += [rule for cfg in VERB_CONFIGS for _, field_rules in declared(type(cfg)).values()
+              for rule in field_rules]
+    for rule in rules:
+        assert rule.test(float("nan")) is False, rule.phrase

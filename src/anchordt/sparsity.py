@@ -43,7 +43,7 @@ from typing import Annotated
 import numpy as np
 
 from . import autodiff as ad
-from .configio import FINITE, POSITIVE, Checked, at_least
+from .configio import DISTINCT, FINITE, NONEMPTY, POSITIVE, Checked, at_least
 from .nets import HIDDEN_SLOPE
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -431,6 +431,30 @@ def random_sparse_jacobian(dimension: int, row_support: int,
 
 
 @dataclass
+class ProbeStudy(Checked):
+    """The parameters of ``probe_bias_variance_study``: D, T, the mask sizes
+    S, the number of random matrices and the probes drawn a matrix at each S.
+    T and every S are at most D."""
+    dimension: Annotated[int, POSITIVE] = 1000
+    row_support: Annotated[int, POSITIVE] = 10
+    mask_sizes: Annotated[tuple[int, ...], NONEMPTY, DISTINCT, POSITIVE] = (
+        1, 2, 5, 10, 20, 50)
+    num_matrices: Annotated[int, POSITIVE] = 20
+    # one draw a probe has no variance
+    mc_samples: Annotated[int, at_least(2)] = 500
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.row_support > self.dimension:
+            raise ValueError(f"row_support = {self.row_support} not in "
+                             f"[1, dimension = {self.dimension}]")
+        for s in self.mask_sizes:
+            if s > self.dimension:
+                raise ValueError(f"mask_sizes entry {s} not in "
+                                 f"[1, dimension = {self.dimension}]")
+
+
+@dataclass
 class StudyRow:
     mask_size: int
     mean_rel_bias: float
@@ -450,9 +474,7 @@ class StudyResult:
         return out
 
 
-def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
-                              num_matrices: int, mc_samples: int,
-                              rng: np.random.Generator,
+def probe_bias_variance_study(study: ProbeStudy, rng: np.random.Generator,
                               zero_threshold: float = DEFAULT_ZERO_THRESHOLD) -> StudyResult:
     """Bias and variance of the (D/S)||Jz||_0 sketch across random Jacobians.
 
@@ -461,22 +483,10 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
     the record is released before the next matrix is drawn, so the study
     holds one record at any D.  The reported variance is that of a single
     probe (not of the averaged estimate), and the bias is relative to the
-    true nonzero count.  Every parameter is checked before the first draw.
+    true nonzero count.  ``study`` checked its parameters when it was made.
     """
-    for name, value in (("dimension", dimension), ("num_matrices", num_matrices)):
-        if value < 1:
-            raise ValueError(f"{name} = {value} must be positive")
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples = {mc_samples} must be at least 2")
-    if not 1 <= row_support <= dimension:
-        raise ValueError(f"row_support = {row_support} not in [1, dimension = {dimension}]")
-    if len(mask_sizes) == 0:
-        raise ValueError("mask_sizes is empty")
-    for i, s in enumerate(mask_sizes):
-        if not 1 <= s <= dimension:
-            raise ValueError(f"mask_sizes entry {s} not in [1, dimension = {dimension}]")
-        if s in mask_sizes[:i]:
-            raise ValueError(f"mask_sizes entry {s} is repeated")
+    dimension, row_support = study.dimension, study.row_support
+    mask_sizes, num_matrices = study.mask_sizes, study.num_matrices
     l0s = np.empty(num_matrices)
     q_hats = np.empty((len(mask_sizes), num_matrices))
     variances = np.empty((len(mask_sizes), num_matrices))
@@ -484,7 +494,7 @@ def probe_bias_variance_study(dimension: int, row_support: int, mask_sizes,
         m = random_sparse_jacobian(dimension, row_support, matrix_rng)
         l0s[i] = m.row_support_sizes(zero_threshold).sum()
         for k, s in enumerate(mask_sizes):
-            samples = q_probe_samples(m, s, mc_samples, matrix_rng, zero_threshold)
+            samples = q_probe_samples(m, s, study.mc_samples, matrix_rng, zero_threshold)
             q_hats[k, i] = samples.mean()
             variances[k, i] = samples.var(ddof=1)
         del m

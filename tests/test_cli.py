@@ -89,6 +89,28 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
                      "--override", "mpa_check.seed=13"]) == 0
 
 
+@pytest.mark.parametrize("override", ["mpa_check.tolerance=0.01", "mpa_check.samples=10000"])
+def test_mpa_check_passes_away_from_its_defaults(tmp_path, override):
+    # the fixed-set row's bound follows the band's mass: a constant 1e-3 failed
+    # every seed at tolerance 0.01 and seed 5 at 10,000 samples
+    for seed in range(20):
+        assert cli.main(["mpa-check", "--out-dir", str(tmp_path / str(seed)),
+                         "--override", override,
+                         "--override", f"mpa_check.seed={seed}"]) == 0, seed
+
+
+@pytest.mark.parametrize("n, eps", [(10000, 1e-3), (100000, 1e-3), (100000, 0.01),
+                                    (10000, 0.1), (1000000, 1e-4)])
+def test_band_fraction_bound_fails_a_null_set_below_1e_9(n, eps):
+    from scipy import stats as scipy_stats
+
+    p = 2 * scipy_stats.norm.cdf(eps / np.sqrt(2)) - 1
+    bound = cli._band_fraction_bound(n, eps)
+    assert bound > p
+    # the probability that the count of band draws exceeds n * bound
+    assert scipy_stats.binom.sf(np.floor(n * bound), n, p) < 1e-9
+
+
 @pytest.mark.parametrize("verb, overrides, message", [
     ("train", ["train.iteration=2"], "unknown key 'iteration'"),
     ("probe-study", ["probe_study.exact_overlay=maybe"], "exact_overlay = 'maybe'"),
@@ -158,6 +180,8 @@ def test_mpa_check_passes_at_seed_13(tmp_path):
     # the config is read before the support file is opened
     ("sparsity-check", ["io.support_file=none.csv", "sparsity_check.dimension=0"],
      "[sparsity_check] dimension = 0 must be positive"),
+    ("probe-study", ["probe_study.row_support=0"], "row_support = 0 must be positive"),
+    ("probe-study", ["probe_study.mask_sizes=2,0"], "mask_sizes entry 0 must be positive"),
 ])
 def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
                                              overrides, message):
@@ -167,7 +191,10 @@ def test_bad_config_exits_2_naming_the_field(data_dir, tmp_path, capsys, verb,
     for item in overrides:
         argv += ["--override", item]
     assert cli.main(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    if verb == "probe-study":   # every [probe_study] range is declared on its config
+        assert f"[probe_study] {message}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -177,7 +204,7 @@ def test_empty_mask_sizes_exits_2_before_any_output(tmp_path, capsys):
     code = cli.main(["probe-study", "--out-dir", str(tmp_path / "out"),
                      "--config", str(tmp_path / "run.cfg")])
     assert code == 2
-    assert "mask_sizes is empty" in capsys.readouterr().err
+    assert "[probe_study] mask_sizes is empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -558,17 +585,20 @@ def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoi
      "support.csv: no index pairs"),
     (["sparsity-check", "--support-file", "{tmp}/support.csv"], "0,0\n0,1\n1,0\n1,1\n",
      "pattern is not structurally sparse"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv",
+      "--override", "sparsity_check.dimension=1"], "0,1\n1,0\n",
+     "[sparsity_check] dimension = 1 must be above 1, the largest index in {tmp}/support.csv"),
 ], ids=["missing-io-key", "missing-dataset-files", "eval-missing-checkpoint",
         "plot-missing-checkpoint", "plot-checkpoint-without-equals",
         "override-without-equals", "missing-support-file", "malformed-support-line",
-        "empty-support-file", "not-structurally-sparse"])
+        "empty-support-file", "not-structurally-sparse", "dimension-below-support"])
 def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
                                             support, message):
     if support is not None:
         (tmp_path / "support.csv").write_text(support)
     verb, *rest = fill(argv, data=data_dir, tmp=tmp_path)
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *rest]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

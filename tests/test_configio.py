@@ -121,8 +121,15 @@ def declared(cls) -> dict:
     return fields
 
 
+def checked_leaves(cls=configio.Checked) -> set:
+    """The configs derived from ``cls`` that nothing derives from; a base such
+    as sparsity.ProbeStudy is covered by the verb config that extends it."""
+    subs = cls.__subclasses__()
+    return set().union(*map(checked_leaves, subs)) if subs else {cls}
+
+
 def test_every_checked_config_is_listed():
-    assert {type(cfg) for cfg in VERB_CONFIGS} == set(configio.Checked.__subclasses__())
+    assert {type(cfg) for cfg in VERB_CONFIGS} == checked_leaves()
 
 
 @pytest.mark.parametrize("base", VERB_CONFIGS, ids=lambda cfg: type(cfg).__name__)

@@ -63,6 +63,23 @@ class TestCdfConjugate:
             bad(np.array([1.0]))
 
 
+def pointwise_roots(m, interval, resolution, tol):
+    """count_fixed_points' locations, one grid interval at a time."""
+    grid = np.linspace(*interval, resolution)
+    resid = m(grid) - grid
+    roots = []
+    for i in range(resolution - 1):
+        if resid[i] == 0.0:
+            roots.append(grid[i])
+        elif resid[i] * resid[i + 1] < 0:
+            roots.append(mpa._bisect(m, grid[i], grid[i + 1], tol))
+    merged = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1000 * tol:
+            merged.append(r)
+    return merged
+
+
 class TestPushforwardKs:
     def test_identity_map_statistic_near_sampling_noise(self):
         # two-sample KS critical scale: 1.36 * sqrt(2/n), allow 1.5x
@@ -124,21 +141,47 @@ class TestFixedPoints:
             return x + np.where(np.abs(x) > 1.0, np.sin(3 * x), 0.0)
 
         interval, resolution, tol = (-3.0, 3.0), 2001, 1e-9
-        grid = np.linspace(*interval, resolution)
-        resid = m(grid) - grid
-        roots = []
-        for i in range(resolution - 1):
-            if resid[i] == 0.0:
-                roots.append(grid[i])
-            elif resid[i] * resid[i + 1] < 0:
-                roots.append(mpa._bisect(m, grid[i], grid[i + 1], tol))
-        merged = []
-        for r in sorted(roots):
-            if not merged or r - merged[-1] > 1000 * tol:
-                merged.append(r)
         report = mpa.count_fixed_points(m, interval, resolution, tol)
-        assert report.locations == merged
-        assert report.count == len(merged) > 4
+        assert report.locations == pointwise_roots(m, interval, resolution, tol)
+        assert report.count == len(report.locations) > 4
+
+    def test_blocked_scan_matches_pointwise_loop(self):
+        # three full blocks and a partial one of 5 points: an exact grid zero
+        # on the first point of block 1, a crossing between the last point of
+        # block 1 and the first of block 2, and one inside the partial block
+        block = mpa.FIXED_POINT_BLOCK
+        interval, resolution, tol = (-3.0, 3.0), 3 * block + 5, 1e-9
+        grid = np.linspace(*interval, resolution)
+        step = grid[1] - grid[0]
+        on_edge = grid[block]
+        across_edge = grid[2 * block - 1] + 0.5 * step
+        in_tail = grid[-3] + 0.3 * step
+
+        def m(x):
+            return x + (x - on_edge) * (x - across_edge) * (x - in_tail)
+
+        report = mpa.count_fixed_points(m, interval, resolution, tol)
+        expected = pointwise_roots(m, interval, resolution, tol)
+        assert report.locations == expected
+        assert report.count == 3 and expected[0] == on_edge
+        assert abs(expected[1] - across_edge) < 1e-6
+        assert abs(expected[2] - in_tail) < 1e-6
+
+    def test_map_sees_at_most_one_block(self):
+        sizes = []
+
+        def m(x):
+            sizes.append(np.asarray(x).size)
+            return 0.3 - x
+
+        report = mpa.count_fixed_points(m, (-1.0, 1.0))
+        assert report.count == 1
+        assert max(sizes) <= 1 << 14
+        # the scan's calls cover the default grid once, then bisection's
+        # take a point each
+        scan_calls = -(-100001 // mpa.FIXED_POINT_BLOCK)
+        assert sum(sizes[:scan_calls]) == 100001
+        assert set(sizes[scan_calls:]) <= {1}
 
 
 class TestPermutedMpa:
@@ -284,18 +327,22 @@ class TestKsStatistic:
             mpa._ks_statistic(np.array([]), np.ones(3))
 
 
-def reference_finite_translations(p1_sampler, transport, seed, n_fit, n_test):
-    """finite_translations_check as it was written with scipy's KS test and
-    unsorted test draws."""
+def reference_finite_translations(p1_sampler, transport, seed, n_fit, n_test,
+                                  ks=scipy_ks, presort=False):
+    """finite_translations_check as it was written with two transport lambdas,
+    each evaluating F1 itself: with scipy's KS test and unsorted test draws,
+    or with ``_ks_statistic`` and sorted ones."""
     rng = np.random.default_rng(seed)
     f1 = mpa.EmpiricalCdf(p1_sampler(rng, n_fit))
     f2 = mpa.EmpiricalCdf(transport(p1_sampler(rng, n_fit)))
     r_up = lambda x: f2.quantile(f1.cdf(x))
     r_down = lambda x: f2.quantile(1.0 - f1.cdf(x))
     x_test = p1_sampler(rng, n_test)
+    if presort:
+        x_test = np.sort(x_test)
     y_test = transport(p1_sampler(rng, n_test))
-    ks_up = scipy_ks(r_up(x_test), y_test)
-    ks_down = scipy_ks(r_down(x_test), y_test)
+    ks_up = ks(r_up(x_test), y_test)
+    ks_down = ks(r_down(x_test), y_test)
     lo, hi = np.quantile(x_test, 0.001), np.quantile(x_test, 0.999)
     grid = np.linspace(lo, hi, 20001)
     signs = np.sign(r_up(grid) - r_down(grid))
@@ -305,14 +352,23 @@ def reference_finite_translations(p1_sampler, transport, seed, n_fit, n_test):
         crossing_count=int((signs[:-1] != signs[1:]).sum()))
 
 
-@pytest.mark.parametrize("seed", [5, 13, 41])
-def test_finite_translations_report_is_the_unsorted_scipy_report(seed):
+def assert_finite_translations_match_reference(seed, **reference):
     args = (lambda rng, k: rng.standard_normal(k), lambda x: x + 3.0, seed)
     new = mpa.finite_translations_check(*args, n_fit=100000, n_test=100000)
-    old = reference_finite_translations(*args, n_fit=100000, n_test=100000)
+    old = reference_finite_translations(*args, n_fit=100000, n_test=100000, **reference)
     assert new == old
     assert new.ks_increasing.hex() == old.ks_increasing.hex()
     assert new.ks_decreasing.hex() == old.ks_decreasing.hex()
+
+
+@pytest.mark.parametrize("seed", [5, 13, 41])
+def test_finite_translations_report_is_the_unsorted_scipy_report(seed):
+    assert_finite_translations_match_reference(seed)
+
+
+@pytest.mark.parametrize("seed", [5, 13, 41])
+def test_finite_translations_report_is_the_two_lambda_report(seed):
+    assert_finite_translations_match_reference(seed, ks=mpa._ks_statistic, presort=True)
 
 
 def test_checks_run_without_scipy():

@@ -558,8 +558,8 @@ def study_peak_bytes(dimension, num_matrices, mc_samples):
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        sparsity.probe_bias_variance_study(dimension, 10, [1, 50], num_matrices,
-                                           mc_samples, rng)
+        sparsity.probe_bias_variance_study(
+            sparsity.ProbeStudy(dimension, 10, (1, 50), num_matrices, mc_samples), rng)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -754,7 +754,8 @@ def study_standard_errors(dimension, row_support, mask_sizes, num_matrices,
 class TestBiasVarianceStudy:
     def test_single_mask_size_unbiased(self):
         rng = np.random.default_rng(41)
-        result = sparsity.probe_bias_variance_study(30, 3, [1], 5, 400, rng)
+        result = sparsity.probe_bias_variance_study(
+            sparsity.ProbeStudy(30, 3, (1,), 5, 400), rng)
         row = result.rows[0]
         se = study_standard_errors(30, 3, [1], 5, 400, 41)[1]
         assert abs(row.mean_rel_bias) < 3 * se
@@ -762,7 +763,8 @@ class TestBiasVarianceStudy:
 
     def test_row_support_one_unbiased_for_all_mask_sizes(self):
         rng = np.random.default_rng(43)
-        result = sparsity.probe_bias_variance_study(20, 1, [1, 2, 5, 10], 5, 400, rng)
+        result = sparsity.probe_bias_variance_study(
+            sparsity.ProbeStudy(20, 1, (1, 2, 5, 10), 5, 400), rng)
         errors = study_standard_errors(20, 1, [1, 2, 5, 10], 5, 400, 43)
         for row in result.rows:
             assert row.lower_bound_factor == 1.0
@@ -770,9 +772,10 @@ class TestBiasVarianceStudy:
 
     @pytest.mark.parametrize("num_matrices", [1, 3])
     def test_each_matrix_draws_from_its_own_child_stream(self, num_matrices):
-        mask_sizes = [1, 3, 12]
+        mask_sizes = (1, 3, 12)
         result = sparsity.probe_bias_variance_study(
-            40, 3, mask_sizes, num_matrices, 30, np.random.default_rng(67))
+            sparsity.ProbeStudy(40, 3, mask_sizes, num_matrices, 30),
+            np.random.default_rng(67))
         mats = study_samples(40, 3, mask_sizes, num_matrices, 30, 67)
         for row, s in zip(result.rows, mask_sizes):
             q_hats = np.array([samples[s].mean() for _, samples in mats])
@@ -783,7 +786,8 @@ class TestBiasVarianceStudy:
 
     def test_csv_schema(self):
         rng = np.random.default_rng(47)
-        result = sparsity.probe_bias_variance_study(10, 2, [1, 2], 2, 50, rng)
+        result = sparsity.probe_bias_variance_study(
+            sparsity.ProbeStudy(10, 2, (1, 2), 2, 50), rng)
         lines = result.csv_lines()
         assert lines[0] == "S,mean_rel_bias,variance,lower_bound_factor"
         assert len(lines) == 3
@@ -793,27 +797,25 @@ class TestBiasVarianceStudy:
         assert (np.count_nonzero(j, axis=1) == 7).all()
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            sparsity.probe_bias_variance_study(0, 1, [1], 1, 2,
-                                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^dimension = 0 must be positive$"):
+            sparsity.ProbeStudy(0, 1, (1,), 1, 2)
+        with pytest.raises(ValueError, match="^num_matrices = 0 must be positive$"):
+            sparsity.ProbeStudy(4, 1, (1,), 0, 2)
         # one draw a probe has no variance
-        with pytest.raises(ValueError, match="mc_samples = 1"):
-            sparsity.probe_bias_variance_study(4, 1, [1], 1, 1,
-                                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^mc_samples = 1 must be at least 2$"):
+            sparsity.ProbeStudy(4, 1, (1,), 1, 1)
 
     @pytest.mark.parametrize("row_support, mask_sizes, message", [
-        (30, [1], r"row_support = 30 not in \[1, dimension = 20\]"),
-        (0, [1], r"row_support = 0 not in \[1, dimension = 20\]"),
-        (3, [], "mask_sizes is empty"),
-        (3, [1, 30], r"mask_sizes entry 30 not in \[1, dimension = 20\]"),
-        (3, [0], r"mask_sizes entry 0 not in \[1, dimension = 20\]"),
+        (30, (1,), r"row_support = 30 not in \[1, dimension = 20\]"),
+        (0, (1,), "row_support = 0 must be positive"),
+        (3, (), "mask_sizes is empty"),
+        (3, (1, 30), r"mask_sizes entry 30 not in \[1, dimension = 20\]"),
+        (3, (0,), "mask_sizes entry 0 must be positive"),
     ])
     def test_rejects_before_any_draw(self, row_support, mask_sizes, message):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
+        # the study's parameters are checked when it is made, before any draw
         with pytest.raises(ValueError, match=message):
-            sparsity.probe_bias_variance_study(20, row_support, mask_sizes, 2, 2, rng)
-        assert rng.bit_generator.state == state
+            sparsity.ProbeStudy(20, row_support, mask_sizes, 2, 2)
 
 
 def test_random_mask_covers_all_subsets():

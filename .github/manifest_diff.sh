@@ -8,7 +8,10 @@
 # discriminator steps an iteration (the anchor pass at N > 1 takes the BLAS
 # product, and the discriminator's vector is updated twice an iteration), a
 # 10-iteration train, "noinv", with weights.inv = 0 (the round-trip term is
-# off, so the reconstructor is never updated), a
+# off, so the reconstructor is never updated), a 10-iteration train,
+# "linear", of a linear generator and reconstructor (gen_hidden and
+# rec_hidden set empty by a config file: a one-layer pass whose Jacobian
+# sweep has no leaky layer, and Adam on the smallest parameter vectors), a
 # 5-iteration ablate grid of the full and neither cases at seeds 0 and 1 and
 # a 5-iteration crossed grid, "sweep", of the full and no-anchor cases at
 # anchor counts 1 and 2 and seed 0 (each trains its four runs one after
@@ -56,6 +59,9 @@ runs() {
         --override train.iterations=10 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/noinv" \
         --override train.iterations=10 --override weights.inv=0 > /dev/null
+    printf '[train]\niterations = 10\ngen_hidden =\nrec_hidden =\n' > "$out/linear.ini"
+    PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/linear" \
+        --config "$out/linear.ini" > /dev/null
     PYTHONPATH="$1/src" python -m anchordt ablate --data-dir "$out/data" --out-dir "$out/ablate" \
         --override ablate.cases=full,neither --override ablate.seeds=0,1 \
         --override train.iterations=5 > /dev/null
@@ -79,7 +85,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 multi noinv ablate sweep mpa probe probe5k probe1k support; do
+    for run in data train eval plot fd r1 multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
         # [checksums] is the manifest's last section; a run that failed left
         # no manifest, and compares as an empty one
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
@@ -90,7 +96,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 multi noinv ablate sweep mpa probe probe5k probe1k support; do
+for run in data train eval plot fd r1 multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every command reads a line-oriented config (file and/or --override
-SECTION.KEY=VALUE flags), writes its artifacts into --out-dir, and leaves a
+SECTION.KEY=VALUE flags, where an empty VALUE sets the key empty, as
+``key =`` does in a file), writes its artifacts into --out-dir, and leaves a
 manifest.txt with the effective config and sha256 checksums, from which the
 run can be replayed byte-for-byte (see anchordt.manifest.replay_manifest).
 Each verb is one row of VERBS, and a config holding a section its row does
@@ -510,9 +511,9 @@ def _assemble_config(args):
             raise CliError(f"--checkpoint needs LABEL=PATH, got {item!r}")
         config.setdefault("plot.checkpoints", {})[label] = path
     for item in args.override:
-        target, _, value = item.partition("=")
+        target, equals, value = item.partition("=")
         section, _, key = target.partition(".")
-        if not key or not value:
+        if not key or not equals:
             raise CliError(f"--override needs SECTION.KEY=VALUE, got {item!r}")
         config.setdefault(section, {})[key] = value
     return config

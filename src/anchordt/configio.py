@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import math
 import typing
+from collections.abc import Sequence
 from typing import Callable, NamedTuple
 
 
@@ -179,9 +180,16 @@ def check(cfg) -> None:
 
 
 class Checked:
-    """Base of the typed configs: making one checks every declared range.  A
-    config with checks across fields runs them after ``super().__post_init__()``."""
+    """Base of the typed configs: making one turns a list or other sequence
+    given for a tuple field into the tuple it stands for, then checks every
+    declared range.  A config with checks across fields runs them after
+    ``super().__post_init__()``."""
     def __post_init__(self):
+        for name, kind, _ in _fields(type(self)):
+            value = getattr(self, name)
+            if (typing.get_origin(kind) is tuple and isinstance(value, Sequence)
+                    and not isinstance(value, (str, tuple))):
+                setattr(self, name, tuple(value))
         check(self)
 
 

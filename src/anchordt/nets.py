@@ -12,19 +12,18 @@ pass (``MlpBinding``) give the same bits.  The graph pass builds one
 ``autodiff.leaky_derivative`` rebuilds the activation derivative, so the
 output node of a pass carries the pass's Jacobian, which
 ``sparsity.jacobian_graph`` reads from it.
-Parameters are ordered [W0, b0, W1, b1, ...] wherever they are listed
-(gradients, Adam moments), as ``param_order`` spells out.  A network holds
-them as one flat float64 vector in that order, ``MlpModel.flat``, and its
-``weights`` and ``biases`` are views of it: every way a model is made
-(``init_mlp``, ``MlpModel.copy``, ``load_checkpoint``, the constructor)
-builds the vector, so ``adam_step`` updates a network as one vector with
-flat moments, a copy is one array copy, and a binding checks one array for
-non-finite entries.
+A network holds its parameters as one flat float64 vector,
+``MlpModel.flat``, in the order [W0, b0, W1, b1, ...] that ``param_order``
+spells out, and its ``weights`` and ``biases`` are views of it.  Every
+vector of the optimizer is laid out the same way: ``MlpBinding.gradient``
+returns the gradient as one vector, and ``adam_step`` updates ``flat`` with
+it and with the flat moments of ``AdamState``, so a copy is one array copy
+and a binding checks one array for non-finite entries.
 """
 
 from __future__ import annotations
 
-import math
+import copy as _copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,45 +40,43 @@ _CHECKPOINT_ACTIVATIONS = {"output_activation": "identity",
 
 
 def param_order(weights, biases) -> list:
-    """[W0, b0, W1, b1, ...]: the order of gradients and Adam moments."""
+    """[W0, b0, W1, b1, ...]: the order of the parameters in ``flat``."""
     return [p for pair in zip(weights, biases) for p in pair]
 
 
-def _views(flat, shapes) -> list[np.ndarray]:
-    """Consecutive views of the vector ``flat``, one of each shape."""
+def _shapes(layer_sizes) -> list[tuple[int, int]]:
+    """The shapes in ``param_order``: each W (n_out, n_in), each b (n_out, 1)."""
+    return [shape for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:])
+            for shape in ((n_out, n_in), (n_out, 1))]
+
+
+def _views(vector, layer_sizes) -> list[np.ndarray]:
+    """Consecutive views of ``vector``, one per parameter in ``param_order``."""
     views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
+    for rows, cols in _shapes(layer_sizes):
+        views.append(vector[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
     return views
 
 
-@dataclass(frozen=True)
 class MlpModel:
-    """Frozen fields; the parameters are updated in place.
+    """A network's layer sizes and its parameters, updated in place.
 
     The constructor copies the given weights and biases into ``flat``, one
     float64 vector in ``param_order``, and keeps views of it in their place,
     so writing to a weight or bias writes to ``flat`` and the other way round.
     """
 
-    layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        params = [np.asarray(p) for p in param_order(self.weights, self.biases)]
-        self._adopt(np.concatenate(params, axis=None, dtype=np.float64),
-                    [p.shape for p in params])
-
-    def _adopt(self, flat, shapes):
-        """Hold ``flat``, with weights and biases the views of the shapes."""
-        views = _views(flat, shapes)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "weights", views[0::2])
-        object.__setattr__(self, "biases", views[1::2])
+    def __init__(self, layer_sizes, weights, biases):
+        self.layer_sizes = tuple(layer_sizes)
+        params = param_order(weights, biases)
+        shapes = [np.shape(p) for p in params]
+        if shapes != _shapes(self.layer_sizes):
+            raise ValueError(f"parameter shapes {shapes} do not fit "
+                             f"layer_sizes {self.layer_sizes}")
+        self.flat = np.concatenate(params, axis=None, dtype=np.float64)
+        views = _views(self.flat, self.layer_sizes)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self) -> int:
@@ -91,11 +88,11 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         """One copy of ``flat``, with views of it; no per-array copies."""
-        model = object.__new__(MlpModel)
-        object.__setattr__(model, "layer_sizes", self.layer_sizes)
-        model._adopt(self.flat.copy(),
-                     [p.shape for p in param_order(self.weights, self.biases)])
-        return model
+        twin = _copy.copy(self)
+        twin.flat = self.flat.copy()
+        views = _views(twin.flat, self.layer_sizes)
+        twin.weights, twin.biases = views[0::2], views[1::2]
+        return twin
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass on a (D, N) column batch."""
@@ -179,13 +176,15 @@ class MlpBinding:
             h = ad.dense(w, h, b, "leaky-relu" if i < last else "identity", HIDDEN_SLOPE)
         return h
 
-    def gradients(self) -> list[np.ndarray]:
-        """Current grads in [W0, b0, W1, b1, ...] order (zeros if untouched)."""
+    def gradient(self) -> np.ndarray:
+        """The current gradient as one float64 vector laid out like the
+        model's ``flat``, zeros where no adjoint arrived."""
         if self.frozen:
             raise ValueError("frozen bindings do not accumulate gradients")
-        out = []
-        for node in self.param_nodes:
-            out.append(np.zeros_like(node.value) if node.grad is None else node.grad)
+        out = np.zeros_like(self.model.flat)
+        for view, node in zip(_views(out, self.model.layer_sizes), self.param_nodes):
+            if node.grad is not None:
+                view[...] = node.grad
         return out
 
 
@@ -195,56 +194,42 @@ def bind(model: MlpModel, frozen: bool = False) -> MlpBinding:
 
 @dataclass
 class AdamState:
-    """Adam's settings, its step count and its moments.
-
-    ``m`` and ``v``, the first and second moments, are flat vectors laid out
-    as the model's ``flat``; ``first_moment`` and ``second_moment`` list
-    views of them, one per array in [W0, b0, W1, b1, ...] order.
-    """
+    """Adam's settings, its step count and its moments ``m`` and ``v``, flat
+    vectors laid out as the model's ``flat``."""
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
     step_count: int = 0
 
 
 def adam_init(model: MlpModel, learning_rate: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    shapes = [p.shape for p in param_order(model.weights, model.biases)]
-    m, v = np.zeros_like(model.flat), np.zeros_like(model.flat)
-    return AdamState(
-        learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        m=m, v=v, first_moment=_views(m, shapes), second_moment=_views(v, shapes),
-    )
+    return AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
+                     epsilon=epsilon, m=np.zeros_like(model.flat),
+                     v=np.zeros_like(model.flat))
 
 
-def adam_step(model: MlpModel, gradients: list[np.ndarray], state: AdamState):
-    """Bias-corrected Adam update, applied in place to the model's arrays.
+def adam_step(model: MlpModel, gradient: np.ndarray, state: AdamState):
+    """Bias-corrected Adam update, applied in place to the model's ``flat``.
 
-    ``gradients`` must be in [W0, b0, W1, b1, ...] order, matching
-    MlpBinding.gradients().  They are concatenated once, and the update runs
-    on the model's flat vector with the flat moments: element by element the
-    arithmetic of a per-array update, so the same bits.
+    ``gradient`` is one vector laid out like ``flat``, as
+    ``MlpBinding.gradient()`` returns it; the update runs element by element
+    on ``flat`` with the flat moments.
     """
-    params = param_order(model.weights, model.biases)
-    if len(gradients) != len(params):
-        raise ValueError(f"expected {len(params)} gradients, got {len(gradients)}")
-    for p, g in zip(params, gradients):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-    g = np.concatenate(gradients, axis=None)
+    if gradient.shape != model.flat.shape:
+        raise ValueError(f"expected the gradients as one vector of shape "
+                         f"{model.flat.shape}, like flat; got shape {gradient.shape}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     m, v, flat = state.m, state.v, model.flat
     m *= b1
-    m += (1.0 - b1) * g
+    m += (1.0 - b1) * gradient
     v *= b2
-    v += (1.0 - b2) * g ** 2
+    v += (1.0 - b2) * gradient ** 2
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
     flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)

@@ -150,7 +150,7 @@ def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) 
     value = float(loss.value[0, 0])
     if np.isfinite(value):
         ad.backward(loss)
-        adam_step(disc, disc_b.gradients(), states.discriminator)
+        adam_step(disc, disc_b.gradient(), states.discriminator)
     return value
 
 
@@ -178,9 +178,9 @@ def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
               for k, node in {"gen": gen_part, **terms, "total": total}.items()}
     if np.isfinite(losses["total"]):
         ad.backward(total)
-        adam_step(gen, gen_b.gradients(), states.generator)
+        adam_step(gen, gen_b.gradient(), states.generator)
         if any(node.grad is not None for node in rec_b.param_nodes):
-            adam_step(rec, rec_b.gradients(), states.reconstructor)
+            adam_step(rec, rec_b.gradient(), states.reconstructor)
     return losses
 
 

@@ -76,6 +76,20 @@ def test_replay_reproduces_every_checksum(data_dir, tmp_path):
     assert all(old == new for old, new in result.values())
 
 
+def test_an_empty_override_value_trains_linear_networks_that_replay(data_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out-dir", str(out), "--data-dir", str(data_dir),
+                     "--override", "train.iterations=5", "--override", "train.batch_size=16",
+                     "--override", "train.gen_hidden=", "--override", "train.rec_hidden="]) == 0
+    _, _, config, recorded = manifest.read_manifest(out / manifest.MANIFEST_NAME)
+    assert config["train"]["gen_hidden"] == "" and config["train"]["rec_hidden"] == ""
+    assert config["train"]["disc_hidden"] == "64,64"
+    assert nets.load_checkpoint(out / "generator.ckpt").layer_sizes == (2, 2)
+    result = manifest.replay_manifest(out / manifest.MANIFEST_NAME, tmp_path / "replay")
+    assert set(result) == set(recorded)
+    assert all(old == new for old, new in result.values())
+
+
 def test_missing_data_directory_exits_2(tmp_path, capsys):
     code = cli.main(["train", "--out-dir", str(tmp_path / "out"),
                      "--data-dir", str(tmp_path / "missing")])
@@ -577,6 +591,10 @@ def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoi
      "--checkpoint needs LABEL=PATH, got 'g'"),
     (["gen-data", "--override", "data.seed"], None,
      "--override needs SECTION.KEY=VALUE, got 'data.seed'"),
+    (["gen-data", "--override", "data.=3"], None,
+     "--override needs SECTION.KEY=VALUE, got 'data.=3'"),
+    (["gen-data", "--override", "data=3"], None,
+     "--override needs SECTION.KEY=VALUE, got 'data=3'"),
     (["sparsity-check", "--support-file", "{tmp}/none.csv"], None,
      "support file not found"),
     (["sparsity-check", "--support-file", "{tmp}/support.csv"], "0,0\n1;1\n",
@@ -590,7 +608,8 @@ def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoi
      "[sparsity_check] dimension = 1 must be above 1, the largest index in {tmp}/support.csv"),
 ], ids=["missing-io-key", "missing-dataset-files", "eval-missing-checkpoint",
         "plot-missing-checkpoint", "plot-checkpoint-without-equals",
-        "override-without-equals", "missing-support-file", "malformed-support-line",
+        "override-without-equals", "override-without-key", "override-without-dot",
+        "missing-support-file", "malformed-support-line",
         "empty-support-file", "not-structurally-sparse", "dimension-below-support"])
 def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
                                             support, message):

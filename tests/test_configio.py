@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchordt import cli, configio
+from anchordt import cli, configio, sparsity
 from anchordt.objective import SPARSITY_MODES, LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import SynthConfig
@@ -153,3 +153,30 @@ def test_every_rule_is_false_at_nan():
               for rule in field_rules]
     for rule in rules:
         assert rule.test(float("nan")) is False, rule.phrase
+
+
+
+def probe_study(mask_sizes):
+    return sparsity.ProbeStudy(20, 3, mask_sizes, 2, 2)
+
+
+@pytest.mark.parametrize("make, name, given, message", [
+    (cli.AblateConfig, "seeds", [0, 1], None),
+    (cli.AblateConfig, "seeds", [0, 0], "seeds entry 0 is repeated"),
+    (cli.AblateConfig, "seeds", [], "seeds is empty"),
+    (cli.AblateConfig, "anchor_counts", range(1, 3), None),
+    (TrainConfig, "gen_hidden", [8, 0], "gen_hidden entry 0 must be positive"),
+    (probe_study, None, [1], None),
+    (probe_study, None, [1, 1], "mask_sizes entry 1 is repeated"),
+    (probe_study, None, [], "mask_sizes is empty"),
+], ids=["list", "repeated-list", "empty-list", "range", "hidden-list",
+        "probe-list", "probe-repeated-list", "probe-empty-list"])
+def test_a_sequence_given_for_a_tuple_field_is_checked_as_its_tuple(make, name, given,
+                                                                    message):
+    make_it = (lambda: make(given)) if name is None else (lambda: make(**{name: given}))
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_it()
+        return
+    value = getattr(make_it(), name or "mask_sizes")
+    assert type(value) is tuple and value == tuple(given)

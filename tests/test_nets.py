@@ -42,6 +42,12 @@ def per_array_adam(params, gradients, first, second, t, lr, b1, b2, eps):
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def slices(vector, like) -> list[np.ndarray]:
+    """Consecutive slices of ``vector``, one shaped like each array of ``like``."""
+    ends = np.cumsum([p.size for p in like])[:-1]
+    return [part.reshape(p.shape) for part, p in zip(np.split(vector, ends), like)]
+
+
 def assert_views_of_flat(model: nets.MlpModel):
     """Every weight and bias is a view of model.flat, laid out in param_order."""
     params = nets.param_order(model.weights, model.biases)
@@ -106,7 +112,7 @@ class TestForwardPaths:
         model = nets.init_mlp((2, 4, 2), seed=0)
         frozen = nets.bind(model, frozen=True)
         with pytest.raises(ValueError, match="frozen"):
-            frozen.gradients()
+            frozen.gradient()
 
     def test_binding_records_preactivations(self):
         # each hidden dense node of a pass keeps its activation mask and
@@ -134,7 +140,7 @@ class TestAdam:
         # w=1, g=0.5, lr=0.1: m_hat=g, v_hat=g^2, step = lr*g/(|g|+eps)
         model = scalar_model(1.0)
         state = nets.adam_init(model, learning_rate=0.1)
-        nets.adam_step(model, [np.array([[0.5]]), np.zeros((1, 1))], state)
+        nets.adam_step(model, np.array([0.5, 0.0]), state)
         expected = 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, abs=1e-15)
         assert model.weights[0][0, 0] == pytest.approx(0.9, abs=1e-8)
@@ -142,16 +148,16 @@ class TestAdam:
     def test_zero_gradient_is_a_fixed_point(self):
         model = scalar_model(2.5)
         state = nets.adam_init(model)
-        nets.adam_step(model, [np.zeros((1, 1)), np.zeros((1, 1))], state)
+        nets.adam_step(model, np.zeros(2), state)
         assert model.weights[0][0, 0] == 2.5
-        assert state.first_moment[0][0, 0] == 0.0
-        assert state.second_moment[0][0, 0] == 0.0
+        assert state.m[0] == 0.0
+        assert state.v[0] == 0.0
 
     def test_two_step_trace_matches_hand_rule_default_betas(self):
         model = scalar_model(1.0)
         state = nets.adam_init(model, learning_rate=0.1)
         for g in (0.5, -0.5):
-            nets.adam_step(model, [np.array([[g]]), np.zeros((1, 1))], state)
+            nets.adam_step(model, np.array([g, 0.0]), state)
         expected = hand_adam(1.0, [0.5, -0.5], 0.1, 0.9, 0.999, 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, abs=1e-14)
 
@@ -160,7 +166,7 @@ class TestAdam:
         model = scalar_model(1.0)
         state = nets.adam_init(model, learning_rate=0.1, beta1=0.0)
         for g in (0.7, -0.7):
-            nets.adam_step(model, [np.array([[g]]), np.zeros((1, 1))], state)
+            nets.adam_step(model, np.array([g, 0.0]), state)
         assert abs(model.weights[0][0, 0] - 1.0) < 1e-12
 
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=60))
@@ -173,7 +179,7 @@ class TestAdam:
         state = nets.adam_init(model, learning_rate=lr)
         prev = 0.0
         for g in grads:
-            nets.adam_step(model, [np.array([[g]]), np.zeros((1, 1))], state)
+            nets.adam_step(model, np.array([g, 0.0]), state)
             step = abs(model.weights[0][0, 0] - prev)
             prev = model.weights[0][0, 0]
             assert step <= lr * 1.05
@@ -186,7 +192,7 @@ class TestAdam:
             model = nets.init_mlp((2, 4), seed=3)
             state = nets.adam_init(model)
             for g in grad_seq:
-                nets.adam_step(model, [g, np.zeros((4, 1))], state)
+                nets.adam_step(model, np.append(g, np.zeros(4)), state)
             return model.weights[0].copy()
 
         np.testing.assert_array_equal(run(), run())
@@ -195,9 +201,18 @@ class TestAdam:
         model = scalar_model(1.0)
         state = nets.adam_init(model)
         with pytest.raises(ValueError, match="shape"):
-            nets.adam_step(model, [np.ones((2, 2)), np.zeros((1, 1))], state)
+            nets.adam_step(model, np.ones(5), state)
         with pytest.raises(ValueError, match="gradients"):
-            nets.adam_step(model, [np.ones((1, 1))], state)
+            nets.adam_step(model, np.ones(1), state)
+
+    @pytest.mark.parametrize("shape", [(5,), (1,), (2, 1), (1, 2), ()])
+    def test_a_gradient_not_shaped_like_flat_is_rejected_naming_both_shapes(self, shape):
+        model = scalar_model(1.0)
+        state = nets.adam_init(model)
+        with pytest.raises(ValueError) as caught:
+            nets.adam_step(model, np.ones(shape), state)
+        assert "shape (2,)" in str(caught.value) and f"shape {shape}" in str(caught.value)
+        assert model.flat.tolist() == [1.0, 0.0] and state.step_count == 0
 
 
 class TestFlatParameters:
@@ -241,22 +256,43 @@ class TestFlatParameters:
         self.write_through(model)
         assert w1[0, 0] == 1 and b1[0, 0] == 0.0   # the caller's arrays are left alone
 
+    @pytest.mark.parametrize("weights, biases", [
+        ([np.ones((2, 3))], [np.zeros((2, 1))]),   # W0 transposed
+        ([np.ones((3, 2))], [np.zeros(3)]),        # a 1-D bias
+        ([np.ones((3, 2)), np.ones((1, 3))], [np.zeros((3, 1)), np.zeros((1, 1))]),
+    ], ids=["transposed", "1-d-bias", "extra-layer"])
+    def test_construction_rejects_arrays_that_do_not_fit_the_layer_sizes(self, weights,
+                                                                          biases):
+        with pytest.raises(ValueError, match=r"do not fit layer_sizes \(2, 3\)"):
+            nets.MlpModel(layer_sizes=(2, 3), weights=weights, biases=biases)
+
     def test_adam_step_updates_the_vector_a_binding_reads(self):
         model = nets.init_mlp((2, 4, 2), seed=3)
         state = nets.adam_init(model, learning_rate=0.1)
         binding = nets.bind(model)
         before = model.flat.copy()
-        grads = [np.ones_like(p) for p in nets.param_order(model.weights, model.biases)]
-        nets.adam_step(model, grads, state)
+        nets.adam_step(model, np.ones_like(model.flat), state)
         assert_views_of_flat(model)
         assert (model.flat < before).all()
         for node, p in zip(binding.param_nodes,
                            nets.param_order(model.weights, model.biases)):
             assert node.value is p
-        for moments, flat in ((state.first_moment, state.m),
-                              (state.second_moment, state.v)):
-            assert all(mo.base is flat for mo in moments)
-            assert np.concatenate(moments, axis=None).tobytes() == flat.tobytes()
+        for moment in (state.m, state.v):
+            assert moment.shape == model.flat.shape and moment.dtype == np.float64
+
+    def test_binding_gradient_is_laid_out_like_flat(self):
+        model = nets.init_mlp((2, 3, 2), seed=4)
+        binding = nets.bind(model)
+        x = np.random.default_rng(0).standard_normal((2, 5))
+        ad.backward(ad.node_sum(ad.square(binding(ad.input_node(x)))))
+        binding.bias_nodes[0].grad = None   # as if no adjoint reached b0
+        gradient = binding.gradient()
+        assert gradient.dtype == np.float64 and gradient.shape == model.flat.shape
+        wanted = [np.zeros((3, 1)) if node.grad is None else node.grad
+                  for node in binding.param_nodes]
+        assert gradient.tobytes() == np.concatenate(wanted, axis=None).tobytes()
+        assert (slices(gradient, wanted)[1] == 0.0).all()
+        assert (gradient != 0.0).sum() > model.weights[0].size
 
     def test_a_binding_names_the_first_non_finite_array(self):
         model = nets.init_mlp((2, 4, 2), seed=0)
@@ -280,11 +316,11 @@ class TestFlatParameters:
         for t in range(1, steps + 1):
             grads = [np.array(data.draw(st.lists(values, min_size=p.size, max_size=p.size)),
                               dtype=np.float64).reshape(p.shape) for p in params]
-            nets.adam_step(model, grads, state)
+            nets.adam_step(model, np.concatenate(grads, axis=None), state)
             per_array_adam(params, grads, first, second, t, lr, b1, b2, state.epsilon)
         assert state.step_count == steps
         flat_params = nets.param_order(model.weights, model.biases)
-        for got, want in zip(flat_params + state.first_moment + state.second_moment,
+        for got, want in zip(flat_params + slices(state.m, params) + slices(state.v, params),
                              params + first + second):
             assert got.tobytes() == want.tobytes()
 

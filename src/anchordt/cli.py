@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Annotated, Callable, NamedTuple
 
 import numpy as np
@@ -210,12 +211,11 @@ def _band_fraction_bound(n, eps):
 def _mpa_checks(n, seed, eps):
     """The default 1D suite; returns rows of (name, metric, value, threshold, ok).
 
-    scipy is imported here, not at module level, so that the other verbs
-    start without it.
+    Phi and its inverse come from statistics.NormalDist, the exponential
+    CDF and quantile from numpy's expm1 and log1p.
     """
-    from scipy import stats as scipy_stats
-
     mu, sigma = 0.7, 1.3
+    law = NormalDist(mu, sigma)
     ks_max, fitted_ks_max = _ks_noise(n), _ks_noise(n, 4)
     gauss = lambda rng, k: mu + sigma * rng.standard_normal(k)
     uniform = lambda rng, k: rng.uniform(0.0, 1.0, k)
@@ -229,9 +229,8 @@ def _mpa_checks(n, seed, eps):
     fp = mpa.count_fixed_points(reflect, (mu - 5 * sigma, mu + 5 * sigma))
     add("gaussian-reflection", "fixed_points", fp.count, 1, fp.count == 1)
 
-    conj = mpa.cdf_conjugate_mpa(
-        lambda x: scipy_stats.norm.cdf(x, mu, sigma),
-        lambda q: scipy_stats.norm.ppf(q, mu, sigma))
+    conj = mpa.cdf_conjugate_mpa(np.vectorize(law.cdf, otypes=[np.float64]),
+                                 np.vectorize(law.inv_cdf, otypes=[np.float64]))
     ks = mpa.pushforward_ks_check(gauss, conj, n, seed + 1)
     add("gaussian-cdf-conjugate", "ks", ks, ks_max, ks < ks_max)
     grid = np.linspace(mu - 3 * sigma, mu + 3 * sigma, 1001)
@@ -244,8 +243,7 @@ def _mpa_checks(n, seed, eps):
     fp = mpa.count_fixed_points(uconj, (0.0, 1.0))
     add("uniform-cdf-conjugate", "fixed_points", fp.count, 1, fp.count == 1)
 
-    econj = mpa.cdf_conjugate_mpa(
-        lambda x: scipy_stats.expon.cdf(x), lambda q: scipy_stats.expon.ppf(q))
+    econj = mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), lambda q: -np.log1p(-q))
     ks = mpa.pushforward_ks_check(expo, econj, n, seed + 3)
     add("exponential-cdf-conjugate", "ks", ks, ks_max, ks < ks_max)
     fp = mpa.count_fixed_points(econj, (0.01, 10.0))
@@ -274,7 +272,7 @@ def _mpa_checks(n, seed, eps):
     # distance from the law is 2*Phi(0.5/sigma) - 1 = 0.2995
     shift = lambda x: x + 1.0
     ks = mpa.pushforward_ks_check(gauss, shift, n, seed + 6)
-    ks_min = 2.0 * scipy_stats.norm.cdf(0.5 / sigma) - 1.0 - ks_max
+    ks_min = 2.0 * NormalDist().cdf(0.5 / sigma) - 1.0 - ks_max
     add("shift-negative-control", "ks", ks, ks_min, ks > ks_min)
 
     ident = mpa.count_fixed_points(lambda x: x, (-2.0, 2.0))

@@ -180,15 +180,17 @@ def check(cfg) -> None:
 
 
 class Checked:
-    """Base of the typed configs: making one turns a list or other sequence
-    given for a tuple field into the tuple it stands for, then checks every
-    declared range.  A config with checks across fields runs them after
-    ``super().__post_init__()``."""
+    """Base of the typed configs: making one turns a list, other sequence or
+    1-D numpy array given for a tuple field into its tuple, rejects any other
+    value there, a str included, then checks every declared range.  A config
+    with checks across fields runs them after ``super().__post_init__()``."""
     def __post_init__(self):
         for name, kind, _ in _fields(type(self)):
             value = getattr(self, name)
-            if (typing.get_origin(kind) is tuple and isinstance(value, Sequence)
-                    and not isinstance(value, (str, tuple))):
+            if typing.get_origin(kind) is tuple and not isinstance(value, tuple):
+                value = value.tolist() if getattr(value, "ndim", None) == 1 else value
+                if isinstance(value, str) or not isinstance(value, Sequence):
+                    raise ValueError(f"{name} = {value!r} must be a tuple")
                 setattr(self, name, tuple(value))
         check(self)
 

@@ -8,8 +8,8 @@ coordinate-permuting map has measure zero.  These facts are what make a
 single aligned anchor pair decisive, and each is checked here by sampling:
 push-forward agreement via the two-sample Kolmogorov-Smirnov statistic,
 fixed points via sign-scan plus bisection, and fixed-set mass via direct
-Monte Carlo.  The module needs numpy alone: the KS statistic is computed
-here, with scipy's bits and without scipy's p-value.
+Monte Carlo.  The module needs numpy alone, as does the suite mpa-check runs,
+which takes Phi, its inverse and the exponential CDF from NormalDist and numpy.
 """
 
 from __future__ import annotations

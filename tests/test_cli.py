@@ -425,12 +425,20 @@ def test_damaged_manifest_section_is_named_with_its_file(tmp_path, old, new, mes
     assert not (tmp_path / "replay").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the mpa-check verb alone, when it runs
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the runtime needs numpy alone: importing the CLI loads no scipy, and
+    # mpa-check passes every check with scipy blocked
     src = os.path.dirname(os.path.dirname(anchordt.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import anchordt.cli, sys; assert 'scipy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys; sys.modules['scipy'] = None; from anchordt import cli; "
+            f"sys.exit(cli.main(['mpa-check', '--out-dir', {str(tmp_path)!r}]))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    rows = (tmp_path / "mpa_report.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",True") for row in rows), rows
 
 
 @pytest.mark.parametrize("verb, override, section", [

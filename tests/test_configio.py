@@ -3,6 +3,7 @@
 import dataclasses
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,8 +170,10 @@ def probe_study(mask_sizes):
     (probe_study, None, [1], None),
     (probe_study, None, [1, 1], "mask_sizes entry 1 is repeated"),
     (probe_study, None, [], "mask_sizes is empty"),
+    (cli.AblateConfig, "seeds", np.array([0, 1]), None),
+    (cli.AblateConfig, "cases", "full", "cases = 'full' must be a tuple"),
 ], ids=["list", "repeated-list", "empty-list", "range", "hidden-list",
-        "probe-list", "probe-repeated-list", "probe-empty-list"])
+        "probe-list", "probe-repeated-list", "probe-empty-list", "ndarray", "str"])
 def test_a_sequence_given_for_a_tuple_field_is_checked_as_its_tuple(make, name, given,
                                                                     message):
     make_it = (lambda: make(given)) if name is None else (lambda: make(**{name: given}))
@@ -180,3 +183,4 @@ def test_a_sequence_given_for_a_tuple_field_is_checked_as_its_tuple(make, name, 
         return
     value = getattr(make_it(), name or "mask_sizes")
     assert type(value) is tuple and value == tuple(given)
+    assert all(type(v) is int for v in value)   # a numpy vector's entries too

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,6 +15,28 @@ from anchordt import mpa
 
 def gaussian_sampler(mu=0.0, sigma=1.0):
     return lambda rng, n: mu + sigma * rng.standard_normal(n)
+
+
+def elementwise(f):
+    """f applied to each entry, as a float64 array (np.frompyfunc gives objects)."""
+    return np.vectorize(f, otypes=[np.float64])
+
+
+def gaussian_conjugates(mu=0.0, sigma=1.0):
+    """The N(mu, sigma^2) CDF conjugate built from scipy, the oracle, and from
+    statistics.NormalDist, as mpa-check builds it."""
+    law = NormalDist(mu, sigma)
+    return (mpa.cdf_conjugate_mpa(lambda x: scipy_stats.norm.cdf(x, mu, sigma),
+                                  lambda q: scipy_stats.norm.ppf(q, mu, sigma)),
+            mpa.cdf_conjugate_mpa(elementwise(law.cdf), elementwise(law.inv_cdf)))
+
+
+def exponential_conjugates():
+    """The Exp(1) CDF conjugate built from scipy, the oracle, and from numpy's
+    expm1 and log1p, as mpa-check builds it."""
+    return (mpa.cdf_conjugate_mpa(lambda x: scipy_stats.expon.cdf(x),
+                                  lambda q: scipy_stats.expon.ppf(q)),
+            mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), lambda q: -np.log1p(-q)))
 
 
 class TestReflection:
@@ -40,21 +63,28 @@ class TestCdfConjugate:
 
     def test_gaussian_reduces_to_reflection(self):
         mu, sigma = 0.4, 2.0
-        m = mpa.cdf_conjugate_mpa(lambda x: scipy_stats.norm.cdf(x, mu, sigma),
-                                  lambda q: scipy_stats.norm.ppf(q, mu, sigma))
-        x = np.linspace(mu - 3 * sigma, mu + 3 * sigma, 201)
-        np.testing.assert_allclose(m(x), 2 * mu - x, atol=1e-7)
+        oracle, stdlib = gaussian_conjugates(mu, sigma)
+        x = np.linspace(mu - 6 * sigma, mu + 6 * sigma, 241)
+        for m in (oracle, stdlib):
+            assert m(x).dtype == np.float64
+            np.testing.assert_allclose(m(x), 2 * mu - x, atol=1e-7)
+        # 1 - F keeps few bits in the far tail: out to 6 sigma the two differ
+        # by 2e-8 at most, within 3 sigma by rounding alone
+        np.testing.assert_allclose(stdlib(x), oracle(x), rtol=0, atol=1e-7)
+        inner = np.abs(x - mu) <= 3 * sigma
+        np.testing.assert_allclose(stdlib(x[inner]), oracle(x[inner]), rtol=0, atol=1e-12)
 
     def test_exponential_fixed_point_at_ln2(self):
-        m = mpa.cdf_conjugate_mpa(lambda x: scipy_stats.expon.cdf(x),
-                                  lambda q: scipy_stats.expon.ppf(q))
-        assert m(np.array([np.log(2.0)]))[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        oracle, numpy_only = exponential_conjugates()
+        for m in (oracle, numpy_only):
+            assert m(np.array([np.log(2.0)]))[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        x = np.linspace(0.01, 20.0, 2001)
+        np.testing.assert_allclose(numpy_only(x), oracle(x), rtol=0, atol=1e-12)
 
     def test_involution_where_cdf_roundtrips(self):
-        m = mpa.cdf_conjugate_mpa(lambda x: scipy_stats.norm.cdf(x),
-                                  lambda q: scipy_stats.norm.ppf(q))
         x = np.linspace(-3, 3, 101)
-        np.testing.assert_allclose(m(m(x)), x, atol=1e-9)
+        for m in gaussian_conjugates():
+            np.testing.assert_allclose(m(m(x)), x, atol=1e-9)
 
     def test_inconsistent_inverse_raises(self):
         bad = mpa.cdf_conjugate_mpa(lambda x: scipy_stats.norm.cdf(x),
@@ -119,11 +149,10 @@ class TestFixedPoints:
         assert report.count == 0
 
     def test_exponential_conjugate_fixed_point(self):
-        m = mpa.cdf_conjugate_mpa(lambda x: scipy_stats.expon.cdf(x),
-                                  lambda q: scipy_stats.expon.ppf(q))
-        report = mpa.count_fixed_points(m, (0.01, 10.0))
-        assert report.count == 1
-        assert report.locations[0] == pytest.approx(np.log(2.0), abs=1e-6)
+        for m in exponential_conjugates():
+            report = mpa.count_fixed_points(m, (0.01, 10.0))
+            assert report.count == 1
+            assert report.locations[0] == pytest.approx(np.log(2.0), abs=1e-6)
 
     def test_multiple_roots_counted(self):
         # sin(3x) = 0 at x = k*pi/3; five such points fall inside [-3, 3]

@@ -7,13 +7,13 @@ a value at other leaf values is a new graph.  The op table maps each kind to
 its backprop alone.  The ops are matmul, add, subtract, scale,
 elementwise-mul, log, square, clip, abs-sum, sum, mean, softplus, and dense,
 one network layer ``act(W @ h + b)`` as a single node, where act is identity
-or leaky-relu with a slope in [0, 1]: the two activations of
+or leaky-relu with the one slope ``HIDDEN_SLOPE``: the two activations of
 ``anchordt.nets``.  The leaky derivative is exactly 1 or the slope, so a
 leaky dense node's value is the pre-activation times the derivative, and a
 sign bit is all the derivative carries: the node's meta is the boolean mask
-``a >= 0`` of its pre-activation a and the slope, one byte an element, from
-which ``leaky_derivative`` rebuilds the float derivative when backward or
-the Jacobian graphs of ``anchordt.sparsity`` need it; an identity layer's
+``a >= 0`` of its pre-activation a, one byte an element, from which
+``leaky_derivative`` rebuilds the float derivative when backward or the
+Jacobian graphs of ``anchordt.sparsity`` need it; an identity layer's
 derivative is 1, and its meta is None.
 backward releases each node's adjoint once it has reached the node's
 parents, so only the adjoints still to propagate are alive at once;
@@ -41,6 +41,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: the slope of every leaky-relu: the one hidden activation of every network
+HIDDEN_SLOPE = 0.2
+
 
 class GraphError(ValueError):
     """Malformed graph construction or use (shape mismatch, bad op, ...)."""
@@ -48,8 +51,6 @@ class GraphError(ValueError):
 
 def _as_matrix(value, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise GraphError(f"{what}: expected a matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
@@ -63,10 +64,9 @@ class Node:
     ``kind`` is the op name, ``parents`` the input nodes, ``value`` the
     (rows, cols) float64 result, ``grad`` the accumulated adjoint of the
     same shape (:func:`backward` leaves it on parameters and the root
-    alone), and ``meta`` carries the op's constants (scale factor, slope,
-    clip bounds).  A leaky dense node's meta is ``(mask, slope)``, mask the
-    boolean ``a >= 0`` of its pre-activation a; an identity dense node's is
-    None.
+    alone), and ``meta`` carries the op's constants (scale factor, clip
+    bounds).  A leaky dense node's meta is the boolean mask ``a >= 0`` of its
+    pre-activation a; an identity dense node's is None.
     """
 
     __slots__ = ("kind", "parents", "value", "grad", "meta", "__weakref__")
@@ -121,18 +121,12 @@ def _sigmoid(x):
     return out
 
 
-def _leaky(x, slope):
-    if 0.0 <= slope <= 1.0:
-        return np.maximum(x, slope * x)
-    return np.where(x >= 0, x, slope * x)
-
-
-def leaky_derivative(mask, slope):
+def leaky_derivative(mask):
     """The leaky derivative from its mask ``a >= 0``: 1 where the mask is
-    True and ``slope`` elsewhere, one float array built in place."""
+    True and ``HIDDEN_SLOPE`` elsewhere, one float array built in place."""
     deriv = mask.astype(np.float64)
-    deriv *= 1.0 - slope
-    deriv += slope
+    deriv *= 1.0 - HIDDEN_SLOPE
+    deriv += HIDDEN_SLOPE
     return deriv
 
 
@@ -144,7 +138,7 @@ def _product(a, b):
     return a @ b
 
 
-# Activation table: name -> (value(a, slope), vjp(g, a, value, slope)), where
+# Activation table: name -> (value(a), vjp(g, a, value)), where
 # a is the pre-activation, value its activation and g the output adjoint.  The
 # one-input activation ops read it.  The leaky-relu vjp, dense's backward,
 # sparsity's Jacobian graphs and sparsity.activation_masks all build the leaky
@@ -155,24 +149,25 @@ def _product(a, b):
 # random signs; (1 - s) + s rounds to exactly 1 for s in [0, 1], so both
 # forms give the same bits.
 ACTIVATIONS = {
-    "leaky-relu": (_leaky, lambda g, a, v, s: g * leaky_derivative(a >= 0, s)),
-    "tanh": (lambda a, s: np.tanh(a), lambda g, a, v, s: g * (1.0 - v ** 2)),
-    "sigmoid": (lambda a, s: _sigmoid(a), lambda g, a, v, s: g * v * (1.0 - v)),
-    "softplus": (lambda a, s: np.logaddexp(0.0, a), lambda g, a, v, s: -g * np.expm1(-v)),
+    "leaky-relu": (lambda a: np.maximum(a, HIDDEN_SLOPE * a),
+                   lambda g, a, v: g * leaky_derivative(a >= 0)),
+    "tanh": (np.tanh, lambda g, a, v: g * (1.0 - v ** 2)),
+    "sigmoid": (_sigmoid, lambda g, a, v: g * v * (1.0 - v)),
+    "softplus": (lambda a: np.logaddexp(0.0, a), lambda g, a, v: -g * np.expm1(-v)),
 }
 
 
-def _activation(kind, a, slope=None):
-    return Node(kind, (a,), ACTIVATIONS[kind][0](a.value, slope), slope)
+def _activation(kind, a):
+    return Node(kind, (a,), ACTIVATIONS[kind][0](a.value))
 
 
 def _grad_activation(node, wanted):
     vjp = ACTIVATIONS[node.kind][1]
-    return (vjp(node.grad, node.parents[0].value, node.value, node.meta),)
+    return (vjp(node.grad, node.parents[0].value, node.value),)
 
 
-def leaky_relu(a: Node, slope: float = 0.2) -> Node:
-    return _activation("leaky-relu", a, float(slope))
+def leaky_relu(a: Node) -> Node:
+    return _activation("leaky-relu", a)
 
 
 def tanh(a: Node) -> Node:
@@ -187,31 +182,21 @@ def softplus(a: Node) -> Node:
     return _activation("softplus", a)
 
 
-def dense(w: Node, h: Node, b: Node, activation: str = "identity",
-          slope: float = 0.2) -> Node:
-    """One layer, ``activation(w @ h + b)``, as a single node.
-
-    ``activation`` is identity, or leaky-relu with a slope in [0, 1]; any
-    other raises GraphError.  Same bits, value and adjoints, as
-    ``activation(add(matmul(w, h), b))`` built from the separate ops.
-    """
-    slope = float(slope)
-    if activation not in ("identity", "leaky-relu"):
-        raise GraphError(f"dense: unknown activation {activation!r}; "
-                         "dense takes identity or leaky-relu")
-    if activation == "leaky-relu" and not 0.0 <= slope <= 1.0:
-        raise GraphError(f"dense: leaky-relu slope {slope} not in [0, 1]")
+def dense(w: Node, h: Node, b: Node, leaky: bool) -> Node:
+    """One layer, ``w @ h + b`` and then leaky-relu when ``leaky``, as a
+    single node.  Same bits, value and adjoints, as ``add(matmul(w, h), b)``,
+    or its ``leaky_relu``, built from the separate ops."""
     if w.shape[1] != h.shape[0] or b.shape != (w.shape[0], 1):
         raise GraphError(f"dense: shapes {w.shape} @ {h.shape} + {b.shape}")
     a = w.value @ h.value
     a += b.value
-    if activation == "identity":
+    if not leaky:
         return Node("dense", (w, h, b), a)
     # the derivative is 1 or s exactly, so max(a, s * a) has the bits of
     # a * deriv, -0.0 included
     mask = a >= 0
-    np.maximum(a, slope * a, out=a)
-    return Node("dense", (w, h, b), a, (mask, slope))
+    np.maximum(a, HIDDEN_SLOPE * a, out=a)
+    return Node("dense", (w, h, b), a, mask)
 
 
 def _grad_dense(node, wanted):
@@ -219,7 +204,7 @@ def _grad_dense(node, wanted):
     ga = node.grad
     if node.meta is not None:
         # in place: the adjoint is this node's alone (see backward)
-        ga *= leaky_derivative(*node.meta)
+        ga *= leaky_derivative(node.meta)
     return (_product(ga, h.value.T) if wanted[0] else None,
             _product(w.value.T, ga) if wanted[1] else None,
             ga.sum(axis=1, keepdims=True) if wanted[2] else None)

@@ -100,11 +100,20 @@ def cmd_train(config, io, out_dir):
     return artifacts, configio.echo(cfg, "train"), cfg.seed, None
 
 
+def _load_generator(path, d):
+    """The checkpoint at ``path``, which must map R^d to R^d, as a generator does."""
+    if not os.path.isfile(path):
+        raise CliError(f"checkpoint not found: {path!r}")
+    model = load_checkpoint(path)
+    if (model.input_dim, model.output_dim) != (d, d):
+        raise CliError(f"{path}: the checkpoint maps R^{model.input_dim} to "
+                       f"R^{model.output_dim}; the data needs R^{d} to R^{d}")
+    return model
+
+
 def cmd_eval(config, io, out_dir):
-    if not os.path.isfile(io.checkpoint):
-        raise CliError(f"checkpoint not found: {io.checkpoint!r}")
     [test_split] = _load_splits(io.data_dir, "test")
-    model = load_checkpoint(io.checkpoint)
+    model = _load_generator(io.checkpoint, test_split.x.shape[1])
     te_mean, te_std = translation_error(model, test_split)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["te_mean,te_std,num_samples",
@@ -129,10 +138,7 @@ def cmd_plot(config, io, out_dir):
               ("target y", test_split.y[idx], colors)]
     checkpoints = config.get("plot.checkpoints", {})
     for label in sorted(checkpoints):
-        path = checkpoints[label]
-        if not os.path.isfile(path):
-            raise CliError(f"checkpoint not found: {path!r}")
-        model = load_checkpoint(path)
+        model = _load_generator(checkpoints[label], test_split.x.shape[1])
         moved = model.apply(test_split.x[idx].T).T
         panels.append((f"translated ({label})", moved, colors))
     os.makedirs(out_dir, exist_ok=True)
@@ -208,6 +214,12 @@ def _band_fraction_bound(n, eps):
     return p + t / n
 
 
+def _exponential_quantile(q):
+    # 1 - F(x) rounds to 1 below x = 1.1e-16, whose quantile is inf: silently
+    with np.errstate(divide="ignore"):
+        return -np.log1p(-q)
+
+
 def _mpa_checks(n, seed, eps):
     """The default 1D suite; returns rows of (name, metric, value, threshold, ok).
 
@@ -243,7 +255,7 @@ def _mpa_checks(n, seed, eps):
     fp = mpa.count_fixed_points(uconj, (0.0, 1.0))
     add("uniform-cdf-conjugate", "fixed_points", fp.count, 1, fp.count == 1)
 
-    econj = mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), lambda q: -np.log1p(-q))
+    econj = mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), _exponential_quantile)
     ks = mpa.pushforward_ks_check(expo, econj, n, seed + 3)
     add("exponential-cdf-conjugate", "ks", ks, ks_max, ks < ks_max)
     fp = mpa.count_fixed_points(econj, (0.01, 10.0))

@@ -19,8 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: max |quantile(cdf(x)) - x|, relative to max(|x|, 1), that a CDF conjugate accepts
+CONSISTENCY_TOLERANCE = 1e-6
 #: max |m(x) - x| on the scan grid below which a map is flagged as identity
 IDENTITY_TOLERANCE = 1e-12
+#: count_fixed_points' scan grid points, and the width to which it bisects a root
+FIXED_POINT_GRID, FIXED_POINT_TOLERANCE = 100001, 1e-9
 #: grid points count_fixed_points passes to the map in one call
 FIXED_POINT_BLOCK = 1 << 14
 
@@ -82,19 +86,19 @@ def reflection_mpa(mu: float):
     return reflect
 
 
-def cdf_conjugate_mpa(cdf, quantile, consistency_tol: float = 1e-6):
+def cdf_conjugate_mpa(cdf, quantile):
     """x -> quantile(1 - cdf(x)), the unique non-identity candidate MPA.
 
     ``cdf`` must be strictly increasing on the domain of interest and
     ``quantile`` its inverse; each call validates quantile(cdf(x)) == x to
-    within consistency_tol and raises InverseConsistencyError otherwise.
+    within CONSISTENCY_TOLERANCE and raises InverseConsistencyError otherwise.
     """
     def conjugate(x):
         x = np.asarray(x, dtype=np.float64)
         fx = cdf(x)
         roundtrip = quantile(fx)
         scale = np.maximum(np.abs(x), 1.0)
-        bad = np.abs(roundtrip - x) > consistency_tol * scale
+        bad = np.abs(roundtrip - x) > CONSISTENCY_TOLERANCE * scale
         if np.any(bad):
             worst = float(np.abs(roundtrip - x).max())
             raise InverseConsistencyError(
@@ -142,17 +146,16 @@ class FixedPointReport:
     is_identity: bool = False
 
 
-def count_fixed_points(mpa_map, interval: tuple[float, float],
-                       grid_resolution: int = 100001,
-                       refine_tolerance: float = 1e-9) -> FixedPointReport:
-    """Sign-change scan of m(x) - x with bisection refinement.
+def count_fixed_points(mpa_map, interval: tuple[float, float]) -> FixedPointReport:
+    """Sign-change scan of m(x) - x over ``FIXED_POINT_GRID`` points, each
+    root refined by bisection to ``FIXED_POINT_TOLERANCE``.
 
     A map equal to the identity over the whole grid is reported separately
     (every point is fixed, so counting is meaningless).  Roots closer than
     1000x the refinement tolerance are merged.
 
     The map is applied to ``FIXED_POINT_BLOCK`` = 2^14 grid points at a
-    time (7 calls at the default 100,001 points), each block's residual
+    time (7 calls over the grid's 100,001 points), each block's residual
     written into one array for the whole grid.  A map that is elementwise,
     as every map here is, gives the same bits in blocks.  Under glibc's
     default allocator each 0.8 MB temporary of a map over the whole grid is
@@ -164,7 +167,7 @@ def count_fixed_points(mpa_map, interval: tuple[float, float],
     faults, and blocks of 2^14 take 61 ms against 59 in one block.
     """
     lo, hi = interval
-    grid = np.linspace(lo, hi, grid_resolution)
+    grid = np.linspace(lo, hi, FIXED_POINT_GRID)
     resid = np.empty_like(grid)
     for start in range(0, grid.size, FIXED_POINT_BLOCK):
         block = grid[start:start + FIXED_POINT_BLOCK]
@@ -177,17 +180,17 @@ def count_fixed_points(mpa_map, interval: tuple[float, float],
     # crossing: its product is 0), each bisected
     roots = list(grid[resid == 0.0])
     for i in np.flatnonzero(resid[:-1] * resid[1:] < 0):
-        roots.append(_bisect(mpa_map, grid[i], grid[i + 1], refine_tolerance))
+        roots.append(_bisect(mpa_map, grid[i], grid[i + 1]))
     merged = []
     for r in sorted(roots):
-        if not merged or r - merged[-1] > 1000 * refine_tolerance:
+        if not merged or r - merged[-1] > 1000 * FIXED_POINT_TOLERANCE:
             merged.append(r)
     return FixedPointReport(count=len(merged), locations=merged)
 
 
-def _bisect(mpa_map, lo, hi, tol):
+def _bisect(mpa_map, lo, hi):
     f_lo = float(mpa_map(np.array([lo]))[0]) - lo
-    while hi - lo > tol:
+    while hi - lo > FIXED_POINT_TOLERANCE:
         mid = 0.5 * (lo + hi)
         f_mid = float(mpa_map(np.array([mid]))[0]) - mid
         if f_mid == 0.0:

@@ -2,15 +2,15 @@
 
 Weights are stored (n_out, n_in) and biases (n_out, 1), acting on column
 batches, so a layer is ``W @ x + b``.  Every network is the one kind built
-here: leaky-relu hidden layers with slope ``HIDDEN_SLOPE`` and an identity
-output.  Both are piecewise linear, so the activation derivatives at a
-point, frozen, give the network's exact Jacobian there (almost everywhere).
-The plain numpy forward pass (``MlpModel.apply``) and the graph forward
-pass (``MlpBinding``) give the same bits.  The graph pass builds one
-``autodiff.dense`` node per layer; each hidden node keeps the mask
-``a >= 0`` of its pre-activation and its slope, from which
-``autodiff.leaky_derivative`` rebuilds the activation derivative, so the
-output node of a pass carries the pass's Jacobian, which
+here: leaky-relu hidden layers with ``autodiff``'s one slope
+``HIDDEN_SLOPE`` and an identity output.  Both are piecewise linear, so
+the activation derivatives at a point, frozen, give the network's exact
+Jacobian there (almost everywhere).  The plain numpy forward pass
+(``MlpModel.apply``) and the graph forward pass (``MlpBinding``) give the
+same bits.  The graph pass builds one ``autodiff.dense`` node per layer;
+each hidden node keeps the mask ``a >= 0`` of its pre-activation, from
+which ``autodiff.leaky_derivative`` rebuilds the activation derivative, so
+the output node of a pass carries the pass's Jacobian, which
 ``sparsity.jacobian_graph`` reads from it.
 A network holds its parameters as one flat float64 vector,
 ``MlpModel.flat``, in the order [W0, b0, W1, b1, ...] that ``param_order``
@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import HIDDEN_SLOPE
 from .configio import format_float
-
-HIDDEN_SLOPE = 0.2
 
 _CHECKPOINT_MAGIC = "anchordt-mlp-v1"
 # header lines the format has always carried; every network has these
@@ -96,17 +95,15 @@ class MlpModel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Plain numpy forward pass on a (D, N) column batch."""
-        x = np.asarray(x, dtype=np.float64)
-        h = x.reshape(-1, 1) if x.ndim == 1 else x
-        if h.shape[0] != self.input_dim:
-            raise ValueError(
-                f"input dim {h.shape[0]} != model input dim {self.input_dim}")
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[0] != self.input_dim:
+            raise ValueError(f"input of shape {h.shape} is not a ({self.input_dim}, N) batch")
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = w @ h + b
             if i < last:
                 h = np.maximum(h, HIDDEN_SLOPE * h)
-        return h[:, 0] if x.ndim == 1 else h
+        return h
 
 
 def init_mlp(layer_sizes, seed=0) -> MlpModel:
@@ -141,9 +138,9 @@ class MlpBinding:
     the discriminator while the generator trains, and vice versa).
 
     A call returns the output node of one pass, a chain of dense nodes
-    whose hidden nodes hold the masks ``a >= 0`` and the slope from which
-    the pass's activation derivatives are rebuilt; nothing of the pass is
-    kept on the binding.
+    whose hidden nodes hold the masks ``a >= 0`` from which the pass's
+    activation derivatives are rebuilt; nothing of the pass is kept on the
+    binding.
     """
 
     def __init__(self, model: MlpModel, frozen: bool = False):
@@ -173,7 +170,7 @@ class MlpBinding:
         h = x
         last = len(self.weight_nodes) - 1
         for i, (w, b) in enumerate(zip(self.weight_nodes, self.bias_nodes)):
-            h = ad.dense(w, h, b, "leaky-relu" if i < last else "identity", HIDDEN_SLOPE)
+            h = ad.dense(w, h, b, i < last)
         return h
 
     def gradient(self) -> np.ndarray:

@@ -5,8 +5,8 @@ terms can share one network's parameter nodes and a single backward pass
 accumulates the combined gradient.  Every network is leaky-relu with an
 identity output, so the discriminator outputs a logit, and the Jacobian
 terms (the exact l1 term, R1) are exact almost everywhere: each goes
-through ``sparsity.jacobian_graph``, which reads the masks and slope held
-by the dense nodes of a pass already built and rebuilds the activation
+through ``sparsity.jacobian_graph``, which reads the masks held by the
+dense nodes of a pass already built and rebuilds the activation
 derivatives from them with ``autodiff.leaky_derivative``.  ``TERMS`` is the
 table of the weighted generator terms, one row a ``LossWeights`` field.
 """

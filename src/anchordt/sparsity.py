@@ -44,7 +44,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .configio import DISTINCT, FINITE, NONEMPTY, POSITIVE, Checked, at_least
-from .nets import HIDDEN_SLOPE
 
 DEFAULT_ZERO_THRESHOLD = 1e-9
 # float64 elements in each per-block buffer of q_probe_samples (256 KB): a
@@ -170,14 +169,14 @@ def activation_masks(preacts: list[np.ndarray]) -> list[np.ndarray]:
     their masks.  No runtime code calls this, kept as the tests' reference
     and a name the benchmark traces.
     """
-    return [ad.leaky_derivative(a >= 0, HIDDEN_SLOPE) for a in preacts[:-1]]
+    return [ad.leaky_derivative(a >= 0) for a in preacts[:-1]]
 
 
 def _pass_layers(out: ad.Node) -> list:
-    """[(weight node, (mask, slope) or None)] of each layer, in order, of the
-    pass whose identity output dense node is ``out``: the chain of leaky
-    dense nodes below it, up to the pass's input, each with the activation
-    mask and slope it keeps as its meta.
+    """[(weight node, mask or None)] of each layer, in order, of the pass
+    whose identity output dense node is ``out``: the chain of leaky dense
+    nodes below it, up to the pass's input, each with the activation mask it
+    keeps as its meta.
     """
     if out.kind != "dense" or out.meta is not None:
         raise ad.GraphError(f"{out!r} does not end a network pass")
@@ -203,10 +202,10 @@ def batched_jvp_graph(out: ad.Node, directions: np.ndarray) -> ad.Node:
     """
     reps = directions.shape[1] // out.shape[1]
     v = ad.input_node(directions, "jvp-direction")
-    for w_node, leaky in _pass_layers(out):
+    for w_node, mask in _pass_layers(out):
         v = ad.matmul(w_node, v)
-        if leaky is not None:
-            deriv = ad.leaky_derivative(*leaky)
+        if mask is not None:
+            deriv = ad.leaky_derivative(mask)
             if reps > 1:
                 deriv = np.tile(deriv, (1, reps))
             v = ad.elementwise_mul(v, ad.input_node(deriv, "activation-derivative"))

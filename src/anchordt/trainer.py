@@ -99,8 +99,8 @@ class TrainConfig(Checked):
 class RunReport:
     losses: dict                  # name -> np.ndarray over iterations
     diagnostics: list             # (iteration, energy distance) snapshots
-    te_mean: float | None
-    te_std: float | None
+    te_mean: float
+    te_std: float
     wall_time: float
 
     def trace_csv_lines(self) -> list[str]:
@@ -154,16 +154,13 @@ def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) 
     return value
 
 
-def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
-                    anchors: AnchorSet, probe_rng) -> dict:
-    """One generator + reconstructor step on the combined objective: the
-    adversarial term plus, in ``objective.TERMS`` order, each row whose weight
-    is positive times that weight; returns the gen, total and built rows'
-    losses, after the updates when the total is finite, with none when not.
-
-    The discriminator is frozen, g(x) is built once and shared by every term,
-    and the reconstructor is updated when a row took it into the graph.
-    """
+def _generator_objective(config: TrainConfig, models: Networks, xb,
+                         anchors: AnchorSet, probe_rng):
+    """(generator binding, reconstructor binding, loss nodes) of a generator
+    step.  The nodes are {"gen", the built rows, "total"}: the total is the
+    adversarial term plus, in ``objective.TERMS`` order, each row whose
+    weight is positive times that weight.  The discriminator is frozen, and
+    g(x) is built once and shared by every term."""
     (gen, disc, rec), w = models, config.weights
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
@@ -174,18 +171,26 @@ def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
     total = gen_part
     for name, node in terms.items():
         total = ad.add(total, ad.scale(node, getattr(w, name)))
-    losses = {k: float(node.value[0, 0])
-              for k, node in {"gen": gen_part, **terms, "total": total}.items()}
+    return gen_b, rec_b, {"gen": gen_part, **terms, "total": total}
+
+
+def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
+                    anchors: AnchorSet, probe_rng) -> dict:
+    """One step on ``_generator_objective``; returns its losses, after the
+    updates when the total is finite, with none when not.  The reconstructor
+    is updated when a row took it into the graph."""
+    gen_b, rec_b, nodes = _generator_objective(config, models, xb, anchors, probe_rng)
+    losses = {k: float(node.value[0, 0]) for k, node in nodes.items()}
     if np.isfinite(losses["total"]):
-        ad.backward(total)
-        adam_step(gen, gen_b.gradient(), states.generator)
+        ad.backward(nodes["total"])
+        adam_step(models.generator, gen_b.gradient(), states.generator)
         if any(node.grad is not None for node in rec_b.param_nodes):
-            adam_step(rec, rec_b.gradient(), states.reconstructor)
+            adam_step(models.reconstructor, rec_b.gradient(), states.reconstructor)
     return losses
 
 
-def train(config: TrainConfig, train_data: PairedDataset,
-          test_data: PairedDataset | None = None, out_dir=None) -> RunReport:
+def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDataset,
+          out_dir=None) -> RunReport:
     """Run the full alternating loop; returns its RunReport.
 
     The data's dimension D sizes the networks.  A probe mask wider than D,
@@ -244,16 +249,14 @@ def train(config: TrainConfig, train_data: PairedDataset,
             for key, value in losses.items():
                 trace[key][it] = value
 
-            if test_data is not None and config.diag_interval > 0 and (
+            if config.diag_interval > 0 and (
                     it % config.diag_interval == 0 or it == config.iterations - 1):
                 k = min(config.diag_points, len(test_data))
                 moved = models.generator.apply(test_data.x[:k].T).T
                 diagnostics.append((it, energy_distance(moved, test_data.y[:k])))
 
     wall = time.perf_counter() - start
-    te_mean = te_std = None
-    if test_data is not None:
-        te_mean, te_std = translation_error(models.generator, test_data)
+    te_mean, te_std = translation_error(models.generator, test_data)
     if out_dir is not None:
         models.save(out_dir)
     return RunReport(losses=trace, diagnostics=diagnostics, te_mean=te_mean,

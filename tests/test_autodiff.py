@@ -23,8 +23,8 @@ class TestForward:
         assert ad.square(scalar(3.0)).value[0, 0] == 9.0
 
     def test_leaky_relu_negative_side(self):
-        node = ad.leaky_relu(scalar(-1.0), slope=0.2)
-        assert node.value[0, 0] == pytest.approx(-0.2, abs=1e-15)
+        node = ad.leaky_relu(scalar(-1.0))
+        assert node.value[0, 0] == -ad.HIDDEN_SLOPE == -0.2
 
     def test_matmul_identity_times_vector(self):
         eye = ad.input_node(np.eye(2))
@@ -112,19 +112,22 @@ class TestBackward:
 
     def test_leaky_relu_tie_at_zero_uses_slope_one(self):
         x = ad.parameter(np.array([[0.0, -1.0, 1.0]]))
-        grads = ad.backward(ad.node_sum(ad.leaky_relu(x, 0.2)))
-        np.testing.assert_array_equal(grads[x], [[1.0, 0.2, 1.0]])
+        grads = ad.backward(ad.node_sum(ad.leaky_relu(x)))
+        np.testing.assert_array_equal(grads[x], [[1.0, ad.HIDDEN_SLOPE, 1.0]])
 
+    # the arithmetic forms are exact for any slope in [0, 1], not only for
+    # the one the networks use
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.3, 0.5, 1.0])
-    def test_leaky_relu_vjp_equals_where_form_bit_for_bit(self, slope):
+    def test_leaky_relu_vjp_equals_where_form_bit_for_bit(self, slope, monkeypatch):
+        monkeypatch.setattr(ad, "HIDDEN_SLOPE", slope)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((16, 64))
         a[:, ::7] = 0.0
         g = rng.standard_normal((16, 64))
         vjp = ad.ACTIVATIONS["leaky-relu"][1]
         reference = np.where(a >= 0, g, g * slope)
-        assert vjp(g, a, None, slope).tobytes() == reference.tobytes()
-        assert vjp(1.0, a, None, slope).tobytes() == np.where(a >= 0, 1.0, slope).tobytes()
+        assert vjp(g, a, None).tobytes() == reference.tobytes()
+        assert vjp(1.0, a, None).tobytes() == np.where(a >= 0, 1.0, slope).tobytes()
 
     def test_mean_gradient(self):
         x = ad.parameter(np.ones((2, 3)))
@@ -145,8 +148,8 @@ class TestBackward:
         w0, b0 = (ad.parameter(rng.standard_normal(s)) for s in ((4, 3), (4, 1)))
         w1, b1 = ad.parameter(rng.standard_normal((1, 4))), ad.parameter(np.zeros((1, 1)))
         x = ad.input_node(rng.standard_normal((3, 5)))
-        h = ad.dense(w0, x, b0, "leaky-relu")
-        out = ad.dense(w1, ad.add(h, ad.dense(w0, x, b0)), b1)
+        h = ad.dense(w0, x, b0, True)
+        out = ad.dense(w1, ad.add(h, ad.dense(w0, x, b0, False)), b1, False)
         root = ad.mean(ad.add(ad.square(out), ad.scale(ad.input_node(np.ones((1, 5))), 2.0)))
         order = ad.topo_order(root)
         values = [node.value.copy() for node in order]
@@ -193,11 +196,12 @@ class TestBackward:
 
     def test_leaky_dense_root_keeps_its_adjoint(self):
         w, b = ad.parameter(np.array([[1.0, -2.0]])), ad.parameter(np.array([[-1.0]]))
-        root = ad.dense(w, ad.input_node(np.array([[1.0], [1.0]])), b, "leaky-relu", 0.25)
+        root = ad.dense(w, ad.input_node(np.array([[1.0], [1.0]])), b, True)
         grads = ad.backward(root)
-        assert root.value.tolist() == [[-0.5]]
+        s = ad.HIDDEN_SLOPE
+        assert root.value.tolist() == [[-2.0 * s]]
         assert root.grad.tolist() == [[1.0]]
-        assert grads[w].tolist() == [[0.25, 0.25]] and grads[b].tolist() == [[0.25]]
+        assert grads[w].tolist() == [[s, s]] and grads[b].tolist() == [[s]]
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
@@ -254,7 +258,7 @@ class TestGradcheck:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4)) + 0.5
         arrays = _mlp_arrays((3, 6, 3), 5)
-        net = lambda: _mlp_graph(arrays, x, activation=lambda n: ad.leaky_relu(n, 0.2))
+        net = lambda: _mlp_graph(arrays, x, activation=ad.leaky_relu)
         preacts = [n for n in ad.topo_order(net()) if n.kind == "add"]
         assert min(np.abs(p.value).min() for p in preacts) > 10 * 1e-5
         build = lambda: ad.mean(ad.square(net()))
@@ -276,17 +280,17 @@ def bits(a):
     return a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes()
 
 
-def layer_graph(w_val, h_val, b_val, name, slope, fused, w_kind):
+def layer_graph(w_val, h_val, b_val, leaky, fused, w_kind):
     """One layer as a dense node or as its primitive ops, under a root
     whose adjoint seed is a fixed non-constant matrix; returns (root, out,
     (w, h, b))."""
     w = (ad.parameter if w_kind == "parameter" else ad.input_node)(w_val.copy())
     h, b = ad.parameter(h_val.copy()), ad.parameter(b_val.copy())
     if fused:
-        out = ad.dense(w, h, b, name, slope)
+        out = ad.dense(w, h, b, leaky)
     else:
         a = ad.add(ad.matmul(w, h), b)
-        out = a if name == "identity" else ad.leaky_relu(a, slope)
+        out = ad.leaky_relu(a) if leaky else a
     adjoint = np.random.default_rng(9).standard_normal(out.value.shape)
     root = ad.node_sum(ad.elementwise_mul(out, ad.input_node(adjoint)))
     return root, out, (w, h, b)
@@ -314,13 +318,17 @@ class TestDense:
     @pytest.mark.parametrize("name", ["identity", "leaky-relu"])
     @pytest.mark.parametrize("w_kind", ["parameter", "input"])
     @pytest.mark.parametrize("zero_ties", [False, True])
-    def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties):
-        # a one-row weight too, as in the discriminator's output layer
-        slopes = (0.0, 0.2, 1.0) if name == "leaky-relu" else (0.2,)
+    def test_matches_the_primitive_ops_bit_for_bit(self, name, w_kind, zero_ties,
+                                                   monkeypatch):
+        # a one-row weight too, as in the discriminator's output layer; the
+        # leaky layer at the ends of [0, 1] as well as at the networks' slope
+        leaky = name == "leaky-relu"
+        slopes = (0.0, 0.2, 1.0) if leaky else (0.2,)
         for rows, slope in itertools.product((5, 1), slopes):
+            monkeypatch.setattr(ad, "HIDDEN_SLOPE", slope)
             vals = layer_values(np.random.default_rng(3), zero_ties, rows)
-            fused_root, fused, fused_parents = layer_graph(*vals, name, slope, True, w_kind)
-            prim_root, prim, prim_parents = layer_graph(*vals, name, slope, False, w_kind)
+            fused_root, fused, fused_parents = layer_graph(*vals, leaky, True, w_kind)
+            prim_root, prim, prim_parents = layer_graph(*vals, leaky, False, w_kind)
             assert bits(fused.value) == bits(prim.value)
             ad.backward(fused_root)
             ad.backward(prim_root)
@@ -330,20 +338,21 @@ class TestDense:
                 if f.grad is not None:
                     assert bits(f.grad) == bits(p.grad)
 
-    def test_leaky_node_keeps_a_one_byte_mask_and_its_slope(self):
+    def test_leaky_node_keeps_a_one_byte_mask(self):
         w, h, b = layer_values(np.random.default_rng(5), zero_ties=True)
         parents = [ad.input_node(v) for v in (w, h, b)]
-        mask, slope = ad.dense(*parents, "leaky-relu", 0.3).meta
-        assert mask.dtype == np.bool_ and mask.shape == (5, 7) and slope == 0.3
+        mask = ad.dense(*parents, True).meta
+        assert mask.dtype == np.bool_ and mask.shape == (5, 7)
         assert np.array_equal(mask, w @ h + b >= 0)
-        assert ad.dense(*parents).meta is None
+        assert ad.dense(*parents, False).meta is None
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
-    def test_leaky_value_is_preactivation_times_derivative(self, slope):
+    def test_leaky_value_is_preactivation_times_derivative(self, slope, monkeypatch):
         # what dense computes for leaky-relu, on the -0.0 and 0.0 ties too
+        monkeypatch.setattr(ad, "HIDDEN_SLOPE", slope)
         a = np.array([[-0.0, 0.0, -1.5, 2.0, -1e-320, 1e-320]])
         value, vjp = ad.ACTIVATIONS["leaky-relu"]
-        assert bits(a * vjp(1.0, a, None, slope)) == bits(value(a, slope))
+        assert bits(a * vjp(1.0, a, None)) == bits(value(a))
 
     def test_softplus_is_stable_at_large_logits(self):
         a = ad.parameter(np.array([[-800.0, 800.0]]))
@@ -354,26 +363,12 @@ class TestDense:
         assert out.value.tolist() == [[0.0, 800.0]]
         assert a.grad.tolist() == [[0.0, 1.0]]
 
-    def test_shape_mismatch_and_unknown_activation_rejected(self):
+    def test_shape_mismatch_rejected(self):
         w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
         with pytest.raises(ad.GraphError, match=r"dense: shapes \(2, 3\) @ \(2, 4\)"):
-            ad.dense(w, ad.input_node(np.ones((2, 4))), b)
+            ad.dense(w, ad.input_node(np.ones((2, 4))), b, True)
         with pytest.raises(ad.GraphError, match=r"dense: shapes .* \+ \(2, 4\)"):
-            ad.dense(w, h, ad.input_node(np.ones((2, 4))))
-        with pytest.raises(ad.GraphError, match="unknown activation 'relu'"):
-            ad.dense(w, h, b, "relu")
-
-    @pytest.mark.parametrize("name", ["tanh", "sigmoid", "softplus"])
-    def test_rejects_the_smooth_activations(self, name):
-        w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
-        with pytest.raises(ad.GraphError, match=f"unknown activation '{name}'"):
-            ad.dense(w, h, b, name)
-
-    @pytest.mark.parametrize("slope", [-0.2, 1.5, float("nan"), float("inf")])
-    def test_rejects_a_leaky_slope_outside_the_unit_interval(self, slope):
-        w, h, b = (ad.input_node(np.ones(s)) for s in ((2, 3), (3, 4), (2, 1)))
-        with pytest.raises(ad.GraphError, match=r"slope .* not in \[0, 1\]"):
-            ad.dense(w, h, b, "leaky-relu", slope)
+            ad.dense(w, h, ad.input_node(np.ones((2, 4))), False)
 
 
 class TestOuterProduct:

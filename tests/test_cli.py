@@ -547,6 +547,24 @@ def test_eval_and_plot_read_no_train_split(data_dir, checkpoint, tmp_path, verb)
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 0
 
 
+@pytest.mark.parametrize("network", ["discriminator", "generator-of-3d-data"])
+@pytest.mark.parametrize("verb", ["eval", "plot"])
+def test_a_checkpoint_that_does_not_map_r2_to_r2_exits_2_naming_the_file(
+        data_dir, checkpoint, tmp_path, capsys, verb, network):
+    # the data is 2-D: the discriminator maps R^2 to R^1, and a generator
+    # trained on 3-D data R^3 to R^3
+    if network == "discriminator":
+        path, sizes = checkpoint.parent / "discriminator.ckpt", (2, 1)
+    else:
+        path, sizes = tmp_path / "gen3.ckpt", (3, 3)
+        nets.save_checkpoint(nets.init_mlp((3, 4, 3), seed=0), path)
+    argv = fill(VERB_ARGS[verb], data=data_dir, ckpt=path)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 2
+    assert (f"{path}: the checkpoint maps R^{sizes[0]} to R^{sizes[1]}; the data "
+            "needs R^2 to R^2") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb, prefix", [("train", "train"), ("eval", "test")])
 def test_damaged_meta_exits_2_naming_the_file(data_dir, checkpoint, tmp_path, capsys,
                                               verb, prefix):

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import anchordt
-from anchordt import mpa
+from anchordt import cli, mpa
 
 
 def gaussian_sampler(mu=0.0, sigma=1.0):
@@ -32,11 +32,11 @@ def gaussian_conjugates(mu=0.0, sigma=1.0):
 
 
 def exponential_conjugates():
-    """The Exp(1) CDF conjugate built from scipy, the oracle, and from numpy's
-    expm1 and log1p, as mpa-check builds it."""
+    """The Exp(1) CDF conjugate built from scipy, the oracle, and the one
+    mpa-check builds from numpy's expm1 and log1p."""
     return (mpa.cdf_conjugate_mpa(lambda x: scipy_stats.expon.cdf(x),
                                   lambda q: scipy_stats.expon.ppf(q)),
-            mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), lambda q: -np.log1p(-q)))
+            mpa.cdf_conjugate_mpa(lambda x: -np.expm1(-x), cli._exponential_quantile))
 
 
 class TestReflection:
@@ -81,6 +81,13 @@ class TestCdfConjugate:
         x = np.linspace(0.01, 20.0, 2001)
         np.testing.assert_allclose(numpy_only(x), oracle(x), rtol=0, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exponential_far_tail_maps_to_inf_silently(self):
+        # below x = 1.1e-16, 1 - F(x) rounds to 1, whose quantile is inf
+        x = np.array([0.0, 1e-300])
+        for m in exponential_conjugates():
+            assert m(x).tolist() == [np.inf, np.inf]
+
     def test_involution_where_cdf_roundtrips(self):
         x = np.linspace(-3, 3, 101)
         for m in gaussian_conjugates():
@@ -93,19 +100,19 @@ class TestCdfConjugate:
             bad(np.array([1.0]))
 
 
-def pointwise_roots(m, interval, resolution, tol):
+def pointwise_roots(m, interval):
     """count_fixed_points' locations, one grid interval at a time."""
-    grid = np.linspace(*interval, resolution)
+    grid = np.linspace(*interval, mpa.FIXED_POINT_GRID)
     resid = m(grid) - grid
     roots = []
-    for i in range(resolution - 1):
+    for i in range(grid.size - 1):
         if resid[i] == 0.0:
             roots.append(grid[i])
         elif resid[i] * resid[i + 1] < 0:
-            roots.append(mpa._bisect(m, grid[i], grid[i + 1], tol))
+            roots.append(mpa._bisect(m, grid[i], grid[i + 1]))
     merged = []
     for r in sorted(roots):
-        if not merged or r - merged[-1] > 1000 * tol:
+        if not merged or r - merged[-1] > 1000 * mpa.FIXED_POINT_TOLERANCE:
             merged.append(r)
     return merged
 
@@ -163,24 +170,25 @@ class TestFixedPoints:
                                    [k * np.pi / 3 for k in range(-2, 3)],
                                    atol=1e-6)
 
-    def test_scan_matches_pointwise_loop(self):
+    def test_scan_matches_pointwise_loop(self, monkeypatch):
         # m(x) - x is exactly 0 on [-1, 1] and sin(3x) outside it: grid zeros,
         # zero-to-nonzero steps that are no crossing, and four sign changes
         def m(x):
             return x + np.where(np.abs(x) > 1.0, np.sin(3 * x), 0.0)
 
-        interval, resolution, tol = (-3.0, 3.0), 2001, 1e-9
-        report = mpa.count_fixed_points(m, interval, resolution, tol)
-        assert report.locations == pointwise_roots(m, interval, resolution, tol)
+        monkeypatch.setattr(mpa, "FIXED_POINT_GRID", 2001)
+        report = mpa.count_fixed_points(m, (-3.0, 3.0))
+        assert report.locations == pointwise_roots(m, (-3.0, 3.0))
         assert report.count == len(report.locations) > 4
 
-    def test_blocked_scan_matches_pointwise_loop(self):
+    def test_blocked_scan_matches_pointwise_loop(self, monkeypatch):
         # three full blocks and a partial one of 5 points: an exact grid zero
         # on the first point of block 1, a crossing between the last point of
         # block 1 and the first of block 2, and one inside the partial block
         block = mpa.FIXED_POINT_BLOCK
-        interval, resolution, tol = (-3.0, 3.0), 3 * block + 5, 1e-9
-        grid = np.linspace(*interval, resolution)
+        interval = (-3.0, 3.0)
+        monkeypatch.setattr(mpa, "FIXED_POINT_GRID", 3 * block + 5)
+        grid = np.linspace(*interval, mpa.FIXED_POINT_GRID)
         step = grid[1] - grid[0]
         on_edge = grid[block]
         across_edge = grid[2 * block - 1] + 0.5 * step
@@ -189,8 +197,8 @@ class TestFixedPoints:
         def m(x):
             return x + (x - on_edge) * (x - across_edge) * (x - in_tail)
 
-        report = mpa.count_fixed_points(m, interval, resolution, tol)
-        expected = pointwise_roots(m, interval, resolution, tol)
+        report = mpa.count_fixed_points(m, interval)
+        expected = pointwise_roots(m, interval)
         assert report.locations == expected
         assert report.count == 3 and expected[0] == on_edge
         assert abs(expected[1] - across_edge) < 1e-6
@@ -206,10 +214,10 @@ class TestFixedPoints:
         report = mpa.count_fixed_points(m, (-1.0, 1.0))
         assert report.count == 1
         assert max(sizes) <= 1 << 14
-        # the scan's calls cover the default grid once, then bisection's
-        # take a point each
-        scan_calls = -(-100001 // mpa.FIXED_POINT_BLOCK)
-        assert sum(sizes[:scan_calls]) == 100001
+        # the scan's calls cover the grid once, then bisection's take a
+        # point each
+        scan_calls = -(-mpa.FIXED_POINT_GRID // mpa.FIXED_POINT_BLOCK)
+        assert sum(sizes[:scan_calls]) == mpa.FIXED_POINT_GRID
         assert set(sizes[scan_calls:]) <= {1}
 
 

@@ -97,16 +97,12 @@ class TestForwardPaths:
         graph_out = nets.bind(model)(ad.input_node(x)).value
         assert model.apply(x).tobytes() == graph_out.tobytes()
 
-    def test_apply_1d_convenience(self):
-        model = nets.init_mlp((2, 4, 2), seed=0)
-        x = np.array([0.3, -0.2])
-        np.testing.assert_array_equal(model.apply(x),
-                                      model.apply(x.reshape(2, 1))[:, 0])
-
     def test_wrong_input_dim(self):
+        # a point is a (D, 1) batch: a 1-D array is no batch
         model = nets.init_mlp((2, 4, 2), seed=0)
-        with pytest.raises(ValueError, match="input dim"):
-            model.apply(np.ones((3, 5)))
+        for x in (np.ones((3, 5)), np.ones(2), np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match=r"is not a \(2, N\) batch"):
+                model.apply(x)
 
     def test_frozen_binding_rejects_gradients(self):
         model = nets.init_mlp((2, 4, 2), seed=0)
@@ -115,9 +111,8 @@ class TestForwardPaths:
             frozen.gradient()
 
     def test_binding_records_preactivations(self):
-        # each hidden dense node of a pass keeps its activation mask and
-        # slope, from which its derivative is rebuilt, and the identity
-        # output keeps none
+        # each hidden dense node of a pass keeps its activation mask, from
+        # which its derivative is rebuilt, and the identity output keeps none
         x = np.random.default_rng(2).standard_normal((2, 8))
         x[:, 5] = 0.0   # exact-zero pre-activations take the slope-1 side
         model = nets.init_mlp((2, 4, 4, 2), seed=0)
@@ -130,8 +125,7 @@ class TestForwardPaths:
         assert len(metas) == 3 and len(direct) == 2
         assert metas[-1] is None
         for meta, b in zip(metas, direct):
-            assert meta[1] == nets.HIDDEN_SLOPE
-            assert ad.leaky_derivative(*meta).tobytes() == b.tobytes()
+            assert ad.leaky_derivative(meta).tobytes() == b.tobytes()
         assert np.isin(direct[0], (nets.HIDDEN_SLOPE, 1.0)).all()
 
 
@@ -370,7 +364,7 @@ class TestCheckpoint:
         h = np.array([0.31415926535897931 * 2.0, -1.2 * 2.0 - 0.5])
         h = np.maximum(h, 0.2 * h)
         expected = 2.0 * h[0] - 3.0000000000000004 * h[1] + 0.1
-        assert model.apply(np.array([2.0]))[0] == pytest.approx(expected, rel=1e-15)
+        assert model.apply(np.array([[2.0]]))[0, 0] == pytest.approx(expected, rel=1e-15)
         nets.save_checkpoint(model, again)
         assert again.read_text() == self.EARLIER_FORMAT
 

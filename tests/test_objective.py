@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anchordt import autodiff as ad
-from anchordt import nets, objective
+from anchordt import nets, objective, trainer
 from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe, jacobian_graph
 from rebuild_gradcheck import rebuild_gradcheck
 from reference_pass import jacobian_sweep, preactivations
@@ -450,6 +450,31 @@ class TestRebuildGradcheck:
         # the same probes at every rebuild
         self.check(lambda: objective.sparsity_loss(nets.bind(gen), x, spec, "masked-fd",
                                                    np.random.default_rng(35)), gen)
+
+    @pytest.mark.parametrize("mode", objective.SPARSITY_MODES)
+    def test_generator_step_total(self, nets3, monkeypatch, mode):
+        # every term on the one g(x) node of the step, each weight positive
+        gen, disc, rec, x, y = nets3
+        cfg = trainer.TrainConfig(weights=objective.LossWeights(0.7, 0.25, 1.3),
+                                  sparsity_mode=mode, probe=ProbeSpec(1, 0.05, 2))
+        models = trainer.Networks(gen, disc, rec)
+        anchors = objective.AnchorSet(x=x[:, :2], y=y[:, :2])
+        # the same probes at every build
+        build = lambda: trainer._generator_objective(cfg, models, x, anchors,
+                                                     np.random.default_rng(35))
+        handed = {}   # model -> the gradient the step hands Adam, no update made
+        monkeypatch.setattr(trainer, "adam_step",
+                            lambda model, gradient, state: handed.setdefault(model, gradient))
+        trainer._generator_step(cfg, models, trainer.Networks(None, None, None), x, anchors,
+                                np.random.default_rng(35))
+        assert list(handed) == [gen, rec]
+        # what the step hands Adam is the gradient of the total, which the
+        # check holds against central differences of the rebuilt total
+        gen_b, rec_b, nodes = build()
+        ad.backward(nodes["total"])
+        assert handed[gen].tobytes() == gen_b.gradient().tobytes()
+        assert handed[rec].tobytes() == rec_b.gradient().tobytes()
+        self.check(lambda: build()[2]["total"], gen, rec)
 
     def test_sees_a_frozen_constant_that_gradcheck_misses(self):
         # loss sum(w * w0) with w0 a frozen copy of w: backward returns w0,

@@ -203,8 +203,7 @@ class TestAnalyticJacobianGraph:
         with pytest.raises(ad.GraphError, match=r"Node\(input, shape=\(2, 3\)\) does "
                                                 "not end a network pass"):
             sparsity.jacobian_graph(x)
-        hidden = ad.dense(ad.parameter(np.eye(2)), x, ad.parameter(np.zeros((2, 1))),
-                          "leaky-relu")
+        hidden = ad.dense(ad.parameter(np.eye(2)), x, ad.parameter(np.zeros((2, 1))), True)
         with pytest.raises(ad.GraphError, match=r"Node\(dense"):
             sparsity.batched_jvp_graph(hidden, np.ones((2, 3)))
 

@@ -11,11 +11,9 @@ measure-preserving-automorphism facts that make the anchor decisive.
 from .autodiff import GraphError, Node, backward
 from .nets import (AdamState, MlpModel, adam_init, adam_step, bind, init_mlp,
                    load_checkpoint, save_checkpoint)
-from .objective import (AnchorSet, LossWeights, anchor_loss, gan_losses, inv_loss,
-                        sparsity_loss)
-from .sparsity import (ProbeSample, ProbeSpec, ProbeStudy, SupportPattern,
-                       check_structural_sparsity, draw_probe,
-                       probe_bias_variance_study)
+from .objective import LossWeights, anchor_loss, gan_losses, inv_loss, sparsity_loss
+from .sparsity import (ProbeSample, ProbeSpec, ProbeStudy, check_structural_sparsity,
+                       draw_probe, probe_bias_variance_study)
 from .synthdata import (PairedDataset, SynthConfig, generate, load_dataset,
                         save_dataset, select_anchors, warp)
 from .trainer import (RunReport, TrainConfig, TrainingDiverged, train,

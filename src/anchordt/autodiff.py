@@ -53,6 +53,8 @@ def _as_matrix(value, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise GraphError(f"{what}: expected a matrix, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise GraphError(f"{what}: expected a nonempty matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise GraphError(f"{what}: non-finite entries")
     return arr

@@ -337,6 +337,9 @@ def cmd_sparsity_check(config, io, out_dir):
                 r, c = (int(v) for v in ln.split(","))
             except ValueError:
                 raise CliError(f"{io.support_file}:{lineno}: expected 'row,col'") from None
+            if r < 0 or c < 0:
+                raise CliError(f"{io.support_file}:{lineno}: index pair ({r}, {c}) "
+                               "has a negative index")
             pairs.append((r, c))
     if not pairs:
         raise CliError(f"{io.support_file}: no index pairs")
@@ -345,9 +348,9 @@ def cmd_sparsity_check(config, io, out_dir):
         raise CliError(f"[sparsity_check] dimension = {cfg.dimension} must be above "
                        f"{largest}, the largest index in {io.support_file}")
     dimension = largest + 1 if cfg.dimension is None else cfg.dimension
-    pattern = sparsity.SupportPattern(dimension=dimension,
-                                      index_pairs=frozenset(pairs))
-    result = sparsity.check_structural_sparsity(pattern)
+    support = np.zeros((dimension, dimension), dtype=bool)
+    support[tuple(zip(*pairs))] = True
+    result = sparsity.check_structural_sparsity(support)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["column,satisfied,witness_rows,diagnostic"]
     for k in range(dimension):

@@ -9,6 +9,8 @@ through ``sparsity.jacobian_graph``, which reads the masks held by the
 dense nodes of a pass already built and rebuilds the activation
 derivatives from them with ``autodiff.leaky_derivative``.  ``TERMS`` is the
 table of the weighted generator terms, one row a ``LossWeights`` field.
+Anchors are ``synthdata.PairedDataset`` rows; batches are (D, N) column
+blocks, checked by the ``autodiff.input_node`` each one enters the graph as.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import autodiff as ad
 from .configio import FINITE, NON_NEGATIVE, Checked
 from .nets import MlpBinding
 from .sparsity import ProbeSpec, draw_probe, jacobian_graph
+from .synthdata import PairedDataset
 
 SPARSITY_MODES = ("exact-jacobian-l1", "masked-fd")
 
@@ -31,30 +34,6 @@ class LossWeights(Checked):
     anchor: Annotated[float, NON_NEGATIVE, FINITE] = 1.0
     sparsity: Annotated[float, NON_NEGATIVE, FINITE] = 0.1
     inv: Annotated[float, NON_NEGATIVE, FINITE] = 1.0
-
-
-@dataclass
-class AnchorSet:
-    """Aligned pairs, stored as (D, E) column blocks."""
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.y = np.atleast_2d(np.asarray(self.y, dtype=np.float64))
-        if self.x.shape[1] != self.y.shape[1]:
-            raise ValueError("anchor x and y counts differ")
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[1]
-
-
-def _as_batch(batch) -> np.ndarray:
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise ValueError(f"expected a nonempty (D, N) batch, got shape {arr.shape}")
-    return arr
 
 
 def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
@@ -84,7 +63,6 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     Mescheder et al. 2018), one ``jacobian_graph`` sweep over the
     real-batch pass, exact almost everywhere.  Off by default.
     """
-    x_batch = _as_batch(x_batch)
     if fake is None:
         if detach_generator:
             fake = ad.input_node(generator.model.apply(x_batch), "g(x)-detached")
@@ -96,24 +74,22 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
         gen_loss = ad.mean(ad.softplus(ad.scale(l_fake, -1.0)))
     if y_batch is None:
         return None, gen_loss
-    y_batch = _as_batch(y_batch)
     l_real = discriminator(ad.input_node(y_batch, "y-batch"))
     disc_loss = ad.add(ad.mean(ad.softplus(ad.scale(l_real, -1.0))),
                        ad.mean(ad.softplus(l_fake)))
     if r1_weight > 0.0:
         grads = jacobian_graph(l_real)
         penalty = ad.node_sum(ad.square(grads))
-        disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight / y_batch.shape[1]))
+        disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight / l_real.shape[1]))
     return disc_loss, gen_loss
 
 
-def anchor_loss(generator: MlpBinding, anchors: AnchorSet) -> ad.Node:
-    """Mean squared residual over the aligned pairs: mean_l ||g(x_l) - y_l||_2^2."""
-    if anchors.size == 0:
-        raise ValueError("anchor loss needs at least one aligned pair")
-    pred = generator(ad.input_node(anchors.x, "anchor-x"))
-    diff = ad.subtract(pred, ad.input_node(anchors.y, "anchor-y"))
-    return ad.scale(ad.node_sum(ad.square(diff)), 1.0 / anchors.size)
+def anchor_loss(generator: MlpBinding, anchors: PairedDataset) -> ad.Node:
+    """Mean squared residual over the aligned pairs, the rows of ``anchors``:
+    mean_l ||g(x_l) - y_l||_2^2."""
+    pred = generator(ad.input_node(anchors.x.T, "anchor-x"))
+    diff = ad.subtract(pred, ad.input_node(anchors.y.T, "anchor-y"))
+    return ad.scale(ad.node_sum(ad.square(diff)), 1.0 / len(anchors))
 
 
 def inv_loss(generator: MlpBinding, reconstructor: MlpBinding, x_batch,
@@ -122,14 +98,13 @@ def inv_loss(generator: MlpBinding, reconstructor: MlpBinding, x_batch,
 
     ``fake`` reuses an existing g(x) node for the same x_batch.
     """
-    x_batch = _as_batch(x_batch)
     if reconstructor.model.input_dim != generator.model.output_dim:
         raise ValueError("reconstructor input dim must match generator output dim")
     x_node = ad.input_node(x_batch, "x-batch")
     if fake is None:
         fake = generator(x_node)
     roundtrip = reconstructor(fake)
-    return ad.scale(ad.abs_sum(ad.subtract(roundtrip, x_node)), 1.0 / x_batch.shape[1])
+    return ad.scale(ad.abs_sum(ad.subtract(roundtrip, x_node)), 1.0 / x_node.shape[1])
 
 
 def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
@@ -158,13 +133,12 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
     (sqrt(2/pi)/D) ||J||_1, the exact term times 0.40 at D = 2 and 0.10 at
     D = 8; at S = D it is sqrt(2/pi) sum_r ||J_r||_2, a row-group norm.
     """
-    x_batch = _as_batch(x_batch)
-    d, n = x_batch.shape
     if mode not in SPARSITY_MODES:
         raise ValueError(f"unknown sparsity mode {mode!r}; options: {SPARSITY_MODES}")
     if mode == "masked-fd" and rng is None:
         raise ValueError("masked-fd mode needs an rng")
     base = fake if fake is not None else generator(ad.input_node(x_batch, "x-batch"))
+    d, n = np.shape(x_batch)
     if mode == "exact-jacobian-l1":
         return ad.scale(ad.abs_sum(jacobian_graph(base)), 1.0 / n)
     delta = spec.perturbation_scale
@@ -180,8 +154,10 @@ def sparsity_loss(generator: MlpBinding, x_batch, spec: ProbeSpec, mode: str,
 
 # The weighted generator terms, in the order the generator step adds them:
 # a row's name is its LossWeights field, and its builder takes the step's
-# pieces by keyword.  Each builder looks its loss up here when called, so a
-# rebound module attribute (a profiler's wrapper) is the one called.
+# pieces by keyword: ``anchors`` is a PairedDataset of aligned rows, ``x``
+# the (D, N) batch and ``fake`` g(x).  Each builder looks its loss up here
+# when called, so a rebound module attribute (a profiler's wrapper) is the
+# one called.
 TERMS = {
     "anchor": lambda gen, anchors, **_: anchor_loss(gen, anchors),
     "sparsity": lambda gen, x, fake, probe, mode, rng, **_: sparsity_loss(

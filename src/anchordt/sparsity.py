@@ -26,8 +26,9 @@ Three layers of machinery live here:
   which the caller passes; a ``ProbeSpec`` holds S and the probe's scale
   and count alone.  ``q_probe_samples`` scores one ``draw_probe`` block of
   probes, over sorted keys or over bins, with the same bits either way;
-* the structural-sparsity test on a support pattern: every input coordinate
-  k must own a set of output rows whose supports intersect exactly in {k}.
+* the structural-sparsity test on a support pattern, a (D, D) boolean
+  array such as ``np.abs(J) > threshold``: every input coordinate k must
+  own a set of output rows whose supports intersect exactly in {k}.
 
 Both sparsity penalties, the exact Jacobian l1 term and the masked finite
 differences along ``draw_probe`` probes, are assembled in
@@ -97,29 +98,6 @@ class ProbeSample:
     def probe(self) -> np.ndarray:
         """float64 (D, count): the entries on the mask, zero off it."""
         return self._spread(self.entries, np.float64)
-
-
-@dataclass
-class SupportPattern:
-    dimension: int
-    index_pairs: frozenset
-
-    def __post_init__(self):
-        for (r, c) in self.index_pairs:
-            if not (0 <= r < self.dimension and 0 <= c < self.dimension):
-                raise ValueError(f"index pair ({r}, {c}) outside [0, {self.dimension})")
-
-    @classmethod
-    def from_matrix(cls, j: np.ndarray, zero_threshold: float = DEFAULT_ZERO_THRESHOLD):
-        rows, cols = np.nonzero(np.abs(j) > zero_threshold)
-        return cls(dimension=j.shape[0],
-                   index_pairs=frozenset(zip(rows.tolist(), cols.tolist())))
-
-    def row_supports(self) -> list[set]:
-        rows = [set() for _ in range(self.dimension)]
-        for (r, c) in self.index_pairs:
-            rows[r].add(c)
-        return rows
 
 
 def random_mask(dimension: int, size: int, rng: np.random.Generator,
@@ -373,26 +351,27 @@ class StructuralSparsityResult:
     failures: dict         # column k -> human-readable diagnostic
 
 
-def check_structural_sparsity(pattern: SupportPattern) -> StructuralSparsityResult:
+def check_structural_sparsity(support: np.ndarray) -> StructuralSparsityResult:
     """Does every column k admit rows whose supports intersect exactly in {k}?
 
-    Checks the maximal candidate C_k = {rows i with k in row support}; any
-    superset of rows can only shrink the intersection, so the maximal set
-    minimizes it, making this check equivalent to existence over all subsets.
+    ``support`` is the (D, D) boolean pattern of a Jacobian, row i holding
+    row i's support.  Checks the maximal candidate C_k = {rows i with k in
+    row support}; any superset of rows can only shrink the intersection, so
+    the maximal set minimizes it, making this check equivalent to existence
+    over all subsets.
     """
-    rows = pattern.row_supports()
     witnesses, failures = {}, {}
-    for k in range(pattern.dimension):
-        candidate = {i for i, sup in enumerate(rows) if k in sup}
-        if not candidate:
+    for k in range(support.shape[1]):
+        candidate = np.flatnonzero(support[:, k])
+        if not candidate.size:
             failures[k] = "no row support contains this column"
             continue
-        inter = set.intersection(*(rows[i] for i in candidate))
-        if inter == {k}:
-            witnesses[k] = candidate
+        inter = np.flatnonzero(support[candidate].all(axis=0)).tolist()
+        if inter == [k]:
+            witnesses[k] = set(candidate.tolist())
         else:
-            failures[k] = (f"best intersection over rows {sorted(candidate)} "
-                           f"is {sorted(inter)}, not [{k}]")
+            failures[k] = (f"best intersection over rows {candidate.tolist()} "
+                           f"is {inter}, not [{k}]")
     return StructuralSparsityResult(satisfied=not failures,
                                     witnesses=witnesses, failures=failures)
 

@@ -30,12 +30,16 @@ def _mean_distance(a: np.ndarray, b: np.ndarray) -> float:
 def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Plug-in energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||.
 
-    x and y are (N, D) sample blocks.  V-statistic form (within-sample means
-    include the zero diagonal), which keeps the value non-negative; used as
-    a parameter-free distribution-match diagnostic, never optimized.
+    x and y are (N, D) and (M, D) sample blocks; anything else raises
+    ValueError, since a 1-D array could be N draws in R^1 or one point in
+    R^N.  V-statistic form (within-sample means include the zero diagonal),
+    which keeps the value non-negative; used as a parameter-free
+    distribution-match diagnostic, never optimized.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError(f"expected (N, D) and (M, D) sample blocks, got shapes "
+                         f"{x.shape} and {y.shape}")
     between = _mean_distance(x, y)
     within_x = _mean_distance(x, x)
     within_y = _mean_distance(y, y)

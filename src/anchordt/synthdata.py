@@ -5,7 +5,9 @@ points are x = t*cos(A y) + A y (cos elementwise), where A is the swap of
 the two coordinates and the warp amplitude t is drawn once per dataset from
 Unif[0.3, 0.5], so every pair follows one deterministic map.  The y -> x
 direction is the inverse of the map being learned, and since |t| < 1 it is
-injective, so every generated pair is a valid aligned example.
+injective, so every generated pair is a valid aligned example.  A split is
+a ``PairedDataset`` of aligned rows, and so are a run's anchors, the pairs
+``select_anchors`` draws from the training split.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from . import configio
 from .configio import NON_NEGATIVE, POSITIVE, Checked, Rule, format_float
-from .objective import AnchorSet
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 # |t| < 1 keeps the warp injective
@@ -82,15 +83,16 @@ def generate(config: SynthConfig) -> tuple[PairedDataset, PairedDataset]:
     return train, test
 
 
-def select_anchors(train: PairedDataset, count: int, seed: int) -> AnchorSet:
-    """Uniform aligned pairs without replacement; deterministic given seed."""
+def select_anchors(train: PairedDataset, count: int, seed: int) -> PairedDataset:
+    """Uniform aligned pairs without replacement, as the rows of a dataset
+    that keeps the split's t and seed; deterministic given ``seed``."""
     n = len(train)
     if count > n:
         raise ValueError(f"requested {count} anchors from {n} pairs")
     if count < 0:
         raise ValueError("anchor count must be >= 0")
     idx = np.random.default_rng(seed).permutation(n)[:count]
-    return AnchorSet(x=train.x[idx].T, y=train.y[idx].T)
+    return PairedDataset(x=train.x[idx], y=train.y[idx], t=train.t, seed=train.seed)
 
 
 # ---------------------------------------------------------------------------

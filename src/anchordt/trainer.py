@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .configio import FINITE, NON_NEGATIVE, POSITIVE, Checked, Rule, at_least
 from .nets import MlpModel, adam_init, adam_step, bind, init_mlp, save_checkpoint
-from .objective import SPARSITY_MODES, TERMS, AnchorSet, LossWeights, gan_losses
+from .objective import SPARSITY_MODES, TERMS, LossWeights, gan_losses
 from .sparsity import ProbeSpec
 from .stats import energy_distance
 from .synthdata import PairedDataset, select_anchors
@@ -155,7 +155,7 @@ def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) 
 
 
 def _generator_objective(config: TrainConfig, models: Networks, xb,
-                         anchors: AnchorSet, probe_rng):
+                         anchors: PairedDataset, probe_rng):
     """(generator binding, reconstructor binding, loss nodes) of a generator
     step.  The nodes are {"gen", the built rows, "total"}: the total is the
     adversarial term plus, in ``objective.TERMS`` order, each row whose
@@ -175,7 +175,7 @@ def _generator_objective(config: TrainConfig, models: Networks, xb,
 
 
 def _generator_step(config: TrainConfig, models: Networks, states: Networks, xb,
-                    anchors: AnchorSet, probe_rng) -> dict:
+                    anchors: PairedDataset, probe_rng) -> dict:
     """One step on ``_generator_objective``; returns its losses, after the
     updates when the total is finite, with none when not.  The reconstructor
     is updated when a row took it into the graph."""

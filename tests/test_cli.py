@@ -632,11 +632,14 @@ def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoi
     (["sparsity-check", "--support-file", "{tmp}/support.csv",
       "--override", "sparsity_check.dimension=1"], "0,1\n1,0\n",
      "[sparsity_check] dimension = 1 must be above 1, the largest index in {tmp}/support.csv"),
+    (["sparsity-check", "--support-file", "{tmp}/support.csv"], "0,1\n-1,0\n",
+     "{tmp}/support.csv:2: index pair (-1, 0) has a negative index"),
 ], ids=["missing-io-key", "missing-dataset-files", "eval-missing-checkpoint",
         "plot-missing-checkpoint", "plot-checkpoint-without-equals",
         "override-without-equals", "override-without-key", "override-without-dot",
         "missing-support-file", "malformed-support-line",
-        "empty-support-file", "not-structurally-sparse", "dimension-below-support"])
+        "empty-support-file", "not-structurally-sparse", "dimension-below-support",
+        "negative-support-index"])
 def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
                                             support, message):
     if support is not None:
@@ -644,6 +647,8 @@ def test_cli_error_exits_2_with_its_message(data_dir, tmp_path, capsys, argv,
     verb, *rest = fill(argv, data=data_dir, tmp=tmp_path)
     assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *rest]) == 2
     assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    # a verdict is written out; every other error comes before the out dir
+    assert (tmp_path / "out").exists() == (message == "pattern is not structurally sparse")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -679,6 +684,20 @@ def test_sparsity_check_records_the_dimension_it_checked(tmp_path):
     for run, dimension in (("inferred", "2"), ("set", "3")):
         _, _, config, _ = manifest.read_manifest(tmp_path / run / "manifest.txt")
         assert config["sparsity_check"] == {"dimension": dimension}
+
+
+@pytest.mark.parametrize("shift, code, failing", [(1, 0, []), (-1, 2, [7])],
+                         ids=["cyclic", "chain"])
+def test_sparsity_check_on_the_d8_shift_supports(tmp_path, shift, code, failing):
+    # row k's support: {k, k+1 mod 8} (cyclic) or {k-1, k}, row 0 {0} (chain)
+    pairs = [(k, c) for k in range(8) for c in (k, k + shift) if c >= 0]
+    (tmp_path / "support.csv").write_text("".join(f"{r},{c % 8}\n" for r, c in pairs))
+    assert cli.main(["sparsity-check", "--out-dir", str(tmp_path / "out"),
+                     "--support-file", str(tmp_path / "support.csv")]) == code
+    rows = (tmp_path / "out" / "sparsity_check.csv").read_text().splitlines()[1:]
+    assert [k for k, row in enumerate(rows) if ",False," in row] == failing
+    if failing:
+        assert rows[7] == '7,False,,"best intersection over rows [7] is [6, 7], not [7]"'
 
 
 def test_probe_study_exact_overlay_rows_are_the_closed_form(tmp_path):

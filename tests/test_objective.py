@@ -9,6 +9,7 @@ import pytest
 from anchordt import autodiff as ad
 from anchordt import nets, objective, trainer
 from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe, jacobian_graph
+from anchordt.synthdata import PairedDataset
 from rebuild_gradcheck import rebuild_gradcheck
 from reference_pass import jacobian_sweep, preactivations
 
@@ -23,6 +24,12 @@ def zero_logit_discriminator() -> nets.MlpModel:
     for w in model.weights:
         w[:] = 0.0
     return model
+
+
+def anchor_rows(x, y) -> PairedDataset:
+    """Anchors given as (D, E) column blocks, as the rows select_anchors holds."""
+    return PairedDataset(x=np.asarray(x, dtype=np.float64).T,
+                         y=np.asarray(y, dtype=np.float64).T, t=0.0)
 
 
 def identity_model(d=2) -> nets.MlpModel:
@@ -170,14 +177,13 @@ class TestGanLosses:
 
 class TestAnchorLoss:
     def test_zero_when_generator_matches(self):
-        anchors = objective.AnchorSet(x=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                                      y=np.array([[0.1, 0.2], [0.3, 0.4]]))
+        anchors = anchor_rows([[0.1, 0.2], [0.3, 0.4]], [[0.1, 0.2], [0.3, 0.4]])
         node = objective.anchor_loss(nets.bind(identity_model()), anchors)
         assert node.value[0, 0] == 0.0
 
     def test_single_anchor_three_four_residual(self):
         x = np.array([[1.0], [2.0]])
-        anchors = objective.AnchorSet(x=x, y=x - np.array([[3.0], [4.0]]))
+        anchors = anchor_rows(x, x - np.array([[3.0], [4.0]]))
         node = objective.anchor_loss(nets.bind(identity_model()), anchors)
         assert node.value[0, 0] == pytest.approx(25.0, abs=1e-12)
 
@@ -185,19 +191,24 @@ class TestAnchorLoss:
         x = np.array([[0.0, 0.0], [0.0, 0.0]])
         y = -np.array([[3.0, 1.0], [4.0, 0.0]])   # residual norms^2: 25 and 1
         node = objective.anchor_loss(nets.bind(identity_model()),
-                                     objective.AnchorSet(x=x, y=y))
+                                     anchor_rows(x, y))
         assert node.value[0, 0] == pytest.approx(13.0, abs=1e-12)
 
     def test_empty_anchor_set_rejected(self):
-        anchors = objective.AnchorSet(x=np.empty((2, 0)), y=np.empty((2, 0)))
+        anchors = anchor_rows(np.empty((2, 0)), np.empty((2, 0)))
         with pytest.raises(ValueError, match="anchor"):
+            objective.anchor_loss(nets.bind(identity_model()), anchors)
+
+    def test_one_dimensional_anchor_rejected_by_name(self):
+        # one pair in R^2 given as 1-D arrays is no block of rows
+        anchors = PairedDataset(x=np.array([0.3, -0.2]), y=np.array([0.1, 0.5]), t=0.0)
+        with pytest.raises(ad.GraphError, match="anchor-x: expected a matrix, got ndim=1"):
             objective.anchor_loss(nets.bind(identity_model()), anchors)
 
     def test_gradcheck(self):
         gen = nets.init_mlp((2, 4, 2), seed=15)
         rng = np.random.default_rng(16)
-        anchors = objective.AnchorSet(x=rng.standard_normal((2, 3)),
-                                      y=rng.standard_normal((2, 3)))
+        anchors = anchor_rows(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
         build = lambda: objective.anchor_loss(nets.bind(gen), anchors)
         assert rebuild_gradcheck(build, arrays(gen)) < 1e-4
 
@@ -416,7 +427,7 @@ class TestRebuildGradcheck:
 
     def test_anchor(self, nets3):
         gen, _, _, x, y = nets3
-        anchors = objective.AnchorSet(x=x[:, :2], y=y[:, :2])
+        anchors = anchor_rows(x[:, :2], y[:, :2])
         self.check(lambda: objective.anchor_loss(nets.bind(gen), anchors), gen)
 
     def test_inv(self, nets3):
@@ -458,7 +469,7 @@ class TestRebuildGradcheck:
         cfg = trainer.TrainConfig(weights=objective.LossWeights(0.7, 0.25, 1.3),
                                   sparsity_mode=mode, probe=ProbeSpec(1, 0.05, 2))
         models = trainer.Networks(gen, disc, rec)
-        anchors = objective.AnchorSet(x=x[:, :2], y=y[:, :2])
+        anchors = anchor_rows(x[:, :2], y[:, :2])
         # the same probes at every build
         build = lambda: trainer._generator_objective(cfg, models, x, anchors,
                                                      np.random.default_rng(35))

@@ -664,10 +664,10 @@ class TestSandwichBound:
         assert not tight.holds and loose.holds
 
 
-def brute_force_structurally_sparse(pattern: sparsity.SupportPattern) -> bool:
+def brute_force_structurally_sparse(support: np.ndarray) -> bool:
     """Oracle: search all nonempty row subsets for every column."""
-    rows = pattern.row_supports()
-    d = pattern.dimension
+    rows = [set(np.flatnonzero(row).tolist()) for row in support]
+    d = len(rows)
     for k in range(d):
         found = False
         for size in range(1, d + 1):
@@ -684,31 +684,40 @@ def brute_force_structurally_sparse(pattern: sparsity.SupportPattern) -> bool:
     return True
 
 
+def support_of(d, pairs) -> np.ndarray:
+    support = np.zeros((d, d), dtype=bool)
+    for r, c in pairs:
+        support[r, c] = True
+    return support
+
+
+# ROADMAP's D = 8 shift families: row k's support {k, k+1 mod D} (cyclic)
+# and {k-1, k} (chain, row 0 holding {0} alone)
+CYCLIC_8 = [(k, c) for k in range(8) for c in (k, (k + 1) % 8)]
+CHAIN_8 = [(k, c) for k in range(8) for c in (k - 1, k) if c >= 0]
+
+
 class TestStructuralSparsity:
     def test_identity_support_satisfied(self):
-        pattern = sparsity.SupportPattern.from_matrix(np.eye(5))
-        result = sparsity.check_structural_sparsity(pattern)
+        result = sparsity.check_structural_sparsity(np.eye(5, dtype=bool))
         assert result.satisfied
         assert result.witnesses == {k: {k} for k in range(5)}
 
     def test_full_support_d2_unsatisfied(self):
-        pattern = sparsity.SupportPattern.from_matrix(np.ones((2, 2)))
-        result = sparsity.check_structural_sparsity(pattern)
+        result = sparsity.check_structural_sparsity(np.ones((2, 2), dtype=bool))
         assert not result.satisfied
         assert set(result.failures) == {0, 1}
+        assert result.failures[0] == "best intersection over rows [0, 1] is [0, 1], not [0]"
 
     def test_cyclic_band_d3_satisfied(self):
         # row supports {0,1}, {1,2}, {2,0}
-        pairs = {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)}
-        pattern = sparsity.SupportPattern(dimension=3, index_pairs=frozenset(pairs))
-        result = sparsity.check_structural_sparsity(pattern)
+        support = support_of(3, {(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)})
+        result = sparsity.check_structural_sparsity(support)
         assert result.satisfied
-        assert brute_force_structurally_sparse(pattern)
+        assert brute_force_structurally_sparse(support)
 
     def test_untouched_column_diagnosed(self):
-        pattern = sparsity.SupportPattern(dimension=3,
-                                          index_pairs=frozenset({(0, 0), (1, 1)}))
-        result = sparsity.check_structural_sparsity(pattern)
+        result = sparsity.check_structural_sparsity(support_of(3, {(0, 0), (1, 1)}))
         assert not result.satisfied
         assert "no row support" in result.failures[2]
 
@@ -717,14 +726,23 @@ class TestStructuralSparsity:
         for _ in range(300):
             d = int(rng.integers(1, 6))
             density = rng.uniform(0.1, 0.9)
-            mat = (rng.random((d, d)) < density).astype(float)
-            pattern = sparsity.SupportPattern.from_matrix(mat)
-            got = sparsity.check_structural_sparsity(pattern).satisfied
-            assert got == brute_force_structurally_sparse(pattern)
+            support = rng.random((d, d)) < density
+            got = sparsity.check_structural_sparsity(support).satisfied
+            assert got == brute_force_structurally_sparse(support)
 
-    def test_out_of_range_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            sparsity.SupportPattern(dimension=2, index_pairs=frozenset({(0, 2)}))
+    def test_cyclic_shift_d8_satisfied(self):
+        support = support_of(8, CYCLIC_8)
+        result = sparsity.check_structural_sparsity(support)
+        assert result.satisfied and brute_force_structurally_sparse(support)
+        # column k is pinned by rows k-1 and k: {k-1, k} and {k, k+1} meet in {k}
+        assert result.witnesses == {k: {(k - 1) % 8, k} for k in range(8)}
+
+    def test_chain_shift_d8_fails_at_its_last_column_alone(self):
+        support = support_of(8, CHAIN_8)
+        result = sparsity.check_structural_sparsity(support)
+        assert not result.satisfied and not brute_force_structurally_sparse(support)
+        assert result.failures == {7: "best intersection over rows [7] is [6, 7], not [7]"}
+        assert result.witnesses == {k: {k, k + 1} for k in range(7)}
 
 
 def study_samples(dimension, row_support, mask_sizes, num_matrices, mc_samples, seed):

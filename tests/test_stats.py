@@ -8,8 +8,6 @@ from anchordt.stats import energy_distance
 
 
 def cdist_energy_distance(x, y):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     return float(2.0 * cdist(x, y).mean() - cdist(x, x).mean() - cdist(y, y).mean())
 
 
@@ -37,5 +35,15 @@ def test_same_sample_gives_zero_and_shift_gives_positive():
     assert energy_distance(x, x + 1.0) > 0.5
 
 
-def test_one_dimensional_input_is_one_point():
-    assert energy_distance([0.0, 0.0], [3.0, 4.0]) == 10.0
+def test_one_point_each_gives_twice_their_distance():
+    assert energy_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 10.0
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0, 2.0, 3.0], [10.0, 11.0, 12.0, 13.0]),   # N draws, or one point?
+    (np.zeros((2, 2, 1)), np.zeros((2, 2, 1))),
+    (np.zeros((4, 1)), np.zeros((4, 2))),
+], ids=["1-d", "3-d", "dimensions-differ"])
+def test_non_2d_or_mismatched_blocks_are_rejected(x, y):
+    with pytest.raises(ValueError, match="sample blocks"):
+        energy_distance(x, y)

@@ -1,10 +1,14 @@
 """Dataset generation, anchors, and CSV round trips."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import anchordt
 from anchordt import synthdata
 from anchordt.synthdata import SWAP, PairedDataset, SynthConfig
 
@@ -94,22 +98,23 @@ class TestAnchors:
         train, _ = synthdata.generate(SynthConfig(num_train=100, num_test=10,
                                                   seed=11))
         anchors = synthdata.select_anchors(train, 5, seed=0)
-        assert anchors.size == 5
-        recon = synthdata.warp(anchors.y.T, train.t)
-        np.testing.assert_allclose(anchors.x.T, recon, atol=1e-12)
+        assert len(anchors) == 5
+        assert (anchors.t, anchors.seed) == (train.t, train.seed)
+        recon = synthdata.warp(anchors.y, train.t)
+        np.testing.assert_allclose(anchors.x, recon, atol=1e-12)
 
     def test_single_anchor(self):
         train, _ = synthdata.generate(SynthConfig(num_train=50, num_test=10,
                                                   seed=12))
         anchors = synthdata.select_anchors(train, 1, seed=3)
-        assert anchors.x.shape == (2, 1)
+        assert anchors.x.shape == anchors.y.shape == (1, 2)
 
     def test_whole_dataset_degenerate_case(self):
         train, _ = synthdata.generate(SynthConfig(num_train=20, num_test=10,
                                                   seed=13))
         anchors = synthdata.select_anchors(train, 20, seed=0)
-        assert anchors.size == 20
-        assert sorted(map(tuple, anchors.x.T.tolist())) == \
+        assert len(anchors) == 20
+        assert sorted(map(tuple, anchors.x.tolist())) == \
             sorted(map(tuple, train.x.tolist()))
 
     def test_same_seed_same_anchors(self):
@@ -254,3 +259,16 @@ class TestFileRoundTrip:
             synthdata.load_dataset(tmp_path, "train")
         assert str(info.value) == (f"{path}: 2 rows, but {tmp_path / 'train.meta'} "
                                    "records num_samples = 3")
+
+
+def test_data_layer_imports_no_loss_or_graph_code():
+    # the package __init__ imports every module, so the subprocess registers a
+    # bare package and imports synthdata alone under it
+    package = os.path.dirname(anchordt.__file__)
+    code = ("import sys, types; pkg = types.ModuleType('anchordt'); "
+            f"pkg.__path__ = [{package!r}]; sys.modules['anchordt'] = pkg; "
+            "import anchordt.synthdata; "
+            "loaded = {'anchordt.objective', 'anchordt.nets', 'anchordt.autodiff'} "
+            "& set(sys.modules); assert not loaded, sorted(loaded)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -12,7 +12,7 @@ import pytest
 
 from anchordt import autodiff as ad
 from anchordt import nets, objective, trainer
-from anchordt.objective import AnchorSet, LossWeights
+from anchordt.objective import LossWeights
 from anchordt.sparsity import ProbeSpec
 from anchordt.synthdata import PairedDataset, SynthConfig, generate, select_anchors
 from anchordt.trainer import TrainConfig
@@ -43,7 +43,7 @@ def test_train_scores_the_anchors_drawn_with_its_count_and_seed(splits, monkeypa
             # one anchor term a generator step, each on the same draw
             assert len(scored) == 2
             for anchors in scored:
-                assert anchors.x.shape == (2, count)
+                assert anchors.x.shape == (count, 2)
                 assert anchors.x.tobytes() == want.x.tobytes()
                 assert anchors.y.tobytes() == want.y.tobytes()
             draws.add(want.x.tobytes())
@@ -100,7 +100,7 @@ def test_a_generator_step_calls_the_rebound_builder_of_each_weighted_term(monkey
     states = trainer.Networks(*(nets.adam_init(model) for model in models))
     rec_flat, rec_state = models.reconstructor.flat.copy(), copy.deepcopy(states.reconstructor)
     rng = np.random.default_rng(0)
-    anchors = AnchorSet(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
+    anchors = PairedDataset(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), 0.0)
     trainer._generator_step(cfg, models, states, rng.standard_normal((2, cfg.batch_size)),
                             anchors, probe_rng)
     assert counts == {"anchor_loss": 1, "sparsity_loss": 1, "inv_loss": int(inv > 0)}
@@ -156,7 +156,7 @@ def test_a_masked_fd_generator_steps_graph_holds_under_8_mb(monkeypatch):
     cfg = TrainConfig(sparsity_mode="masked-fd")
     models, _, probe_rng = trainer._init_models(cfg, 2)
     rng = np.random.default_rng(0)
-    anchors = AnchorSet(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
+    anchors = PairedDataset(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), 0.0)
     roots = []
     original = ad.backward
 

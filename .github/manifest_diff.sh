@@ -3,10 +3,8 @@
 #
 # Runs gen-data, a 20-iteration default train, an eval of that train's
 # generator.ckpt (so checkpoint loading is compared too), a plot with that
-# checkpoint as a panel, an 8-iteration masked-fd train, a 20-iteration train
-# with the R1 penalty on, a 10-iteration train with 3 anchors and 2
-# discriminator steps an iteration (the anchor pass at N > 1 takes the BLAS
-# product, and the discriminator's vector is updated twice an iteration), a
+# checkpoint as a panel, an 8-iteration masked-fd train, a 10-iteration train
+# with 3 anchors (the anchor pass at N > 1 takes the BLAS product), a
 # 10-iteration train, "noinv", with weights.inv = 0 (the round-trip term is
 # off, so the reconstructor is never updated), a 10-iteration train,
 # "linear", of a linear generator and reconstructor (gen_hidden and
@@ -51,12 +49,8 @@ runs() {
         --checkpoint "g=$out/train/generator.ckpt" > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/fd" \
         --override train.iterations=8 --override train.sparsity_mode=masked-fd > /dev/null
-    PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/r1" \
-        --override train.iterations=20 --override train.r1_weight=1 \
-        --override train.batch_size=128 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/multi" \
-        --override train.anchor_count=3 --override train.disc_steps_per_gen_step=2 \
-        --override train.iterations=10 > /dev/null
+        --override train.anchor_count=3 --override train.iterations=10 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt train --data-dir "$out/data" --out-dir "$out/noinv" \
         --override train.iterations=10 --override weights.inv=0 > /dev/null
     printf '[train]\niterations = 10\ngen_hidden =\nrec_hidden =\n' > "$out/linear.ini"
@@ -85,7 +79,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd r1 multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
+    for run in data train eval plot fd multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
         # [checksums] is the manifest's last section; a run that failed left
         # no manifest, and compares as an empty one
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
@@ -96,7 +90,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd r1 multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
+for run in data train eval plot fd multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
     verdict=""
     for part in checksums echo; do
         name=$part

@@ -391,14 +391,22 @@ class AblateConfig(Checked):
                              f"options: {', '.join(ABLATION_CASES)}")
 
 
+def _ablate_run(cfg: TrainConfig, case: str, count: int, seed: int) -> TrainConfig:
+    """The [train] config of one grid cell's run; an error names the cell."""
+    try:
+        return replace(cfg, anchor_count=count, seed=seed, weights=replace(
+            cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0)))
+    except ValueError as exc:
+        raise CliError(f"[ablate] case {case!r} at anchor count {count}: {exc}") from None
+
+
 def cmd_ablate(config, io, out_dir):
     cfg = configio.read(TrainConfig(), config, "train")
     ablate = configio.read(AblateConfig(), config, "ablate")
     train_split, test_split = _load_splits(io.data_dir, "train", "test")
     # one run per (case, anchor count, seed), in that order; every run's
     # config and the largest anchor draw are checked before the first trains
-    runs = [(case, replace(cfg, anchor_count=count, seed=seed, weights=replace(
-                cfg.weights, **dict.fromkeys(ABLATION_CASES[case], 0.0))))
+    runs = [(case, _ablate_run(cfg, case, count, seed))
             for case in ablate.cases
             for count in ablate.anchor_counts or (cfg.anchor_count,)
             for seed in ablate.seeds]

@@ -3,12 +3,12 @@
 All losses are scalar graph nodes built through MlpBindings, so several
 terms can share one network's parameter nodes and a single backward pass
 accumulates the combined gradient.  Every network is leaky-relu with an
-identity output, so the discriminator outputs a logit, and the Jacobian
-terms (the exact l1 term, R1) are exact almost everywhere: each goes
-through ``sparsity.jacobian_graph``, which reads the masks held by the
-dense nodes of a pass already built and rebuilds the activation
-derivatives from them with ``autodiff.leaky_derivative``.  ``TERMS`` is the
-table of the weighted generator terms, one row a ``LossWeights`` field.
+identity output, so the discriminator outputs a logit, and the exact l1
+term is exact almost everywhere: it goes through
+``sparsity.jacobian_graph``, which reads the masks held by the dense nodes
+of a pass already built and rebuilds the activation derivatives from them
+with ``autodiff.leaky_derivative``.  ``TERMS`` is the table of the weighted
+generator terms, one row a ``LossWeights`` field.
 Anchors are ``synthdata.PairedDataset`` rows; batches are (D, N) column
 blocks, checked by the ``autodiff.input_node`` each one enters the graph as.
 """
@@ -36,10 +36,10 @@ class LossWeights(Checked):
     inv: Annotated[float, NON_NEGATIVE, FINITE] = 1.0
 
 
-def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
-               x_batch, y_batch, *, r1_weight: float = 0.0,
-               fake: ad.Node | None = None, detach_generator: bool = False):
-    """Adversarial pair of scalar nodes (discriminator loss, generator loss).
+def gan_losses(discriminator: MlpBinding, fake: ad.Node, y_batch=None, *,
+               detach_generator: bool = False):
+    """Adversarial pair of scalar nodes (discriminator loss, generator loss)
+    on ``fake``, a g(x) node the caller built.
 
     The discriminator outputs a logit l.  The discriminator loss is
     mean softplus(-l(y)) + mean softplus(l(g(x))), the negated log score
@@ -50,24 +50,13 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
 
     With ``y_batch=None`` only the generator loss is built, and the pair is
     (None, generator loss): the discriminator never sees a real batch, which
-    is what a generator-only step wants.
+    is what a generator step wants, passing the g(x) its other terms share.
 
-    ``fake`` lets a caller reuse an existing g(x) node so other loss terms
-    can share the subgraph.  ``detach_generator`` feeds g(x) in as a
-    constant (same values, no gradient path to the generator) and builds no
-    generator loss, so the pair is (discriminator loss, None), which is what
-    a discriminator-only step wants.
-
-    With r1_weight > 0 the discriminator loss additionally penalizes
-    (r1_weight / 2) * mean ||grad_y l(y)||^2 on the real batch (R1,
-    Mescheder et al. 2018), one ``jacobian_graph`` sweep over the
-    real-batch pass, exact almost everywhere.  Off by default.
+    ``detach_generator`` says ``fake`` is g(x) fed in as a constant (same
+    values, no gradient path to the generator) and builds no generator
+    loss, so the pair is (discriminator loss, None), which is what a
+    discriminator step wants.
     """
-    if fake is None:
-        if detach_generator:
-            fake = ad.input_node(generator.model.apply(x_batch), "g(x)-detached")
-        else:
-            fake = generator(ad.input_node(x_batch, "x-batch"))
     l_fake = discriminator(fake)
     gen_loss = None
     if not detach_generator:
@@ -77,10 +66,6 @@ def gan_losses(generator: MlpBinding, discriminator: MlpBinding,
     l_real = discriminator(ad.input_node(y_batch, "y-batch"))
     disc_loss = ad.add(ad.mean(ad.softplus(ad.scale(l_real, -1.0))),
                        ad.mean(ad.softplus(l_fake)))
-    if r1_weight > 0.0:
-        grads = jacobian_graph(l_real)
-        penalty = ad.node_sum(ad.square(grads))
-        disc_loss = ad.add(disc_loss, ad.scale(penalty, 0.5 * r1_weight / l_real.shape[1]))
     return disc_loss, gen_loss
 
 

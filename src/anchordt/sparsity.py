@@ -10,8 +10,7 @@ Three layers of machinery live here:
   constant.  Every network is leaky-relu with an identity output, so this
   is exact almost everywhere.
   Along the identity directions, ``jacobian_graph`` holds every point's
-  full Jacobian in one sweep; the exact Jacobian l1 term and the
-  discriminator's R1 penalty both build on it;
+  full Jacobian in one sweep; the exact Jacobian l1 term builds on it;
 * the randomized sparse-probe estimator of the Jacobian's nonzero count:
   draw a mask with exactly S active coordinates, fill it with Gaussian
   entries, and count nonzeros of J z.  Scaled by D/S this sketches ||J||_0

@@ -3,13 +3,13 @@
 train() owns a run.  It draws the run's anchors from the training split with
 config.seed, and keeps the three networks, and their Adam states, in Networks
 records whose field names are the checkpoint names.  One iteration draws
-independent unpaired minibatches, takes the configured number of
-discriminator steps, then one combined generator+reconstructor step on the
-weighted total loss.  Each step runs in a helper that returns its losses as
-floats, so a step's graph and bindings live only within the step.  Every
-draw is seeded through config.seed, so identical configs and data give
-bit-identical traces.  A config names the networks' hidden widths alone:
-train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the data.
+independent unpaired minibatches, takes one discriminator step, then one
+combined generator+reconstructor step on the weighted total loss.  Each step
+runs in a helper that returns its losses as floats, so a step's graph and
+bindings live only within the step.  Every draw is seeded through
+config.seed, so identical configs and data give bit-identical traces.  A
+config names the networks' hidden widths alone: train() builds their sizes
+(D, *hidden, D) and (D, *hidden, 1) from the data.
 
 cli.main, not train(), sets the process's allocator to keep one step's freed
 heap for the next, so train() called in-process runs slower.  At batch 1024
@@ -72,7 +72,6 @@ class TrainConfig(Checked):
     learning_rate: Annotated[float, POSITIVE, FINITE] = 1e-3
     batch_size: Annotated[int, POSITIVE] = 1024
     iterations: Annotated[int, NON_NEGATIVE] = 7000
-    disc_steps_per_gen_step: Annotated[int, POSITIVE] = 1
     seed: Annotated[int, NON_NEGATIVE] = 0
     beta1: Annotated[float, DECAY] = 0.9
     beta2: Annotated[float, DECAY] = 0.999
@@ -81,7 +80,6 @@ class TrainConfig(Checked):
     gen_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
     disc_hidden: Annotated[tuple[int, ...], POSITIVE] = (64, 64)
     rec_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
-    r1_weight: Annotated[float, NON_NEGATIVE, FINITE] = 0.0
     # 0 turns the diagnostics off
     diag_interval: Annotated[int, NON_NEGATIVE] = 500
     diag_points: Annotated[int, at_least(1)] = 512
@@ -139,18 +137,17 @@ def _init_models(config: TrainConfig, d: int):
     return models, batch_rng, probe_rng
 
 
-def _disc_step(config: TrainConfig, models: Networks, states: Networks, xb, yb) -> float:
+def _disc_step(models: Networks, states: Networks, xb, yb) -> float:
     """One discriminator step; returns its loss, after the update when it is
     finite and with nothing updated when it is not.  The fake batch is
     detached: no gradient path into the generator is needed."""
-    disc = models.discriminator
-    gen_b, disc_b = bind(models.generator, frozen=True), bind(disc)
-    loss, _ = gan_losses(gen_b, disc_b, xb, yb, r1_weight=config.r1_weight,
-                         detach_generator=True)
+    disc_b = bind(models.discriminator)
+    fake = ad.input_node(models.generator.apply(xb), "g(x)-detached")
+    loss, _ = gan_losses(disc_b, fake, yb, detach_generator=True)
     value = float(loss.value[0, 0])
     if np.isfinite(value):
         ad.backward(loss)
-        adam_step(disc, disc_b.gradient(), states.discriminator)
+        adam_step(models.discriminator, disc_b.gradient(), states.discriminator)
     return value
 
 
@@ -164,7 +161,7 @@ def _generator_objective(config: TrainConfig, models: Networks, xb,
     (gen, disc, rec), w = models, config.weights
     gen_b, disc_b, rec_b = bind(gen), bind(disc, frozen=True), bind(rec)
     fake = gen_b(ad.input_node(xb, "x-batch"))
-    _, gen_part = gan_losses(gen_b, disc_b, xb, None, fake=fake)
+    _, gen_part = gan_losses(disc_b, fake)
     terms = {name: build(gen=gen_b, rec=rec_b, x=xb, fake=fake, anchors=anchors,
                          probe=config.probe, mode=config.sparsity_mode, rng=probe_rng)
              for name, build in TERMS.items() if getattr(w, name) > 0}
@@ -234,12 +231,11 @@ def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDatas
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(config.iterations):
             last_good = Networks(*(model.copy() for model in models))
-            # discriminator step(s), fresh unpaired minibatches each
-            for _ in range(config.disc_steps_per_gen_step):
-                xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
-                yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
-                trace["disc"][it] = _disc_step(config, models, states, xb, yb)
-                check(it, trace["disc"][it], "discriminator")
+            # the discriminator step, on fresh unpaired minibatches
+            xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
+            yb = y_all[batch_rng.integers(0, n, config.batch_size)].T
+            trace["disc"][it] = _disc_step(models, states, xb, yb)
+            check(it, trace["disc"][it], "discriminator")
 
             xb = x_all[batch_rng.integers(0, n, config.batch_size)].T
             # the step scores no real batch, but its draw keeps batch_rng's stream

@@ -142,7 +142,7 @@ def test_band_fraction_bound_fails_a_null_set_below_1e_9(n, eps):
     ("probe-study", ["probe_study.dimension=20", "probe_study.row_support=30"],
      "row_support = 30 not in [1, dimension = 20]"),
     ("train", ["train.learning_rate=-1"], "learning_rate = -1.0 must be positive"),
-    ("train", ["train.r1_weight=-1"], "r1_weight = -1.0 must be >= 0"),
+    ("train", ["train.r1_weight=1"], "[train] unknown key 'r1_weight'"),
     ("train", ["train.diag_points=-5"], "diag_points = -5 must be at least 1"),
     ("train", ["train.beta2=1"], "beta2 = 1.0 not in [0, 1)"),
     ("ablate", ["train.epsilon=0"], "epsilon = 0.0 must be positive"),
@@ -171,7 +171,8 @@ def test_band_fraction_bound_fails_a_null_set_below_1e_9(n, eps):
     # an infinite value is rejected by field before training, as NaN is
     ("train", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
     ("train", ["train.epsilon=inf"], "epsilon = inf must be finite"),
-    ("train", ["train.r1_weight=inf"], "r1_weight = inf must be finite"),
+    ("train", ["train.disc_steps_per_gen_step=2"],
+     "[train] unknown key 'disc_steps_per_gen_step'"),
     ("train", ["weights.anchor=inf"], "anchor = inf must be finite"),
     ("train", ["weights.sparsity=inf"], "sparsity = inf must be finite"),
     ("train", ["weights.inv=inf"], "inv = inf must be finite"),
@@ -301,17 +302,19 @@ def test_every_name_an_ablation_case_zeroes_is_a_terms_row():
     assert default.seeds == (0, 1, 2)
 
 
-@pytest.mark.parametrize("override, message", [
-    ("ablate.cases=full,bogus", "unknown ablation case 'bogus'"),
-    ("ablate.anchor_counts=1,0", "weights.anchor > 0 needs anchor_count >= 1"),
+@pytest.mark.parametrize("override, message, prefix", [
+    ("ablate.cases=full,bogus", "unknown ablation case 'bogus'", "[ablate] "),
+    # the first cell that fails: the default cases' first is full
+    ("ablate.anchor_counts=1,0", "weights.anchor > 0 needs anchor_count >= 1",
+     "[ablate] case 'full' at anchor count 0: "),
 ])
 def test_bad_ablation_exits_2_before_any_training(data_dir, tmp_path, monkeypatch,
-                                                  capsys, override, message):
+                                                  capsys, override, message, prefix):
     monkeypatch.setattr(cli, "train", pytest.fail)
     code = cli.main(["ablate", "--out-dir", str(tmp_path), "--data-dir", str(data_dir),
                      "--override", override])
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert prefix + message in capsys.readouterr().err
 
 
 def test_anchor_sweep_beyond_the_data_exits_2_before_any_training(data_dir, tmp_path,

@@ -32,10 +32,9 @@ def train_configs(draw):
         probe=ProbeSpec(draw(st.integers(1, 64)), draw(positive),
                         draw(st.integers(1, 64))),
         learning_rate=draw(positive), batch_size=draw(st.integers(1, 10**6)),
-        iterations=draw(counts), disc_steps_per_gen_step=draw(st.integers(1, 8)),
-        seed=draw(st.integers(0, 2**63)), beta1=draw(unit), beta2=draw(unit),
-        epsilon=draw(positive), gen_hidden=hidden(), disc_hidden=hidden(),
-        rec_hidden=hidden(), r1_weight=draw(non_negative),
+        iterations=draw(counts), seed=draw(st.integers(0, 2**63)), beta1=draw(unit),
+        beta2=draw(unit), epsilon=draw(positive), gen_hidden=hidden(),
+        disc_hidden=hidden(), rec_hidden=hidden(),
         diag_interval=draw(st.integers(min_value=0)), diag_points=draw(st.integers(min_value=1)))
 
 

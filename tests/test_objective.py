@@ -11,7 +11,7 @@ from anchordt import nets, objective, trainer
 from anchordt.sparsity import ProbeSpec, batched_jvp_graph, draw_probe, jacobian_graph
 from anchordt.synthdata import PairedDataset
 from rebuild_gradcheck import rebuild_gradcheck
-from reference_pass import jacobian_sweep, preactivations
+from reference_pass import preactivations
 
 
 def arrays(model):
@@ -56,12 +56,22 @@ def biased_identity(offset) -> nets.MlpModel:
     return model
 
 
+def fake_node(gen: nets.MlpBinding, x) -> ad.Node:
+    """g(x) as the generator step builds it: a pass through the binding."""
+    return gen(ad.input_node(x, "x-batch"))
+
+
+def detached_fake(gen: nets.MlpModel, x) -> ad.Node:
+    """g(x) as the discriminator step builds it: a constant input."""
+    return ad.input_node(gen.apply(x), "g(x)-detached")
+
+
 class TestGanLosses:
     def test_uninformative_discriminator_values(self):
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=1))
         disc = nets.bind(zero_logit_discriminator())
         rng = np.random.default_rng(0)
-        dl, gl = objective.gan_losses(gen, disc, rng.standard_normal((2, 8)),
+        dl, gl = objective.gan_losses(disc, fake_node(gen, rng.standard_normal((2, 8))),
                                       rng.standard_normal((2, 8)))
         assert dl.value[0, 0] == pytest.approx(2 * np.log(2.0), abs=1e-12)
         assert gl.value[0, 0] == pytest.approx(np.log(2.0), abs=1e-12)
@@ -69,11 +79,11 @@ class TestGanLosses:
     def test_perfect_discriminator_on_disjoint_supports(self):
         # 1D: logit 50 v, so +-50 on +-1 inputs: the loss is tiny, and its
         # gradient still is not zero
-        gen = nets.bind(identity_model(1))
         disc = nets.bind(linear_model(np.array([[50.0]])))
         x = np.full((1, 16), -1.0)
         y = np.full((1, 16), 1.0)
-        dl, _ = objective.gan_losses(gen, disc, x, y, detach_generator=True)
+        dl, _ = objective.gan_losses(disc, detached_fake(identity_model(1), x), y,
+                                     detach_generator=True)
         assert 0.0 < dl.value[0, 0] < 1e-20
         ad.backward(dl)
         assert disc.weight_nodes[0].grad[0, 0] != 0.0
@@ -83,7 +93,8 @@ class TestGanLosses:
         disc = nets.init_mlp((2, 4, 1), seed=4)
         rng = np.random.default_rng(5)
         x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
-        build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[1]
+        build = lambda: objective.gan_losses(nets.bind(disc),
+                                             fake_node(nets.bind(gen), x), y)[1]
         assert rebuild_gradcheck(build, arrays(gen) + arrays(disc)) < 1e-4
 
     def test_discriminator_gradient_matches_finite_differences(self):
@@ -91,16 +102,16 @@ class TestGanLosses:
         disc = nets.init_mlp((2, 4, 1), seed=7)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((2, 6)), rng.standard_normal((2, 6))
-        build = lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc), x, y)[0]
+        build = lambda: objective.gan_losses(nets.bind(disc),
+                                             fake_node(nets.bind(gen), x), y)[0]
         assert rebuild_gradcheck(build, arrays(gen) + arrays(disc)) < 1e-4
 
     def test_detached_generator_receives_no_gradient(self):
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
         disc = nets.bind(nets.init_mlp((2, 4, 1), seed=10))
         rng = np.random.default_rng(11)
-        dl, _ = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
-                                     rng.standard_normal((2, 6)),
-                                     detach_generator=True)
+        dl, _ = objective.gan_losses(disc, detached_fake(gen.model, rng.standard_normal((2, 6))),
+                                     rng.standard_normal((2, 6)), detach_generator=True)
         grads = ad.backward(dl)
         assert all(node not in grads for node in gen.param_nodes)
 
@@ -108,71 +119,36 @@ class TestGanLosses:
         softpluses = []
         original = ad.softplus
         monkeypatch.setattr(ad, "softplus", lambda a: softpluses.append(a) or original(a))
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=9))
+        gen = nets.init_mlp((2, 4, 2), seed=9)
         disc = nets.bind(nets.init_mlp((2, 4, 1), seed=10))
         rng = np.random.default_rng(11)
-        losses = objective.gan_losses(gen, disc, rng.standard_normal((2, 6)),
-                                      rng.standard_normal((2, 6)),
-                                      detach_generator=True)
+        losses = objective.gan_losses(disc, detached_fake(gen, rng.standard_normal((2, 6))),
+                                      rng.standard_normal((2, 6)), detach_generator=True)
         assert losses[1] is None
         assert len(softpluses) == 2   # softplus(-l(y)) and softplus(l(g(x))) alone
 
-    def test_empty_batch_rejected(self):
-        gen = nets.bind(identity_model())
-        disc = nets.bind(zero_logit_discriminator())
-        with pytest.raises(ValueError, match="nonempty"):
-            objective.gan_losses(gen, disc, np.empty((2, 0)), np.ones((2, 3)))
-
-    def test_r1_penalty_increases_disc_loss_and_gradchecks(self):
-        gen_model = nets.init_mlp((2, 4, 2), seed=12)
-        disc_model = nets.init_mlp((2, 4, 1), seed=13)
-        gen = nets.bind(gen_model)
-        rng = np.random.default_rng(14)
-        x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
-        plain, _ = objective.gan_losses(gen, nets.bind(disc_model), x, y)
-        reg, _ = objective.gan_losses(gen, nets.bind(disc_model), x, y,
-                                      r1_weight=3.0)
-        assert reg.value[0, 0] > plain.value[0, 0]
-        build = lambda: objective.gan_losses(nets.bind(gen_model), nets.bind(disc_model),
-                                             x, y, r1_weight=3.0)[0]
-        assert rebuild_gradcheck(build, arrays(gen_model) + arrays(disc_model)) < 1e-4
-
-    def test_r1_penalty_gives_the_reference_bits_in_value_and_gradients(self):
-        gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12), frozen=True)
-        disc_model = nets.init_mlp((2, 8, 8, 1), seed=13)
-        rng = np.random.default_rng(14)
-        x, y = rng.standard_normal((2, 5)), rng.standard_normal((2, 5))
-        y[:, 3] = 0.0   # exact-zero pre-activations take the slope-1 side
-        assert (preactivations(disc_model, y)[0] == 0).any()
-        disc, ref = nets.bind(disc_model), nets.bind(disc_model)
-        loss, _ = objective.gan_losses(gen, disc, x, y, r1_weight=3.0,
-                                       detach_generator=True)
-        plain, _ = objective.gan_losses(gen, ref, x, y, detach_generator=True)
-        penalty = ad.node_sum(ad.square(jacobian_sweep(ref.weight_nodes, disc_model, y)))
-        want = ad.add(plain, ad.scale(penalty, 0.5 * 3.0 / 5))
-        assert loss.value.tobytes() == want.value.tobytes()
-        got, expected = ad.backward(loss), ad.backward(want)
-        for a, b in zip(disc.param_nodes, ref.param_nodes):
-            assert got[a].tobytes() == expected[b].tobytes()
-
-    def test_r1_penalty_runs_one_forward_pass_for_all_directions(self, monkeypatch):
+    def test_scores_the_callers_fake_with_no_generator_pass(self, monkeypatch):
         passes = []
         original = nets.MlpBinding.__call__
 
         def counted(binding, x):
-            passes.append(x.value.shape)
+            passes.append(binding.model.layer_sizes)
             return original(binding, x)
 
-        monkeypatch.setattr(nets.MlpBinding, "__call__", counted)
         gen = nets.bind(nets.init_mlp((2, 4, 2), seed=12))
         disc = nets.bind(nets.init_mlp((2, 4, 1), seed=13))
         rng = np.random.default_rng(14)
-        objective.gan_losses(gen, disc, rng.standard_normal((2, 5)),
-                             rng.standard_normal((2, 5)), r1_weight=1.0,
-                             detach_generator=True)
-        # the fake and the real batch alone: the penalty reads the
-        # real-batch pass
-        assert passes == [(2, 5), (2, 5)]
+        fake = fake_node(gen, rng.standard_normal((2, 5)))
+        monkeypatch.setattr(nets.MlpBinding, "__call__", counted)
+        objective.gan_losses(disc, fake, rng.standard_normal((2, 5)))
+        # the fake and the real batch through the discriminator alone
+        assert passes == [(2, 4, 1), (2, 4, 1)]
+
+    def test_empty_batch_rejected(self):
+        disc = nets.bind(zero_logit_discriminator())
+        fake = detached_fake(identity_model(), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="nonempty"):
+            objective.gan_losses(disc, fake, np.empty((2, 0)), detach_generator=True)
 
 
 class TestAnchorLoss:
@@ -436,19 +412,12 @@ class TestRebuildGradcheck:
 
     def test_gan_generator(self, nets3):
         gen, disc, _, x, _ = nets3
-        self.check(lambda: objective.gan_losses(nets.bind(gen), nets.bind(disc, frozen=True),
-                                                x, None)[1], gen)
+        self.check(lambda: objective.gan_losses(nets.bind(disc, frozen=True),
+                                                fake_node(nets.bind(gen), x))[1], gen)
 
     def test_gan_discriminator(self, nets3):
         gen, disc, _, x, y = nets3
-        self.check(lambda: objective.gan_losses(nets.bind(gen, frozen=True), nets.bind(disc),
-                                                x, y, detach_generator=True)[0], disc)
-
-    @pytest.mark.parametrize("r1_weight", [1.0, 3.0])
-    def test_gan_discriminator_r1(self, nets3, r1_weight):
-        gen, disc, _, x, y = nets3
-        self.check(lambda: objective.gan_losses(nets.bind(gen, frozen=True), nets.bind(disc),
-                                                x, y, r1_weight=r1_weight,
+        self.check(lambda: objective.gan_losses(nets.bind(disc), detached_fake(gen, x), y,
                                                 detach_generator=True)[0], disc)
 
     def test_sparsity_exact_jacobian(self, nets3):

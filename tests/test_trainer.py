@@ -133,8 +133,7 @@ def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
 def test_no_earlier_steps_graph_is_alive_when_a_step_runs_backward(splits, monkeypatch,
                                                                    mode):
     train_split, test_split = splits
-    cfg = TrainConfig(iterations=3, batch_size=16, diag_interval=0, sparsity_mode=mode,
-                      r1_weight=1.0)
+    cfg = TrainConfig(iterations=3, batch_size=16, diag_interval=0, sparsity_mode=mode)
     roots = []
     original = ad.backward
 
@@ -217,12 +216,12 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"batch_size": 0}, "batch_size = 0 must be positive"),
     ({"iterations": -1}, "iterations = -1 must be >= 0"),
     ({"sparsity_mode": "l1"}, "sparsity_mode 'l1'"),
-    ({"disc_steps_per_gen_step": 0}, "disc_steps_per_gen_step = 0 must be positive"),
+    ({"seed": -1}, "seed = -1 must be >= 0"),
     ({"anchor_count": 0}, "weights.anchor > 0 needs anchor_count >= 1"),
     ({"learning_rate": 0.0}, "learning_rate = 0.0 must be positive"),
     ({"learning_rate": -1.0}, "learning_rate = -1.0 must be positive"),
     ({"learning_rate": float("nan")}, "learning_rate = nan must be positive"),
-    ({"r1_weight": -1.0}, r"r1_weight = -1.0 must be >= 0"),
+    ({"epsilon": float("inf")}, "epsilon = inf must be finite"),
     ({"diag_points": 0}, "diag_points = 0 must be at least 1"),
     ({"diag_points": -5}, "diag_points = -5 must be at least 1"),
     ({"beta1": -0.1}, r"beta1 = -0.1 not in \[0, 1\)"),
@@ -238,7 +237,7 @@ def test_inconsistent_config_is_rejected_naming_the_field(change, message):
 
 
 def test_edges_of_the_valid_ranges_are_accepted():
-    TrainConfig(r1_weight=0.0, beta1=0.0, beta2=0.0, diag_points=1,
+    TrainConfig(beta1=0.0, beta2=0.0, diag_points=1,
                 learning_rate=5e-324, epsilon=5e-324, diag_interval=0,
                 weights=LossWeights(anchor=0.0, sparsity=0.0, inv=0.0), anchor_count=0,
                 probe=ProbeSpec(1, perturbation_scale=5e-324))

@@ -9,7 +9,8 @@ Each verb is one row of VERBS, and a config holding a section its row does
 not list is rejected, so a misspelt section name cannot leave a default in
 place.  Every section but [plot.checkpoints], whose keys are free labels, is
 a dataclass read by configio.read, which rejects a key that names no field;
-[io] has one field per path the row names, and each path a flag.
+[io] has one field per path the row names, and each path a flag.  plot
+reads no section of its own: a panel shows at most PLOT_POINTS test points.
 """
 
 from __future__ import annotations
@@ -123,16 +124,14 @@ def cmd_eval(config, io, out_dir):
     return artifacts, {}, 0, None
 
 
-@dataclass
-class PlotConfig(Checked):
-    max_points: Annotated[int, POSITIVE] = 1000
+# the test points a plot panel shows at most, evenly spaced, first and last included
+PLOT_POINTS = 1000
 
 
 def cmd_plot(config, io, out_dir):
-    cfg = configio.read(PlotConfig(), config, "plot")
     [test_split] = _load_splits(io.data_dir, "test")
     n = len(test_split)
-    idx = np.unique(np.linspace(0, n - 1, min(cfg.max_points, n)).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, min(PLOT_POINTS, n)).astype(int))
     colors = [svgplot.color_for_index(int(i)) for i in idx]
     panels = [("source x", test_split.x[idx], colors),
               ("target y", test_split.y[idx], colors)]
@@ -144,8 +143,7 @@ def cmd_plot(config, io, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     svgplot.scatter_panels(os.path.join(out_dir, "panels.svg"), panels)
     print(f"plot: {len(panels)} panels over {idx.size} points -> panels.svg")
-    sections = {**configio.echo(cfg, "plot"),
-                "plot.checkpoints": {k: os.path.abspath(v)
+    sections = {"plot.checkpoints": {k: os.path.abspath(v)
                                      for k, v in checkpoints.items()}}
     return ["panels.svg"], sections, 0, None
 
@@ -214,6 +212,18 @@ def _band_fraction_bound(n, eps):
     return p + t / n
 
 
+def gaussian_cdf_quantile(mu, sigma):
+    """N(mu, sigma^2)'s CDF 0.5 erfc((mu - x) / (sigma sqrt 2)), which keeps
+    its bits far below mu where NormalDist.cdf's 0.5 (1 + erf) rounds to 0,
+    and its quantile, NormalDist.inv_cdf taking p <= 0 and p >= 1 to -inf and
+    inf as scipy's norm.ppf does; each maps a 1-D array entry by entry."""
+    inv_cdf, scale = NormalDist(mu, sigma).inv_cdf, sigma * math.sqrt(2.0)
+    cdf = lambda x: 0.5 * math.erfc((mu - x) / scale)
+    quantile = lambda p: -math.inf if p <= 0.0 else math.inf if p >= 1.0 else inv_cdf(p)
+    each = lambda f: lambda x: np.fromiter(map(f, x.tolist()), np.float64, len(x))
+    return each(cdf), each(quantile)
+
+
 def _exponential_quantile(q):
     # 1 - F(x) rounds to 1 below x = 1.1e-16, whose quantile is inf: silently
     with np.errstate(divide="ignore"):
@@ -223,11 +233,9 @@ def _exponential_quantile(q):
 def _mpa_checks(n, seed, eps):
     """The default 1D suite; returns rows of (name, metric, value, threshold, ok).
 
-    Phi and its inverse are NormalDist's, called entry by entry on a list
-    (np.vectorize is slower); the exponential pair is numpy's expm1/log1p.
+    Phi and its inverse are gaussian_cdf_quantile's, the exponential pair expm1/log1p.
     """
     mu, sigma = 0.7, 1.3
-    law = NormalDist(mu, sigma)
     ks_max, fitted_ks_max = _ks_noise(n), _ks_noise(n, 4)
     gauss = lambda rng, k: mu + sigma * rng.standard_normal(k)
     uniform = lambda rng, k: rng.uniform(0.0, 1.0, k)
@@ -241,8 +249,7 @@ def _mpa_checks(n, seed, eps):
     fp = mpa.count_fixed_points(reflect, (mu - 5 * sigma, mu + 5 * sigma))
     add("gaussian-reflection", "fixed_points", fp.count, 1, fp.count == 1)
 
-    each = lambda f: lambda x: np.fromiter(map(f, x.tolist()), np.float64, len(x))
-    conj = mpa.cdf_conjugate_mpa(each(law.cdf), each(law.inv_cdf))
+    conj = mpa.cdf_conjugate_mpa(*gaussian_cdf_quantile(mu, sigma))
     ks = mpa.pushforward_ks_check(gauss, conj, n, seed + 1)
     add("gaussian-cdf-conjugate", "ks", ks, ks_max, ks < ks_max)
     grid = np.linspace(mu - 3 * sigma, mu + 3 * sigma, 1001)
@@ -451,7 +458,7 @@ VERBS = {
     "eval": Verb(cmd_eval, "evaluate a generator checkpoint on a test split",
                  ("io",), ("checkpoint", "data_dir")),
     "plot": Verb(cmd_plot, "emit scatter panels (source / target / translated) as SVG",
-                 ("io", "plot", "plot.checkpoints"), ("data_dir",)),
+                 ("io", "plot.checkpoints"), ("data_dir",)),
     "probe-study": Verb(cmd_probe_study, "bias/variance study of the sparse-probe estimator",
                         ("probe_study",)),
     "mpa-check": Verb(cmd_mpa_check, "run the measure-preserving automorphism check suite",

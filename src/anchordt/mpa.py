@@ -9,7 +9,8 @@ single aligned anchor pair decisive, and each is checked here by sampling:
 push-forward agreement via the two-sample Kolmogorov-Smirnov statistic,
 fixed points via sign-scan plus bisection, and fixed-set mass via direct
 Monte Carlo.  The module needs numpy alone, as does the suite mpa-check runs,
-which takes Phi, its inverse and the exponential CDF from NormalDist and numpy.
+which takes Phi from math.erfc, its inverse from NormalDist and the
+exponential CDF from numpy.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ spells out, and its ``weights`` and ``biases`` are views of it.  Every
 vector of the optimizer is laid out the same way: ``MlpBinding.gradient``
 returns the gradient as one vector, and ``adam_step`` updates ``flat`` with
 it and with the flat moments of ``AdamState``, so a copy is one array copy
-and a binding checks one array for non-finite entries.
+and a binding checks one array for non-finite entries.  Adam's decays and
+guard are the constants ``BETA1``, ``BETA2`` and ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import HIDDEN_SLOPE
 from .configio import format_float
+
+# Adam's moment decays and denominator guard (Kingma and Ba's defaults)
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 _CHECKPOINT_MAGIC = "anchordt-mlp-v1"
 # header lines the format has always carried; every network has these
@@ -191,22 +195,16 @@ def bind(model: MlpModel, frozen: bool = False) -> MlpBinding:
 
 @dataclass
 class AdamState:
-    """Adam's settings, its step count and its moments ``m`` and ``v``, flat
-    vectors laid out as the model's ``flat``."""
+    """Adam's learning rate, its step count and its moments ``m`` and ``v``,
+    flat vectors laid out as the model's ``flat``."""
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_count: int = 0
 
 
-def adam_init(model: MlpModel, learning_rate: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                     epsilon=epsilon, m=np.zeros_like(model.flat),
-                     v=np.zeros_like(model.flat))
+def adam_init(model: MlpModel, learning_rate: float = 1e-3) -> AdamState:
+    return AdamState(learning_rate, np.zeros_like(model.flat), np.zeros_like(model.flat))
 
 
 def adam_step(model: MlpModel, gradient: np.ndarray, state: AdamState):
@@ -221,15 +219,14 @@ def adam_step(model: MlpModel, gradient: np.ndarray, state: AdamState):
                          f"{model.flat.shape}, like flat; got shape {gradient.shape}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     m, v, flat = state.m, state.v, model.flat
-    m *= b1
-    m += (1.0 - b1) * gradient
-    v *= b2
-    v += (1.0 - b2) * gradient ** 2
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m *= BETA1
+    m += (1.0 - BETA1) * gradient
+    v *= BETA2
+    v += (1.0 - BETA2) * gradient ** 2
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return model, state
 
 

@@ -9,7 +9,8 @@ runs in a helper that returns its losses as floats, so a step's graph and
 bindings live only within the step.  Every draw is seeded through
 config.seed, so identical configs and data give bit-identical traces.  A
 config names the networks' hidden widths alone: train() builds their sizes
-(D, *hidden, D) and (D, *hidden, 1) from the data.
+(D, *hidden, D) and (D, *hidden, 1) from the data.  The diagnostic's
+DIAG_POINTS and the divergence guard's PARAMETER_BOUND are constants.
 
 cli.main, not train(), sets the process's allocator to keep one step's freed
 heap for the next, so train() called in-process runs slower.  At batch 1024
@@ -28,7 +29,7 @@ from typing import Annotated, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .configio import FINITE, NON_NEGATIVE, POSITIVE, Checked, Rule, at_least
+from .configio import FINITE, NON_NEGATIVE, POSITIVE, Checked
 from .nets import MlpModel, adam_init, adam_step, bind, init_mlp, save_checkpoint
 from .objective import SPARSITY_MODES, TERMS, LossWeights, gan_losses
 from .sparsity import ProbeSpec
@@ -37,7 +38,7 @@ from .synthdata import PairedDataset, select_anchors
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss, or a network's parameters after an update, went non-finite."""
+    """A non-finite loss, or an update leaving parameters beyond ±PARAMETER_BOUND."""
 
 
 class Networks(NamedTuple):
@@ -59,8 +60,10 @@ class Networks(NamedTuple):
             save_checkpoint(model, os.path.join(out_dir, name))
 
 
-# an Adam moment decay
-DECAY = Rule(lambda b: 0 <= b < 1, "not in [0, 1)")
+# an energy-distance snapshot maps the first DIAG_POINTS test points
+DIAG_POINTS = 512
+# the largest |parameter| an update may leave: healthy runs peak near 3
+PARAMETER_BOUND = 1e3
 
 
 @dataclass
@@ -73,16 +76,12 @@ class TrainConfig(Checked):
     batch_size: Annotated[int, POSITIVE] = 1024
     iterations: Annotated[int, NON_NEGATIVE] = 7000
     seed: Annotated[int, NON_NEGATIVE] = 0
-    beta1: Annotated[float, DECAY] = 0.9
-    beta2: Annotated[float, DECAY] = 0.999
-    epsilon: Annotated[float, POSITIVE, FINITE] = 1e-8
     # hidden-layer widths; the input and output sizes come from the data
     gen_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
     disc_hidden: Annotated[tuple[int, ...], POSITIVE] = (64, 64)
     rec_hidden: Annotated[tuple[int, ...], POSITIVE] = (32, 32)
     # 0 turns the diagnostics off
     diag_interval: Annotated[int, NON_NEGATIVE] = 500
-    diag_points: Annotated[int, at_least(1)] = 512
 
     def __post_init__(self):
         super().__post_init__()
@@ -102,19 +101,13 @@ class RunReport:
     wall_time: float
 
     def trace_csv_lines(self) -> list[str]:
-        names = list(self.losses)
-        lines = ["iteration," + ",".join(names)]
-        n = len(self.losses[names[0]]) if names else 0
-        for i in range(n):
-            vals = ",".join(format(self.losses[k][i], ".17g") for k in names)
-            lines.append(f"{i},{vals}")
-        return lines
+        rows = enumerate(zip(*self.losses.values()))
+        return (["iteration," + ",".join(self.losses)]
+                + [f"{i}," + ",".join(format(v, ".17g") for v in row) for i, row in rows])
 
     def diag_csv_lines(self) -> list[str]:
-        lines = ["iteration,energy_distance"]
-        for it, val in self.diagnostics:
-            lines.append(f"{it},{format(val, '.17g')}")
-        return lines
+        return (["iteration,energy_distance"]
+                + [f"{it},{format(val, '.17g')}" for it, val in self.diagnostics])
 
 
 def translation_error(generator: MlpModel, test: PairedDataset) -> tuple[float, float]:
@@ -193,10 +186,10 @@ def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDatas
     The data's dimension D sizes the networks.  A probe mask wider than D,
     or more anchors than the training split holds, is rejected before any
     model or out_dir exists.  Aborts with TrainingDiverged on a non-finite
-    loss or updated network, leaving in out_dir, when one is given, the
-    models as they were at the start of the failing iteration, as
-    last_good_{name}.ckpt.  With zero iterations the freshly initialized
-    models are evaluated as-is.
+    loss, or an update leaving parameters non-finite or beyond ±PARAMETER_BOUND,
+    leaving in out_dir, when one is given, the models as they were at the
+    start of the failing iteration, as last_good_{name}.ckpt.  With zero
+    iterations the freshly initialized models are evaluated as-is.
     """
     d = train_data.x.shape[1]
     if config.probe.mask_size > d:
@@ -204,8 +197,7 @@ def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDatas
                          f"data dimension D = {d}")
     anchors = select_anchors(train_data, config.anchor_count, config.seed)
     models, batch_rng, probe_rng = _init_models(config, d)
-    states = Networks(*(adam_init(model, config.learning_rate, config.beta1,
-                                  config.beta2, config.epsilon) for model in models))
+    states = Networks(*(adam_init(model, config.learning_rate) for model in models))
     x_all, y_all = train_data.x, train_data.y
     n = len(train_data)
     trace = {k: np.zeros(config.iterations) for k in ("disc", "gen", *TERMS, "total")}
@@ -215,19 +207,22 @@ def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDatas
     def abort(iteration, what):
         if out_dir is not None:
             last_good.save(out_dir, "last_good_")
-        raise TrainingDiverged(f"non-finite {what} at iteration {iteration}")
+        raise TrainingDiverged(f"{what} at iteration {iteration}")
 
     def check(iteration, loss, *updated):
-        # a step's loss is named after the first network it updates; a finite
-        # loss can still update a network to non-finite parameters
+        # a step's loss is named after the first network it updates.  One bound
+        # test an update, which NaN fails too; only a failure asks which it was
         if not np.isfinite(loss):
-            abort(iteration, f"{updated[0]} loss")
+            abort(iteration, f"non-finite {updated[0]} loss")
         for name in updated:
-            if not np.isfinite(getattr(models, name).flat).all():
-                abort(iteration, f"{name} parameters")
+            flat = getattr(models, name).flat
+            if not (np.abs(flat) <= PARAMETER_BOUND).all():
+                finite = np.isfinite(flat).all()
+                abort(iteration, f"{name} parameters beyond ±1e3" if finite
+                      else f"non-finite {name} parameters")
 
-    # a diverging step overflows on its way to a non-finite loss; the
-    # finite checks report that in one line, which numpy's warnings would bury
+    # a diverging step can overflow before a check sees it; the checks
+    # report that in one line, which numpy's warnings would bury
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(config.iterations):
             last_good = Networks(*(model.copy() for model in models))
@@ -247,9 +242,8 @@ def train(config: TrainConfig, train_data: PairedDataset, test_data: PairedDatas
 
             if config.diag_interval > 0 and (
                     it % config.diag_interval == 0 or it == config.iterations - 1):
-                k = min(config.diag_points, len(test_data))
-                moved = models.generator.apply(test_data.x[:k].T).T
-                diagnostics.append((it, energy_distance(moved, test_data.y[:k])))
+                moved = models.generator.apply(test_data.x[:DIAG_POINTS].T).T
+                diagnostics.append((it, energy_distance(moved, test_data.y[:DIAG_POINTS])))
 
     wall = time.perf_counter() - start
     te_mean, te_std = translation_error(models.generator, test_data)

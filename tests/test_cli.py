@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import anchordt
-from anchordt import cli, configio, manifest, nets, objective, sparsity, synthdata
+from anchordt import (cli, configio, manifest, nets, objective, sparsity, stats,
+                      synthdata, trainer)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def checkpoint(data_dir, tmp_path_factory):
 
 def train(data_dir, out_dir, mode):
     overrides = {"train.seed": "3", "train.iterations": "3", "train.batch_size": "32",
-                 "train.diag_interval": "2", "train.diag_points": "32",
+                 "train.diag_interval": "2",
                  "train.sparsity_mode": mode}
     argv = ["train", "--out-dir", str(out_dir), "--data-dir", str(data_dir)]
     for key, value in overrides.items():
@@ -143,9 +144,10 @@ def test_band_fraction_bound_fails_a_null_set_below_1e_9(n, eps):
      "row_support = 30 not in [1, dimension = 20]"),
     ("train", ["train.learning_rate=-1"], "learning_rate = -1.0 must be positive"),
     ("train", ["train.r1_weight=1"], "[train] unknown key 'r1_weight'"),
-    ("train", ["train.diag_points=-5"], "diag_points = -5 must be at least 1"),
-    ("train", ["train.beta2=1"], "beta2 = 1.0 not in [0, 1)"),
-    ("ablate", ["train.epsilon=0"], "epsilon = 0.0 must be positive"),
+    # the Adam settings, diag_points and [plot] max_points are constants now
+    ("train", ["train.diag_points=32"], "[train] unknown key 'diag_points'"),
+    ("train", ["train.beta1=0.9"], "[train] unknown key 'beta1'"),
+    ("ablate", ["train.epsilon=1e-8"], "[train] unknown key 'epsilon'"),
     ("train", ["weights.sparsity=nan"], "sparsity = nan must be >= 0"),
     ("train", ["weights.anchor=nan"], "anchor = nan must be >= 0"),
     ("train", ["probe.perturbation_scale=nan"], "perturbation_scale = nan must be positive"),
@@ -167,10 +169,10 @@ def test_band_fraction_bound_fails_a_null_set_below_1e_9(n, eps):
     ("train", ["probe.probes_per_sample=0"], "probes_per_sample = 0 must be at least 1"),
     ("probe-study", ["probe_study.dimension=0"], "dimension = 0 must be positive"),
     ("probe-study", ["probe_study.num_matrices=0"], "num_matrices = 0 must be positive"),
-    ("plot", ["plot.max_points=0"], "max_points = 0 must be positive"),
+    ("plot", ["plot.max_points=20"], "plot reads no [plot] section"),
     # an infinite value is rejected by field before training, as NaN is
     ("train", ["train.learning_rate=inf"], "learning_rate = inf must be finite"),
-    ("train", ["train.epsilon=inf"], "epsilon = inf must be finite"),
+    ("train", ["train.beta2=0.999"], "[train] unknown key 'beta2'"),
     ("train", ["train.disc_steps_per_gen_step=2"],
      "[train] unknown key 'disc_steps_per_gen_step'"),
     ("train", ["weights.anchor=inf"], "anchor = inf must be finite"),
@@ -230,12 +232,12 @@ def test_divergence_exits_2_leaving_the_last_good_models(data_dir, tmp_path, cap
                      "--override", "train.batch_size=16"])
     assert code == 2
     # the one line, with no numpy warning of the overflow before it
-    assert capsys.readouterr().err == ("anchordt train: error: non-finite generator "
-                                       "loss at iteration 0\n")
+    assert capsys.readouterr().err == ("anchordt train: error: discriminator parameters "
+                                       "beyond ±1e3 at iteration 0\n")
     assert sorted(os.listdir(out)) == [f"last_good_{name}.ckpt" for name in
                                        ("discriminator", "generator", "reconstructor")]
-    # the discriminator's step-0 update was applied before the generator's
-    # loss went non-finite, but the last-good models are the initial ones
+    # the discriminator's step-0 update took it past the bound; the last-good
+    # models are the initial ones
     seeds = np.random.SeedSequence(0).spawn(5)
     for name, sizes, seed in (("generator", (2, 32, 32, 2), seeds[0]),
                               ("discriminator", (2, 64, 64, 1), seeds[1])):
@@ -245,6 +247,21 @@ def test_divergence_exits_2_leaving_the_last_good_models(data_dir, tmp_path, cap
         for got, want in zip(saved.weights + saved.biases,
                              initial.weights + initial.biases):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rate", ["1e3", "1e6"])
+def test_finite_divergence_exits_2_naming_network_and_iteration(data_dir, tmp_path, capsys,
+                                                                rate):
+    # Adam's first step moves each parameter by about the rate: finite, and
+    # past the bound at once
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out-dir", str(out), "--data-dir", str(data_dir),
+                     "--override", f"train.learning_rate={rate}",
+                     "--override", "train.batch_size=16"]) == 2
+    assert capsys.readouterr().err == ("anchordt train: error: discriminator parameters "
+                                       "beyond ±1e3 at iteration 0\n")
+    assert sorted(os.listdir(out)) == [f"last_good_{name}.ckpt" for name in
+                                       ("discriminator", "generator", "reconstructor")]
 
 
 def test_manifest_recording_t_mode_and_permutation_no_longer_replays(tmp_path):
@@ -289,6 +306,39 @@ def test_manifest_recording_layer_sizes_no_longer_replays(data_dir, tmp_path):
         text = text.replace(new, old)
     (tmp_path / "old.txt").write_text(text)
     with pytest.raises(configio.ConfigError, match="unknown key 'gen_sizes'"):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_manifest_recording_adam_settings_and_diag_points_no_longer_replays(data_dir,
+                                                                           tmp_path):
+    # a train manifest from before these four keys became constants
+    train(data_dir, tmp_path / "run", "exact-jacobian-l1")
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    for new, old in (("\ngen_hidden = ", "\nbeta1 = 0.90000000000000002\nbeta2 = 0.999\n"
+                                        "epsilon = 1e-08\ngen_hidden = "),
+                     ("\ndiag_interval = 2\n", "\ndiag_interval = 2\ndiag_points = 512\n")):
+        assert new in text
+        text = text.replace(new, old)
+    (tmp_path / "old.txt").write_text(text)
+    with pytest.raises(configio.ConfigError,
+                       match="unknown key 'beta1', unknown key 'beta2', unknown key "
+                             "'epsilon', unknown key 'diag_points'; "):
+        manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
+    assert not (tmp_path / "replay").exists()
+
+
+def test_manifest_recording_a_plot_section_no_longer_replays(data_dir, checkpoint,
+                                                             tmp_path):
+    # a plot manifest from before max_points became a constant
+    assert cli.main(["plot", "--out-dir", str(tmp_path / "run"), "--data-dir",
+                     str(data_dir), "--checkpoint", f"g={checkpoint}"]) == 0
+    text = (tmp_path / "run" / manifest.MANIFEST_NAME).read_text()
+    assert "[config.plot]" not in text and "\n[config.plot.checkpoints]\n" in text
+    (tmp_path / "old.txt").write_text(text.replace(
+        "\n[config.plot.checkpoints]\n",
+        "\n[config.plot]\nmax_points = 1000\n\n[config.plot.checkpoints]\n"))
+    with pytest.raises(cli.CliError, match=r"^plot reads no \[plot\] section; "):
         manifest.replay_manifest(tmp_path / "old.txt", tmp_path / "replay")
     assert not (tmp_path / "replay").exists()
 
@@ -346,11 +396,50 @@ def test_empty_ablation_list_exits_2_before_any_training(data_dir, tmp_path, mon
 
 def test_plot_label_with_markup_gives_well_formed_svg(data_dir, checkpoint, tmp_path):
     assert cli.main(["plot", "--out-dir", str(tmp_path), "--data-dir", str(data_dir),
-                     "--checkpoint", f"g<1>&b={checkpoint}",
-                     "--override", "plot.max_points=20"]) == 0
+                     "--checkpoint", f"g<1>&b={checkpoint}"]) == 0
     root = ET.parse(tmp_path / "panels.svg").getroot()
     titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert titles == ["source x", "target y", "translated (g<1>&b)"]
+
+
+def test_plot_shows_its_point_cap_evenly_spaced(tmp_path, monkeypatch):
+    # 1,500 test points: each panel shows 1,000 of them, the first and the last
+    # included, one or two rows apart
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path / "data"),
+                     "--override", "data.num_train=10",
+                     "--override", "data.num_test=1500"]) == 0
+    shown, draw = [], cli.svgplot.scatter_panels
+
+    def recording(path, panels):
+        shown.extend(panels)
+        draw(path, panels)
+
+    monkeypatch.setattr(cli.svgplot, "scatter_panels", recording)
+    assert cli.main(["plot", "--out-dir", str(tmp_path / "plot"),
+                     "--data-dir", str(tmp_path / "data")]) == 0
+    test = synthdata.load_dataset(tmp_path / "data", "test")
+    rows = [int(np.flatnonzero((test.x == point).all(axis=1))[0]) for point in shown[0][1]]
+    assert cli.PLOT_POINTS == 1000 and len(rows) == 1000
+    assert rows[0] == 0 and rows[-1] == 1499 and set(np.diff(rows)) == {1, 2}
+    for (_, points, _), split in zip(shown, (test.x, test.y)):
+        assert points.tobytes() == split[rows].tobytes()
+
+
+@pytest.mark.parametrize("num_test", [64, 600])
+def test_diag_is_the_energy_distance_on_the_first_test_points(tmp_path, num_test):
+    assert cli.main(["gen-data", "--out-dir", str(tmp_path / "data"),
+                     "--override", "data.num_train=50",
+                     "--override", f"data.num_test={num_test}"]) == 0
+    assert cli.main(["train", "--out-dir", str(tmp_path / "run"), "--data-dir",
+                     str(tmp_path / "data"), "--override", "train.iterations=2",
+                     "--override", "train.batch_size=16"]) == 0
+    test = synthdata.load_dataset(tmp_path / "data", "test")
+    generator = nets.load_checkpoint(tmp_path / "run" / "generator.ckpt")
+    k = min(trainer.DIAG_POINTS, num_test)
+    moved = generator.apply(test.x[:k].T).T
+    # the last snapshot is taken after the last update, on the saved generator
+    last = (tmp_path / "run" / "diag.csv").read_text().splitlines()[-1]
+    assert last == f"1,{configio.format_float(stats.energy_distance(moved, test.y[:k]))}"
 
 
 def ablate(data_dir, out_dir, *overrides):
@@ -480,10 +569,9 @@ def test_section_misspelt_in_a_config_file_exits_2(tmp_path, capsys):
 VERB_ARGS = {
     "gen-data": ["--override", "data.num_train=50", "--override", "data.num_test=20"],
     "train": ["--data-dir", "{data}", "--override", "train.iterations=2",
-              "--override", "train.batch_size=16", "--override", "train.diag_points=16"],
+              "--override", "train.batch_size=16"],
     "eval": ["--data-dir", "{data}", "--checkpoint", "{ckpt}"],
-    "plot": ["--data-dir", "{data}", "--checkpoint", "g={ckpt}",
-             "--override", "plot.max_points=50"],
+    "plot": ["--data-dir", "{data}", "--checkpoint", "g={ckpt}"],
     "probe-study": ["--override", "probe_study.dimension=20",
                     "--override", "probe_study.row_support=2",
                     "--override", "probe_study.mask_sizes=1,3",

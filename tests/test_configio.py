@@ -16,7 +16,6 @@ from anchordt.trainer import TrainConfig
 
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-300, allow_nan=False, allow_infinity=False)
-unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 # the warp amplitudes SynthConfig accepts
 amplitude = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)
 counts = st.integers(0, 10**6)
@@ -32,10 +31,9 @@ def train_configs(draw):
         probe=ProbeSpec(draw(st.integers(1, 64)), draw(positive),
                         draw(st.integers(1, 64))),
         learning_rate=draw(positive), batch_size=draw(st.integers(1, 10**6)),
-        iterations=draw(counts), seed=draw(st.integers(0, 2**63)), beta1=draw(unit),
-        beta2=draw(unit), epsilon=draw(positive), gen_hidden=hidden(),
+        iterations=draw(counts), seed=draw(st.integers(0, 2**63)), gen_hidden=hidden(),
         disc_hidden=hidden(), rec_hidden=hidden(),
-        diag_interval=draw(st.integers(min_value=0)), diag_points=draw(st.integers(min_value=1)))
+        diag_interval=draw(st.integers(min_value=0)))
 
 
 def through_text(sections):
@@ -84,6 +82,11 @@ def test_absent_keys_keep_the_base_values_and_nested_sections_apply():
     ({"train": {"iteration": "2"}}, "[train] unknown key 'iteration'; known keys: "),
     ({"train": {"iteration": "2", "seed": "1", "clamp_eps": "1"}},
      "[train] unknown key 'iteration', unknown key 'clamp_eps'; known keys: "),
+    # the Adam settings and diag_points are constants, with an old echo's values
+    ({"train": {"beta1": "0.90000000000000002", "beta2": "0.999", "epsilon": "1e-08",
+                "diag_points": "512"}},
+     "[train] unknown key 'beta1', unknown key 'beta2', unknown key 'epsilon', "
+     "unknown key 'diag_points'; known keys: "),
 ])
 def test_unknown_key_or_unparsable_value_is_named(sections, message):
     with pytest.raises(configio.ConfigError) as info:
@@ -107,7 +110,7 @@ def test_a_value_the_config_rejects_is_named_with_its_section(sections, message)
 
 # each config dataclass a verb reads, made with its defaults
 VERB_CONFIGS = [SynthConfig(), TrainConfig(), LossWeights(), ProbeSpec(1),
-                cli.PlotConfig(), cli.ProbeStudyConfig(), cli.MpaCheckConfig(),
+                cli.ProbeStudyConfig(), cli.MpaCheckConfig(),
                 cli.SparsityCheckConfig(), cli.AblateConfig()]
 
 

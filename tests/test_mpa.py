@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,18 +16,12 @@ def gaussian_sampler(mu=0.0, sigma=1.0):
     return lambda rng, n: mu + sigma * rng.standard_normal(n)
 
 
-def elementwise(f):
-    """f applied to each entry of a 1-D array, as float64, as mpa-check maps it."""
-    return lambda x: np.fromiter(map(f, x.tolist()), np.float64, len(x))
-
-
 def gaussian_conjugates(mu=0.0, sigma=1.0):
     """The N(mu, sigma^2) CDF conjugate built from scipy, the oracle, and from
-    statistics.NormalDist, as mpa-check builds it."""
-    law = NormalDist(mu, sigma)
+    the math and statistics modules, as mpa-check builds it."""
     return (mpa.cdf_conjugate_mpa(lambda x: scipy_stats.norm.cdf(x, mu, sigma),
                                   lambda q: scipy_stats.norm.ppf(q, mu, sigma)),
-            mpa.cdf_conjugate_mpa(elementwise(law.cdf), elementwise(law.inv_cdf)))
+            mpa.cdf_conjugate_mpa(*cli.gaussian_cdf_quantile(mu, sigma)))
 
 
 def exponential_conjugates():
@@ -68,11 +61,25 @@ class TestCdfConjugate:
         for m in (oracle, stdlib):
             assert m(x).dtype == np.float64
             np.testing.assert_allclose(m(x), 2 * mu - x, atol=1e-7)
-        # 1 - F keeps few bits in the far tail: out to 6 sigma the two differ
-        # by 2e-8 at most, within 3 sigma by rounding alone
-        np.testing.assert_allclose(stdlib(x), oracle(x), rtol=0, atol=1e-7)
-        inner = np.abs(x - mu) <= 3 * sigma
-        np.testing.assert_allclose(stdlib(x[inner]), oracle(x[inner]), rtol=0, atol=1e-12)
+        # both take Phi from an erfc: out to 6 sigma they differ by rounding alone
+        np.testing.assert_allclose(stdlib(x), oracle(x), rtol=0, atol=1e-12)
+
+    def test_gaussian_far_lower_tail_maps_as_scipy_does(self):
+        # mpa-check's law; below mu - 7.2 sigma an erf-built CDF loses the
+        # round trip, and below mu - 8.4 sigma its 1 - F rounds to 1
+        mu, sigma = 0.7, 1.3
+        x = mu + sigma * np.array([-7.5, -8.0, -9.0])
+        oracle, stdlib = gaussian_conjugates(mu, sigma)
+        got = stdlib(x)
+        np.testing.assert_allclose(got, oracle(x), rtol=1e-12)
+        np.testing.assert_allclose(got[:2], [10.45, 11.09], atol=5e-3)
+        assert got[2] == np.inf
+
+    def test_gaussian_quantile_maps_the_unit_interval_ends_to_infinities(self):
+        _, quantile = cli.gaussian_cdf_quantile(0.7, 1.3)
+        ends = np.array([0.0, 1.0])
+        assert quantile(ends).tolist() == [-np.inf, np.inf]
+        assert scipy_stats.norm.ppf(ends, 0.7, 1.3).tolist() == [-np.inf, np.inf]
 
     def test_exponential_fixed_point_at_ln2(self):
         oracle, numpy_only = exponential_conjugates()

@@ -155,10 +155,11 @@ class TestAdam:
         expected = hand_adam(1.0, [0.5, -0.5], 0.1, 0.9, 0.999, 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, abs=1e-14)
 
-    def test_opposite_gradients_return_to_start_without_momentum(self):
+    def test_opposite_gradients_return_to_start_without_momentum(self, monkeypatch):
         # with beta1=0 the g, -g pair cancels exactly (v is symmetric in g)
+        monkeypatch.setattr(nets, "BETA1", 0.0)
         model = scalar_model(1.0)
-        state = nets.adam_init(model, learning_rate=0.1, beta1=0.0)
+        state = nets.adam_init(model, learning_rate=0.1)
         for g in (0.7, -0.7):
             nets.adam_step(model, np.array([g, 0.0]), state)
         assert abs(model.weights[0][0, 0] - 1.0) < 1e-12
@@ -297,12 +298,11 @@ class TestFlatParameters:
                 nets.bind(model, frozen=frozen)
 
     @given(sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
-           steps=st.integers(1, 6), lr=st.floats(1e-4, 1.0),
-           b1=st.floats(0.0, 0.99), b2=st.floats(0.0, 0.9999), data=st.data())
+           steps=st.integers(1, 6), lr=st.floats(1e-4, 1.0), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_flat_adam_equals_the_per_array_loop(self, sizes, steps, lr, b1, b2, data):
+    def test_flat_adam_equals_the_per_array_loop(self, sizes, steps, lr, data):
         model = nets.init_mlp(sizes, seed=len(sizes))
-        state = nets.adam_init(model, learning_rate=lr, beta1=b1, beta2=b2)
+        state = nets.adam_init(model, learning_rate=lr)
         params = [p.copy() for p in nets.param_order(model.weights, model.biases)]
         first = [np.zeros_like(p) for p in params]
         second = [np.zeros_like(p) for p in params]
@@ -311,7 +311,8 @@ class TestFlatParameters:
             grads = [np.array(data.draw(st.lists(values, min_size=p.size, max_size=p.size)),
                               dtype=np.float64).reshape(p.shape) for p in params]
             nets.adam_step(model, np.concatenate(grads, axis=None), state)
-            per_array_adam(params, grads, first, second, t, lr, b1, b2, state.epsilon)
+            per_array_adam(params, grads, first, second, t, lr, nets.BETA1, nets.BETA2,
+                           nets.EPSILON)
         assert state.step_count == steps
         flat_params = nets.param_order(model.weights, model.biases)
         for got, want in zip(flat_params + slices(state.m, params) + slices(state.v, params),

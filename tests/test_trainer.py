@@ -221,13 +221,15 @@ def test_the_data_sets_every_network_dimension(tmp_path, mode):
     ({"learning_rate": 0.0}, "learning_rate = 0.0 must be positive"),
     ({"learning_rate": -1.0}, "learning_rate = -1.0 must be positive"),
     ({"learning_rate": float("nan")}, "learning_rate = nan must be positive"),
-    ({"epsilon": float("inf")}, "epsilon = inf must be finite"),
-    ({"diag_points": 0}, "diag_points = 0 must be at least 1"),
-    ({"diag_points": -5}, "diag_points = -5 must be at least 1"),
-    ({"beta1": -0.1}, r"beta1 = -0.1 not in \[0, 1\)"),
-    ({"beta1": 1.0}, r"beta1 = 1.0 not in \[0, 1\)"),
-    ({"beta2": 1.5}, r"beta2 = 1.5 not in \[0, 1\)"),
-    ({"epsilon": 0.0}, "epsilon = 0.0 must be positive"),
+    # rows 11-17 checked the Adam settings and diag_points, now constants;
+    # they are kept in place so the other rows keep their ids
+    ({"learning_rate": float("inf")}, "learning_rate = inf must be finite"),
+    ({"gen_hidden": "32,32"}, "gen_hidden = '32,32' must be a tuple"),
+    ({"seed": float("nan")}, "seed = nan must be >= 0"),
+    ({"batch_size": float("nan")}, "batch_size = nan must be positive"),
+    ({"iterations": float("nan")}, "iterations = nan must be >= 0"),
+    ({"diag_interval": float("nan")}, "diag_interval = nan must be >= 0"),
+    ({"sparsity_mode": "masked_fd"}, "sparsity_mode 'masked_fd'"),
     ({"diag_interval": -3}, "diag_interval = -3 must be >= 0"),
     ({"anchor_count": -1}, "anchor_count = -1 must be >= 0"),
 ])
@@ -237,8 +239,7 @@ def test_inconsistent_config_is_rejected_naming_the_field(change, message):
 
 
 def test_edges_of_the_valid_ranges_are_accepted():
-    TrainConfig(beta1=0.0, beta2=0.0, diag_points=1,
-                learning_rate=5e-324, epsilon=5e-324, diag_interval=0,
+    TrainConfig(learning_rate=5e-324, diag_interval=0,
                 weights=LossWeights(anchor=0.0, sparsity=0.0, inv=0.0), anchor_count=0,
                 probe=ProbeSpec(1, perturbation_scale=5e-324))
 
@@ -289,3 +290,63 @@ def test_an_update_to_non_finite_parameters_aborts_naming_network_and_iteration(
     for name in trainer.Networks.files():
         assert ((tmp_path / "run" / f"last_good_{name}").read_bytes()
                 == (tmp_path / "clean" / name).read_bytes())
+
+
+# calls 4, 5 and 6 of adam_step are iteration 1's discriminator, generator
+# and reconstructor updates
+@pytest.mark.parametrize("call, value, message", [
+    (5, 2 * trainer.PARAMETER_BOUND, "generator parameters beyond ±1e3"),
+    (6, -2 * trainer.PARAMETER_BOUND, "reconstructor parameters beyond ±1e3"),
+    (4, np.nan, "non-finite discriminator parameters"),
+], ids=["above", "below", "nan"])
+def test_an_update_past_the_bound_aborts_naming_network_and_iteration(
+        splits, tmp_path, monkeypatch, call, value, message):
+    train_split, test_split = splits
+    calls = []
+    original = trainer.adam_step
+
+    def poisoning(model, gradients, state):
+        original(model, gradients, state)
+        calls.append(model)
+        if len(calls) == call:
+            model.flat[-1] = value
+        return model, state
+
+    monkeypatch.setattr(trainer, "adam_step", poisoning)
+    with pytest.raises(trainer.TrainingDiverged, match=f"^{message} at iteration 1$"):
+        trainer.train(TrainConfig(iterations=3, batch_size=16), train_split, test_split,
+                      tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(trainer.Networks.files("last_good_"))
+
+
+def test_a_parameter_at_the_bound_is_kept(splits, monkeypatch):
+    train_split, test_split = splits
+    original = trainer.adam_step
+
+    def to_the_bound(model, gradients, state):
+        original(model, gradients, state)
+        model.flat[-1] = -trainer.PARAMETER_BOUND
+        return model, state
+
+    monkeypatch.setattr(trainer, "adam_step", to_the_bound)
+    report = trainer.train(TrainConfig(iterations=2, batch_size=16, diag_interval=0),
+                           train_split, test_split)
+    assert len(report.losses["total"]) == 2
+
+
+def test_a_default_run_peaks_far_below_the_bound(splits, monkeypatch):
+    # 200 iterations at the defaults: the bound leaves a margin of 100 at least
+    train_split, test_split = splits
+    peaks = []
+    original = trainer.adam_step
+
+    def recording(model, gradients, state):
+        original(model, gradients, state)
+        peaks.append(float(np.abs(model.flat).max()))
+        return model, state
+
+    monkeypatch.setattr(trainer, "adam_step", recording)
+    trainer.train(TrainConfig(iterations=200), train_split, test_split)
+    assert len(peaks) == 3 * 200
+    assert max(peaks) < trainer.PARAMETER_BOUND / 100

@@ -16,7 +16,8 @@
 # another in one process, where state leaked from one run into the next would
 # show, and each run draws its own anchors; a tree whose ablate has no
 # anchor_counts key fails the sweep, which then reads as differing),
-# mpa-check at seed 13 (mpa-check exits 0 there, as at each of seeds 0-11),
+# mpa-check at seed 13 and a second one, "mpa0", at seed 0 (mpa-check exits
+# 0 at each of seeds 0-40),
 # a small probe-study with its exact overlay (study_exact.csv) at D = 50,
 # whose probes are summed over D bins each, a second one, "probe5k", at
 # D = 5000 and mask sizes 1 and 2, whose probes are summed over sorted keys,
@@ -64,6 +65,8 @@ runs() {
         --override ablate.seeds=0 --override train.iterations=5 > /dev/null || true
     PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa" \
         --override mpa_check.seed=13 > /dev/null
+    PYTHONPATH="$1/src" python -m anchordt mpa-check --out-dir "$out/mpa0" \
+        --override mpa_check.seed=0 > /dev/null
     PYTHONPATH="$1/src" python -m anchordt probe-study --out-dir "$out/probe" \
         --override probe_study.dimension=50 --override probe_study.num_matrices=2 \
         --override probe_study.mc_samples=50 --override probe_study.exact_overlay=true \
@@ -79,7 +82,7 @@ runs() {
     printf '0,1\n1,0\n' > "$out/support.csv"
     PYTHONPATH="$1/src" python -m anchordt sparsity-check --out-dir "$out/support" \
         --support-file "$out/support.csv" > /dev/null
-    for run in data train eval plot fd multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
+    for run in data train eval plot fd multi noinv linear ablate sweep mpa mpa0 probe probe5k probe1k support; do
         # [checksums] is the manifest's last section; a run that failed left
         # no manifest, and compares as an empty one
         sed "s#$out#OUT#g" "$out/$run/manifest.txt" > "$work/manifest" 2> /dev/null || true
@@ -90,7 +93,7 @@ runs() {
 runs "$1" base
 runs "$2" head
 status=0
-for run in data train eval plot fd multi noinv linear ablate sweep mpa probe probe5k probe1k support; do
+for run in data train eval plot fd multi noinv linear ablate sweep mpa mpa0 probe probe5k probe1k support; do
     verdict=""
     for part in checksums echo; do
         name=$part

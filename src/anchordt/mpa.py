@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: max |quantile(cdf(x)) - x|, relative to max(|x|, 1), that a CDF conjugate accepts
-CONSISTENCY_TOLERANCE = 1e-6
+#: max |cdf(y) - q|, absolute, at a CDF conjugate's return y = quantile(q)
+CONSISTENCY_TOLERANCE = 1e-12
 #: max |m(x) - x| on the scan grid below which a map is flagged as identity
 IDENTITY_TOLERANCE = 1e-12
 #: count_fixed_points' scan grid points, and the width to which it bisects a root
@@ -91,20 +91,19 @@ def cdf_conjugate_mpa(cdf, quantile):
     """x -> quantile(1 - cdf(x)), the unique non-identity candidate MPA.
 
     ``cdf`` must be strictly increasing on the domain of interest and
-    ``quantile`` its inverse; each call validates quantile(cdf(x)) == x to
-    within CONSISTENCY_TOLERANCE and raises InverseConsistencyError otherwise.
+    ``quantile`` its inverse.  Each call checks its return y = quantile(q),
+    q = 1 - cdf(x), in probability space, where the far tails stay well
+    conditioned: it raises InverseConsistencyError unless |cdf(y) - q| <=
+    CONSISTENCY_TOLERANCE (a correct pair misses by an ulp), which NaN fails.
     """
     def conjugate(x):
-        x = np.asarray(x, dtype=np.float64)
-        fx = cdf(x)
-        roundtrip = quantile(fx)
-        scale = np.maximum(np.abs(x), 1.0)
-        bad = np.abs(roundtrip - x) > CONSISTENCY_TOLERANCE * scale
-        if np.any(bad):
-            worst = float(np.abs(roundtrip - x).max())
+        q = 1.0 - cdf(np.asarray(x, dtype=np.float64))
+        y = quantile(q)
+        miss = np.abs(cdf(y) - q)
+        if not (miss <= CONSISTENCY_TOLERANCE).all():
             raise InverseConsistencyError(
-                f"quantile(cdf(x)) deviates from x by up to {worst:.3g}")
-        return quantile(1.0 - fx)
+                f"cdf(quantile(q)) misses q = 1 - cdf(x) by up to {float(np.max(miss)):.3g}")
+        return y
     return conjugate
 
 

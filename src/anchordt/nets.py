@@ -1,16 +1,16 @@
-"""Small fully-connected networks: init, forward passes, Adam, checkpoints.
+"""Small fully-connected networks: init, the forward pass, Adam, checkpoints.
 
 Weights are stored (n_out, n_in) and biases (n_out, 1), acting on column
 batches, so a layer is ``W @ x + b``.  Every network is the one kind built
 here: leaky-relu hidden layers with ``autodiff``'s one slope
 ``HIDDEN_SLOPE`` and an identity output.  Both are piecewise linear, so
 the activation derivatives at a point, frozen, give the network's exact
-Jacobian there (almost everywhere).  The plain numpy forward pass
-(``MlpModel.apply``) and the graph forward pass (``MlpBinding``) give the
-same bits.  The graph pass builds one ``autodiff.dense`` node per layer;
-each hidden node keeps the mask ``a >= 0`` of its pre-activation, from
-which ``autodiff.leaky_derivative`` rebuilds the activation derivative, so
-the output node of a pass carries the pass's Jacobian, which
+Jacobian there (almost everywhere).  The forward pass is written once, in
+``MlpBinding``: ``MlpModel.apply`` returns the value of a frozen binding's
+pass.  The pass builds one ``autodiff.dense`` node per layer; each hidden
+node keeps the mask ``a >= 0`` of its pre-activation, from which
+``autodiff.leaky_derivative`` rebuilds the activation derivative, so the
+output node of a pass carries the pass's Jacobian, which
 ``sparsity.jacobian_graph`` reads from it.
 A network holds its parameters as one flat float64 vector,
 ``MlpModel.flat``, in the order [W0, b0, W1, b1, ...] that ``param_order``
@@ -98,16 +98,11 @@ class MlpModel:
         return twin
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Plain numpy forward pass on a (D, N) column batch."""
+        """A frozen binding's pass on a finite (D, N) column batch, as an array."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[0] != self.input_dim:
             raise ValueError(f"input of shape {h.shape} is not a ({self.input_dim}, N) batch")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = w @ h + b
-            if i < last:
-                h = np.maximum(h, HIDDEN_SLOPE * h)
-        return h
+        return MlpBinding(self, frozen=True)(ad.input_node(h, "input")).value
 
 
 def init_mlp(layer_sizes, seed=0) -> MlpModel:
@@ -138,13 +133,11 @@ class MlpBinding:
     updates are visible to the next graph built from the binding.
 
     A frozen binding wraps the same arrays as constant inputs instead:
-    values participate in the graph but backward skips past them (used for
-    the discriminator while the generator trains, and vice versa).
+    values participate in the graph but backward skips past them (for the
+    network a step does not train, and for ``MlpModel.apply``).
 
-    A call returns the output node of one pass, a chain of dense nodes
-    whose hidden nodes hold the masks ``a >= 0`` from which the pass's
-    activation derivatives are rebuilt; nothing of the pass is kept on the
-    binding.
+    A call returns the output node of one pass, its chain of dense nodes
+    (module docstring); nothing of the pass is kept on the binding.
     """
 
     def __init__(self, model: MlpModel, frozen: bool = False):
@@ -170,8 +163,7 @@ class MlpBinding:
     def param_nodes(self) -> list[ad.Node]:
         return param_order(self.weight_nodes, self.bias_nodes)
 
-    def __call__(self, x: ad.Node) -> ad.Node:
-        h = x
+    def __call__(self, h: ad.Node) -> ad.Node:
         last = len(self.weight_nodes) - 1
         for i, (w, b) in enumerate(zip(self.weight_nodes, self.bias_nodes)):
             h = ad.dense(w, h, b, i < last)
@@ -249,6 +241,7 @@ def save_checkpoint(model: MlpModel, path):
 
 
 def load_checkpoint(path) -> MlpModel:
+    """Read what save_checkpoint wrote; a bad line or token names its key."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _CHECKPOINT_MAGIC:
@@ -271,6 +264,8 @@ def load_checkpoint(path) -> MlpModel:
             values = [parse(tok) for tok in fields[key].split(sep)]
         except ValueError:
             raise ValueError(f"{path}: {key} holds a token that is not a number") from None
+        if parse is float and not np.isfinite(values).all():
+            raise ValueError(f"{path}: {key} holds a nan or an inf")
         if count is not None and len(values) != count:
             raise ValueError(f"{path}: {key} holds {len(values)} numbers, "
                              f"layer_sizes needs {count}")

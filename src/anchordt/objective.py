@@ -52,10 +52,9 @@ def gan_losses(discriminator: MlpBinding, fake: ad.Node, y_batch=None, *,
     (None, generator loss): the discriminator never sees a real batch, which
     is what a generator step wants, passing the g(x) its other terms share.
 
-    ``detach_generator`` says ``fake`` is g(x) fed in as a constant (same
-    values, no gradient path to the generator) and builds no generator
-    loss, so the pair is (discriminator loss, None), which is what a
-    discriminator step wants.
+    ``detach_generator`` says ``fake`` is a frozen generator binding's pass,
+    which no gradient leaves for the generator, and builds no generator
+    loss: the pair is (discriminator loss, None), as a discriminator step wants.
     """
     l_fake = discriminator(fake)
     gen_loss = None

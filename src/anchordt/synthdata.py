@@ -124,8 +124,8 @@ def save_dataset(dataset: PairedDataset, directory, prefix: str) -> list[str]:
 
 def _bad_csv_line(path, width: int) -> str | None:
     """The message "<path>, line <k>: ..." for the first data line of a CSV
-    that has other than ``width`` fields or a field that is not a number,
-    the header being line 1; None when every line parses."""
+    that has other than ``width`` fields or a field that is not a finite
+    number, the header being line 1; None when every line parses."""
     with open(path, "r", encoding="ascii") as fh:
         for k, line in enumerate(fh, start=1):
             if k == 1 or not line.strip():
@@ -135,9 +135,11 @@ def _bad_csv_line(path, width: int) -> str | None:
                 return f"{path}, line {k}: {len(fields)} fields, the header has {width}"
             for field in fields:
                 try:
-                    float(field)
+                    value = float(field)
                 except ValueError:
                     return f"{path}, line {k}: {field!r} is not a number"
+                if not np.isfinite(value):
+                    return f"{path}, line {k}: {field!r} is not a finite number"
     return None
 
 
@@ -151,7 +153,7 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
     raises ValueError naming the file and the entry; so does a CSV whose row
     count is not the .meta's num_samples.  A CSV whose header is not
     x1..xD,y1..yD, as in older datasets with a t column, names the file, and
-    a CSV row that does not parse names the file and its line.
+    a CSV row that does not parse to finite numbers names the file and line.
     """
     path = os.path.join(directory, f"{prefix}.csv")
     with open(path, "r", encoding="ascii") as fh:
@@ -166,6 +168,8 @@ def load_dataset(directory, prefix: str) -> PairedDataset:
         "num_samples": int})
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="ascii")
+        if not np.isfinite(data).all():
+            raise ValueError("non-finite entries")
     except ValueError as exc:
         raise ValueError(_bad_csv_line(path, len(header)) or f"{path}: {exc}") from None
     if data.shape[0] != meta["num_samples"]:

@@ -3,14 +3,15 @@
 train() owns a run.  It draws the run's anchors from the training split with
 config.seed, and keeps the three networks, and their Adam states, in Networks
 records whose field names are the checkpoint names.  One iteration draws
-independent unpaired minibatches, takes one discriminator step, then one
-combined generator+reconstructor step on the weighted total loss.  Each step
-runs in a helper that returns its losses as floats, so a step's graph and
-bindings live only within the step.  Every draw is seeded through
-config.seed, so identical configs and data give bit-identical traces.  A
-config names the networks' hidden widths alone: train() builds their sizes
-(D, *hidden, D) and (D, *hidden, 1) from the data.  The diagnostic's
-DIAG_POINTS and the divergence guard's PARAMETER_BOUND are constants.
+independent unpaired minibatches, takes one discriminator step, on a frozen
+generator's pass, then one combined generator+reconstructor step on the
+weighted total loss.  Each step runs in a helper that returns its losses as
+floats, so a step's graph and bindings live only within the step.  Every
+draw is seeded through config.seed, so identical configs and data give
+bit-identical traces.  A config names the networks' hidden widths alone:
+train() builds their sizes (D, *hidden, D) and (D, *hidden, 1) from the
+data.  The diagnostic's DIAG_POINTS and the divergence guard's
+PARAMETER_BOUND are constants.
 
 cli.main, not train(), sets the process's allocator to keep one step's freed
 heap for the next, so train() called in-process runs slower.  At batch 1024
@@ -132,10 +133,10 @@ def _init_models(config: TrainConfig, d: int):
 
 def _disc_step(models: Networks, states: Networks, xb, yb) -> float:
     """One discriminator step; returns its loss, after the update when it is
-    finite and with nothing updated when it is not.  The fake batch is
-    detached: no gradient path into the generator is needed."""
+    finite and with nothing updated when it is not.  g(x) is a frozen
+    generator's pass, whose weights are input nodes: backward stops there."""
     disc_b = bind(models.discriminator)
-    fake = ad.input_node(models.generator.apply(xb), "g(x)-detached")
+    fake = bind(models.generator, frozen=True)(ad.input_node(xb, "x-batch"))
     loss, _ = gan_losses(disc_b, fake, yb, detach_generator=True)
     value = float(loss.value[0, 0])
     if np.isfinite(value):

@@ -697,6 +697,27 @@ def test_damaged_test_split_makes_eval_exit_2_naming_the_file(data_dir, checkpoi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb, prefix, token", [
+    ("train", "train", "inf"), ("train", "test", "-inf"),
+    ("eval", "test", "nan"), ("plot", "test", "nan")])
+def test_a_non_finite_dataset_entry_exits_2_naming_the_file_and_line(
+        data_dir, checkpoint, tmp_path, capsys, verb, prefix, token):
+    # eval read a nan as TE = nan +- nan and exited 0; train stopped on the
+    # g(x) batch, naming neither file nor line
+    damaged = tmp_path / "data"
+    damaged.mkdir()
+    for name in os.listdir(data_dir):
+        lines = (data_dir / name).read_text().splitlines(keepends=True)
+        if name == f"{prefix}.csv":
+            lines[2] = lines[2].rpartition(",")[0] + f",{token}\n"
+        (damaged / name).write_text("".join(lines))
+    argv = fill(VERB_ARGS[verb], data=damaged, ckpt=checkpoint)
+    assert cli.main([verb, "--out-dir", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"{damaged / prefix}.csv, line 3: '{token}' is not a finite number\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, support, message", [
     (["eval", "--data-dir", "{data}"], None, "missing [io] checkpoint in config"),
     (["train", "--data-dir", "{tmp}"], None, "dataset files missing in"),
@@ -870,6 +891,18 @@ def test_eval_of_a_checkpoint_missing_a_line_exits_2_naming_it(data_dir, checkpo
                      "--checkpoint", str(tmp_path / "cut.ckpt")])
     assert code == 2
     assert f"cut.ckpt: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_a_checkpoint_with_a_nan_weight_exits_2_naming_it(data_dir, checkpoint,
+                                                                 tmp_path, capsys):
+    # it read TE = nan +- nan and exited 0
+    text = re.sub(r"^W1 = \S+", "W1 = nan", checkpoint.read_text(), flags=re.M)
+    (tmp_path / "nan.ckpt").write_text(text)
+    code = cli.main(["eval", "--out-dir", str(tmp_path / "out"), "--data-dir", str(data_dir),
+                     "--checkpoint", str(tmp_path / "nan.ckpt")])
+    assert code == 2
+    assert "nan.ckpt: W1 holds a nan or an inf" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -75,6 +75,26 @@ class TestCdfConjugate:
         np.testing.assert_allclose(got[:2], [10.45, 11.09], atol=5e-3)
         assert got[2] == np.inf
 
+    def test_gaussian_far_upper_tail_maps_as_scipy_does(self):
+        # above mu + 7.5 sigma cdf(x) near 1 keeps too few bits to give x
+        # back, which stopped mpa-check; the probability 1 - cdf(x) is kept
+        mu, sigma = 0.7, 1.3
+        x = mu + sigma * np.array([7.5, 8.0, 9.0])
+        oracle, stdlib = gaussian_conjugates(mu, sigma)
+        got = stdlib(x)
+        np.testing.assert_allclose(got, oracle(x), rtol=1e-15)
+        np.testing.assert_allclose(got[:2], [-9.0502, -9.6890], atol=5e-5)
+        assert got[2] == oracle(x)[2] == -np.inf
+
+    def test_exponential_far_upper_tail_maps_as_scipy_does(self):
+        # above x = 28.2 quantile(cdf(x)) misses x, which stopped mpa-check
+        x = np.array([28.2, 30.0, 36.0, 40.0])
+        oracle, numpy_only = exponential_conjugates()
+        got = numpy_only(x)
+        np.testing.assert_allclose(got, oracle(x), rtol=1e-15)
+        np.testing.assert_allclose(got[:3], [5.661e-13, 9.359e-14, 2.220e-16], rtol=1e-3)
+        assert got[3] == oracle(x)[3] == 0.0
+
     def test_gaussian_quantile_maps_the_unit_interval_ends_to_infinities(self):
         _, quantile = cli.gaussian_cdf_quantile(0.7, 1.3)
         ends = np.array([0.0, 1.0])
@@ -105,6 +125,23 @@ class TestCdfConjugate:
                                     lambda q: 2.0 * scipy_stats.norm.ppf(q))
         with pytest.raises(mpa.InverseConsistencyError):
             bad(np.array([1.0]))
+
+    def test_a_quantile_wrong_only_above_the_median_raises(self):
+        # q = 1 - cdf(x) lies above the median for every x below 0
+        def quantile(q):
+            return scipy_stats.norm.ppf(q) + (q > 0.5)
+        bad = mpa.cdf_conjugate_mpa(scipy_stats.norm.cdf, quantile)
+        # above 0 it returns what a right quantile returns
+        x = np.array([0.5, 1.0, 3.0])
+        assert bad(x).tolist() == scipy_stats.norm.ppf(1.0 - scipy_stats.norm.cdf(x)).tolist()
+        for x in ([-1.0], np.linspace(-3.0, 3.0, 7)):
+            with pytest.raises(mpa.InverseConsistencyError, match="misses q"):
+                bad(np.array(x))
+
+    def test_a_quantile_returning_nan_raises(self):
+        bad = mpa.cdf_conjugate_mpa(scipy_stats.norm.cdf, lambda q: np.full_like(q, np.nan))
+        with pytest.raises(mpa.InverseConsistencyError, match="by up to nan"):
+            bad(np.array([0.0, 1.0]))
 
 
 def pointwise_roots(m, interval):

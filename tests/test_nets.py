@@ -104,6 +104,15 @@ class TestForwardPaths:
             with pytest.raises(ValueError, match=r"is not a \(2, N\) batch"):
                 model.apply(x)
 
+    def test_apply_rejects_a_non_finite_batch_naming_the_input(self):
+        # the pass checks its batch as every graph input is checked; the numpy
+        # loop it replaced returned NaN
+        model = nets.init_mlp((2, 4, 2), seed=0)
+        x = np.ones((2, 3))
+        x[1, 2] = np.nan
+        with pytest.raises(ad.GraphError, match="^input: non-finite entries$"):
+            model.apply(x)
+
     def test_frozen_binding_rejects_gradients(self):
         model = nets.init_mlp((2, 4, 2), seed=0)
         frozen = nets.bind(model, frozen=True)
@@ -394,6 +403,8 @@ class TestCheckpoint:
         ("layer_sizes = 1,2,1", "layer_sizes = 1,2,", "layer_sizes holds a token"),
         ("layer_sizes = 1,2,1", "layer_sizes = 1", "needs at least two positive sizes"),
         ("layer_sizes = 1,2,1", "layer_sizes = 1,0,1", "needs at least two positive sizes"),
+        ("W1 = 2 -3.0000000000000004", "W1 = 2 nan", "W1 holds a nan or an inf"),
+        ("b0 = 0 -0.5", "b0 = 0 -inf", "b0 holds a nan or an inf"),
     ])
     def test_rejects_a_missing_or_short_line_naming_the_key(self, tmp_path, line,
                                                            replacement, message):

@@ -62,8 +62,8 @@ def fake_node(gen: nets.MlpBinding, x) -> ad.Node:
 
 
 def detached_fake(gen: nets.MlpModel, x) -> ad.Node:
-    """g(x) as the discriminator step builds it: a constant input."""
-    return ad.input_node(gen.apply(x), "g(x)-detached")
+    """g(x) as the discriminator step builds it: a frozen generator's pass."""
+    return nets.bind(gen, frozen=True)(ad.input_node(x, "x-batch"))
 
 
 class TestGanLosses:

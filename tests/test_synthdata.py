@@ -236,6 +236,9 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize("damage, message", [
         (lambda row: row.rpartition(",")[0], "3 fields, the header has 4"),
         (lambda row: row.rpartition(",")[0] + ",abc", "'abc' is not a number"),
+        (lambda row: row.rpartition(",")[0] + ",nan", "'nan' is not a finite number"),
+        (lambda row: "inf," + row.partition(",")[2], "'inf' is not a finite number"),
+        (lambda row: row.rpartition(",")[0] + ",-1e999", "'-1e999' is not a finite number"),
     ])
     def test_bad_csv_row_is_rejected_naming_the_file_and_line(self, tmp_path, damage,
                                                               message):

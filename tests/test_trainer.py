@@ -129,6 +129,40 @@ def test_one_iteration_makes_three_discriminator_passes(splits, monkeypatch):
     assert passes.count((2, *cfg.disc_hidden, 1)) == 3
 
 
+def test_the_discriminator_steps_backward_stops_at_the_generator_pass(monkeypatch):
+    # the fake batch is a frozen generator's pass: only the discriminator's
+    # six parameters take gradients, and no backprop runs on, or hands an
+    # adjoint to, a node of the generator pass
+    cfg = TrainConfig(batch_size=16)
+    models, _, _ = trainer._init_models(cfg, 2)
+    states = trainer.Networks(*(nets.adam_init(model) for model in models))
+    roots, fakes, backprops = [], [], []
+    original_backward, original_gan_losses = ad.backward, trainer.gan_losses
+    monkeypatch.setattr(ad, "backward",
+                        lambda root: roots.append(root) or original_backward(root))
+    monkeypatch.setattr(trainer, "gan_losses", lambda disc, fake, *args, **kwargs: (
+        fakes.append(fake) or original_gan_losses(disc, fake, *args, **kwargs)))
+    for kind, backprop in ad._OPS.items():
+        monkeypatch.setitem(ad._OPS, kind, lambda node, wanted, backprop=backprop: (
+            backprops.append((node, wanted)) or backprop(node, wanted)))
+    rng = np.random.default_rng(0)
+    trainer._disc_step(models, states, rng.standard_normal((2, 16)),
+                       rng.standard_normal((2, 16)))
+    # the batch, the generator's six arrays as inputs and its three layers
+    generator_pass = set(ad.topo_order(fakes[0]))
+    assert sorted(node.kind for node in generator_pass) == ["dense"] * 3 + ["input"] * 7
+    assert all(node.value.base is models.generator.flat for node in generator_pass
+               if node.kind == "input" and node.shape[1] != 16)
+    carrying = [node for node in ad.topo_order(roots[0])
+                if node.grad is not None and node is not roots[0]]
+    assert len(carrying) == 6
+    assert all(node.kind == "parameter" and node.value.base is models.discriminator.flat
+               for node in carrying)
+    assert backprops and not any(node in generator_pass for node, _ in backprops)
+    for node, wanted in backprops:
+        assert not any(w for p, w in zip(node.parents, wanted) if p in generator_pass)
+
+
 @pytest.mark.parametrize("mode", ["exact-jacobian-l1", "masked-fd"])
 def test_no_earlier_steps_graph_is_alive_when_a_step_runs_backward(splits, monkeypatch,
                                                                    mode):
